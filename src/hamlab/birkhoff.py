@@ -39,6 +39,7 @@ from .exactnum import RATIONAL, ExactComplex, QuadField
 from .model import EllipticHamiltonian
 from .poly import (
     ActionPolynomial,
+    CompiledField,
     Polynomial,
     complexify_unnormalized,
     realify_unnormalized,
@@ -363,7 +364,6 @@ def birkhoff_normal_form(
             displacement += max(
                 rp.partial(i).majorant_norm(radius) for i in range(2 * H.n)
             )
-    sd = norm.smallest_divisor
     return NormalFormResult(
         m=m,
         h_m=h_m,
@@ -371,7 +371,7 @@ def birkhoff_normal_form(
         generators_real=generators_real,
         remainder=remainder,
         tail_bound=tail,
-        smallest_divisor=sd if sd < math.inf else math.inf,
+        smallest_divisor=norm.smallest_divisor,
         transform_displacement=displacement,
         D_work=D_work,
         radius=radius,
@@ -414,13 +414,7 @@ def remainder_curve(
 
 def _flow(poly: Polynomial, z: np.ndarray, time: float, steps: int = 48) -> np.ndarray:
     """Time-``time`` Hamiltonian flow of a real polynomial via fixed-step RK4."""
-    n = poly.n
-    grads = poly.gradient()
-
-    def vf(y):
-        g = np.array([float(p.evaluate(y)) for p in grads])
-        return np.concatenate([g[n:], -g[:n]])
-
+    vf = CompiledField(poly)
     h = time / steps
     y = np.asarray(z, dtype=float).copy()
     for _ in range(steps):

@@ -118,15 +118,13 @@ def _cmd_sdm_check(args):
     beta = np.array(data["beta"] if isinstance(data, dict) else data, dtype=float)
     alpha = data.get("alpha") if isinstance(data, dict) else None
     v = sdm.check_sdm_quadratic(alpha, beta, args.gamma, args.tau, args.Lmax)
+    w = v.worst_case
     report = {
         "passed": v.passed,
         "gamma_margin": v.gamma_margin,
         "worst_case": None
-        if v.worst_case is None
-        else {"L": v.worst_case[0], "subspace": [list(map(int, g)) for g in v.worst_case[1]]
-              if isinstance(v.worst_case[1], tuple) and v.worst_case[1] and isinstance(v.worst_case[1][0], tuple)
-              else list(v.worst_case[1]) if isinstance(v.worst_case[1], (list, tuple)) else v.worst_case[1],
-              "margin": v.worst_case[3]},
+        if w is None
+        else {"L": w.L, "subspace": w.subspace, "margin": w.margin},
     }
     _emit(report, args.out)
 
@@ -152,22 +150,7 @@ def _cmd_sdm_prevalence(args):
     rep = sdm.prevalence_estimate(
         args.n, args.tau, args.gamma, args.Lmax, args.samples, seed=args.seed
     )
-    _emit(
-        {
-            "n": rep.n,
-            "tau_p": rep.tau_p,
-            "gamma_p": rep.gamma_p,
-            "L_max": rep.L_max,
-            "samples": rep.samples,
-            "seed": rep.seed,
-            "probe_interval": list(rep.probe_interval),
-            "bad_fraction": rep.bad_fraction,
-            "bad_fraction_random": rep.bad_fraction_random,
-            "theory_bound": rep.theory_bound,
-            "binomial_sigma": rep.binomial_sigma,
-        },
-        args.out,
-    )
+    _emit(lab.prevalence_report(rep), args.out)
 
 
 def _cmd_drift(args):

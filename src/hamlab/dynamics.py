@@ -17,9 +17,13 @@ import numpy as np
 
 from .errors import FixedPointDivergence, OutOfDomain
 from .model import EllipticHamiltonian, formal_actions
-from .poly import Polynomial
+from .poly import CompiledField, CompiledPoly, Polynomial
 
-_SQRT3_6 = math.sqrt(3.0) / 6.0
+# Butcher matrix of the two-stage Gauss collocation method
+_GAUSS_A = (
+    (0.25, 0.25 - math.sqrt(3.0) / 6.0),
+    (0.25 + math.sqrt(3.0) / 6.0, 0.25),
+)
 
 
 @dataclass(frozen=True)
@@ -35,56 +39,6 @@ class IntegratorConfig:
             raise ValueError("dt, tolerances and thresholds must be positive")
         if self.method not in ("implicit_midpoint", "gauss4"):
             raise ValueError(f"unknown method {self.method!r}")
-
-
-class CompiledPoly:
-    """A polynomial compiled to exponent/coefficient arrays for batch evaluation."""
-
-    def __init__(self, p: Polynomial):
-        self.n2 = 2 * p.n
-        if p.terms:
-            self.E = np.array(sorted(p.terms), dtype=np.int64)
-            self.c = np.array([float(p.terms[tuple(k)]) for k in self.E])
-        else:
-            self.E = np.zeros((0, self.n2), dtype=np.int64)
-            self.c = np.zeros(0)
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        if self.E.shape[0] == 0:
-            return np.zeros(z.shape[:-1])
-        mono = np.prod(z[..., None, :] ** self.E, axis=-1)
-        return mono @ self.c
-
-
-class CompiledField:
-    """Hamiltonian vector field (dH/dp, -dH/dq) compiled for batch evaluation."""
-
-    def __init__(self, H_poly: Polynomial):
-        n = H_poly.n
-        self.n = n
-        grads = H_poly.gradient()
-        comps = [grads[n + j] for j in range(n)] + [-grads[j] for j in range(n)]
-        rows, coeffs, sel = [], [], []
-        for i, comp in enumerate(comps):
-            for k in sorted(comp.terms):
-                rows.append(k)
-                coeffs.append(float(comp.terms[k]))
-                sel.append(i)
-        if rows:
-            self.E = np.array(rows, dtype=np.int64)
-            self.c = np.array(coeffs)
-            self.M = np.zeros((len(rows), 2 * n))
-            self.M[np.arange(len(rows)), sel] = 1.0
-        else:
-            self.E = np.zeros((0, 2 * n), dtype=np.int64)
-            self.c = np.zeros(0)
-            self.M = np.zeros((0, 2 * n))
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        if self.E.shape[0] == 0:
-            return np.zeros_like(z)
-        mono = np.prod(z[..., None, :] ** self.E, axis=-1)
-        return (mono * self.c) @ self.M
 
 
 # row status codes
@@ -137,8 +91,7 @@ def _fixed_point_midpoint(F, z, dt, tol, max_iters):
 
 
 def _fixed_point_gauss4(F, z, dt, tol, max_iters):
-    a11, a12 = 0.25, 0.25 - _SQRT3_6
-    a21, a22 = 0.25 + _SQRT3_6, 0.25
+    (a11, a12), (a21, a22) = _GAUSS_A
     K1 = F(z)
     K2 = K1.copy()
     converged = np.zeros(z.shape[0], dtype=bool)
@@ -182,8 +135,7 @@ def _linear_step_matrix(A: np.ndarray, dt: float, method: str) -> np.ndarray:
     eye = np.eye(d)
     if method == "implicit_midpoint":
         return np.linalg.solve(eye - 0.5 * dt * A, eye + 0.5 * dt * A)
-    a11, a12 = 0.25, 0.25 - _SQRT3_6
-    a21, a22 = 0.25 + _SQRT3_6, 0.25
+    (a11, a12), (a21, a22) = _GAUSS_A
     S = np.block(
         [[eye - dt * a11 * A, -dt * a12 * A], [-dt * a21 * A, eye - dt * a22 * A]]
     )
@@ -213,7 +165,7 @@ def integrate_batch(
     H_poly = H.full_polynomial()
     _check_startup(H_poly, H.s, Z0, cfg.dt)
     F = CompiledField(H_poly)
-    Hval = CompiledPoly(H_poly)
+    energy = CompiledPoly([H_poly])
     stepper = _fixed_point_midpoint if cfg.method == "implicit_midpoint" else _fixed_point_gauss4
 
     n_steps = max(1, int(round(T / cfg.dt)))
@@ -226,85 +178,65 @@ def integrate_batch(
 
     z = Z0.copy()
     I0 = formal_actions(n, Z0)
-    E0 = Hval(Z0)
+    E0 = energy(Z0)[:, 0]
     actions[:, 0] = I0
     energies[:, 0] = E0
     max_drift = np.zeros(N)
     active = np.ones(N, dtype=bool)
 
-    if H_poly.degree() <= 2:
+    linear = H_poly.degree() <= 2
+    if linear:
         # quadratic Hamiltonian: the field is linear and the implicit step has
         # a closed form, so whole sample blocks are advanced by matrix powers
-        A = np.array([F(np.eye(2 * n)[j]) for j in range(2 * n)]).T
+        A = F(np.eye(2 * n)).T
         Ms = np.linalg.matrix_power(
             _linear_step_matrix(A, cfg.dt, cfg.method), sample_stride
         )
-        for sample_idx in range(1, n_samples):
-            if not np.any(active):
-                break
-            t = sample_idx * sample_stride * cfg.dt
-            z[active] = z[active] @ Ms.T
-            Ia = formal_actions(n, z)
-            Ea = Hval(z)
-            drift = np.sum(np.abs(Ia - I0), axis=-1)
-            live = np.flatnonzero(active)
-            max_drift[live] = np.maximum(max_drift[live], drift[live])
-            if drift_threshold is not None:
-                esc = live[(drift[live] > drift_threshold) & np.isnan(escape[live])]
-                escape[esc] = t
-            out = live[np.linalg.norm(z[live], axis=-1) >= H.s]
-            if out.size:
-                status[out] = LEFT_DOMAIN
-                active[out] = False
-            live = np.flatnonzero(active)
-            eb = live[np.abs(Ea[live] - E0[live]) > cfg.energy_abort_threshold]
-            if eb.size:
-                status[eb] = ENERGY_ABORT
-                active[eb] = False
-            rec = np.flatnonzero(active)
-            actions[rec, sample_idx] = Ia[rec]
-            energies[rec, sample_idx] = Ea[rec]
-        return _assemble_records(
-            N, times, actions, energies, max_drift, escape, status
-        )
 
-    sample_idx = 1
-    for step in range(1, n_steps + 1):
+        def advance(stride):  # called with stride == sample_stride only
+            z[active] = z[active] @ Ms.T
+
+    else:
+
+        def advance(stride):
+            for _ in range(stride):
+                if not np.any(active):
+                    return
+                idx = np.flatnonzero(active)
+                zn, conv = stepper(
+                    F, z[idx], cfg.dt, cfg.fixed_point_tol, cfg.max_fixed_point_iters
+                )
+                status[idx[~conv]] = FP_DIVERGED
+                active[idx[~conv]] = False
+                z[idx[conv]] = zn[conv]
+
+    for sample_idx in range(1, n_samples):
         if not np.any(active):
             break
-        za = z[active]
-        zn, conv = stepper(F, za, cfg.dt, cfg.fixed_point_tol, cfg.max_fixed_point_iters)
-        idx = np.flatnonzero(active)
-        bad = idx[~conv]
-        if bad.size:
-            status[bad] = FP_DIVERGED
-            active[bad] = False
-        z[idx[conv]] = zn[conv]
-
-        if step % sample_stride == 0:
-            t = step * cfg.dt
-            Ia = formal_actions(n, z)
-            Ea = Hval(z)
-            drift = np.sum(np.abs(Ia - I0), axis=-1)
-            live = np.flatnonzero(active)
-            max_drift[live] = np.maximum(max_drift[live], drift[live])
-            if drift_threshold is not None:
-                esc = live[(drift[live] > drift_threshold) & np.isnan(escape[live])]
-                escape[esc] = t
-            out = live[np.linalg.norm(z[live], axis=-1) >= H.s]
-            if out.size:
-                status[out] = LEFT_DOMAIN
-                active[out] = False
-            live = np.flatnonzero(active)
-            eb = live[np.abs(Ea[live] - E0[live]) > cfg.energy_abort_threshold]
-            if eb.size:
-                status[eb] = ENERGY_ABORT
-                active[eb] = False
-            if sample_idx < n_samples:
-                rec = np.flatnonzero(active)
-                actions[rec, sample_idx] = Ia[rec]
-                energies[rec, sample_idx] = Ea[rec]
-                sample_idx += 1
+        advance(sample_stride)
+        t = sample_idx * sample_stride * cfg.dt
+        Ia = formal_actions(n, z)
+        Ea = energy(z)[:, 0]
+        drift = np.sum(np.abs(Ia - I0), axis=-1)
+        live = np.flatnonzero(active)
+        max_drift[live] = np.maximum(max_drift[live], drift[live])
+        if drift_threshold is not None:
+            esc = live[(drift[live] > drift_threshold) & np.isnan(escape[live])]
+            escape[esc] = t
+        out = live[np.linalg.norm(z[live], axis=-1) >= H.s]
+        status[out] = LEFT_DOMAIN
+        active[out] = False
+        live = np.flatnonzero(active)
+        eb = live[np.abs(Ea[live] - E0[live]) > cfg.energy_abort_threshold]
+        status[eb] = ENERGY_ABORT
+        active[eb] = False
+        rec = np.flatnonzero(active)
+        actions[rec, sample_idx] = Ia[rec]
+        energies[rec, sample_idx] = Ea[rec]
+    if not linear:
+        # the steps after the last sample record nothing, but a divergence in
+        # them still sets the row status
+        advance(n_steps % sample_stride)
 
     return _assemble_records(N, times, actions, energies, max_drift, escape, status)
 

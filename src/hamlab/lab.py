@@ -21,11 +21,16 @@ import numpy as np
 from .birkhoff import apply_transform, birkhoff_normal_form, remainder_curve
 from .diophantine import estimate_gamma
 from .dynamics import IntegratorConfig, ensemble_drift, escape_time_scan
-from .model import EllipticHamiltonian, complexify
+from .model import EllipticHamiltonian, complexify, formal_actions
 from .poly import ActionPolynomial, Polynomial
-from .sdm import check_sdm_quadratic, prevalence_estimate, subspaces_up_to
+from .sdm import (
+    PrevalenceReport,
+    check_sdm_quadratic,
+    prevalence_estimate,
+    subspaces_up_to,
+)
 
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 EXPERIMENT_KINDS = (
     "remainder_scaling",
@@ -34,16 +39,6 @@ EXPERIMENT_KINDS = (
     "convex_vs_generic",
     "bnf_roundtrip",
 )
-
-
-def thread_cap() -> int:
-    """Worker cap from HAMLAB_THREADS (default: all cores)."""
-    raw = os.environ.get("HAMLAB_THREADS", "")
-    try:
-        v = int(raw)
-        return max(1, v)
-    except ValueError:
-        return os.cpu_count() or 1
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -86,7 +81,7 @@ def default_frequencies(n: int) -> tuple:
     if n == 1:
         return (1.0,)
     if n == 2:
-        return (1.0, GOLDEN)
+        return (1.0, _GOLDEN)
     theta = 2.0 ** (1.0 / n)
     return tuple(theta**j for j in range(n))
 
@@ -449,13 +444,9 @@ def run_remainder_scaling(spec: ExperimentSpec) -> ExperimentResult:
     )
 
 
-def run_sdm_prevalence(spec: ExperimentSpec) -> ExperimentResult:
-    H_or_params = spec.hamiltonian
-    n = H_or_params.n
-    rep = prevalence_estimate(
-        n, spec.tau_p, spec.gamma_p, spec.L_max, spec.samples, spec.seed
-    )
-    report = {
+def prevalence_report(rep: PrevalenceReport) -> dict:
+    """The JSON report of an SDM prevalence estimate."""
+    return {
         "n": rep.n,
         "tau_p": rep.tau_p,
         "gamma_p": rep.gamma_p,
@@ -467,8 +458,15 @@ def run_sdm_prevalence(spec: ExperimentSpec) -> ExperimentResult:
         "bad_fraction_random": rep.bad_fraction_random,
         "theory_bound": rep.theory_bound,
         "binomial_sigma": rep.binomial_sigma,
-        "bound_finite": spec.tau_p > n * n + 1,
     }
+
+
+def run_sdm_prevalence(spec: ExperimentSpec) -> ExperimentResult:
+    n = spec.hamiltonian.n
+    rep = prevalence_estimate(
+        n, spec.tau_p, spec.gamma_p, spec.L_max, spec.samples, spec.seed
+    )
+    report = {**prevalence_report(rep), "bound_finite": spec.tau_p > n * n + 1}
     validate_report(report, "sdm_prevalence")
     return ExperimentResult(kind="sdm_prevalence", report=report)
 
@@ -573,8 +571,7 @@ def run_bnf_roundtrip(spec: ExperimentSpec) -> ExperimentResult:
         back = apply_transform(res, w, "inverse")
         rt_err = max(rt_err, float(np.max(np.abs(back - z))))
         lhs = float(H_poly.evaluate(w))
-        I = 0.5 * (z[: H.n] ** 2 + z[H.n:] ** 2)
-        rhs = res.h_m.evaluate(I) + float(res.remainder.evaluate(z))
+        rhs = res.h_m.evaluate(formal_actions(H.n, z)) + float(res.remainder.evaluate(z))
         conj_err = max(conj_err, abs(lhs - rhs))
     report = {
         "m": m,

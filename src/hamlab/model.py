@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain
 from .exactnum import ExactComplex
-from .poly import Polynomial, substitute_linear
+from .poly import CompiledField, Polynomial, substitute_linear
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -90,25 +90,6 @@ def realify(g: Polynomial, tol: float = 1e-10) -> Polynomial:
     return Polynomial(n, out, "real")
 
 
-class ComplexChart:
-    """Marker object for the two chart directions; both compose to identity."""
-
-    def __init__(self, n: int, direction: str = "to_complex"):
-        if direction not in ("to_complex", "to_real"):
-            raise ValueError("direction must be 'to_complex' or 'to_real'")
-        self.n = n
-        self.direction = direction
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        if f.n != self.n:
-            raise DimensionMismatch(f"n={f.n} vs chart n={self.n}")
-        return complexify(f) if self.direction == "to_complex" else realify(f)
-
-    def inverse(self) -> "ComplexChart":
-        other = "to_real" if self.direction == "to_complex" else "to_complex"
-        return ComplexChart(self.n, other)
-
-
 class EllipticHamiltonian:
     """H(z) = alpha.I + V(z) on the ball of radius s, with deg V >= 3."""
 
@@ -129,7 +110,7 @@ class EllipticHamiltonian:
         self.alpha = alpha
         self.V = V
         self.s = float(s)
-        self._grad_cache = None
+        self._field = None
 
     @property
     def rho(self) -> float:
@@ -162,12 +143,9 @@ class EllipticHamiltonian:
             raise DimensionMismatch(f"point of shape {z.shape}")
         if np.linalg.norm(z) >= self.s:
             raise OutOfDomain(f"||z|| = {np.linalg.norm(z):.3f} >= s = {self.s}")
-        if self._grad_cache is None:
-            H = self.full_polynomial()
-            self._grad_cache = H.gradient()
-        g = np.array([float(p.evaluate(z)) for p in self._grad_cache])
-        n = self.n
-        return np.concatenate([g[n:], -g[:n]])
+        if self._field is None:
+            self._field = CompiledField(self.full_polynomial())
+        return self._field(z)
 
     # -- persistence ----------------------------------------------------------
 
@@ -198,7 +176,3 @@ class EllipticHamiltonian:
             f"EllipticHamiltonian(n={self.n}, alpha={tuple(_freq_float(a) for a in self.alpha)}, "
             f"s={self.s}, rho={self.rho:.4g}, |V|={len(self.V.terms)} terms)"
         )
-
-
-def hamiltonian_vector_field(H: EllipticHamiltonian, z) -> np.ndarray:
-    return H.vector_field(z)

@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .errors import DimensionMismatch, NotActionRepresentable
 from .exactnum import ExactComplex
 
@@ -327,6 +329,35 @@ def poisson_bracket(f: Polynomial, g: Polynomial) -> Polynomial:
     return out
 
 
+class CompiledPoly:
+    """Real polynomials in 2n variables compiled for batch evaluation.
+
+    ``E`` (terms x 2n) is the sorted union of the monomials of all the
+    polynomials and ``C`` (terms x outputs) holds their coefficients, so a
+    call maps points of shape (..., 2n) to values of shape (..., outputs).
+    """
+
+    def __init__(self, polys: list):
+        keys = sorted(set().union(*(p.terms for p in polys)))
+        row = {k: i for i, k in enumerate(keys)}
+        self.E = np.array(keys, dtype=np.int64).reshape(len(keys), 2 * polys[0].n)
+        self.C = np.zeros((len(keys), len(polys)))
+        for j, p in enumerate(polys):
+            for k, c in p.terms.items():
+                self.C[row[k], j] = float(c)
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        return np.prod(z[..., None, :] ** self.E, axis=-1) @ self.C
+
+
+class CompiledField(CompiledPoly):
+    """Hamiltonian vector field (dH/dp, -dH/dq) of a real polynomial H."""
+
+    def __init__(self, H: Polynomial):
+        grads = H.gradient()
+        super().__init__(grads[H.n:] + [-g for g in grads[: H.n]])
+
+
 class ActionPolynomial:
     """Real polynomial in the n formal actions I_1..I_n."""
 
@@ -423,13 +454,9 @@ class ActionPolynomial:
         return ActionPolynomial(self.n, out)
 
     def grad(self, I):
-        import numpy as np
-
         return np.array([float(self.partial(i).evaluate(I)) for i in range(self.n)])
 
     def hess(self, I):
-        import numpy as np
-
         H = np.empty((self.n, self.n))
         for i in range(self.n):
             gi = self.partial(i)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +44,20 @@ class RationalSubspace:
         return self.e_basis.T
 
 
+class WorstCase(NamedTuple):
+    """The subspace (and, for polynomial checks, the grid point) of least margin."""
+
+    L: int
+    subspace: tuple  # perp_basis, or the canonical key of the whole space
+    point: tuple | None
+    margin: float
+
+
 @dataclass(frozen=True)
 class SdmVerdict:
     passed: bool
     gamma_margin: float
-    worst_case: tuple | None  # (L, perp_basis or canonical_key, point or None, margin)
+    worst_case: WorstCase | None
     status: str = "checked"  # polynomial check: certified-pass/-fail/inconclusive
 
 
@@ -221,7 +231,7 @@ def check_sdm_quadratic(
         margin = _sigma_min_restricted(beta, sub) * float(sub.L) ** tau_p
         if margin < best:
             best = margin
-            worst = (sub.L, sub.perp_basis if sub.perp_basis else sub.canonical_key, None, margin)
+            worst = WorstCase(sub.L, sub.perp_basis or sub.canonical_key, None, margin)
     passed = best >= gamma_p
     return SdmVerdict(passed=passed, gamma_margin=best, worst_case=worst)
 
@@ -323,12 +333,12 @@ def check_sdm_polynomial(
                 return SdmVerdict(
                     passed=False,
                     gamma_margin=best_margin,
-                    worst_case=(sub.L, sub.perp_basis or sub.canonical_key, tuple(x), margin),
+                    worst_case=WorstCase(sub.L, sub.perp_basis or sub.canonical_key, tuple(x), margin),
                     status="certified-fail",
                 )
             status = "inconclusive"
             if worst is None:
-                worst = (sub.L, sub.perp_basis or sub.canonical_key, tuple(x), margin)
+                worst = WorstCase(sub.L, sub.perp_basis or sub.canonical_key, tuple(x), margin)
     return SdmVerdict(
         passed=status == "certified-pass",
         gamma_margin=best_margin,

@@ -99,6 +99,21 @@ def test_sdm_check_subcommand(capsys, tmp_path):
     assert report["gamma_margin"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_sdm_check_worst_case_output(capsys, tmp_path):
+    beta_file = tmp_path / "beta.json"
+    argv = ["sdm-check", "--quadratic", str(beta_file), "--gamma", "0.1", "--tau", "3.0", "--Lmax", "1"]
+    beta_file.write_text(json.dumps({"beta": [[1.0, 0.0], [0.0, -1.0]]}))
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    worst = json.loads(out)["worst_case"]
+    assert (worst["L"], worst["subspace"]) == (1, [[1, -1]])
+    assert worst["margin"] == pytest.approx(0.0, abs=1e-12)
+    beta_file.write_text(json.dumps({"beta": [[0.5]]}))
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["worst_case"] == {"L": 1, "margin": 0.5, "subspace": ["full", 1]}
+
+
 def test_sdm_check_invalid_matrix_exits_2(capsys, tmp_path):
     beta_file = tmp_path / "beta.json"
     beta_file.write_text(json.dumps({"beta": [[1.0, 2.0], [0.0, 1.0]]}))
@@ -129,6 +144,15 @@ def test_sdm_prevalence_subcommand(capsys):
     report = json.loads(out)
     assert report["samples"] == 150
     assert 0.0 <= report["bad_fraction"] <= 1.0
+    from hamlab.lab import ExperimentSpec, RandomHamiltonianParams, run_experiment
+
+    spec = ExperimentSpec(
+        kind="sdm_prevalence", hamiltonian=RandomHamiltonianParams(n=2),
+        tau_p=6.0, gamma_p=0.05, L_max=2, samples=150,
+    )
+    lab_report = run_experiment(spec).report
+    assert set(report) == set(lab_report) - {"bound_finite"}
+    assert all(report[k] == lab_report[k] for k in report)
 
 
 def test_drift_subcommand(ham_file, capsys):

@@ -18,7 +18,6 @@ from hamlab.lab import (
     gnuplot_script,
     run_experiment,
     stream_rng,
-    thread_cap,
     validate_report,
     write_csv,
     write_json,
@@ -30,15 +29,6 @@ GOLDEN_F = (1 + math.sqrt(5)) / 2
 
 
 # -- infrastructure ------------------------------------------------------------
-
-
-def test_thread_cap_reads_environment(monkeypatch):
-    monkeypatch.setenv("HAMLAB_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("HAMLAB_THREADS", "not-a-number")
-    assert thread_cap() >= 1
-    monkeypatch.setenv("HAMLAB_THREADS", "0")
-    assert thread_cap() == 1
 
 
 def test_stream_rng_streams_are_stable_and_distinct():

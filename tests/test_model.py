@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from hamlab.errors import DimensionMismatch, OutOfDomain
-from hamlab.model import (
-    ComplexChart,
-    EllipticHamiltonian,
-    complexify,
-    formal_actions,
-    hamiltonian_vector_field,
-    realify,
-)
+from hamlab.model import EllipticHamiltonian, complexify, formal_actions, realify
 from hamlab.poly import Polynomial
 
 
@@ -65,16 +58,6 @@ def test_complexify_is_symplectic_change():
     assert complex(b.terms[(0, 0)]) == pytest.approx(1.0)
 
 
-def test_chart_object_inverse():
-    c = ComplexChart(2)
-    f = Polynomial.action_variable(2, 0)
-    g = c.inverse().apply(c.apply(f))
-    diff = g - f
-    assert all(abs(c_) < 1e-10 for c_ in diff.terms.values())
-    with pytest.raises(ValueError):
-        ComplexChart(2, "sideways")
-
-
 def test_constructor_validation():
     V = Polynomial(2, {(3, 0, 0, 0): 0.1})
     with pytest.raises(ValueError):
@@ -111,7 +94,6 @@ def test_vector_field_square_action():
     f = H2.vector_field(z)
     # alpha.I contributes (0.5 p, -0.5 q) = (0, -0.5); I_1^2 contributes (0, -1)
     assert f == pytest.approx([0.0, -1.5])
-    assert hamiltonian_vector_field(H2, z) == pytest.approx(f)
 
 
 def test_vector_field_linear_part_rotates():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from hamlab.errors import DimensionMismatch, NotActionRepresentable
 from hamlab.poly import (
     ActionPolynomial,
+    CompiledField,
+    CompiledPoly,
     Polynomial,
     complexify_unnormalized,
     poisson_bracket,
@@ -72,6 +74,24 @@ def test_partial_derivative_matches_finite_difference():
         zm[i] -= h
         fd = (f.evaluate(zp) - f.evaluate(zm)) / (2 * h)
         assert f.partial(i).evaluate(z) == pytest.approx(fd, abs=1e-6)
+
+
+def test_compiled_evaluators_match_evaluate():
+    rng = np.random.default_rng(11)
+    # the gradient components of q1^2 q2 + q1 q2^2 share the monomial q1 q2
+    shared = Polynomial(2, {(2, 1, 0, 0): 1.0, (1, 2, 0, 0): 1.0})
+    assert CompiledField(shared).E.shape == (3, 4)
+    assert CompiledField(Polynomial.zero(2)).E.shape == (0, 4)
+    Z = rng.uniform(-1.0, 1.0, size=(7, 4))
+    for p in (Polynomial.zero(2), shared, rand_poly(2, rng, n_terms=8)):
+        values = CompiledPoly([p])(Z)
+        field = CompiledField(p)(Z)
+        assert values.shape == (7, 1) and field.shape == (7, 4)
+        for z, v, f in zip(Z, values, field):
+            g = [float(q.evaluate(z)) for q in p.gradient()]
+            assert v[0] == pytest.approx(float(p.evaluate(z)), abs=1e-13)
+            assert f == pytest.approx(g[2:] + [-x for x in g[:2]], abs=1e-13)
+            assert CompiledField(p)(z) == pytest.approx(f, abs=1e-13)
 
 
 def test_majorant_norm_bounds_sup_on_polydisc():
