@@ -42,6 +42,8 @@ from .poly import (
     CompiledField,
     Polynomial,
     complexify_unnormalized,
+    is_zero_coeff,
+    paired_part,
     realify_unnormalized,
 )
 
@@ -125,10 +127,8 @@ def _bracket(f: dict, g: dict, n: int, two_i):
     return {k: v * two_i for k, v in out.items()}
 
 
-def _prune(piece: dict, exact: bool) -> dict:
-    if exact:
-        return {k: c for k, c in piece.items() if not (c.is_zero() if isinstance(c, ExactComplex) else c == 0)}
-    return {k: c for k, c in piece.items() if abs(c) >= 1e-300}
+def _prune(piece: dict) -> dict:
+    return {k: c for k, c in piece.items() if not is_zero_coeff(c)}
 
 
 def _lie_transform(K: dict, chi: dict, d: int, D_work: int, n: int, two_i, exact: bool):
@@ -150,7 +150,7 @@ def _lie_transform(K: dict, chi: dict, d: int, D_work: int, n: int, two_i, exact
             for k in sorted(b):
                 c = b[k] * inv
                 tgt[k] = tgt[k] + c if k in tgt else c
-        new_term = {deg: _prune(p, exact) for deg, p in new_term.items()}
+        new_term = {deg: _prune(p) for deg, p in new_term.items()}
         new_term = {deg: p for deg, p in new_term.items() if p}
         if not new_term:
             break
@@ -161,20 +161,14 @@ def _lie_transform(K: dict, chi: dict, d: int, D_work: int, n: int, two_i, exact
                 tgt[k] = tgt[k] + c if k in tgt else c
         term = new_term
         j += 1
-    return {deg: _prune(p, exact) for deg, p in result.items()}
-
-
-def _chart_piece_to_poly(piece: dict, n: int) -> Polynomial:
-    return Polynomial(n, piece, "complex")
+    return {deg: _prune(p) for deg, p in result.items()}
 
 
 def _realify_pieces(pieces: list, n: int, exact: bool) -> Polynomial:
     total = Polynomial.zero(n)
     for piece in pieces:
         if piece:
-            total = total + realify_unnormalized(
-                _chart_piece_to_poly(piece, n), exact=exact
-            )
+            total = total + realify_unnormalized(Polynomial(n, piece), exact=exact)
     return total
 
 
@@ -272,24 +266,11 @@ class _Normalizer:
 
     def h_of_order(self, m: int) -> ActionPolynomial:
         """Collect resonant parts of degrees <= 2m into an action polynomial."""
-        n = self.n
-        out: dict = {}
-        for deg in range(2, 2 * m + 1, 2):
-            for k, c in self.K.get(deg, {}).items():
-                if k[:n] != k[n:]:
-                    continue
-                kw = k[:n]
-                factor = 2 ** sum(kw)
-                if self.exact:
-                    cc = c * factor
-                    if isinstance(cc, ExactComplex):
-                        if not cc.imag_is_zero():
-                            raise ArithmeticError("non-real Birkhoff coefficient")
-                        cc = cc.ar if cc.field.trivial else cc.real_exact()
-                else:
-                    cc = complex(c).real * factor
-                out[kw] = out[kw] + cc if kw in out else cc
-        return ActionPolynomial(n, out)
+        even = Polynomial(
+            self.n,
+            {k: c for deg in range(2, 2 * m + 1, 2) for k, c in self.K.get(deg, {}).items()},
+        )
+        return paired_part(even, self.exact)
 
     def remainder_polynomial(self, m: int) -> Polynomial:
         pieces = [self.K.get(deg, {}) for deg in range(2 * m + 1, self.D_work + 1)]
@@ -353,7 +334,7 @@ def birkhoff_normal_form(
     generators_real = []
     displacement = 0.0
     for d, chi in norm.generators:
-        cp = _chart_piece_to_poly(chi, H.n)
+        cp = Polynomial(H.n, chi)
         generators_chart.append(cp)
         if chi:
             rp = realify_unnormalized(cp, exact=exact)
@@ -412,11 +393,9 @@ def remainder_curve(
     return curve
 
 
-def _flow(poly: Polynomial, z: np.ndarray, time: float, steps: int = 48) -> np.ndarray:
-    """Time-``time`` Hamiltonian flow of a real polynomial via fixed-step RK4."""
-    vf = CompiledField(poly)
+def _flow(vf: CompiledField, y: np.ndarray, time: float, steps: int = 48) -> np.ndarray:
+    """Time-``time`` Hamiltonian flow of a compiled field via fixed-step RK4."""
     h = time / steps
-    y = np.asarray(z, dtype=float).copy()
     for _ in range(steps):
         k1 = vf(y)
         k2 = vf(y + 0.5 * h * k1)
@@ -427,25 +406,24 @@ def _flow(poly: Polynomial, z: np.ndarray, time: float, steps: int = 48) -> np.n
 
 
 def apply_transform(res: NormalFormResult, z, direction: str = "forward") -> np.ndarray:
-    """Evaluate the normalizing transform (or its inverse) at a point.
+    """Evaluate the normalizing transform (or its inverse) at points (..., 2n).
 
     forward is the composition Phi_3 o Phi_4 o ... o Phi_{2m} (each Phi_d the
     time-1 flow of the generator of degree d), the map sending normal-form
     coordinates to original ones so that H(forward(z)) matches the normal form.
     """
     z = np.asarray(z, dtype=float)
-    if np.linalg.norm(z) > res.s / 2 + 1e-12:
-        raise OutOfDomain(f"||z|| = {np.linalg.norm(z):.3f} exceeds s/2 = {res.s / 2}")
-    gens = [g.to_float() if res.exact else g for g in res.generators_real]
-    y = z.copy()
-    if direction == "forward":
-        for g in reversed(gens):
-            if g.terms:
-                y = _flow(g, y, 1.0)
-    elif direction == "inverse":
-        for g in gens:
-            if g.terms:
-                y = _flow(g, y, -1.0)
-    else:
+    norm = float(np.max(np.linalg.norm(z, axis=-1), initial=0.0))
+    if norm > res.s / 2 + 1e-12:
+        raise OutOfDomain(f"||z|| = {norm:.3f} exceeds s/2 = {res.s / 2}")
+    if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
+    fields = [CompiledField(g.to_float()) for g in res.generators_real if g.terms]
+    if direction == "forward":
+        fields, time = fields[::-1], 1.0
+    else:
+        time = -1.0
+    y = z.copy()
+    for vf in fields:
+        y = _flow(vf, y, time)
     return y

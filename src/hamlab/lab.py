@@ -14,15 +14,15 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .birkhoff import apply_transform, birkhoff_normal_form, remainder_curve
 from .diophantine import estimate_gamma
 from .dynamics import IntegratorConfig, ensemble_drift, escape_time_scan
-from .model import EllipticHamiltonian, complexify, formal_actions
-from .poly import ActionPolynomial, Polynomial
+from .model import EllipticHamiltonian, formal_actions
+from .poly import ActionPolynomial, Polynomial, complexify_unnormalized, paired_part
 from .sdm import (
     PrevalenceReport,
     check_sdm_quadratic,
@@ -105,25 +105,16 @@ def beta_action_polynomial(beta: np.ndarray) -> ActionPolynomial:
 def extract_quartic_action_part(V: Polynomial) -> np.ndarray:
     """Recover the matrix beta from the paired degree-4 part of V.
 
-    In the symplectic complex chart a paired monomial zeta^k zetabar^k equals
-    I^k exactly, so the degree-4 resonant coefficients read off beta I . I.
+    The inverse of :func:`beta_action_polynomial`: the paired degree-4 chart
+    monomials read off beta I . I, whose I_i I_j coefficient is beta_ii on the
+    diagonal and 2 beta_ij off it.
     """
     n = V.n
-    chart = complexify(V.truncate(4, 4).to_float())
+    h = paired_part(complexify_unnormalized(V.truncate(4, 4).to_float()), exact=False)
     beta = np.zeros((n, n))
-    for k, c in chart.terms.items():
-        if k[:n] != k[n:]:
-            continue
-        kw = k[:n]
-        idx = [i for i in range(n) for _ in range(kw[i])]
-        if len(idx) != 2:
-            continue
-        i, j = idx
-        val = complex(c).real
-        if i == j:
-            beta[i, i] = val
-        else:
-            beta[i, j] = beta[j, i] = 0.5 * val
+    for k, c in h.terms.items():
+        i, j = [i for i in range(n) for _ in range(k[i])]
+        beta[i, j] = beta[j, i] = c if i == j else 0.5 * c
     return beta
 
 
@@ -171,7 +162,7 @@ def generate_random_hamiltonian(params: RandomHamiltonianParams) -> EllipticHami
         coeffs = rng.uniform(-params.coefficient_scale, params.coefficient_scale, size=count)
         for p, c in zip(picks, coeffs):
             terms[support[int(p)]] = float(c)
-    V = Polynomial(n, terms, "real")
+    V = Polynomial(n, terms)
 
     if params.include_beta is not None:
         if isinstance(params.include_beta, str) and params.include_beta == "random":
@@ -493,18 +484,7 @@ def run_convex_vs_generic(spec: ExperimentSpec) -> ExperimentResult:
     subs = subspaces_up_to(base.n, spec.L_max)
     rows = []
     for label, beta in _beta_variants(base.n):
-        params = RandomHamiltonianParams(
-            n=base.n,
-            alpha_mode=base.alpha_mode,
-            alpha=base.alpha,
-            degree_max=base.degree_max,
-            coefficient_scale=base.coefficient_scale,
-            n_terms=base.n_terms,
-            include_beta=beta,
-            seed=base.seed,
-            s=base.s,
-        )
-        H = generate_random_hamiltonian(params)
+        H = generate_random_hamiltonian(replace(base, include_beta=beta))
         verdict = check_sdm_quadratic(
             H.alpha, beta, spec.gamma_p, spec.tau_p, spec.L_max, _subspaces=subs
         )
@@ -560,16 +540,14 @@ def run_bnf_roundtrip(spec: ExperimentSpec) -> ExperimentResult:
     H = spec.resolve_hamiltonian()
     m = min(4, spec.m_max)
     res = birkhoff_normal_form(H, m)
-    rng = stream_rng(spec.seed, 1)
+    Z = stream_rng(spec.seed, 1).uniform(-1.0, 1.0, size=(20, 2 * H.n))
+    Z *= np.minimum(1.0, 0.25 * H.s / np.linalg.norm(Z, axis=1))[:, None]
+    W = apply_transform(res, Z, "forward")
+    back = apply_transform(res, W, "inverse")
+    rt_err = float(np.max(np.abs(back - Z)))
     H_poly = H.full_polynomial()
-    rt_err = 0.0
     conj_err = 0.0
-    for _ in range(20):
-        z = rng.uniform(-1.0, 1.0, size=2 * H.n)
-        z *= min(1.0, 0.25 * H.s / float(np.linalg.norm(z)))
-        w = apply_transform(res, z, "forward")
-        back = apply_transform(res, w, "inverse")
-        rt_err = max(rt_err, float(np.max(np.abs(back - z))))
+    for z, w in zip(Z, W):
         lhs = float(H_poly.evaluate(w))
         rhs = res.h_m.evaluate(formal_actions(H.n, z)) + float(res.remainder.evaluate(z))
         conj_err = max(conj_err, abs(lhs - rhs))

@@ -87,7 +87,7 @@ def realify(g: Polynomial, tol: float = 1e-10) -> Polynomial:
         if abs(c.imag) > tol * max(1.0, max_c):
             raise ValueError(f"realify produced imaginary coefficient {c.imag:.3e}")
         out[k] = c.real
-    return Polynomial(n, out, "real")
+    return Polynomial(n, out)
 
 
 class EllipticHamiltonian:

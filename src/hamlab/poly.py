@@ -1,17 +1,24 @@
-"""Sparse multivariate polynomial arithmetic on phase space R^{2n}.
+"""Sparse multivariate polynomials on phase space and on the action space.
 
-A polynomial is a dict mapping exponent tuples of length 2n to coefficients.
-Variable layout: indices 0..n-1 are the configuration variables q_1..q_n and
-indices n..2n-1 the momenta p_1..p_n.  Coefficients are duck-typed: float or
-complex in the default floating mode, Fraction or :class:`ExactComplex` in
-exact-rational mode.  Every operation is pure and returns a new polynomial.
+A polynomial is a dict mapping exponent tuples to coefficients.  Two kinds
+share one sparse core and differ only in their variable count ``nvars``:
+
+* :class:`Polynomial` has 2n variables.  On phase space R^{2n}, indices
+  0..n-1 are the configuration variables q_1..q_n and indices n..2n-1 the
+  momenta p_1..p_n; in the complex chart they are w_1..w_n and wbar_1..wbar_n.
+* :class:`ActionPolynomial` has n variables, the formal actions I_1..I_n.
+
+Coefficients are duck-typed: float or complex in the default floating mode,
+Fraction or :class:`ExactComplex` in exact-rational mode.  Every operation is
+pure and returns a new polynomial.  :func:`paired_part` is the one reader of
+the action part of a chart polynomial.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -22,14 +29,13 @@ from .exactnum import ExactComplex
 # This is a storage guard, never a mathematical tolerance.
 FLOAT_PRUNE = 1e-300
 
-ExponentKey = tuple  # tuple of 2n non-negative ints
-
 
 def _is_exact(c) -> bool:
     return isinstance(c, (int, Fraction, ExactComplex))
 
 
-def _is_zero_coeff(c) -> bool:
+def is_zero_coeff(c) -> bool:
+    """The zero rule of every polynomial: exact zero, or a float below FLOAT_PRUNE."""
     if isinstance(c, ExactComplex):
         return c.is_zero()
     if isinstance(c, (int, Fraction)):
@@ -37,42 +43,181 @@ def _is_zero_coeff(c) -> bool:
     return abs(c) < FLOAT_PRUNE
 
 
-def _infer_field(coeffs: Iterable) -> str:
-    for c in coeffs:
-        if isinstance(c, (complex, ExactComplex)):
-            return "complex"
-    return "real"
+def _float_coeff(c):
+    if isinstance(c, ExactComplex):
+        z = c.to_complex()
+        return z.real if z.imag == 0.0 else z
+    if isinstance(c, (int, Fraction)):
+        return float(c)
+    return c
 
 
-class Polynomial:
-    """Sparse polynomial in 2n real (or complex) phase-space variables."""
+class _SparsePoly:
+    """The sparse-dict core shared by both polynomial kinds."""
 
-    __slots__ = ("n", "terms", "field")
+    __slots__ = ("n", "terms")
+    _vars_per_dof = 1  # variables per degree of freedom
+    _symbol = "z"
 
-    def __init__(self, n: int, terms: Mapping | None = None, field: str | None = None):
+    def __init__(self, n: int, terms: Mapping | None = None):
         if n < 1:
             raise ValueError("dimension n must be >= 1")
         self.n = n
+        nvars = self.nvars
         clean = {}
         if terms:
             for k, c in terms.items():
                 k = tuple(int(e) for e in k)
-                if len(k) != 2 * n:
+                if len(k) != nvars:
                     raise DimensionMismatch(
-                        f"exponent key of length {len(k)}, expected {2 * n}"
+                        f"exponent key of length {len(k)}, expected {nvars}"
                     )
                 if any(e < 0 for e in k):
                     raise ValueError("negative exponent")
-                if not _is_zero_coeff(c):
+                if not is_zero_coeff(c):
                     clean[k] = c
         self.terms = clean
-        self.field = field if field is not None else _infer_field(clean.values())
 
-    # -- constructors ---------------------------------------------------------
+    @property
+    def nvars(self) -> int:
+        return self._vars_per_dof * self.n
+
+    def _new(self, terms: Mapping):
+        return type(self)(self.n, terms)
 
     @classmethod
-    def zero(cls, n: int) -> "Polynomial":
+    def zero(cls, n: int):
         return cls(n, {})
+
+    # -- structure ------------------------------------------------------------
+
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return max((sum(k) for k in self.terms), default=-1)
+
+    def min_degree(self) -> int:
+        return min((sum(k) for k in self.terms), default=-1)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def _check_dim(self, other):
+        if type(other) is not type(self) or self.n != other.n:
+            raise DimensionMismatch(
+                f"{type(self).__name__}(n={self.n}) vs {type(other).__name__}(n={other.n})"
+            )
+
+    # -- linear operations ----------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, _SparsePoly):
+            other = self._new({(0,) * self.nvars: other})
+        self._check_dim(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def partial(self, index: int):
+        """Partial derivative with respect to variable ``index``."""
+        out: dict = {}
+        for k, c in self.terms.items():
+            e = k[index]
+            if e == 0:
+                continue
+            kk = list(k)
+            kk[index] = e - 1
+            kk = tuple(kk)
+            c2 = c * e
+            out[kk] = out[kk] + c2 if kk in out else c2
+        return self._new(out)
+
+    def gradient(self) -> list:
+        return [self.partial(i) for i in range(self.nvars)]
+
+    def map_coefficients(self, fn: Callable):
+        return self._new({k: fn(c) for k, c in self.terms.items()})
+
+    def to_float(self):
+        """Convert exact coefficients to float, or to complex where non-real."""
+        return self.map_coefficients(_float_coeff)
+
+    def truncate(self, d_min: int, d_max: int):
+        """Keep exactly the terms with d_min <= total degree <= d_max."""
+        if not 0 <= d_min <= d_max:
+            raise ValueError("require 0 <= d_min <= d_max")
+        return self._new({k: c for k, c in self.terms.items() if d_min <= sum(k) <= d_max})
+
+    # -- analysis -------------------------------------------------------------
+
+    def evaluate(self, x):
+        """Evaluate at a point of length nvars, with compensated accumulation."""
+        if len(x) != self.nvars:
+            raise DimensionMismatch(f"point of length {len(x)}, expected {self.nvars}")
+        vals = []
+        for k, c in self.terms.items():
+            v = c
+            for xi, e in zip(x, k):
+                for _ in range(e):
+                    v = v * xi
+            vals.append(v)
+        if not vals:
+            return 0.0
+        if all(isinstance(v, (int, float)) for v in vals):
+            return math.fsum(vals)
+        if all(isinstance(v, (int, float, complex)) for v in vals):
+            return complex(
+                math.fsum(v.real if isinstance(v, complex) else v for v in vals),
+                math.fsum(v.imag if isinstance(v, complex) else 0.0 for v in vals),
+            )
+        total = vals[0]
+        for v in vals[1:]:
+            total = total + v
+        return total
+
+    def majorant_norm(self, r: float) -> float:
+        """Sum of |coeff| * r^degree; an upper bound for the sup norm on the
+        polydisc of radius r."""
+        if r <= 0:
+            raise ValueError("radius must be positive")
+        return math.fsum(abs(c) * r ** sum(k) for k, c in self.terms.items())
+
+    def __repr__(self):
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(n={self.n}, 0)"
+        keys = sorted(self.terms, key=lambda kk: (sum(kk), kk))
+        parts = [f"{self.terms[k]}*{self._symbol}^{k}" for k in keys[:8]]
+        more = "" if len(self.terms) <= 8 else f" (+{len(self.terms) - 8} terms)"
+        return f"{name}(n={self.n}, {' + '.join(parts)}{more})"
+
+
+class Polynomial(_SparsePoly):
+    """Sparse polynomial in 2n real (or complex chart) variables."""
+
+    __slots__ = ()
+    _vars_per_dof = 2
+
+    # -- constructors ---------------------------------------------------------
 
     @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
@@ -101,53 +246,7 @@ class Polynomial:
         kp[n + i] = 2
         return cls(n, {tuple(kq): half, tuple(kp): half})
 
-    # -- structure ------------------------------------------------------------
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(k) for k in self.terms), default=-1)
-
-    def min_degree(self) -> int:
-        return min((sum(k) for k in self.terms), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def _check_dim(self, other: "Polynomial"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"n={self.n} vs n={other.n}")
-
     # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Polynomial):
-            self._check_dim(other)
-            out = dict(self.terms)
-            for k, c in other.terms.items():
-                out[k] = out[k] + c if k in out else c
-            return Polynomial(self.n, out)
-        return self + Polynomial.constant(self.n, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(self.n, {k: -c for k, c in self.terms.items()}, self.field)
-
-    def __sub__(self, other):
-        if isinstance(other, Polynomial):
-            return self + (-other)
-        return self + Polynomial.constant(self.n, -other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -171,70 +270,6 @@ class Polynomial:
             out = out * self
         return out
 
-    def partial(self, index: int) -> "Polynomial":
-        """Partial derivative with respect to z_index."""
-        out: dict = {}
-        for k, c in self.terms.items():
-            e = k[index]
-            if e == 0:
-                continue
-            kk = list(k)
-            kk[index] = e - 1
-            kk = tuple(kk)
-            c2 = c * e
-            out[kk] = out[kk] + c2 if kk in out else c2
-        return Polynomial(self.n, out)
-
-    def map_coefficients(self, fn: Callable) -> "Polynomial":
-        return Polynomial(self.n, {k: fn(c) for k, c in self.terms.items()})
-
-    def to_float(self) -> "Polynomial":
-        """Convert exact coefficients to float/complex."""
-
-        def conv(c):
-            if isinstance(c, ExactComplex):
-                z = c.to_complex()
-                return z.real if z.imag == 0.0 else z
-            if isinstance(c, Fraction):
-                return float(c)
-            return c
-
-        return self.map_coefficients(conv)
-
-    # -- analysis -------------------------------------------------------------
-
-    def evaluate(self, z):
-        """Evaluate at a point of length 2n, with compensated accumulation."""
-        if len(z) != 2 * self.n:
-            raise DimensionMismatch(f"point of length {len(z)}, expected {2 * self.n}")
-        vals = []
-        for k, c in self.terms.items():
-            v = c
-            for zi, e in zip(z, k):
-                for _ in range(e):
-                    v = v * zi
-            vals.append(v)
-        if not vals:
-            return 0.0
-        if all(isinstance(v, (int, float)) for v in vals):
-            return math.fsum(vals)
-        if all(isinstance(v, (int, float, complex)) for v in vals):
-            return complex(
-                math.fsum(v.real if isinstance(v, complex) else v for v in vals),
-                math.fsum(v.imag if isinstance(v, complex) else 0.0 for v in vals),
-            )
-        total = vals[0]
-        for v in vals[1:]:
-            total = total + v
-        return total
-
-    def majorant_norm(self, r: float) -> float:
-        """Sum of |coeff| * r^degree; an upper bound for the sup norm on the
-        polydisc of radius r (hence on the Euclidean ball of radius r/sqrt(2n))."""
-        if r <= 0:
-            raise ValueError("radius must be positive")
-        return math.fsum(abs(c) * r ** sum(k) for k, c in self.terms.items())
-
     def scale(self, rho: float, power: int) -> "Polynomial":
         """The scaled Hamiltonian rho^power * H(rho z)."""
         if rho <= 0:
@@ -250,20 +285,7 @@ class Polynomial:
             else:
                 fac = float(rho) ** e
             out[k] = c * fac
-        return Polynomial(self.n, out, self.field)
-
-    def truncate(self, d_min: int, d_max: int) -> "Polynomial":
-        """Keep exactly the terms with d_min <= total degree <= d_max."""
-        if not 0 <= d_min <= d_max:
-            raise ValueError("require 0 <= d_min <= d_max")
-        return Polynomial(
-            self.n,
-            {k: c for k, c in self.terms.items() if d_min <= sum(k) <= d_max},
-            self.field,
-        )
-
-    def gradient(self) -> list:
-        return [self.partial(i) for i in range(2 * self.n)]
+        return Polynomial(self.n, out)
 
     # -- serialization --------------------------------------------------------
 
@@ -304,15 +326,6 @@ class Polynomial:
             terms[k] = terms[k] + c if k in terms else c
         return cls(n, terms)
 
-    def __repr__(self):
-        if not self.terms:
-            return f"Polynomial(n={self.n}, 0)"
-        parts = []
-        for k in sorted(self.terms, key=lambda kk: (sum(kk), kk))[:8]:
-            parts.append(f"{self.terms[k]}*z^{k}")
-        more = "" if len(self.terms) <= 8 else f" (+{len(self.terms) - 8} terms)"
-        return f"Polynomial(n={self.n}, {' + '.join(parts)}{more})"
-
 
 def poisson_bracket(f: Polynomial, g: Polynomial) -> Polynomial:
     """Canonical Poisson bracket with the convention {q_i, p_i} = +1:
@@ -330,17 +343,17 @@ def poisson_bracket(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 class CompiledPoly:
-    """Real polynomials in 2n variables compiled for batch evaluation.
+    """Real polynomials of one kind compiled for batch evaluation.
 
-    ``E`` (terms x 2n) is the sorted union of the monomials of all the
+    ``E`` (terms x nvars) is the sorted union of the monomials of all the
     polynomials and ``C`` (terms x outputs) holds their coefficients, so a
-    call maps points of shape (..., 2n) to values of shape (..., outputs).
+    call maps points of shape (..., nvars) to values of shape (..., outputs).
     """
 
     def __init__(self, polys: list):
         keys = sorted(set().union(*(p.terms for p in polys)))
         row = {k: i for i, k in enumerate(keys)}
-        self.E = np.array(keys, dtype=np.int64).reshape(len(keys), 2 * polys[0].n)
+        self.E = np.array(keys, dtype=np.int64).reshape(len(keys), polys[0].nvars)
         self.C = np.zeros((len(keys), len(polys)))
         for j, p in enumerate(polys):
             for k, c in p.terms.items():
@@ -358,30 +371,11 @@ class CompiledField(CompiledPoly):
         super().__init__(grads[H.n:] + [-g for g in grads[: H.n]])
 
 
-class ActionPolynomial:
+class ActionPolynomial(_SparsePoly):
     """Real polynomial in the n formal actions I_1..I_n."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping | None = None):
-        if n < 1:
-            raise ValueError("dimension n must be >= 1")
-        self.n = n
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                k = tuple(int(e) for e in k)
-                if len(k) != n:
-                    raise DimensionMismatch(
-                        f"action exponent of length {len(k)}, expected {n}"
-                    )
-                if not _is_zero_coeff(c):
-                    clean[k] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, n: int) -> "ActionPolynomial":
-        return cls(n, {})
+    __slots__ = ()
+    _symbol = "I"
 
     @classmethod
     def linear(cls, alpha) -> "ActionPolynomial":
@@ -394,78 +388,21 @@ class ActionPolynomial:
             terms[tuple(k)] = a
         return cls(n, terms)
 
-    def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=-1)
+    def _compiled_at(self, polys: list, I) -> np.ndarray:
+        I = np.asarray(I, dtype=float)
+        if I.shape[-1:] != (self.n,):
+            raise DimensionMismatch(f"points of shape {I.shape}, expected (..., {self.n})")
+        return CompiledPoly(polys)(I)
 
-    def __eq__(self, other):
-        if not isinstance(other, ActionPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+    def grad(self, I) -> np.ndarray:
+        """Gradient at a point (n,) or at a batch of points (..., n)."""
+        return self._compiled_at(self.gradient(), I)
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return ActionPolynomial(self.n, out)
-
-    def __sub__(self, other):
-        return self + ActionPolynomial(
-            other.n, {k: -c for k, c in other.terms.items()}
-        )
-
-    def truncate(self, d_max: int) -> "ActionPolynomial":
-        return ActionPolynomial(
-            self.n, {k: c for k, c in self.terms.items() if sum(k) <= d_max}
-        )
-
-    def evaluate(self, I):
-        if len(I) != self.n:
-            raise DimensionMismatch(f"point of length {len(I)}, expected {self.n}")
-        vals = []
-        for k, c in self.terms.items():
-            v = c
-            for x, e in zip(I, k):
-                for _ in range(e):
-                    v = v * x
-            vals.append(v)
-        if not vals:
-            return 0.0
-        if all(isinstance(v, (int, float)) for v in vals):
-            return math.fsum(vals)
-        total = vals[0]
-        for v in vals[1:]:
-            total = total + v
-        return total
-
-    def partial(self, i: int) -> "ActionPolynomial":
-        out = {}
-        for k, c in self.terms.items():
-            e = k[i]
-            if e == 0:
-                continue
-            kk = list(k)
-            kk[i] = e - 1
-            kk = tuple(kk)
-            c2 = c * e
-            out[kk] = out[kk] + c2 if kk in out else c2
-        return ActionPolynomial(self.n, out)
-
-    def grad(self, I):
-        return np.array([float(self.partial(i).evaluate(I)) for i in range(self.n)])
-
-    def hess(self, I):
-        H = np.empty((self.n, self.n))
-        for i in range(self.n):
-            gi = self.partial(i)
-            for j in range(self.n):
-                H[i, j] = float(gi.partial(j).evaluate(I))
-        return H
-
-    def majorant_norm(self, r: float) -> float:
-        return math.fsum(abs(c) * r ** sum(k) for k, c in self.terms.items())
+    def hess(self, I) -> np.ndarray:
+        """Hessian at a point, (n, n), or at a batch of points, (..., n, n)."""
+        second = [g.partial(j) for g in self.gradient() for j in range(self.n)]
+        H = self._compiled_at(second, I)
+        return H.reshape(H.shape[:-1] + (self.n, self.n))
 
     def expand(self, exact: bool = False) -> Polynomial:
         """Re-expand in phase-space variables via I_i = (z_i^2 + z_{n+i}^2)/2."""
@@ -480,12 +417,6 @@ class ActionPolynomial:
             out = out + term
         return out
 
-    def to_float(self) -> "ActionPolynomial":
-        return ActionPolynomial(
-            self.n,
-            {k: float(c) if isinstance(c, Fraction) else c for k, c in self.terms.items()},
-        )
-
     def to_json_dict(self) -> dict:
         terms = []
         for k in sorted(self.terms):
@@ -496,14 +427,6 @@ class ActionPolynomial:
             else:
                 terms.append({"k": list(k), "c": float(c)})
         return {"n": self.n, "terms": terms}
-
-    def __repr__(self):
-        parts = [
-            f"{self.terms[k]}*I^{k}"
-            for k in sorted(self.terms, key=lambda kk: (sum(kk), kk))[:8]
-        ]
-        more = "" if len(self.terms) <= 8 else f" (+{len(self.terms) - 8} terms)"
-        return f"ActionPolynomial(n={self.n}, {' + '.join(parts)}{more})"
 
 
 def substitute_linear(f: Polynomial, images: list) -> Polynomial:
@@ -535,6 +458,52 @@ def substitute_linear(f: Polynomial, images: list) -> Polynomial:
     return out
 
 
+def _real_exact(c):
+    """The real part of an exact coefficient, a Fraction when it lies in Q(i);
+    raise if the coefficient is not real."""
+    if not isinstance(c, ExactComplex):
+        return c
+    if not c.imag_is_zero():
+        raise NotActionRepresentable(f"non-real exact coefficient {c!r}")
+    r = c.real_exact()
+    return r.ar if r.field.trivial else r
+
+
+def paired_part(g: Polynomial, exact: bool, tol: float | None = None) -> ActionPolynomial:
+    """The action polynomial read off the paired chart monomials of g.
+
+    In the unnormalized chart w_j wbar_j = 2 I_j, so a paired monomial
+    w^k wbar^k contributes c (2I)^k.  With ``tol`` unset, unpaired monomials
+    are skipped and float coefficients give their real part.  With ``tol``
+    set the reading is strict: an unpaired monomial (any, in exact mode) or an
+    imaginary part above tol * max(1, max |c|) raises NotActionRepresentable.
+    A non-real exact coefficient always raises.
+    """
+    n = g.n
+    bound = None
+    if tol is not None and not exact:
+        bound = tol * max(1.0, max((abs(c) for c in g.terms.values()), default=0.0))
+    out = {}
+    for k, c in g.terms.items():
+        kw = k[:n]
+        if kw != k[n:]:
+            if tol is not None and (exact or abs(c) > bound):
+                raise NotActionRepresentable(
+                    f"monomial w^{kw} wbar^{k[n:]} is not action-paired"
+                )
+            continue
+        factor = 2 ** sum(kw)
+        if exact:
+            cc = _real_exact(c * factor if isinstance(c, ExactComplex) else Fraction(c) * factor)
+        else:
+            cc = complex(c) * factor
+            if bound is not None and abs(cc.imag) > bound:
+                raise NotActionRepresentable("non-real action coefficient")
+            cc = cc.real
+        out[kw] = out[kw] + cc if kw in out else cc
+    return ActionPolynomial(n, out)
+
+
 def to_action_form(f: Polynomial, tol: float = 1e-9) -> ActionPolynomial:
     """Write f(z) as a polynomial in the formal actions, or raise.
 
@@ -542,35 +511,8 @@ def to_action_form(f: Polynomial, tol: float = 1e-9) -> ActionPolynomial:
     function of the actions iff every chart monomial has equal w and conjugate
     exponents, and then (w_j wbar_j)^k = (2 I_j)^k.
     """
-    n = f.n
     exact = all(_is_exact(c) for c in f.terms.values())
-    g = complexify_unnormalized(f, exact=exact)
-    max_c = max((abs(c) for c in g.terms.values()), default=0.0)
-    out = {}
-    for k, c in g.terms.items():
-        kw, kwb = k[:n], k[n:]
-        if kw != kwb:
-            if exact or abs(c) > tol * max(1.0, max_c):
-                raise NotActionRepresentable(
-                    f"monomial w^{kw} wbar^{kwb} is not action-paired"
-                )
-            continue
-        if exact:
-            factor = 2 ** sum(kw)
-            cc = c * factor if isinstance(c, ExactComplex) else Fraction(c) * factor
-            if isinstance(cc, ExactComplex):
-                if not cc.imag_is_zero():
-                    raise NotActionRepresentable("non-real action coefficient")
-                cc = cc.real_exact()
-                if cc.field.trivial:
-                    cc = cc.ar
-        else:
-            cc = complex(c) * 2 ** sum(kw)
-            if abs(cc.imag) > tol * max(1.0, max_c):
-                raise NotActionRepresentable("non-real action coefficient")
-            cc = cc.real
-        out[kw] = out[kw] + cc if kw in out else cc
-    return ActionPolynomial(n, out)
+    return paired_part(complexify_unnormalized(f, exact=exact), exact, tol)
 
 
 def complexify_unnormalized(f: Polynomial, exact: bool = False) -> Polynomial:
@@ -626,17 +568,11 @@ def realify_unnormalized(g: Polynomial, exact: bool = False, tol: float = 1e-10)
     out = {}
     max_c = max((abs(c) for c in h.terms.values()), default=0.0)
     for k, c in h.terms.items():
-        if isinstance(c, ExactComplex):
-            if not c.imag_is_zero():
-                raise NotActionRepresentable("realification produced imaginary part")
-            r = c.real_exact()
-            out[k] = r.ar if r.field.trivial else r
-        elif isinstance(c, complex):
+        if isinstance(c, complex):
             if abs(c.imag) > tol * max(1.0, max_c):
                 raise NotActionRepresentable(
                     f"realification produced imaginary part {c.imag:.3e}"
                 )
-            out[k] = c.real
-        else:
-            out[k] = c
-    return Polynomial(g.n, out, "real")
+            c = c.real
+        out[k] = _real_exact(c)
+    return Polynomial(g.n, out)

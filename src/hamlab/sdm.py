@@ -185,16 +185,7 @@ def subspaces_up_to(n: int, L_max: int, include_full: bool = True) -> list:
     for L in range(1, L_max + 1):
         for k in range(1, n):
             for sub in enumerate_GL(n, k, L):
-                if sub.canonical_key not in out:
-                    out[sub.canonical_key] = RationalSubspace(
-                        n=n,
-                        k=k,
-                        L=L,
-                        perp_basis=sub.perp_basis,
-                        e_basis=sub.e_basis,
-                        f_basis=sub.f_basis,
-                        canonical_key=sub.canonical_key,
-                    )
+                out.setdefault(sub.canonical_key, sub)
     subs = list(out.values())
     if include_full:
         subs.append(_whole_space(n))
@@ -311,8 +302,8 @@ def check_sdm_polynomial(
         )
     )
     pts, delta = _grid_points(center, radius, grid_density)
-    grads = np.stack([h.grad(p) for p in pts])
-    hessians = np.stack([h.hess(p) for p in pts])
+    grads = h.grad(pts)
+    hessians = h.hess(pts)
 
     subs = subspaces_up_to(n, L_max)
     status = "certified-pass"

@@ -82,7 +82,7 @@ def single_step_oracle(H):
     for k, c in c3.terms.items():
         om = sum((k[j] - k[n + j]) * alpha[j] for j in range(n))
         chi_terms[k] = complex(c) / (1j * om)
-    chi = realify(Polynomial(n, chi_terms, "complex"))
+    chi = realify(Polynomial(n, chi_terms))
     # self-check: chi really solves the homological equation
     H2 = Polynomial.zero(n)
     for j, a in enumerate(alpha):
@@ -142,6 +142,21 @@ def test_exact_and_float_modes_agree():
         for k, c in re.h_m.terms.items()
     }
     assert exact_terms == pytest.approx(rf.h_m.terms, abs=1e-12)
+
+
+def test_exact_h_m_to_float_matches_float_mode():
+    # golden-field coefficients convert to plain floats, so the copy evaluates
+    V = Polynomial(2, {(3, 0, 0, 0): Fraction(1, 4), (1, 0, 0, 2): Fraction(-1, 5)})
+    H_exact = EllipticHamiltonian(golden_alpha(), V, s=4.0)
+    H_float = EllipticHamiltonian((1.0, GOLDEN_F), V.to_float(), s=4.0)
+    h = birkhoff_normal_form(H_exact, m=2, exact=True, qfield=GOLDEN).h_m
+    assert any(isinstance(c, ExactComplex) for c in h.terms.values())
+    hf = h.to_float()
+    assert all(type(c) is float for c in hf.terms.values())
+    rf = birkhoff_normal_form(H_float, m=2)
+    assert hf.terms == pytest.approx(rf.h_m.terms, abs=1e-12)
+    I = np.array([0.3, 0.2])
+    assert hf.evaluate(I) == pytest.approx(rf.h_m.evaluate(I), abs=1e-12)
 
 
 # -- divisors and resonances ---------------------------------------------------
@@ -246,6 +261,25 @@ def test_apply_transform_validation():
 
     with pytest.raises(OutOfDomain):
         apply_transform(res, np.array([3.0, 0.0, 0.0, 0.0]))
+
+
+def test_apply_transform_batches_points():
+    V = Polynomial(2, {(3, 0, 0, 0): 0.1, (0, 1, 1, 1): -0.08, (1, 0, 0, 3): 0.05})
+    H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
+    res = birkhoff_normal_form(H, m=3)
+    # every row lies inside the domain although the whole batch has norm > s/2
+    Z = sample_points(2, np.random.default_rng(5), 20, scale=0.5)
+    assert np.linalg.norm(Z) > res.s / 2
+    for direction in ("forward", "inverse"):
+        batch = apply_transform(res, Z, direction)
+        single = np.stack([apply_transform(res, z, direction) for z in Z])
+        assert batch.shape == Z.shape
+        assert np.max(np.abs(batch - single)) <= 1e-14
+    from hamlab.errors import OutOfDomain
+
+    Z[3] = [3.0, 0.0, 0.0, 0.0]
+    with pytest.raises(OutOfDomain):
+        apply_transform(res, Z)
 
 
 def test_result_metadata():

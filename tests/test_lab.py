@@ -85,7 +85,7 @@ def test_beta_embedding_round_trip():
     params = RandomHamiltonianParams(n=2, include_beta=beta, seed=4, degree_max=5)
     H = generate_random_hamiltonian(params)
     got = extract_quartic_action_part(H.V)
-    assert got == pytest.approx(beta, abs=1e-10)
+    assert np.array_equal(got, beta)
 
 
 def test_beta_action_polynomial_values():

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamlab.errors import DimensionMismatch, NotActionRepresentable
+from hamlab.exactnum import ExactComplex
 from hamlab.poly import (
     ActionPolynomial,
     CompiledField,
     CompiledPoly,
     Polynomial,
     complexify_unnormalized,
+    paired_part,
     poisson_bracket,
     realify_unnormalized,
     substitute_linear,
@@ -193,6 +195,24 @@ def test_action_gradient_and_hessian():
     I = np.array([0.5, 2.0])
     assert h.grad(I) == pytest.approx([2 * 0.5 + 3 * 2.0, 3 * 0.5])
     assert h.hess(I) == pytest.approx(np.array([[2.0, 3.0], [3.0, 0.0]]))
+    batch = np.array([[0.5, 2.0], [-1.0, 0.25], [0.0, 3.0]])
+    grads, hessians = h.grad(batch), h.hess(batch)
+    assert grads.shape == (3, 2) and hessians.shape == (3, 2, 2)
+    for x, g, H in zip(batch, grads, hessians):
+        assert np.array_equal(g, h.grad(x))
+        assert np.array_equal(H, h.hess(x))
+
+
+def test_paired_part_lenient_and_strict():
+    # w1 wbar1 = 2 I_1 is paired; w1^2 is not
+    g = Polynomial(1, {(1, 1): 0.5, (2, 0): 0.25 + 0.1j})
+    assert paired_part(g, exact=False).terms == {(1,): 1.0}
+    with pytest.raises(NotActionRepresentable):
+        paired_part(g, exact=False, tol=1e-9)
+    assert paired_part(Polynomial(1, {(1, 1): 0.5 + 1e-12j}), False, tol=1e-9).terms == {(1,): 1.0}
+    e = Polynomial(1, {(1, 1): ExactComplex(Fraction(1, 2), Fraction(1, 3))})
+    with pytest.raises(NotActionRepresentable):
+        paired_part(e, exact=True)  # a non-real exact coefficient always raises
 
 
 def test_to_action_form_round_trip():
