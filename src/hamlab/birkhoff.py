@@ -16,6 +16,21 @@ One generator per homogeneous degree d = 3..2m is produced; each is applied to
 the full Hamiltonian as a truncated Lie series (degrees are tracked exactly,
 truncation at D_work).  Resonant monomials (k = l) are collected into the
 Birkhoff polynomial h_m in the formal actions.
+
+Graded layout.  Inside the engine a chart polynomial is one 1-D array per
+homogeneous degree d, indexed by the rank of the exponent vector among the
+C(d+2n-1, 2n-1) vectors of degree d in lexicographic order (the dense
+homogeneous layout of Jorba, Exp. Math. 8, 1999).  The rank has a closed
+form, so the index tables (exponents, the derivative map into degree d+1, the
+rank of every product of two degrees) are built on first use, once per
+(2n, degree) or degree pair, and shared by every call.  Float pieces are
+complex128 arrays and are full from degree 6 up, so the float bracket is
+dense: two derivative matrices, one matrix product pairing d/dw with d/dwbar,
+and a bincount scatter-add into the target degree.  Exact pieces hold
+ExactComplex coefficients in object arrays with the same tables, None in the
+empty slots; they are only about a quarter full, so the exact bracket loops
+over pairs of nonzero slots instead of multiplying exact zeros.  Arrays become
+Polynomial / ActionPolynomial only for h_m, the remainder and the generators.
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +54,11 @@ from .errors import (
 from .exactnum import RATIONAL, ExactComplex, QuadField
 from .model import EllipticHamiltonian
 from .poly import (
+    FLOAT_PRUNE,
     ActionPolynomial,
     CompiledField,
     Polynomial,
     complexify_unnormalized,
-    is_zero_coeff,
     paired_part,
     realify_unnormalized,
 )
@@ -91,89 +107,187 @@ def _alpha_values(H: EllipticHamiltonian, exact: bool, qfield: QuadField):
     return out
 
 
-def _divisor(k, alpha, n):
-    """(k_w - k_wbar) . alpha for a chart exponent tuple."""
-    total = None
-    for j in range(n):
-        d = k[j] - k[n + j]
+# -- graded chart layout --------------------------------------------------------
+
+# (nvars, degree) -> _Degree and (nvars, a, b) -> product ranks, built on first use
+_TABLES: dict = {}
+# the bracket's factor 2i; a Q(i) constant takes the field of what it multiplies
+_TWO_I = ExactComplex(0, 2)
+
+
+class _Degree(NamedTuple):
+    """Index tables of the chart monomials of one degree in V variables."""
+
+    E: np.ndarray  # (N, V) exponent vectors, in lexicographic order
+    up: np.ndarray  # (N, V) rank of E + e_v among the monomials of degree + 1
+    paired: np.ndarray  # (N,) True where the w and wbar exponents agree
+
+
+def _choose_up(r: np.ndarray, k: int) -> np.ndarray:
+    """C(r + k, k), elementwise for an integer array r >= 0."""
+    c = np.ones_like(r)
+    for t in range(1, k + 1):
+        c = c * (r + t) // t
+    return c
+
+
+def _rank(E: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each exponent vector (last axis) among all the
+    vectors of its own total degree."""
+    V = E.shape[-1]
+    suffix = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
+    rank = np.zeros(E.shape[:-1], dtype=np.intp)
+    for i in range(V - 1):
+        # vectors that agree before slot i and hold less there
+        rank += _choose_up(suffix[..., i], V - 1 - i) - _choose_up(suffix[..., i + 1], V - 1 - i)
+    return rank
+
+
+def _degree(V: int, d: int) -> _Degree:
+    tab = _TABLES.get((V, d))
+    if tab is None:
+        step = np.eye(V, dtype=np.intp)
         if d == 0:
-            continue
-        contrib = alpha[j] * d
-        total = contrib if total is None else total + contrib
-    if total is None:
-        return alpha[0] * 0
-    return total
+            E = np.zeros((1, V), dtype=np.intp)
+        else:
+            below = _degree(V, d - 1)
+            E = np.empty((comb(d + V - 1, V - 1), V), dtype=np.intp)
+            E[below.up] = below.E[:, None, :] + step
+        n = V // 2
+        tab = _Degree(E, _rank(E[:, None, :] + step), (E[:, :n] == E[:, n:]).all(axis=1))
+        _TABLES[(V, d)] = tab
+    return tab
 
 
-def _bracket(f: dict, g: dict, n: int, two_i):
-    """Chart Poisson bracket of two homogeneous pieces (dicts exp -> coeff)."""
-    out: dict = {}
-    for kf in sorted(f):
-        cf = f[kf]
-        for kg in sorted(g):
-            a_tot = cf * g[kg]
+def _product_ranks(V: int, a: int, b: int) -> np.ndarray:
+    """Rank in degree a + b of every product of a degree-a monomial with a
+    degree-b monomial, flattened row-major (int32 halves the largest table)."""
+    idx = _TABLES.get((V, a, b))
+    if idx is None:
+        E = _degree(V, a).E[:, None, :] + _degree(V, b).E[None, :, :]
+        idx = _rank(E).ravel().astype(np.int32)
+        _TABLES[(V, a, b)] = idx
+    return idx
+
+
+def _new_piece(V: int, d: int, exact: bool) -> np.ndarray:
+    size = comb(d + V - 1, V - 1)
+    return np.full(size, None, dtype=object) if exact else np.zeros(size, dtype=complex)
+
+
+def _chart_piece(terms: dict, d: int, n: int, exact: bool) -> np.ndarray:
+    """The array of a homogeneous chart polynomial of degree d given as a dict."""
+    p = _new_piece(2 * n, d, exact)
+    if terms:
+        p[_rank(np.array(list(terms), dtype=np.intp))] = list(terms.values())
+    return p
+
+
+def _piece_terms(p, d: int, n: int) -> dict:
+    """The nonzero slots of a piece (or None) as a dict exponent -> coefficient."""
+    if p is None:
+        return {}
+    return {tuple(e): c for e, c in zip(_degree(2 * n, d).E.tolist(), p.tolist()) if c}
+
+
+def _clean(p: np.ndarray):
+    """Apply the zero rule: float coefficients below FLOAT_PRUNE become 0 and
+    exact zeros become empty slots.  None if nothing is left."""
+    if p.dtype != object:
+        p = np.where(np.abs(p) < FLOAT_PRUNE, 0, p)
+        return p if p.any() else None
+    p = np.array([c if c else None for c in p.tolist()], dtype=object)
+    return p if any(c is not None for c in p.tolist()) else None
+
+
+def _bracket(f: np.ndarray, g: np.ndarray, df: int, dg: int, n: int, scale=1) -> np.ndarray:
+    """scale * {f, g}, the chart bracket of pieces of degrees df and dg: a
+    piece of degree df + dg - 2."""
+    V = 2 * n
+    size = comb(df + dg - 2 + V - 1, V - 1)
+    if f.dtype != object:
+        # derivative matrices (monomials x variables); one product pairs
+        # d/dw_j f with d/dwbar_j g and d/dwbar_j f with -d/dw_j g, and each
+        # product monomial is scatter-added into its slot
+        ta, tb = _degree(V, df - 1), _degree(V, dg - 1)
+        F = f[ta.up] * (ta.E + 1)
+        G = g[tb.up] * (tb.E + 1)
+        M = (F @ np.hstack((G[:, n:], -G[:, :n])).T).ravel()
+        idx = _product_ranks(V, df - 1, dg - 1)
+        out = np.bincount(idx, M.real, size) + 1j * np.bincount(idx, M.imag, size)
+        return out * 2j * scale
+    # exact: loop over pairs of nonzero slots.  The values do not depend on
+    # the order, but the field an ExactComplex result is tagged with follows
+    # its left operand, so pairs go in slot order (sorted exponents) and each
+    # slot's sum keeps its first term on the left.
+    fi = [i for i, c in enumerate(f.tolist()) if c is not None]
+    gi = [i for i, c in enumerate(g.tolist()) if c is not None]
+    Ef, Eg = _degree(V, df).E[fi], _degree(V, dg).E[gi]
+    S = Ef[:, None, :] + Eg[None, :, :]
+    factor, target = [], []
+    for j in range(n):
+        a = Ef[:, None, j] * Eg[None, :, n + j] - Ef[:, None, n + j] * Eg[None, :, j]
+        drop = np.zeros(V, dtype=np.intp)
+        drop[[j, n + j]] = 1
+        factor.append(a.tolist())
+        # where a == 0 the clipped exponents are never used
+        target.append(_rank(np.maximum(S - drop, 0)).tolist())
+    out = [None] * size
+    for x, cf in enumerate(f[fi].tolist()):
+        for y, cg in enumerate(g[gi].tolist()):
+            c_pair = None
             for j in range(n):
-                a = kf[j] * kg[n + j] - kf[n + j] * kg[j]
-                if a == 0:
-                    continue
-                key = list(kf)
-                for t in range(2 * n):
-                    key[t] += kg[t]
-                key[j] -= 1
-                key[n + j] -= 1
-                key = tuple(key)
-                c = a_tot * a
-                out[key] = out[key] + c if key in out else c
-    return {k: v * two_i for k, v in out.items()}
+                a = factor[j][x][y]
+                if a:
+                    if c_pair is None:
+                        c_pair = cf * cg
+                    c = c_pair * a
+                    t = target[j][x][y]
+                    out[t] = c if out[t] is None else out[t] + c
+    return np.array([None if c is None else c * _TWO_I * scale for c in out], dtype=object)
 
 
-def _prune(piece: dict) -> dict:
-    return {k: c for k, c in piece.items() if not is_zero_coeff(c)}
+def _add(p: np.ndarray | None, q: np.ndarray) -> np.ndarray:
+    """p + q, slot by slot; an empty slot of p takes q's coefficient."""
+    if p is None:
+        return q.copy()
+    if p.dtype != object:
+        return p + q
+    return np.array(
+        [b if a is None else a if b is None else a + b for a, b in zip(p.tolist(), q.tolist())],
+        dtype=object,
+    )
 
 
-def _lie_transform(K: dict, chi: dict, d: int, D_work: int, n: int, two_i, exact: bool):
-    """exp(L_chi) applied to K = {degree: piece}, truncated at degree D_work."""
-    result = {deg: dict(p) for deg, p in K.items()}
-    term = K
+def _lie_series(K: list, chi: np.ndarray, d: int, n: int, exact: bool) -> None:
+    """Replace K (pieces by degree, None where empty) by exp(L_chi) K,
+    truncated at degree len(K) - 1."""
+    D_work = len(K) - 1
+    term = list(K)
     j = 1
     while True:
-        new_term: dict = {}
-        for dT in sorted(term):
-            dr = dT + d - 2
-            if dr > D_work:
+        inv = Fraction(1, j) if exact else 1.0 / j
+        new = [None] * len(K)
+        for dT, piece in enumerate(term):
+            if piece is None or dT + d - 2 > D_work:
                 continue
-            b = _bracket(term[dT], chi, n, two_i)
-            if not b:
-                continue
-            inv = Fraction(1, j) if exact else 1.0 / j
-            tgt = new_term.setdefault(dr, {})
-            for k in sorted(b):
-                c = b[k] * inv
-                tgt[k] = tgt[k] + c if k in tgt else c
-        new_term = {deg: _prune(p) for deg, p in new_term.items()}
-        new_term = {deg: p for deg, p in new_term.items() if p}
-        if not new_term:
+            new[dT + d - 2] = _clean(_bracket(piece, chi, dT, d, n, inv))
+        if all(p is None for p in new):
             break
-        for deg in sorted(new_term):
-            tgt = result.setdefault(deg, {})
-            for k in sorted(new_term[deg]):
-                c = new_term[deg][k]
-                tgt[k] = tgt[k] + c if k in tgt else c
-        term = new_term
+        for deg, p in enumerate(new):
+            if p is not None:
+                K[deg] = _add(K[deg], p)
+        term = new
         j += 1
-    return {deg: _prune(p) for deg, p in result.items()}
-
-
-def _realify_pieces(pieces: list, n: int, exact: bool) -> Polynomial:
-    total = Polynomial.zero(n)
-    for piece in pieces:
-        if piece:
-            total = total + realify_unnormalized(Polynomial(n, piece), exact=exact)
-    return total
+    K[:] = [None if p is None else _clean(p) for p in K]
 
 
 class _Normalizer:
-    """Shared degree-by-degree machinery for the normal form and its curves."""
+    """Shared degree-by-degree machinery for the normal form and its curves.
+
+    ``K[d]`` is the degree-d piece of the Hamiltonian in the chart (None when
+    empty) and ``generators`` lists (d, chi_d) with chi_d a piece or None.
+    """
 
     def __init__(
         self,
@@ -199,82 +313,88 @@ class _Normalizer:
         self.n = n
         self.exact = exact
         self.qfield = qfield
-        self.alpha = _alpha_values(H, exact, qfield)
+        self.alpha = np.array(_alpha_values(H, exact, qfield), dtype=object if exact else float)
         self.alpha_float = H.alpha_floats()
         self.D_work = D_work
         amax = float(np.max(np.abs(self.alpha_float)))
         self.divisor_floor = 1e-13 * amax if divisor_floor is None else divisor_floor
-        self.two_i = ExactComplex(0, 2, field=qfield) if exact else 2j
         self.smallest_divisor = math.inf
-        self.generators: list = []  # (d, chart dict)
+        self.generators: list = []
 
         # assemble K in the chart, split by homogeneous degree
-        K: dict = {}
-        quad = {}
+        by_degree: dict = {2: {}}
         for j in range(n):
             key = [0] * (2 * n)
             key[j] = 1
             key[n + j] = 1
             aj = self.alpha[j]
-            quad[tuple(key)] = aj / 2 if exact else aj / 2.0
-        K[2] = quad
+            by_degree[2][tuple(key)] = aj / 2 if exact else aj / 2.0
         V = H.V if exact else H.V.to_float()
         if V.terms:
-            chartV = complexify_unnormalized(V, exact=exact)
-            for k, c in chartV.terms.items():
-                deg = sum(k)
-                K.setdefault(deg, {})[k] = c
-        self.K = K
+            for k, c in complexify_unnormalized(V, exact=exact).terms.items():
+                if sum(k) <= D_work:
+                    by_degree.setdefault(sum(k), {})[k] = c
+        self.K = [None] * (D_work + 1)
+        for deg, terms in by_degree.items():
+            self.K[deg] = _chart_piece(terms, deg, n, exact)
 
     def normalize_degree(self, d: int):
-        """Remove non-resonant degree-d monomials; returns the generator dict."""
-        n = self.n
-        piece = self.K.get(d, {})
-        res, chi = {}, {}
-        for k in sorted(piece):
-            c = piece[k]
-            if k[:n] == k[n:]:
-                res[k] = c
-                continue
-            om = _divisor(k, self.alpha, n)
-            om_f = om.to_complex().real if self.exact else om
-            if self.exact:
-                if om.is_zero():
-                    raise ResonanceEncountered(
-                        d, tuple(k[j] - k[n + j] for j in range(n)), 0.0
-                    )
-            elif abs(om_f) <= self.divisor_floor:
-                raise ResonanceEncountered(
-                    d, tuple(k[j] - k[n + j] for j in range(n)), abs(om_f)
-                )
-            self.smallest_divisor = min(self.smallest_divisor, abs(om_f))
-            if self.exact:
-                chi[k] = c / (ExactComplex.i(self.qfield) * om)
-            else:
-                chi[k] = c / (1j * om)
-        if chi:
-            self.K = _lie_transform(
-                self.K, chi, d, self.D_work, n, self.two_i, self.exact
-            )
-        # the homological equation cancels the non-resonant part exactly
-        if res:
-            self.K[d] = res
-        else:
-            self.K.pop(d, None)
+        """Remove the non-resonant degree-d monomials by one Lie transform."""
+        piece = self.K[d]
+        chi = None if piece is None else self._generator(piece, d)
+        if chi is not None:
+            _lie_series(self.K, chi, d, self.n, self.exact)
+            # the homological equation cancels the non-resonant part exactly
+            res = piece.copy()
+            res[~_degree(2 * self.n, d).paired] = 0
+            self.K[d] = _clean(res)
         self.generators.append((d, chi))
+
+    def _generator(self, piece: np.ndarray, d: int):
+        """chi_d, dividing each non-resonant coefficient of the degree-d piece
+        by i (k - l) . alpha; None when there is none."""
+        n = self.n
+        tab = _degree(2 * n, d)
+        filled = piece != 0 if not self.exact else np.array([c is not None for c in piece])
+        idx = np.flatnonzero(filled & ~tab.paired)
+        if not idx.size:
+            return None
+        delta = tab.E[idx, :n] - tab.E[idx, n:]
+        om = (delta * self.alpha).sum(axis=1)
+        chi = _new_piece(2 * n, d, self.exact)
+        if self.exact:
+            for s, k, o in zip(idx.tolist(), delta.tolist(), om.tolist()):
+                if o.is_zero():
+                    raise ResonanceEncountered(d, tuple(k), 0.0)
+                self.smallest_divisor = min(self.smallest_divisor, abs(o.to_complex().real))
+                chi[s] = piece[s] / (ExactComplex.i(self.qfield) * o)
+            return chi
+        size = np.abs(om)
+        bad = np.flatnonzero(size <= self.divisor_floor)
+        if bad.size:
+            raise ResonanceEncountered(d, tuple(delta[bad[0]].tolist()), float(size[bad[0]]))
+        self.smallest_divisor = min(self.smallest_divisor, float(size.min()))
+        chi[idx] = piece[idx] / (1j * om)
         return chi
+
+    def terms(self, d: int) -> dict:
+        """The degree-d piece of K as a dict exponent -> coefficient."""
+        return _piece_terms(self.K[d], d, self.n)
 
     def h_of_order(self, m: int) -> ActionPolynomial:
         """Collect resonant parts of degrees <= 2m into an action polynomial."""
-        even = Polynomial(
-            self.n,
-            {k: c for deg in range(2, 2 * m + 1, 2) for k, c in self.K.get(deg, {}).items()},
-        )
-        return paired_part(even, self.exact)
+        even = {}
+        for deg in range(2, 2 * m + 1, 2):
+            even.update(self.terms(deg))
+        return paired_part(Polynomial(self.n, even), self.exact)
 
     def remainder_polynomial(self, m: int) -> Polynomial:
-        pieces = [self.K.get(deg, {}) for deg in range(2 * m + 1, self.D_work + 1)]
-        return _realify_pieces(pieces, self.n, self.exact)
+        total = Polynomial.zero(self.n)
+        for deg in range(2 * m + 1, self.D_work + 1):
+            terms = self.terms(deg)
+            if terms:
+                total = total + realify_unnormalized(Polynomial(self.n, terms), exact=self.exact)
+        return total
 
     def remainder_majorant(self, m: int, radius: float):
         """(computed majorant, geometric tail bound, tail ratio) at the radius.
@@ -285,10 +405,10 @@ class _Normalizer:
         """
         per_degree = []
         for deg in range(2 * m + 1, self.D_work + 1):
-            piece = self.K.get(deg, {})
-            if piece:
+            piece = self.K[deg]
+            if piece is not None:
                 per_degree.append(
-                    math.fsum(abs(c) for c in piece.values()) * (2.0 * radius) ** deg
+                    math.fsum(abs(c) for c in piece.tolist() if c) * (2.0 * radius) ** deg
                 )
             else:
                 per_degree.append(0.0)
@@ -334,9 +454,9 @@ def birkhoff_normal_form(
     generators_real = []
     displacement = 0.0
     for d, chi in norm.generators:
-        cp = Polynomial(H.n, chi)
+        cp = Polynomial(H.n, _piece_terms(chi, d, H.n))
         generators_chart.append(cp)
-        if chi:
+        if cp.terms:
             rp = realify_unnormalized(cp, exact=exact)
         else:
             rp = Polynomial.zero(H.n)

@@ -54,7 +54,7 @@ def _load_ham(path: str) -> EllipticHamiltonian:
 def _emit(obj, out: str | None):
     text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as fh:
+        with lab._replacing(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -9,6 +9,7 @@ emission is a data file plus a gnuplot script, no rendering dependency.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -267,7 +268,7 @@ class ExperimentSpec:
         return cls(kind=data["kind"], hamiltonian=h, **kwargs)
 
     def save(self, path):
-        with open(path, "w") as fh:
+        with _replacing(path) as fh:
             json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
 
     @classmethod
@@ -289,18 +290,37 @@ def _fmt(v):
     return str(v)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Write an artifact through a sibling temporary file.
+
+    Yields the open temporary file; once it is written, the old file is
+    unlinked and the new one renamed into its place, so an existing file is
+    never truncated or renamed over in place.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    os.rename(tmp, path)
+
+
 def write_csv(path_or_buf, fieldnames, rows):
     """Deterministic CSV: fixed field order, '\\n' terminators, repr floats."""
     own = isinstance(path_or_buf, (str, os.PathLike))
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with _replacing(path_or_buf) if own else contextlib.nullcontext(path_or_buf) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(fieldnames)
         for row in rows:
             w.writerow([_fmt(row.get(k)) for k in fieldnames])
-    finally:
-        if own:
-            fh.close()
 
 
 def csv_text(fieldnames, rows) -> str:
@@ -310,7 +330,7 @@ def csv_text(fieldnames, rows) -> str:
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -584,6 +604,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         if result.csv_fields:
             csv_path = str(spec.output) + ".csv"
             write_csv(csv_path, result.csv_fields, result.csv_rows)
-            with open(str(spec.output) + ".gp", "w") as fh:
+            with _replacing(str(spec.output) + ".gp") as fh:
                 fh.write(gnuplot_script(csv_path, 1, 2, spec.kind, logy=True))
     return result

@@ -421,6 +421,14 @@ class ActionPolynomial(_SparsePoly):
         terms = []
         for k in sorted(self.terms):
             c = self.terms[k]
+            if isinstance(c, ExactComplex):
+                if not c.field.trivial:
+                    raise ValueError(
+                        "cannot serialize coefficients from a quadratic extension"
+                    )
+                if not c.imag_is_zero():
+                    raise ValueError(f"non-real action coefficient {c!r}")
+                c = c.ar
             if isinstance(c, (int, Fraction)):
                 f = Fraction(c)
                 terms.append({"k": list(k), "c": f"{f.numerator}/{f.denominator}"})

@@ -312,9 +312,13 @@ def check_sdm_polynomial(
     for sub in subs:
         E = sub.restriction_matrix()
         thr = gamma_p * float(sub.L) ** (-tau_p)
-        for x, g_full, H_full in zip(pts, grads, hessians):
-            g = float(np.linalg.norm(E.T @ g_full))
-            sig = float(np.min(np.abs(np.linalg.eigvalsh(E.T @ H_full @ E))))
+        # every grid point at once: restricted gradients (points, k, 1), their
+        # norms as sqrt(r^T r) by matmul (rounded like a per-point norm), and
+        # the smallest |eigenvalue| of each restricted Hessian
+        r = E.T @ grads[..., None]
+        g_all = np.sqrt((np.swapaxes(r, -1, -2) @ r)[:, 0, 0])
+        sig_all = np.min(np.abs(np.linalg.eigvalsh(E.T @ hessians @ E)), axis=-1)
+        for x, g, sig in zip(pts, g_all.tolist(), sig_all.tolist()):
             margin = max(g, sig) * float(sub.L) ** tau_p
             if margin < best_margin:
                 best_margin = margin

@@ -1,12 +1,15 @@
 """Normal form engine: exact low-order oracles, conjugacy, and transform checks."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hamlab import birkhoff as engine
 from hamlab.birkhoff import (
+    MONOMIAL_BUDGET,
     NormalFormResult,
     apply_transform,
     birkhoff_normal_form,
@@ -14,10 +17,20 @@ from hamlab.birkhoff import (
     remainder_curve,
 )
 from hamlab.diophantine import estimate_gamma
-from hamlab.errors import ResonantFrequency, ThresholdViolation
+from hamlab.errors import (
+    OrderTooHigh,
+    ResonanceEncountered,
+    ResonantFrequency,
+    ThresholdViolation,
+)
 from hamlab.exactnum import GOLDEN, ExactComplex
 from hamlab.model import EllipticHamiltonian, complexify, formal_actions, realify
-from hamlab.poly import Polynomial, poisson_bracket
+from hamlab.poly import (
+    Polynomial,
+    complexify_unnormalized,
+    poisson_bracket,
+    realify_unnormalized,
+)
 
 GOLDEN_F = (1 + math.sqrt(5)) / 2
 
@@ -179,6 +192,17 @@ def test_smallest_divisor_bounded_by_shell_minima():
     assert res.smallest_divisor < math.inf
 
 
+def test_divisor_floor_raises_at_the_first_small_divisor():
+    # |(-2, 1).alpha| = 2 - golden = 0.382 is the first divisor of degree 3
+    # below the floor, in exponent order
+    V = Polynomial(2, {(3, 0, 0, 0): 0.3, (0, 1, 2, 0): -0.2, (1, 1, 1, 1): 0.1})
+    H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
+    res = birkhoff_normal_form(H, m=3, divisor_floor=0.2)
+    assert res.smallest_divisor == pytest.approx(2.0 * GOLDEN_F - 3.0, abs=1e-14)
+    with pytest.raises(ResonanceEncountered, match=r"degree 3: k=\(-2, 1\), \|k.alpha\|=3.820e-01"):
+        birkhoff_normal_form(H, m=3, divisor_floor=0.5)
+
+
 # -- optimal order -------------------------------------------------------------
 
 
@@ -290,3 +314,115 @@ def test_result_metadata():
     assert res.m == 2 and res.D_work == 7 and res.radius == 0.4
     assert len(res.generators_real) == 2 * res.m - 2
     assert res.transform_displacement > 0.0
+
+
+def test_golden_h_m_refuses_json():
+    # the bnf_exact benchmark input: golden-field coefficients cannot be
+    # written as fractions, so serialization fails with a ValueError
+    V = Polynomial(2, {(0, 1, 1, 2): Fraction(7, 10), (1, 0, 0, 3): Fraction(9, 10)})
+    H = EllipticHamiltonian(golden_alpha(), V, s=4.0)
+    res = birkhoff_normal_form(H, m=2, exact=True, qfield=GOLDEN)
+    with pytest.raises(ValueError):
+        res.h_m.to_json_dict()
+
+
+# -- the graded chart engine ---------------------------------------------------
+
+
+@pytest.mark.parametrize("V", [2, 4, 6])
+def test_graded_layout_ranks_are_lexicographic(V):
+    for d in range(6):
+        tab = engine._degree(V, d)
+        want = sorted(k for k in itertools.product(range(d + 1), repeat=V) if sum(k) == d)
+        assert [tuple(e) for e in tab.E.tolist()] == want
+        assert np.array_equal(engine._rank(tab.E), np.arange(len(want)))
+        above = engine._degree(V, d + 1).E
+        assert np.array_equal(above[tab.up], tab.E[:, None, :] + np.eye(V, dtype=int))
+
+
+def random_piece(rng, n, d, exact):
+    """A random homogeneous chart piece of degree d; exact pieces are sparse
+    golden-field coefficients, float pieces dense complex ones."""
+    p = engine._new_piece(2 * n, d, exact)
+    if not exact:
+        return rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
+    for s in rng.choice(p.size, size=min(p.size, 6), replace=False):
+        a, b, c, e = (Fraction(int(x), int(y)) for x, y in rng.integers(1, 7, size=(4, 2)))
+        p[s] = ExactComplex(a, -b, c, e, field=GOLDEN)
+    return p
+
+
+def chart_poly(p, d, n):
+    return Polynomial(n, engine._piece_terms(p, d, n))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_chart_bracket_algebra(seed):
+    rng = np.random.default_rng(seed)
+    n, (df, dg, dh) = 2, (3, 3, 4)
+    f, g, h = (random_piece(rng, n, d, True) for d in (df, dg, dh))
+
+    def br(a, b, da, db):
+        return engine._bracket(a, b, da, db, n)
+
+    def P(p, d):
+        return chart_poly(p, d, n)
+
+    # antisymmetry
+    assert (P(br(f, g, df, dg), df + dg - 2) + P(br(g, f, dg, df), df + dg - 2)).is_zero()
+    # Leibniz: {f, gh} = {f, g} h + g {f, h}
+    gh = P(g, dg) * P(h, dh)
+    lhs = P(br(f, engine._chart_piece(gh.terms, dg + dh, n, True), df, dg + dh), df + dg + dh - 2)
+    rhs = P(br(f, g, df, dg), df + dg - 2) * P(h, dh) + P(g, dg) * P(br(f, h, df, dh), df + dh - 2)
+    assert lhs == rhs
+    # Jacobi
+    d_all = df + dg + dh - 4
+    fg, gh_, hf = br(f, g, df, dg), br(g, h, dg, dh), br(h, f, dh, df)
+    total = (
+        P(br(f, gh_, df, dg + dh - 2), d_all)
+        + P(br(g, hf, dg, dh + df - 2), d_all)
+        + P(br(h, fg, dh, df + dg - 2), d_all)
+    )
+    assert total.is_zero()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("n", [1, 2])
+def test_chart_bracket_realifies_to_poisson_bracket(exact, n):
+    rng = np.random.default_rng(7 + n)
+
+    def real_poly(d):
+        terms = {}
+        for k in itertools.product(range(d + 1), repeat=2 * n):
+            if sum(k) == d and rng.random() < 0.6:
+                terms[k] = Fraction(int(rng.integers(-9, 10)), 7) if exact else float(rng.normal())
+        return Polynomial(n, terms)
+
+    for df, dg in ((2, 3), (3, 3), (3, 5)):
+        f, g = real_poly(df), real_poly(dg)
+        cf, cg = (
+            engine._chart_piece(complexify_unnormalized(p, exact=exact).terms, d, n, exact)
+            for p, d in ((f, df), (g, dg))
+        )
+        got = realify_unnormalized(chart_poly(engine._bracket(cf, cg, df, dg, n), df + dg - 2, n), exact=exact)
+        want = poisson_bracket(f, g)
+        if exact:
+            assert got == want
+        else:
+            scale = max(abs(c) for c in want.terms.values())
+            keys = set(got.terms) | set(want.terms)
+            err = max(abs(got.terms.get(k, 0.0) - want.terms.get(k, 0.0)) for k in keys)
+            assert err <= 1e-13 * scale
+
+
+def test_order_too_high_is_raised_before_any_table_is_built():
+    V = Polynomial(2, {(3, 0, 0, 0): 0.1})
+    H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
+    D_work = 200
+    assert math.comb(D_work + 4, 4) > MONOMIAL_BUDGET
+    before = set(engine._TABLES)
+    with pytest.raises(OrderTooHigh):
+        birkhoff_normal_form(H, m=2, D_work=D_work)
+    with pytest.raises(OrderTooHigh):
+        remainder_curve(H, m_max=2, D_work=D_work)
+    assert set(engine._TABLES) == before

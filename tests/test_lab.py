@@ -162,6 +162,36 @@ def test_write_json_sorted(tmp_path):
     assert json.loads(body) == {"a": 2, "b": 1}
 
 
+def test_artifact_rewrite_replaces_file_with_identical_bytes(tmp_path):
+    obj = {"b": [1.5, None], "a": "x"}
+    rows = [{"m": 2, "r": 0.25}, {"m": 3, "r": 1.0 / 3.0}]
+    spec = ExperimentSpec(kind="sdm_prevalence", hamiltonian=RandomHamiltonianParams(n=2))
+    pj, pc, ps = tmp_path / "r.json", tmp_path / "r.csv", tmp_path / "spec.json"
+    for _ in range(2):  # the second pass rewrites existing files
+        write_json(pj, obj)
+        write_csv(str(pc), ("m", "r"), rows)
+        spec.save(ps)
+        assert pj.read_bytes() == (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode()
+        assert pc.read_bytes() == csv_text(("m", "r"), rows).encode()
+        assert ps.read_bytes() == json.dumps(spec.to_json_dict(), indent=1, sort_keys=True).encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json", "spec.json"]
+
+    out = tmp_path / "exp" / "scan"
+    out.parent.mkdir()
+    spec = ExperimentSpec(
+        kind="remainder_scaling",
+        hamiltonian=EllipticHamiltonian((1.0, GOLDEN_F), Polynomial(2, {(3, 0, 0, 0): 0.3}), s=4.0),
+        rho_grid=(0.2, 0.1, 0.05),
+        m_max=3,
+        output=str(out),
+    )
+    run_experiment(spec)
+    first = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+    run_experiment(spec)
+    assert {p.name: p.read_bytes() for p in out.parent.iterdir()} == first
+    assert sorted(first) == ["scan.csv", "scan.gp", "scan.json"]
+
+
 def test_gnuplot_script_contents():
     s = gnuplot_script("data.csv", 1, 3, "drift", logy=True)
     assert "set logscale y" in s

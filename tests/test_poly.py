@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamlab.errors import DimensionMismatch, NotActionRepresentable
-from hamlab.exactnum import ExactComplex
+from hamlab.exactnum import GOLDEN, ExactComplex
 from hamlab.poly import (
     ActionPolynomial,
     CompiledField,
@@ -263,3 +263,16 @@ def test_substitute_linear_identity():
     f = rand_poly(2, rng)
     images = [Polynomial.variable(2, i) for i in range(4)]
     assert substitute_linear(f, images) == f
+
+
+def test_action_json_exact_coefficients():
+    # a real coefficient from the trivial field serializes as a fraction
+    h = ActionPolynomial(2, {(1, 0): ExactComplex(Fraction(3, 2)), (0, 2): Fraction(-1, 3)})
+    assert h.to_json_dict()["terms"] == [
+        {"k": [0, 2], "c": "-1/3"},
+        {"k": [1, 0], "c": "3/2"},
+    ]
+    # a coefficient from a quadratic extension, or a non-real one, is refused
+    for c in (ExactComplex.omega(GOLDEN), ExactComplex(1, field=GOLDEN), ExactComplex(0, 1)):
+        with pytest.raises(ValueError):
+            ActionPolynomial(1, {(1,): c}).to_json_dict()

@@ -233,6 +233,69 @@ def test_polynomial_check_strongly_convex_passes():
     assert v.passed
 
 
+def _unbatched_polynomial_verdict(h, B, gamma_p, tau_p, L_max, grid_density):
+    """The polynomial check with one norm and one eigvalsh call per
+    (subspace, grid point): the reference for the batched implementation."""
+    from hamlab.sdm import WorstCase, _grid_points
+
+    n = h.n
+    r_box = float(np.max(np.abs(B[0]))) + B[1]
+    idx = range(n)
+    M2 = math.sqrt(math.fsum(
+        h.partial(i).partial(j).majorant_norm(r_box) ** 2 for i in idx for j in idx
+    ))
+    M3 = math.sqrt(math.fsum(
+        h.partial(i).partial(j).partial(k).majorant_norm(r_box) ** 2
+        for i in idx for j in idx for k in idx
+    ))
+    pts, delta = _grid_points(np.asarray(B[0], dtype=float), float(B[1]), grid_density)
+    status, worst, best = "certified-pass", None, math.inf
+    for sub in subspaces_up_to(n, L_max):
+        E = sub.restriction_matrix()
+        thr = gamma_p * float(sub.L) ** (-tau_p)
+        for x, g_full, H_full in zip(pts, h.grad(pts), h.hess(pts)):
+            g = float(np.linalg.norm(E.T @ g_full))
+            sig = float(np.min(np.abs(np.linalg.eigvalsh(E.T @ H_full @ E))))
+            margin = max(g, sig) * float(sub.L) ** tau_p
+            best = min(best, margin)
+            if g - M2 * delta > thr or sig - M3 * delta > thr:
+                continue
+            case = WorstCase(sub.L, sub.perp_basis or sub.canonical_key, tuple(x), margin)
+            if g <= thr and sig <= thr:
+                return "certified-fail", best, case
+            status = "inconclusive"
+            worst = worst or case
+    return status, best, worst
+
+
+@pytest.mark.parametrize(
+    "terms, B, L_max, density",
+    [
+        ({(2, 0): 0.5, (0, 2): -1.0}, (np.zeros(2), 1.0), 2, 5),
+        ({(3, 0): 1.0, (0, 3): 1.0}, (np.zeros(2), 0.5), 1, 5),
+        ({(2, 0): 1.0, (0, 2): 1.0, (1, 0): 2.0, (0, 1): 2.0}, (np.array([1.0, 1.0]), 0.3), 2, 7),
+        # a coarse grid leaves this one inconclusive
+        ({(2, 0): 1.0, (0, 2): 1.0, (1, 0): 0.1, (0, 1): -0.1, (3, 0): 0.5}, (np.zeros(2), 0.5), 2, 4),
+        (
+            {(1, 0, 0): 1.0, (0, 1, 0): 1.3, (0, 0, 1): 2.1, (2, 0, 0): 0.9,
+             (0, 2, 0): 1.2, (0, 0, 2): 1.1, (1, 1, 0): 0.3, (1, 1, 1): 0.02},
+            ((0.5, 0.5, 0.5), 0.2), 2, 4,
+        ),
+    ],
+)
+def test_polynomial_check_matches_unbatched_reference(terms, B, L_max, density):
+    h = ActionPolynomial(len(next(iter(terms))), terms)
+    v = check_sdm_polynomial(h, B, 0.05, 3.0, L_max, grid_density=density)
+    status, best, worst = _unbatched_polynomial_verdict(h, B, 0.05, 3.0, L_max, density)
+    assert v.status == status
+    assert v.gamma_margin == pytest.approx(best, rel=1e-12)
+    if worst is None:
+        assert v.worst_case is None
+    else:
+        assert v.worst_case[:3] == worst[:3]
+        assert v.worst_case.margin == pytest.approx(worst.margin, rel=1e-12)
+
+
 def test_polynomial_check_validation():
     with pytest.raises(ValueError):
         check_sdm_polynomial(ActionPolynomial(2, {(1, 0): 1.0}), (np.zeros(2), 1.0), 0.1, 3.0, 1)
