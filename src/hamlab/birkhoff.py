@@ -23,14 +23,18 @@ C(d+2n-1, 2n-1) vectors of degree d in lexicographic order (the dense
 homogeneous layout of Jorba, Exp. Math. 8, 1999).  The rank has a closed
 form, so the index tables (exponents, the derivative map into degree d+1, the
 rank of every product of two degrees) are built on first use, once per
-(2n, degree) or degree pair, and shared by every call.  Float pieces are
-complex128 arrays and are full from degree 6 up, so the float bracket is
-dense: two derivative matrices, one matrix product pairing d/dw with d/dwbar,
-and a bincount scatter-add into the target degree.  Exact pieces hold
-ExactComplex coefficients in object arrays with the same tables, None in the
-empty slots; they are only about a quarter full, so the exact bracket loops
-over pairs of nonzero slots instead of multiplying exact zeros.  Arrays become
-Polynomial / ActionPolynomial only for h_m, the remainder and the generators.
+(2n, degree) or degree pair, and shared by every call.  The per-degree tables
+grow like the pieces; a product table grows like the product of two piece
+sizes, so product tables are kept only up to a fixed total and past it are
+recomputed per call.  Float pieces are complex128 arrays and are full from
+degree 6 up, so the float bracket is dense: two derivative matrices, one
+matrix product pairing d/dw with d/dwbar, and a bincount scatter-add into the
+target degree, done in blocks of rows so no temporary outgrows a fixed size.
+Exact pieces hold ExactComplex coefficients in object arrays with the same
+tables, None in the empty slots; they are only about a quarter full, so the
+exact bracket loops over pairs of nonzero slots instead of multiplying exact
+zeros.  Arrays become Polynomial / ActionPolynomial only for h_m, the
+remainder and the generators.
 """
 
 from __future__ import annotations
@@ -111,6 +115,11 @@ def _alpha_values(H: EllipticHamiltonian, exact: bool, qfield: QuadField):
 
 # (nvars, degree) -> _Degree and (nvars, a, b) -> product ranks, built on first use
 _TABLES: dict = {}
+# the product-rank tables kept in _TABLES hold at most this many int32 entries
+# in all (32 MiB); the ranks of a degree pair past it are recomputed per call
+_PRODUCT_CACHE_ENTRIES = 1 << 23
+# the float bracket forms its outer product at most this many entries at a time
+_BLOCK_ENTRIES = 1 << 18
 # the bracket's factor 2i; a Q(i) constant takes the field of what it multiplies
 _TWO_I = ExactComplex(0, 2)
 
@@ -159,13 +168,32 @@ def _degree(V: int, d: int) -> _Degree:
     return tab
 
 
-def _product_ranks(V: int, a: int, b: int) -> np.ndarray:
-    """Rank in degree a + b of every product of a degree-a monomial with a
-    degree-b monomial, flattened row-major (int32 halves the largest table)."""
+def _product_ranks(V: int, a: int, b: int, rows: slice = slice(None)) -> np.ndarray:
+    """Rank in degree a + b of the product of every degree-a monomial in rows
+    with every degree-b monomial, flattened row-major.
+
+    In the suffix sums s_k = E[k] + ... + E[V-1], which add under products,
+    rank = C(D+V-1, V-1) - 1 - sum_{k>=1} C(s_k+V-1-k, V-k), so each term is
+    one lookup in a table over s_k = 0..D.
+    """
+    Sa = np.cumsum(_degree(V, a).E[rows, ::-1], axis=1)[:, ::-1]
+    Sb = np.cumsum(_degree(V, b).E[:, ::-1], axis=1)[:, ::-1]
+    D = a + b
+    out = np.full((len(Sa), len(Sb)), comb(D + V - 1, V - 1) - 1, dtype=np.intp)
+    for k in range(1, V):
+        out -= _choose_up(np.arange(-1, D), V - k)[Sa[:, None, k] + Sb[None, :, k]]
+    return out.ravel()
+
+
+def _cached_product_ranks(V: int, a: int, b: int):
+    """_product_ranks(V, a, b) as an int32 table kept in _TABLES, or None when
+    keeping it would take the kept product tables past _PRODUCT_CACHE_ENTRIES."""
     idx = _TABLES.get((V, a, b))
     if idx is None:
-        E = _degree(V, a).E[:, None, :] + _degree(V, b).E[None, :, :]
-        idx = _rank(E).ravel().astype(np.int32)
+        kept = sum(t.size for key, t in _TABLES.items() if len(key) == 3)
+        if kept + comb(a + V - 1, V - 1) * comb(b + V - 1, V - 1) > _PRODUCT_CACHE_ENTRIES:
+            return None
+        idx = _product_ranks(V, a, b).astype(np.int32)
         _TABLES[(V, a, b)] = idx
     return idx
 
@@ -208,14 +236,25 @@ def _bracket(f: np.ndarray, g: np.ndarray, df: int, dg: int, n: int, scale=1) ->
     if f.dtype != object:
         # derivative matrices (monomials x variables); one product pairs
         # d/dw_j f with d/dwbar_j g and d/dwbar_j f with -d/dw_j g, and each
-        # product monomial is scatter-added into its slot
+        # product monomial is scatter-added into its slot, a block of rows of
+        # f at a time
         ta, tb = _degree(V, df - 1), _degree(V, dg - 1)
         F = f[ta.up] * (ta.E + 1)
         G = g[tb.up] * (tb.E + 1)
-        M = (F @ np.hstack((G[:, n:], -G[:, :n])).T).ravel()
-        idx = _product_ranks(V, df - 1, dg - 1)
-        out = np.bincount(idx, M.real, size) + 1j * np.bincount(idx, M.imag, size)
-        return out * 2j * scale
+        G = np.hstack((G[:, n:], -G[:, :n])).T
+        idx = _cached_product_ranks(V, df - 1, dg - 1)
+        nb = G.shape[1]
+        step = max(1, _BLOCK_ENTRIES // nb)
+        re = im = 0
+        for r in range(0, len(F), step):
+            M = (F[r : r + step] @ G).ravel()
+            if idx is None:
+                ix = _product_ranks(V, df - 1, dg - 1, slice(r, r + step))
+            else:
+                ix = idx[r * nb : (r + step) * nb]
+            re = re + np.bincount(ix, M.real, size)
+            im = im + np.bincount(ix, M.imag, size)
+        return (re + 1j * im) * 2j * scale
     # exact: loop over pairs of nonzero slots.  The values do not depend on
     # the order, but the field an ExactComplex result is tagged with follows
     # its left operand, so pairs go in slot order (sorted exponents) and each

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -294,14 +295,34 @@ def _fmt(v):
 def _replacing(path):
     """Write an artifact through a sibling temporary file.
 
-    Yields the open temporary file; once it is written, the old file is
-    unlinked and the new one renamed into its place, so an existing file is
-    never truncated or renamed over in place.
+    When path does not exist or is a regular file with one link, yields the
+    open temporary file; once it is written, the old file is unlinked and the
+    new one, with the old permission bits, is renamed into its place, so an
+    existing file is never truncated or renamed over in place.  Anything else
+    (a symlink, a hard-linked file, a device such as os.devnull, a FIFO), or a
+    path whose directory cannot take the temporary file, is written through
+    with open(path, "w"), so what is at the path stays.
     """
     path = os.fspath(path)
-    tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    fh = None
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        tmp = f"{path}.tmp"
+        try:
+            fh = open(tmp, "w", newline="")
+        except OSError:
+            pass
+    if fh is None:
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
+    try:
+        with fh:
+            if st is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             yield fh
     except BaseException:
         os.unlink(tmp)

@@ -340,6 +340,39 @@ def test_graded_layout_ranks_are_lexicographic(V):
         assert np.array_equal(above[tab.up], tab.E[:, None, :] + np.eye(V, dtype=int))
 
 
+@pytest.mark.parametrize("V", [2, 4, 6])
+def test_product_ranks_are_the_ranks_of_the_products(V):
+    for a, b in ((0, 3), (2, 3), (4, 1), (3, 3)):
+        Ea, Eb = engine._degree(V, a).E, engine._degree(V, b).E
+        for rows in (slice(None), slice(1, 3)):
+            want = engine._rank(Ea[rows, None, :] + Eb[None, :, :]).ravel()
+            assert np.array_equal(engine._product_ranks(V, a, b, rows), want)
+
+
+def test_float_bracket_tables_and_blocks_are_bounded(monkeypatch):
+    # with a small product-table cap and small row blocks, the kept tables stay
+    # under the cap and the curve and the normal form agree with the default
+    # layout up to rounding
+    V = Polynomial(2, {(3, 0, 0, 0): 0.4, (1, 2, 0, 0): -0.3, (0, 0, 2, 2): 0.25})
+    H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
+    want_curve = remainder_curve(H, m_max=5, radius=0.05)
+    want_rem = birkhoff_normal_form(H, m=4).remainder
+    cap = 4000
+    monkeypatch.setattr(engine, "_TABLES", {})
+    monkeypatch.setattr(engine, "_PRODUCT_CACHE_ENTRIES", cap)
+    monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 64)
+    got_curve = remainder_curve(H, m_max=5, radius=0.05)
+    got_rem = birkhoff_normal_form(H, m=4).remainder
+    kept = sum(t.size for key, t in engine._TABLES.items() if len(key) == 3)
+    assert 0 < kept <= cap
+    assert [m for m, _ in got_curve] == [m for m, _ in want_curve]
+    for (_, g), (_, w) in zip(got_curve, want_curve):
+        assert g == pytest.approx(w, rel=1e-12)
+    scale = max(abs(c) for c in want_rem.terms.values())
+    keys = set(got_rem.terms) | set(want_rem.terms)
+    assert max(abs(got_rem.terms.get(k, 0.0) - want_rem.terms.get(k, 0.0)) for k in keys) <= 1e-13 * scale
+
+
 def random_piece(rng, n, d, exact):
     """A random homogeneous chart piece of degree d; exact pieces are sparse
     golden-field coefficients, float pieces dense complex ones."""

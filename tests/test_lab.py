@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -190,6 +192,55 @@ def test_artifact_rewrite_replaces_file_with_identical_bytes(tmp_path):
     run_experiment(spec)
     assert {p.name: p.read_bytes() for p in out.parent.iterdir()} == first
     assert sorted(first) == ["scan.csv", "scan.gp", "scan.json"]
+
+
+def test_artifact_write_keeps_what_is_not_a_plain_file(tmp_path):
+    obj = {"a": 1}
+    want = (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode()
+
+    # a symlink stays a symlink and its target takes the bytes
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    write_json(link, obj)
+    assert link.is_symlink() and target.read_bytes() == want
+
+    # a hard-linked file is written through, so both names see the new bytes
+    twin = tmp_path / "twin.json"
+    os.link(target, twin)
+    write_json(target, {"b": 2})
+    assert os.path.samefile(target, twin) and twin.read_bytes() == target.read_bytes()
+
+    # a FIFO (a node that is not a regular file, like os.devnull) stays a FIFO
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_json(fifo, obj)
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and got == want
+
+    # a replaced regular file keeps its permission bits
+    plain = tmp_path / "plain.json"
+    plain.write_text("old")
+    plain.chmod(0o640)
+    write_json(plain, obj)
+    assert stat.S_IMODE(plain.stat().st_mode) == 0o640 and plain.read_bytes() == want
+
+    # a failing body leaves the old file and no temporary behind
+    with pytest.raises(TypeError):
+        write_json(plain, {"x": object()})
+    assert plain.read_bytes() == want
+
+    # a missing directory raises the error of the path itself
+    with pytest.raises(FileNotFoundError):
+        write_json(tmp_path / "missing" / "r.json", obj)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.json", "pipe", "plain.json", "target.json", "twin.json"
+    ]
 
 
 def test_gnuplot_script_contents():
