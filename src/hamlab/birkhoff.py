@@ -18,23 +18,21 @@ truncation at D_work).  Resonant monomials (k = l) are collected into the
 Birkhoff polynomial h_m in the formal actions.
 
 Graded layout.  Inside the engine a chart polynomial is one 1-D array per
-homogeneous degree d, indexed by the rank of the exponent vector among the
-C(d+2n-1, 2n-1) vectors of degree d in lexicographic order (the dense
-homogeneous layout of Jorba, Exp. Math. 8, 1999).  The rank has a closed
-form, so the index tables (exponents, the derivative map into degree d+1, the
-rank of every product of two degrees) are built on first use, once per
-(2n, degree) or degree pair, and shared by every call.  The per-degree tables
-grow like the pieces; a product table grows like the product of two piece
-sizes, so product tables are kept only up to a fixed total and past it are
-recomputed per call.  Float pieces are complex128 arrays and are full from
-degree 6 up, so the float bracket is dense: two derivative matrices, one
-matrix product pairing d/dw with d/dwbar, and a bincount scatter-add into the
-target degree, done in blocks of rows so no temporary outgrows a fixed size.
-Exact pieces hold ExactComplex coefficients in object arrays with the same
-tables, None in the empty slots; they are only about a quarter full, so the
-exact bracket loops over pairs of nonzero slots instead of multiplying exact
-zeros.  Arrays become Polynomial / ActionPolynomial only for h_m, the
-remainder and the generators.
+homogeneous degree on the graded layout of :mod:`hamlab.poly` (slots ranked
+lexicographically, index tables built on first use and shared).  This module
+adds the rank of every product of two degrees; a product table grows like the
+product of two piece sizes, so it is kept only within the budget of kept
+tables and past it recomputed per call.  Float pieces are complex128 arrays
+and are full from degree 6 up, so the float bracket is dense: two derivative
+matrices, one matrix product pairing d/dw with d/dwbar, and a bincount
+scatter-add into the target degree, done in blocks of rows so no temporary
+outgrows a fixed size.  Exact pieces hold ExactComplex coefficients in object
+arrays with the same tables, None in the empty slots; they are only about a
+quarter full, so the exact bracket loops over pairs of nonzero slots instead
+of multiplying exact zeros.  Arrays become Polynomial / ActionPolynomial only
+for h_m, the remainder and the generators; the remainder and the generators
+reach real coordinates through the chart change of :mod:`hamlab.poly`, an
+integer map with a phase on the same layout.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +59,10 @@ from .poly import (
     ActionPolynomial,
     CompiledField,
     Polynomial,
+    _choose_up,
+    _degree,
+    _kept,
+    _rank,
     complexify_unnormalized,
     paired_part,
     realify_unnormalized,
@@ -113,59 +114,10 @@ def _alpha_values(H: EllipticHamiltonian, exact: bool, qfield: QuadField):
 
 # -- graded chart layout --------------------------------------------------------
 
-# (nvars, degree) -> _Degree and (nvars, a, b) -> product ranks, built on first use
-_TABLES: dict = {}
-# the product-rank tables kept in _TABLES hold at most this many int32 entries
-# in all (32 MiB); the ranks of a degree pair past it are recomputed per call
-_PRODUCT_CACHE_ENTRIES = 1 << 23
 # the float bracket forms its outer product at most this many entries at a time
 _BLOCK_ENTRIES = 1 << 18
 # the bracket's factor 2i; a Q(i) constant takes the field of what it multiplies
 _TWO_I = ExactComplex(0, 2)
-
-
-class _Degree(NamedTuple):
-    """Index tables of the chart monomials of one degree in V variables."""
-
-    E: np.ndarray  # (N, V) exponent vectors, in lexicographic order
-    up: np.ndarray  # (N, V) rank of E + e_v among the monomials of degree + 1
-    paired: np.ndarray  # (N,) True where the w and wbar exponents agree
-
-
-def _choose_up(r: np.ndarray, k: int) -> np.ndarray:
-    """C(r + k, k), elementwise for an integer array r >= 0."""
-    c = np.ones_like(r)
-    for t in range(1, k + 1):
-        c = c * (r + t) // t
-    return c
-
-
-def _rank(E: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each exponent vector (last axis) among all the
-    vectors of its own total degree."""
-    V = E.shape[-1]
-    suffix = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
-    rank = np.zeros(E.shape[:-1], dtype=np.intp)
-    for i in range(V - 1):
-        # vectors that agree before slot i and hold less there
-        rank += _choose_up(suffix[..., i], V - 1 - i) - _choose_up(suffix[..., i + 1], V - 1 - i)
-    return rank
-
-
-def _degree(V: int, d: int) -> _Degree:
-    tab = _TABLES.get((V, d))
-    if tab is None:
-        step = np.eye(V, dtype=np.intp)
-        if d == 0:
-            E = np.zeros((1, V), dtype=np.intp)
-        else:
-            below = _degree(V, d - 1)
-            E = np.empty((comb(d + V - 1, V - 1), V), dtype=np.intp)
-            E[below.up] = below.E[:, None, :] + step
-        n = V // 2
-        tab = _Degree(E, _rank(E[:, None, :] + step), (E[:, :n] == E[:, n:]).all(axis=1))
-        _TABLES[(V, d)] = tab
-    return tab
 
 
 def _product_ranks(V: int, a: int, b: int, rows: slice = slice(None)) -> np.ndarray:
@@ -186,16 +138,10 @@ def _product_ranks(V: int, a: int, b: int, rows: slice = slice(None)) -> np.ndar
 
 
 def _cached_product_ranks(V: int, a: int, b: int):
-    """_product_ranks(V, a, b) as an int32 table kept in _TABLES, or None when
-    keeping it would take the kept product tables past _PRODUCT_CACHE_ENTRIES."""
-    idx = _TABLES.get((V, a, b))
-    if idx is None:
-        kept = sum(t.size for key, t in _TABLES.items() if len(key) == 3)
-        if kept + comb(a + V - 1, V - 1) * comb(b + V - 1, V - 1) > _PRODUCT_CACHE_ENTRIES:
-            return None
-        idx = _product_ranks(V, a, b).astype(np.int32)
-        _TABLES[(V, a, b)] = idx
-    return idx
+    """_product_ranks(V, a, b) as a kept int32 table, or None when keeping it
+    would take the kept tables past their budget."""
+    entries = comb(a + V - 1, V - 1) * comb(b + V - 1, V - 1)
+    return _kept(("product", V, a, b), entries, lambda: _product_ranks(V, a, b).astype(np.int32))
 
 
 def _new_piece(V: int, d: int, exact: bool) -> np.ndarray:
@@ -428,12 +374,10 @@ class _Normalizer:
         return paired_part(Polynomial(self.n, even), self.exact)
 
     def remainder_polynomial(self, m: int) -> Polynomial:
-        total = Polynomial.zero(self.n)
+        terms = {}
         for deg in range(2 * m + 1, self.D_work + 1):
-            terms = self.terms(deg)
-            if terms:
-                total = total + realify_unnormalized(Polynomial(self.n, terms), exact=self.exact)
-        return total
+            terms.update(self.terms(deg))
+        return realify_unnormalized(Polynomial(self.n, terms), exact=self.exact)
 
     def remainder_majorant(self, m: int, radius: float):
         """(computed majorant, geometric tail bound, tail ratio) at the radius.

@@ -26,7 +26,7 @@ from .errors import (
     ResonantFrequency,
     ThresholdViolation,
 )
-from .model import EllipticHamiltonian
+from .model import EllipticHamiltonian, _replacing
 from .poly import ActionPolynomial
 
 _NUMERICAL = (
@@ -54,7 +54,7 @@ def _load_ham(path: str) -> EllipticHamiltonian:
 def _emit(obj, out: str | None):
     text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
     if out:
-        with lab._replacing(out) as fh:
+        with _replacing(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

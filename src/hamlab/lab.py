@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-import stat
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .birkhoff import apply_transform, birkhoff_normal_form, remainder_curve
 from .diophantine import estimate_gamma
 from .dynamics import IntegratorConfig, ensemble_drift, escape_time_scan
-from .model import EllipticHamiltonian, formal_actions
+from .model import EllipticHamiltonian, _replacing, formal_actions
 from .poly import ActionPolynomial, Polynomial, complexify_unnormalized, paired_part
 from .sdm import (
     PrevalenceReport,
@@ -289,49 +288,6 @@ def _fmt(v):
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """Write an artifact through a sibling temporary file.
-
-    When path does not exist or is a regular file with one link, yields the
-    open temporary file; once it is written, the old file is unlinked and the
-    new one, with the old permission bits, is renamed into its place, so an
-    existing file is never truncated or renamed over in place.  Anything else
-    (a symlink, a hard-linked file, a device such as os.devnull, a FIFO), or a
-    path whose directory cannot take the temporary file, is written through
-    with open(path, "w"), so what is at the path stays.
-    """
-    path = os.fspath(path)
-    try:
-        st = os.lstat(path)
-    except FileNotFoundError:
-        st = None
-    fh = None
-    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
-        tmp = f"{path}.tmp"
-        try:
-            fh = open(tmp, "w", newline="")
-        except OSError:
-            pass
-    if fh is None:
-        with open(path, "w", newline="") as fh:
-            yield fh
-        return
-    try:
-        with fh:
-            if st is not None:
-                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
-            yield fh
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    os.rename(tmp, path)
 
 
 def write_csv(path_or_buf, fieldnames, rows):

@@ -8,8 +8,11 @@ operationally as the majorant norm of V at radius s.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +93,49 @@ def realify(g: Polynomial, tol: float = 1e-10) -> Polynomial:
     return Polynomial(n, out)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Write an output file through a sibling temporary file.
+
+    When path does not exist or is a regular file with one link, yields the
+    open temporary file; once it is written, the old file is unlinked and the
+    new one, with the old permission bits, is renamed into its place, so an
+    existing file is never truncated or renamed over in place.  Anything else
+    (a symlink, a hard-linked file, a device such as os.devnull, a FIFO), or a
+    path whose directory cannot take the temporary file, is written through
+    with open(path, "w"), so what is at the path stays.
+    """
+    path = os.fspath(path)
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    fh = None
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        tmp = f"{path}.tmp"
+        try:
+            fh = open(tmp, "w", newline="")
+        except OSError:
+            pass
+    if fh is None:
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
+    try:
+        with fh:
+            if st is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            yield fh
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    os.rename(tmp, path)
+
+
 class EllipticHamiltonian:
     """H(z) = alpha.I + V(z) on the ball of radius s, with deg V >= 3."""
 
@@ -163,7 +209,7 @@ class EllipticHamiltonian:
         return cls(data["alpha"], V, data.get("s", 4.0))
 
     def save(self, path):
-        with open(path, "w") as fh:
+        with _replacing(path) as fh:
             json.dump(self.to_json_dict(), fh, indent=1)
 
     @classmethod

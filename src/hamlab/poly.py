@@ -12,18 +12,37 @@ Coefficients are duck-typed: float or complex in the default floating mode,
 Fraction or :class:`ExactComplex` in exact-rational mode.  Every operation is
 pure and returns a new polynomial.  :func:`paired_part` is the one reader of
 the action part of a chart polynomial.
+
+Graded layout.  A homogeneous piece of degree d in V variables is one array
+indexed by the rank of its exponent vectors among the C(d+V-1, V-1) vectors
+of degree d in lexicographic order (the dense homogeneous layout of Jorba,
+Exp. Math. 8, 1999).  The rank has a closed form; the index tables are built
+on first use, never at import, and shared by every call through ``_TABLES``.
+The per-degree tables grow like the pieces; every other kept table counts
+against one fixed entry budget, and past it is rebuilt per call.  The normal
+form engine (:mod:`hamlab.birkhoff`) keeps its chart on this layout.
+
+Chart change.  :func:`complexify_unnormalized` and
+:func:`realify_unnormalized` map between real coordinates and the chart
+w_j = z_j - i z_{n+j} one degree at a time on the layout, as an integer map
+with a phase: per variable pair, (q - ip)^k (q + ip)^l = sum_t i^t K_t(k, l)
+q^(k+l-t) p^t with integer K_t.  The map is kept factored, one stage per
+pair.  Exact coefficients become integer numerators over one denominator per
+degree, so only the output coefficients are built as fractions.
+:func:`substitute_linear` remains for general linear substitutions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Mapping
+from math import comb
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotActionRepresentable
-from .exactnum import ExactComplex
+from .exactnum import RATIONAL, ExactComplex
 
 # Floating coefficients smaller than this are dropped to avoid denormals.
 # This is a storage guard, never a mathematical tolerance.
@@ -523,64 +542,313 @@ def to_action_form(f: Polynomial, tol: float = 1e-9) -> ActionPolynomial:
     return paired_part(complexify_unnormalized(f, exact=exact), exact, tol)
 
 
+# -- graded layout ---------------------------------------------------------------
+
+# (nvars, degree) -> _Degree; every other table sits under a key whose first
+# element names its kind.  All are built on first use, none at import.
+_TABLES: dict = {}
+# the tables kept in _TABLES besides the per-degree ones hold at most this many
+# entries in all (32 MiB of int32 product ranks); past it a table is rebuilt
+# per call
+_PRODUCT_CACHE_ENTRIES = 1 << 23
+
+
+class _Degree(NamedTuple):
+    """Index tables of the monomials of one degree in V variables."""
+
+    E: np.ndarray  # (N, V) exponent vectors, in lexicographic order
+    up: np.ndarray  # (N, V) rank of E + e_v among the monomials of degree + 1
+    paired: np.ndarray  # (N,) True where the w and wbar exponents agree
+
+
+def _choose_up(r: np.ndarray, k: int) -> np.ndarray:
+    """C(r + k, k), elementwise for an integer array r >= 0."""
+    c = np.ones_like(r)
+    for t in range(1, k + 1):
+        c = c * (r + t) // t
+    return c
+
+
+def _rank(E: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each exponent vector (last axis) among all the
+    vectors of its own total degree."""
+    V = E.shape[-1]
+    suffix = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
+    rank = np.zeros(E.shape[:-1], dtype=np.intp)
+    for i in range(V - 1):
+        # vectors that agree before slot i and hold less there
+        rank += _choose_up(suffix[..., i], V - 1 - i) - _choose_up(suffix[..., i + 1], V - 1 - i)
+    return rank
+
+
+def _degree(V: int, d: int) -> _Degree:
+    tab = _TABLES.get((V, d))
+    if tab is None:
+        step = np.eye(V, dtype=np.intp)
+        if d == 0:
+            E = np.zeros((1, V), dtype=np.intp)
+        else:
+            below = _degree(V, d - 1)
+            E = np.empty((comb(d + V - 1, V - 1), V), dtype=np.intp)
+            E[below.up] = below.E[:, None, :] + step
+        n = V // 2
+        tab = _Degree(E, _rank(E[:, None, :] + step), (E[:, :n] == E[:, n:]).all(axis=1))
+        _TABLES[(V, d)] = tab
+    return tab
+
+
+def _kept(key: tuple, entries: int, build: Callable):
+    """The table under key in _TABLES, built by build() on first use and kept
+    while all the kept tables besides the per-degree ones stay within
+    _PRODUCT_CACHE_ENTRIES entries; None when it would not fit."""
+    tab = _TABLES.get(key)
+    if tab is None:
+        kept = sum(
+            t.size if isinstance(t, np.ndarray) else sum(a.size for a in t)
+            for k, t in _TABLES.items()
+            if isinstance(k[0], str)
+        )
+        if kept + entries > _PRODUCT_CACHE_ENTRIES:
+            return None
+        tab = _TABLES[key] = build()
+    return tab
+
+
+# -- chart change -----------------------------------------------------------------
+#
+# Realifying a homogeneous piece is an integer map followed by the phase i^P,
+# P the total p-degree of the output slot; complexifying is the phase of the
+# input slot, an integer map, and a factor 2^-d.
+
+# a realified float coefficient no larger than this share of sum |c_r| |K_rs|
+# over its inputs is rounding residue of an exact zero, and is dropped (exact
+# zeros come out below 16 eps of that sum, nonzero terms above 1e6 eps)
+_REALIFY_RESIDUE = 64 * np.finfo(float).eps
+
+
+def _pair_matrices(s: int) -> np.ndarray:
+    """The integer maps of one pair (x_j, x_{n+j}) at pair degree s, indexed
+    [map, out, in] by the exponent of x_j, as Python ints.
+
+    Map 0 realifies: w^k wbar^(s-k) -> sum_t K_t(k, s-k) q^(s-t) p^t, with
+    K_t(k, l) = sum_a (-1)^a C(k, a) C(l, t-a).  Map 1 complexifies:
+    q^a p^b -> (w + wbar)^a (w - wbar)^b, b = s - a.  Map 2 is |map 0|.
+    """
+
+    def build():
+        M = np.zeros((3, s + 1, s + 1), dtype=object)
+        for x in range(s + 1):
+            for y in range(s + 1):
+                M[0, s - x, y] = sum(
+                    (-1) ** a * comb(y, a) * comb(s - y, x - a) for a in range(x + 1)
+                )
+                M[1, x, y] = sum(
+                    (-1) ** (s - y + x + u) * comb(y, u) * comb(s - y, x - u)
+                    for u in range(x + 1)
+                )
+        M[2] = abs(M[0])
+        return M
+
+    M = _kept(("pair", s), 3 * (s + 1) ** 2, build)
+    return build() if M is None else M
+
+
+def _pair_fibers(V: int, d: int, j: int) -> tuple:
+    """The degree-d slots grouped for pair j: row r of the s-th array holds the
+    ranks of the monomials that agree outside the pair, have pair degree s and
+    x_j exponent 0..s.  Every slot appears once, so the table has N_d entries."""
+
+    def build():
+        n = V // 2
+        E = _degree(V, d).E
+        s_all = E[:, j] + E[:, n + j]
+        F = []
+        for s in range(d + 1):
+            # one representative per fiber: the member with all of s on x_j
+            M = np.repeat(E[(s_all == s) & (E[:, n + j] == 0)][:, None, :], s + 1, axis=1)
+            M[:, :, j] = np.arange(s + 1)
+            M[:, :, n + j] = s - np.arange(s + 1)
+            F.append(_rank(M))
+        return tuple(F)
+
+    F = _kept(("fibers", V, d, j), comb(d + V - 1, V - 1), build)
+    return build() if F is None else F
+
+
+def _apply_pairs(X: np.ndarray, V: int, d: int, which: int) -> np.ndarray:
+    """Apply map ``which`` of every pair to the rows of X, a degree-d piece
+    with one row per slot (Python ints or floats)."""
+    for j in range(V // 2):
+        Y = np.empty_like(X)
+        for s, F in enumerate(_pair_fibers(V, d, j)):
+            if F.size:
+                M = _pair_matrices(s)[which]
+                Y[F] = (M if X.dtype == object else M.astype(float)) @ X[F]
+        X = Y
+    return X
+
+
+def _rotate(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Multiply row r of X, whose columns pair real and imaginary parts, by i^P[r]."""
+    k = (P % 4)[:, None]
+    re, im = X[:, 0::2], X[:, 1::2]
+    odd = k % 2 == 1
+    re, im = np.where(odd, im, re), np.where(odd, re, im)
+    out = np.empty_like(X)
+    out[:, 0::2] = np.where((k == 1) | (k == 2), -re, re)
+    out[:, 1::2] = np.where(k >= 2, -im, im)
+    return out
+
+
+def _exact_parts(c):
+    """((ar, ai, br, bi), field) of an exact coefficient."""
+    if isinstance(c, ExactComplex):
+        return (c.ar, c.ai, c.br, c.bi), c.field
+    return (Fraction(c), Fraction(0), Fraction(0), Fraction(0)), RATIONAL
+
+
+def _replayed_field(terms, ext):
+    """The field ExactComplex addition tags a sum with, for terms (field,
+    numerators) added left to right and a sum that reaches zero dropping out
+    as a polynomial term does: the field of the first term, and ``ext`` from
+    the first term on with a nonzero extension part."""
+    field, total = None, None
+    for f, c in terms:
+        if total is None:
+            field, total = f, c
+            continue
+        if c[2] or c[3]:
+            field = ext
+        total = [a + b for a, b in zip(total, c)]
+        if not any(total):
+            total = None
+    return field
+
+
+def _output_fields(Y, X, fields, slots, E, which) -> list:
+    """The field tag of each output slot of an exact chart change, None where
+    it is zero: the tag that adding the substituted input terms in input order
+    gives it.  With one field among the inputs that is their field; otherwise
+    the extension where the extension part is nonzero, and else the tag found
+    by replaying the sum of the slot's inputs, the input slots with the same
+    pair degrees."""
+    ext = {f for f in fields if not f.trivial}
+    if len(ext) > 1:
+        raise TypeError("cannot mix two distinct quadratic extensions")
+    ext = ext.pop() if ext else RATIONAL
+    Y = Y.tolist()
+    if len(set(fields)) == 1:
+        return [ext if any(y) else None for y in Y]
+    n = len(E[0]) // 2
+    E = E.tolist()
+    sums = [tuple(e[j] + e[n + j] for j in range(n)) for e in E]
+    inputs: dict = {}
+    for f, r in zip(fields, slots):
+        inputs.setdefault(sums[r], []).append((f, r))
+    out = []
+    for s, y in enumerate(Y):
+        if not any(y) or y[2] or y[3]:
+            out.append(ext if any(y) else None)
+            continue
+        terms = []
+        for f, r in inputs[sums[s]]:
+            K = 1
+            for j, sj in enumerate(sums[s]):
+                K *= _pair_matrices(sj)[which, E[s][j], E[r][j]]
+            if K:
+                terms.append((f, [K * x for x in X[r]]))
+        out.append(_replayed_field(terms, ext))
+    return out
+
+
+def _change_piece(items: list, n: int, d: int, exact: bool, real: bool):
+    """The chart change of one homogeneous piece of degree d >= 1, given as
+    (exponent, coefficient) items, as (exponent, coefficient) pairs.
+
+    Exact coefficients become integer numerators over one denominator, and
+    only the nonzero output components become fractions again.
+    """
+    V, which = 2 * n, 0 if real else 1
+    tab = _degree(V, d)
+    P = tab.E[:, n:].sum(axis=1)
+    slots = _rank(np.array([k for k, _ in items], dtype=np.intp)).tolist()
+    if exact:
+        parts = [_exact_parts(c) for _, c in items]
+        den = math.lcm(*(x.denominator for p, _ in parts for x in p))
+        X = np.zeros((len(P), 4), dtype=object)
+        X[slots] = [[x.numerator * (den // x.denominator) for x in p] for p, _ in parts]
+    else:
+        X = np.zeros((len(P), 2))
+        X[slots] = [(c.real, c.imag) for c in (complex(c) for _, c in items)]
+    if not real:
+        X = _rotate(X, P)
+    Y = _apply_pairs(X, V, d, which)
+    if real:
+        Y = _rotate(Y, P)
+    keys = [tuple(e) for e in tab.E.tolist()]
+    if not exact:
+        if real:
+            # drop the rounding residue of exact zeros
+            bound = _apply_pairs(np.hypot(X[:, :1], X[:, 1:]), V, d, 2)[:, 0]
+            Y[np.abs(Y[:, 0]) <= _REALIFY_RESIDUE * bound, 0] = 0.0
+        else:
+            Y *= 0.5**d
+        return zip(keys, (Y[:, 0] + 1j * Y[:, 1]).tolist())
+    if not real:
+        den <<= d
+    out = []
+    fields = _output_fields(Y, X, [f for _, f in parts], slots, tab.E, which)
+    for key, y, field in zip(keys, Y.tolist(), fields):
+        if field is None:
+            continue
+        if not real:
+            out.append((key, ExactComplex(*(Fraction(x, den) if x else 0 for x in y), field=field)))
+        elif y[1] or y[3]:
+            raise NotActionRepresentable("realification produced a non-real exact coefficient")
+        else:
+            ar = Fraction(y[0], den)
+            out.append((key, ar if field.trivial else ExactComplex(ar, 0, Fraction(y[2], den), 0, field)))
+    return out
+
+
+def _change_chart(f: Polynomial, exact: bool, real: bool) -> dict:
+    """The terms of f realified (real) or complexified, one degree at a time."""
+    by_degree: dict = {}
+    for k, c in f.terms.items():
+        by_degree.setdefault(sum(k), []).append((k, c))
+    out = {}
+    for d, items in by_degree.items():
+        if exact and d == 0:
+            # a constant meets no image, so it keeps its type
+            ((k, c),) = items
+            out[k] = _real_exact(c) if real else c
+        else:
+            out.update(_change_piece(items, f.n, d, exact, real))
+    return out
+
+
 def complexify_unnormalized(f: Polynomial, exact: bool = False) -> Polynomial:
     """Rewrite f in the unnormalized chart (w, wbar), w_j = z_j - i z_{n+j}.
 
     The result is a polynomial whose first n variables are w_1..w_n and last n
-    are wbar_1..wbar_n.  Inverse substitution: z_j = (w_j + wbar_j)/2 and
-    z_{n+j} = (i/2) w_j - (i/2) wbar_j.
+    are wbar_1..wbar_n, obtained by z_j = (w_j + wbar_j)/2 and
+    z_{n+j} = (i/2) w_j - (i/2) wbar_j through the integer pair maps above.
     """
-    n = f.n
-    if exact:
-        half = ExactComplex(Fraction(1, 2))
-        ihalf = ExactComplex(0, Fraction(1, 2))
-    else:
-        half = 0.5
-        ihalf = 0.5j
-    images = []
-    for j in range(n):  # q_j
-        kw = [0] * (2 * n)
-        kw[j] = 1
-        kwb = [0] * (2 * n)
-        kwb[n + j] = 1
-        images.append(Polynomial(n, {tuple(kw): half, tuple(kwb): half}))
-    for j in range(n):  # p_j
-        kw = [0] * (2 * n)
-        kw[j] = 1
-        kwb = [0] * (2 * n)
-        kwb[n + j] = 1
-        images.append(Polynomial(n, {tuple(kw): ihalf, tuple(kwb): -ihalf}))
-    return substitute_linear(f, images)
+    return Polynomial(f.n, _change_chart(f, exact, real=False))
 
 
 def realify_unnormalized(g: Polynomial, exact: bool = False, tol: float = 1e-10) -> Polynomial:
-    """Inverse of :func:`complexify_unnormalized`: substitute w_j = z_j - i z_{n+j}."""
-    n = g.n
-    one = ExactComplex(1) if exact else 1.0
-    ii = ExactComplex(0, 1) if exact else 1j
-    images = []
-    for j in range(n):  # w_j = q_j - i p_j
-        kq = [0] * (2 * n)
-        kq[j] = 1
-        kp = [0] * (2 * n)
-        kp[n + j] = 1
-        images.append(Polynomial(n, {tuple(kq): one, tuple(kp): -ii}))
-    for j in range(n):  # wbar_j = q_j + i p_j
-        kq = [0] * (2 * n)
-        kq[j] = 1
-        kp = [0] * (2 * n)
-        kp[n + j] = 1
-        images.append(Polynomial(n, {tuple(kq): one, tuple(kp): ii}))
-    h = substitute_linear(g, images)
-    # a real-valued polynomial comes back with (numerically) real coefficients
-    out = {}
-    max_c = max((abs(c) for c in h.terms.values()), default=0.0)
-    for k, c in h.terms.items():
-        if isinstance(c, complex):
-            if abs(c.imag) > tol * max(1.0, max_c):
-                raise NotActionRepresentable(
-                    f"realification produced imaginary part {c.imag:.3e}"
-                )
-            c = c.real
-        out[k] = _real_exact(c)
-    return Polynomial(g.n, out)
+    """Inverse of :func:`complexify_unnormalized`: w_j = z_j - i z_{n+j}.
+
+    A real-valued g comes back with real coefficients; an imaginary part above
+    tol * max(1, max |c|) (any, in exact mode) raises NotActionRepresentable.
+    Float coefficients within rounding of an exact zero are dropped.
+    """
+    h = _change_chart(g, exact, real=True)
+    if exact:
+        return Polynomial(g.n, h)
+    bound = tol * max(1.0, max((abs(c) for c in h.values()), default=0.0))
+    for c in h.values():
+        if abs(c.imag) > bound:
+            raise NotActionRepresentable(f"realification produced imaginary part {c.imag:.3e}")
+    return Polynomial(g.n, {k: c.real for k, c in h.items()})

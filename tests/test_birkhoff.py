@@ -1,15 +1,20 @@
 """Normal form engine: exact low-order oracles, conjugacy, and transform checks."""
 
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hamlab import birkhoff as engine
+from hamlab import poly
 from hamlab.birkhoff import (
-    MONOMIAL_BUDGET,
     NormalFormResult,
     apply_transform,
     birkhoff_normal_form,
@@ -18,12 +23,11 @@ from hamlab.birkhoff import (
 )
 from hamlab.diophantine import estimate_gamma
 from hamlab.errors import (
-    OrderTooHigh,
     ResonanceEncountered,
     ResonantFrequency,
     ThresholdViolation,
 )
-from hamlab.exactnum import GOLDEN, ExactComplex
+from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex
 from hamlab.model import EllipticHamiltonian, complexify, formal_actions, realify
 from hamlab.poly import (
     Polynomial,
@@ -349,28 +353,60 @@ def test_product_ranks_are_the_ranks_of_the_products(V):
             assert np.array_equal(engine._product_ranks(V, a, b, rows), want)
 
 
+def exact_digest(res):
+    """SHA-256 of h_m, the remainder and the real generators, coefficient
+    types and field tags included."""
+    parts = [res.h_m, res.remainder, *res.generators_real]
+    items = [[(k, c, getattr(c, "field", None)) for k, c in sorted(p.terms.items())] for p in parts]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def kept_tables():
+    """The tables kept under the budget, by key."""
+    return {key: t for key, t in poly._TABLES.items() if isinstance(key[0], str)}
+
+
+def table_entries(t):
+    return t.size if isinstance(t, np.ndarray) else sum(a.size for a in t)
+
+
 def test_float_bracket_tables_and_blocks_are_bounded(monkeypatch):
-    # with a small product-table cap and small row blocks, the kept tables stay
-    # under the cap and the curve and the normal form agree with the default
-    # layout up to rounding
+    # with a small table budget and small row blocks, the kept tables stay
+    # under the budget, each kept chart-change stage is linear in its piece,
+    # the exact outputs are unchanged and the float curve and normal form
+    # agree with the default layout up to rounding
     V = Polynomial(2, {(3, 0, 0, 0): 0.4, (1, 2, 0, 0): -0.3, (0, 0, 2, 2): 0.25})
     H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
     want_curve = remainder_curve(H, m_max=5, radius=0.05)
-    want_rem = birkhoff_normal_form(H, m=4).remainder
+    want = birkhoff_normal_form(H, m=4)
+    Ve = Polynomial(2, {(3, 0, 0, 0): Fraction(2, 5), (0, 0, 2, 2): Fraction(1, 4)})
+    He = EllipticHamiltonian(golden_alpha(), Ve, s=4.0)
+    want_exact = exact_digest(birkhoff_normal_form(He, m=3, exact=True, qfield=GOLDEN))
     cap = 4000
-    monkeypatch.setattr(engine, "_TABLES", {})
-    monkeypatch.setattr(engine, "_PRODUCT_CACHE_ENTRIES", cap)
+    monkeypatch.setattr(poly, "_TABLES", {})
+    monkeypatch.setattr(poly, "_PRODUCT_CACHE_ENTRIES", cap)
     monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 64)
     got_curve = remainder_curve(H, m_max=5, radius=0.05)
-    got_rem = birkhoff_normal_form(H, m=4).remainder
-    kept = sum(t.size for key, t in engine._TABLES.items() if len(key) == 3)
-    assert 0 < kept <= cap
+    got = birkhoff_normal_form(H, m=4)
+    assert exact_digest(birkhoff_normal_form(He, m=3, exact=True, qfield=GOLDEN)) == want_exact
+    kept = kept_tables()
+    assert 0 < sum(table_entries(t) for t in kept.values()) <= cap
+    stages = [key for key in kept if key[0] == "fibers"]
+    assert stages
+    for key in stages:
+        _, nv, d, _ = key
+        assert table_entries(kept[key]) <= (d + 1) * math.comb(d + nv - 1, nv - 1)
     assert [m for m, _ in got_curve] == [m for m, _ in want_curve]
     for (_, g), (_, w) in zip(got_curve, want_curve):
         assert g == pytest.approx(w, rel=1e-12)
-    scale = max(abs(c) for c in want_rem.terms.values())
-    keys = set(got_rem.terms) | set(want_rem.terms)
-    assert max(abs(got_rem.terms.get(k, 0.0) - want_rem.terms.get(k, 0.0)) for k in keys) <= 1e-13 * scale
+    for g, w in zip([got.remainder] + got.generators_real, [want.remainder] + want.generators_real):
+        scale = max(abs(c) for c in w.terms.values())
+        keys = set(g.terms) | set(w.terms)
+        assert max(abs(g.terms.get(k, 0.0) - w.terms.get(k, 0.0)) for k in keys) <= 1e-13 * scale
+    # with no room left every table is rebuilt per call, to the same outputs
+    monkeypatch.setattr(poly, "_PRODUCT_CACHE_ENTRIES", 0)
+    assert exact_digest(birkhoff_normal_form(He, m=3, exact=True, qfield=GOLDEN)) == want_exact
+    assert kept_tables().keys() == kept.keys()
 
 
 def random_piece(rng, n, d, exact):
@@ -449,13 +485,69 @@ def test_chart_bracket_realifies_to_poisson_bracket(exact, n):
 
 
 def test_order_too_high_is_raised_before_any_table_is_built():
-    V = Polynomial(2, {(3, 0, 0, 0): 0.1})
-    H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
-    D_work = 200
-    assert math.comb(D_work + 4, 4) > MONOMIAL_BUDGET
-    before = set(engine._TABLES)
-    with pytest.raises(OrderTooHigh):
-        birkhoff_normal_form(H, m=2, D_work=D_work)
-    with pytest.raises(OrderTooHigh):
-        remainder_curve(H, m_max=2, D_work=D_work)
-    assert set(engine._TABLES) == before
+    # in a fresh interpreter: importing builds no table, and a refused order
+    # builds none either
+    script = """
+import math
+from hamlab import poly
+from hamlab.birkhoff import MONOMIAL_BUDGET, birkhoff_normal_form, remainder_curve
+from hamlab.errors import OrderTooHigh
+from hamlab.model import EllipticHamiltonian
+from hamlab.poly import Polynomial
+assert not poly._TABLES
+H = EllipticHamiltonian((1.0, 1.618), Polynomial(2, {(3, 0, 0, 0): 0.1}), s=4.0)
+assert math.comb(200 + 4, 4) > MONOMIAL_BUDGET
+for run in (lambda: birkhoff_normal_form(H, m=2, D_work=200), lambda: remainder_curve(H, m_max=2, D_work=200)):
+    try:
+        run()
+    except OrderTooHigh:
+        pass
+    else:
+        raise AssertionError("no OrderTooHigh")
+assert not poly._TABLES
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(engine.__file__).parents[1])] + sys.path))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "qfield, digest",
+    [
+        (GOLDEN, "d93a3c819695e1abe5c21077e2c7a0a99a3be7a21fc4852f9fc558cd0c23dfe1"),
+        (SQRT2, "bf6929e19c8371ca8cabcfdd550194442b90aa91220d24c6c916daf6492754e9"),
+        (RATIONAL, "034ce742d353e3547ab869801fcb1af0beb36074347b127b4108c4358ec05690"),
+    ],
+)
+def test_exact_outputs_are_pinned(qfield, digest):
+    # digests recorded from the substitution chart change; a change of value,
+    # coefficient type or field tag in any output changes them
+    if qfield.trivial:
+        alpha = (Fraction(1), Fraction(13, 8))
+        V = Polynomial(2, {(2, 0, 1, 0): Fraction(1, 3), (0, 1, 1, 2): Fraction(-2, 5)})
+    else:
+        alpha = (ExactComplex(1, field=qfield), ExactComplex.omega(qfield))
+        V = Polynomial(2, {(0, 1, 1, 2): Fraction(7, 10), (1, 0, 0, 3): Fraction(-9, 10)})
+    res = birkhoff_normal_form(EllipticHamiltonian(alpha, V, s=4.0), m=3, exact=True, qfield=qfield)
+    assert exact_digest(res) == digest
+
+
+def test_float_outputs_have_the_exact_term_sets():
+    # realification drops the rounding residue of exact zeros, so on rational
+    # input the float remainder and generators have exact mode's monomials
+    V = Polynomial(
+        2,
+        {
+            (1, 2, 2, 0): Fraction(-8),
+            (0, 0, 1, 2): Fraction(1, 5),
+            (0, 0, 4, 1): Fraction(-4, 7),
+            (2, 1, 1, 1): Fraction(5, 6),
+            (3, 0, 1, 1): Fraction(-8, 3),
+        },
+    )
+    He = EllipticHamiltonian((Fraction(1), Fraction(13, 8)), V, s=4.0)
+    Hf = EllipticHamiltonian((1.0, 13 / 8), V.to_float(), s=4.0)
+    for m in (2, 3):
+        re = birkhoff_normal_form(He, m=m, exact=True)
+        rf = birkhoff_normal_form(Hf, m=m)
+        assert set(rf.remainder.terms) == set(re.remainder.terms)
+        assert [set(g.terms) for g in rf.generators_real] == [set(g.terms) for g in re.generators_real]

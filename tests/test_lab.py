@@ -242,6 +242,24 @@ def test_artifact_write_keeps_what_is_not_a_plain_file(tmp_path):
         "link.json", "pipe", "plain.json", "target.json", "twin.json"
     ]
 
+    # a Hamiltonian file goes through the same writer and keeps its bytes
+    H = EllipticHamiltonian((1.0, GOLDEN_F), Polynomial(2, {(3, 0, 0, 0): 0.1}), s=4.0)
+    saved = json.dumps(H.to_json_dict(), indent=1).encode()
+    with open(plain) as old:
+        H.save(plain)
+        assert old.read() == want.decode()  # replaced, not truncated in place
+    assert plain.read_bytes() == saved
+    H.save(link)
+    assert link.is_symlink() and target.read_bytes() == saved
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        H.save(fifo)
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and got == saved
+    assert EllipticHamiltonian.load(plain).to_json_dict() == H.to_json_dict()
+
 
 def test_gnuplot_script_contents():
     s = gnuplot_script("data.csv", 1, 3, "drift", logy=True)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamlab.errors import DimensionMismatch, NotActionRepresentable
-from hamlab.exactnum import GOLDEN, ExactComplex
+from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex
 from hamlab.poly import (
     ActionPolynomial,
     CompiledField,
@@ -276,3 +276,134 @@ def test_action_json_exact_coefficients():
     for c in (ExactComplex.omega(GOLDEN), ExactComplex(1, field=GOLDEN), ExactComplex(0, 1)):
         with pytest.raises(ValueError):
             ActionPolynomial(1, {(1,): c}).to_json_dict()
+
+
+# -- the chart change against substitution --------------------------------------
+
+
+def substitution_chart_change(f, exact, real, tol=1e-10):
+    """The chart change by substituting the linear images of the variables:
+    realify maps w_j -> q_j - i p_j, wbar_j -> q_j + i p_j and complexify
+    q_j -> (w_j + wbar_j)/2, p_j -> (i/2)(w_j - wbar_j)."""
+    n = f.n
+    one, half = (ExactComplex(1), ExactComplex(Fraction(1, 2))) if exact else (1.0, 0.5)
+    i = ExactComplex(0, 1) if exact else 1j
+
+    def unit(v):
+        return tuple(int(u == v) for u in range(2 * n))
+
+    if real:  # the images of w_1..w_n, then of wbar_1..wbar_n
+        images = [Polynomial(n, {unit(j): one, unit(n + j): sign * i}) for sign in (-1, 1) for j in range(n)]
+    else:  # the images of q_1..q_n, then of p_1..p_n
+        images = [Polynomial(n, {unit(j): half, unit(n + j): half}) for j in range(n)]
+        images += [Polynomial(n, {unit(j): i * half, unit(n + j): -i * half}) for j in range(n)]
+    h = substitute_linear(f, images)
+    if not real:
+        return h
+    max_c = max((abs(c) for c in h.terms.values()), default=0.0)
+    out = {}
+    for k, c in h.terms.items():
+        if isinstance(c, complex):
+            if abs(c.imag) > tol * max(1.0, max_c):
+                raise NotActionRepresentable("imaginary part")
+            c = c.real
+        elif isinstance(c, ExactComplex):
+            if not c.imag_is_zero():
+                raise NotActionRepresentable("non-real")
+            c = c.real_exact()
+            c = c.ar if c.field.trivial else c
+        out[k] = c
+    return Polynomial(n, out)
+
+
+def random_coefficient(rng, kind):
+    """A random nonzero coefficient: complex float, or exact from the given
+    field, where "mixed" picks a Fraction, a trivially tagged coefficient or
+    a golden one with or without an extension part."""
+    if kind == "float":
+        return complex(rng.normal(), rng.normal())
+    a, b, c, e = (Fraction(int(rng.integers(-6, 7)) or 1, int(rng.integers(1, 7))) for _ in range(4))
+    if kind == "mixed":
+        pick = int(rng.integers(4))
+        if pick == 0:
+            return a
+        field = RATIONAL if pick == 1 else GOLDEN
+        if pick < 3:
+            c = e = 0
+    else:
+        field = {"rational": RATIONAL, "golden": GOLDEN, "sqrt2": SQRT2}[kind]
+        if field.trivial:
+            c = e = 0
+    return ExactComplex(a, b, c, e, field=field)
+
+
+def conjugate(c):
+    if isinstance(c, complex):
+        return c.conjugate()
+    if isinstance(c, ExactComplex):
+        return ExactComplex(c.ar, -c.ai, c.br, -c.bi, field=c.field)
+    return c
+
+
+def real_part(c):
+    if isinstance(c, complex):
+        return c.real
+    return c.real_exact() if isinstance(c, ExactComplex) else c
+
+
+def random_real_chart_poly(rng, n, kind, per_degree=4):
+    """A real-valued chart polynomial with terms of degrees 0..8: monomial
+    pairs w^k wbar^l, w^l wbar^k with conjugate coefficients."""
+    terms = {}
+    for d in range(9):
+        for _ in range(per_degree if d else 1):
+            k = [0] * (2 * n)
+            for _ in range(d):
+                k[int(rng.integers(2 * n))] += 1
+            k, kbar = tuple(k), tuple(k[n:] + k[:n])
+            c = random_coefficient(rng, kind)
+            if k == kbar:  # a paired monomial needs a real coefficient
+                c = real_part(c)
+            terms[k], terms[kbar] = c, conjugate(c)
+    return Polynomial(n, terms)
+
+
+def same_terms(got, want):
+    """Equal by repr with coefficient types and field tags."""
+
+    def items(p):
+        return [(k, type(c), repr(c), getattr(c, "field", None)) for k, c in sorted(p.terms.items())]
+    return items(got) == items(want)
+
+
+@pytest.mark.parametrize("kind", ["float", "rational", "golden", "sqrt2", "mixed"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chart_change_matches_substitution(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    exact = kind != "float"
+    for _ in range(2):
+        g = random_real_chart_poly(rng, n, kind)
+        real = realify_unnormalized(g, exact=exact)
+        # complexify a real polynomial and one with complex coefficients
+        fs = [
+            substitution_chart_change(random_real_chart_poly(rng, n, kind, per_degree=2), exact, real=True),
+            Polynomial(n, {k: random_coefficient(rng, kind) for k in list(g.terms)[::3]}),
+        ]
+        pairs = [(real, substitution_chart_change(g, exact, real=True))]
+        pairs += [(complexify_unnormalized(f, exact=exact), substitution_chart_change(f, exact, real=False)) for f in fs]
+        back = realify_unnormalized(complexify_unnormalized(real, exact=exact), exact=exact)
+        if exact:
+            for got, want in pairs:
+                assert same_terms(got, want)
+            assert back == real
+        else:
+            for got, want in pairs + [(back, real)]:
+                scale = max(abs(c) for c in want.terms.values())
+                keys = set(got.terms) | set(want.terms)
+                err = max(abs(got.terms.get(k, 0.0) - want.terms.get(k, 0.0)) for k in keys)
+                assert err <= 1e-14 * scale
+        # a chart polynomial that is not real-valued is refused by both
+        w = Polynomial(n, {(1,) + (0,) * (2 * n - 1): ExactComplex(1) if exact else 1.0})
+        for change in (realify_unnormalized, lambda p, exact: substitution_chart_change(p, exact, real=True)):
+            with pytest.raises(NotActionRepresentable):
+                change(w, exact=exact)
