@@ -49,41 +49,24 @@ def shell_array(n: int, s: int) -> np.ndarray:
     """
     if s == 0:
         return np.zeros((0, n), dtype=np.int64)
-    if n == 1:
-        return np.array([[s]], dtype=np.int64)
-    if n == 2:
-        k1 = np.arange(-s, s + 1, dtype=np.int64)
-        r = s - np.abs(k1)
-        up = np.stack([k1, r], axis=1)
-        dn = np.stack([k1[r > 0], -r[r > 0]], axis=1)
-        ks = np.concatenate([up, dn], axis=0)
-    else:
-        blocks = []
-        for k1 in range(-s, s + 1):
-            rest = _full_shell(n - 1, s - abs(k1))
-            if rest.shape[0] == 0:
-                continue
-            col = np.full((rest.shape[0], 1), k1, dtype=np.int64)
-            blocks.append(np.concatenate([col, rest], axis=1))
-        ks = np.concatenate(blocks, axis=0)
-    # keep the half-space: first nonzero entry positive
-    keep = np.zeros(ks.shape[0], dtype=bool)
-    undecided = np.ones(ks.shape[0], dtype=bool)
-    for j in range(n):
-        col = ks[:, j]
-        keep |= undecided & (col > 0)
-        undecided &= col == 0
-    ks = ks[keep]
+    ks = _full_shell(n, s)
+    first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+    ks = ks[first > 0]  # the half-space: first nonzero entry positive
     order = np.lexsort(ks.T[::-1])
     return ks[order]
 
 
 def _full_shell(n: int, s: int) -> np.ndarray:
-    """All k in Z^n with |k|_1 = s (both signs)."""
+    """All k in Z^n with |k|_1 = s (both signs), in no particular order."""
     if s == 0:
         return np.zeros((1, n), dtype=np.int64)
     if n == 1:
         return np.array([[s], [-s]], dtype=np.int64)
+    if n == 2:
+        k1 = np.arange(-s, s + 1, dtype=np.int64)
+        r = s - np.abs(k1)
+        up = np.stack([k1, r], axis=1)
+        return np.concatenate([up, up[r > 0] * (1, -1)], axis=0)
     blocks = []
     for k1 in range(-s, s + 1):
         rest = _full_shell(n - 1, s - abs(k1))

@@ -2,17 +2,18 @@
 estimates for the quadratic genericity theorem.
 
 A rational subspace of dimension k is identified by its orthogonal complement,
-generated by integer vectors with entries bounded by L.  The canonical key of
-a subspace is the primitive-integer reduced row echelon form of that
-complement, which is an exact, hash-friendly identity for the rational span
-(projector comparison is kept as a test oracle only).
+generated by integer vectors with entries bounded by L.  Its canonical key is
+the primitive-integer reduced row echelon form of that complement, computed
+by Bareiss fraction-free elimination: an exact, hash-friendly identity for the
+rational span (projector comparison is kept as a test oracle only).
+Enumeration is one pass over generator tuples that keeps the first per key;
+the bases of each dimension come from one batched SVD and one batched QR.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
 from typing import NamedTuple
@@ -29,7 +30,7 @@ ENUMERATION_BUDGET = 10_000_000
 class RationalSubspace:
     n: int
     k: int
-    L: int  # smallest lattice bound at which this subspace appears
+    L: int  # enumerate_GL: the L asked for; subspaces_up_to: the least L it appears at
     perp_basis: tuple  # (n-k) primitive integer generators of the complement
     e_basis: np.ndarray  # (k, n) orthonormal rows spanning the subspace
     f_basis: np.ndarray  # (n-k, n) orthonormal rows spanning the complement
@@ -71,16 +72,12 @@ class BadSet:
 
 
 def _primitive(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     if g == 0:
         return None
-    v = tuple(x // g for x in v)
-    for x in v:
-        if x != 0:
-            return v if x > 0 else tuple(-y for y in v)
-    return None
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def primitive_vectors(n: int, L: int) -> list:
@@ -93,50 +90,57 @@ def primitive_vectors(n: int, L: int) -> list:
     return sorted(out)
 
 
-def _rref_key(rows):
-    """Primitive-integer RREF of the rational row span; None if rank-deficient."""
-    M = [[Fraction(x) for x in r] for r in rows]
+def _int_key(rows):
+    """Primitive-integer RREF of the rational row span of integer rows, by
+    Bareiss fraction-free Gauss-Jordan elimination (every division is exact);
+    None if the rows are linearly dependent."""
+    M = [list(r) for r in rows]
     nrows, ncols = len(M), len(M[0])
-    r = 0
+    r, prev = 0, 1
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if M[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if M[i][c]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = M[r][c]
-        M[r] = [x / inv for x in M[r]]
+        p = M[r][c]
         for i in range(nrows):
-            if i != r and M[i][c] != 0:
+            if i != r:
                 f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+                M[i] = [(p * a - f * b) // prev for a, b in zip(M[i], M[r])]
+        prev = p
         r += 1
-        if r == nrows:
-            break
     if r < nrows:
-        return None  # linearly dependent generators
-    key = []
-    for row in M:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        p = _primitive(ints)
-        key.append(p)
-    return tuple(key)
+        return None
+    return tuple(_primitive(row) for row in M)
 
 
-def _orthonormal_rows(vectors) -> np.ndarray:
-    A = np.array(vectors, dtype=float)
-    Q, _ = np.linalg.qr(A.T)
-    return Q.T[: len(vectors)]
+def _check_budget(ncands: int, ms) -> None:
+    tuples = max((comb(ncands, m) for m in ms), default=0)
+    if tuples > ENUMERATION_BUDGET:
+        raise CombinatorialBudgetExceeded(f"{tuples} candidate tuples exceed the budget")
 
 
-def _null_rows(vectors, n: int) -> np.ndarray:
-    if not vectors:
-        return np.eye(n)
-    A = np.array(vectors, dtype=float)
+def _distinct(n: int, k: int, tuples, L_of) -> list:
+    """One subspace per canonical key, spanned by the first tuple of
+    ``tuples`` with that key, sorted by (L, key).  The bases of all of them
+    come from one batched SVD and one batched QR."""
+    first = {}
+    for combo in tuples:
+        key = _int_key(combo)
+        if key is not None and key not in first:
+            first[key] = combo
+    kept = sorted((L_of(combo), key, combo) for key, combo in first.items())
+    A = np.array([combo for _, _, combo in kept], dtype=float)
     _, _, Vt = np.linalg.svd(A)
-    return Vt[len(vectors):]
+    Q, _ = np.linalg.qr(np.swapaxes(A, 1, 2))
+    m = n - k
+    return [
+        RationalSubspace(
+            n=n, k=k, L=L, perp_basis=combo, e_basis=Vt[i, m:], f_basis=Q[i].T,
+            canonical_key=key,
+        )
+        for i, (L, key, combo) in enumerate(kept)
+    ]
 
 
 def _whole_space(n: int) -> RationalSubspace:
@@ -153,7 +157,10 @@ def _whole_space(n: int) -> RationalSubspace:
 
 def enumerate_GL(n: int, k: int, L: int) -> list:
     """All distinct k-dimensional subspaces whose complement has integer
-    generators bounded by L, each listed once."""
+    generators bounded by L, each listed once and stamped with this L.
+
+    Each is spanned by the lexicographically first generator tuple that gives
+    it; the list is sorted by canonical key."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if L < 1:
@@ -161,41 +168,41 @@ def enumerate_GL(n: int, k: int, L: int) -> list:
     if k == n:
         return [_whole_space(n)]
     cands = primitive_vectors(n, L)
-    m = n - k
-    if comb(len(cands), m) > ENUMERATION_BUDGET:
-        raise CombinatorialBudgetExceeded(
-            f"{comb(len(cands), m)} candidate tuples exceed the budget"
-        )
-    seen = {}
-    for combo in combinations(cands, m):
-        key = _rref_key(combo)
-        if key is None or key in seen:
-            continue
-        e = _null_rows(combo, n)
-        f = _orthonormal_rows(combo)
-        seen[key] = RationalSubspace(
-            n=n, k=k, L=L, perp_basis=combo, e_basis=e, f_basis=f, canonical_key=key
-        )
-    return [seen[key] for key in sorted(seen)]
+    _check_budget(len(cands), [n - k])
+    return _distinct(n, k, combinations(cands, n - k), lambda combo: L)
+
+
+def _height(combo) -> int:
+    return max(max(map(abs, v)) for v in combo)
 
 
 def subspaces_up_to(n: int, L_max: int, include_full: bool = True) -> list:
-    """All subspaces of G^L(n,k) for L <= L_max, k = 1..n, with minimal L."""
-    out = {}
-    for L in range(1, L_max + 1):
-        for k in range(1, n):
-            for sub in enumerate_GL(n, k, L):
-                out.setdefault(sub.canonical_key, sub)
-    subs = list(out.values())
+    """All subspaces of G^L(n,k) for L <= L_max, k = 1..n-1 (then the whole
+    space), each stamped with the smallest L at which it appears.
+
+    One pass at L_max: the generator tuples, stably sorted by their largest
+    entry, give each subspace its minimal L and the lexicographically first
+    tuple at that L.  The list is sorted by (L, k, canonical key)."""
+    cands = primitive_vectors(n, L_max)
+    _check_budget(len(cands), range(1, n))
+    subs = []
+    for k in range(1, n):
+        tuples = sorted(combinations(cands, n - k), key=_height)
+        subs += _distinct(n, k, tuples, _height)
+    subs.sort(key=lambda s: (s.L, s.k, s.canonical_key))
     if include_full:
         subs.append(_whole_space(n))
     return subs
 
 
-def _sigma_min_restricted(beta: np.ndarray, sub: RationalSubspace) -> float:
-    E = sub.restriction_matrix()
-    bL = E.T @ beta @ E
-    return float(np.min(np.abs(np.linalg.eigvalsh(bL))))
+def _margins(betas: np.ndarray, subs: list, tau_p: float) -> np.ndarray:
+    """sigma_min(E^T beta E) L^tau' of every matrix of a (samples, n, n) stack
+    on every subspace, as a (subspaces, samples) array."""
+    sig = np.array([
+        np.abs(np.linalg.eigvalsh(sub.e_basis @ betas @ sub.e_basis.T)).min(axis=-1)
+        for sub in subs
+    ])
+    return sig * np.array([float(sub.L) ** tau_p for sub in subs])[:, None]
 
 
 def check_sdm_quadratic(
@@ -218,8 +225,7 @@ def check_sdm_quadratic(
     subs = subspaces_up_to(n, L_max) if _subspaces is None else _subspaces
     best = math.inf
     worst = None
-    for sub in subs:
-        margin = _sigma_min_restricted(beta, sub) * float(sub.L) ** tau_p
+    for sub, margin in zip(subs, _margins(beta[None], subs, tau_p)[:, 0].tolist()):
         if margin < best:
             best = margin
             worst = WorstCase(sub.L, sub.perp_basis or sub.canonical_key, None, margin)
@@ -401,12 +407,12 @@ def prevalence_estimate(
         bad |= dmin <= 0.5 * thr
     bad_fraction = float(np.mean(bad))
 
-    bad_r = 0
-    for _ in range(samples):
-        Ar = rng.uniform(-1.0, 1.0, size=(n, n))
-        betar = 0.5 * (Ar + Ar.T)
-        v = check_sdm_quadratic(None, 2.0 * betar, gamma_p, tau_p, L_max, _subspaces=subs)
-        bad_r += not v.passed
+    # the random half fails where check_sdm_quadratic would: the least margin
+    # of 2 betar over the subspaces is below gamma'
+    Ar = rng.uniform(-1.0, 1.0, size=(samples, n, n))
+    betar = 0.5 * (Ar + np.swapaxes(Ar, 1, 2))
+    best = np.min(_margins(2.0 * betar, subs, tau_p), axis=0)
+    bad_r = int(np.count_nonzero(best < gamma_p))
     bound = truncated_measure_bound(n, tau_p, gamma_p, L_max) / (hi - lo)
     sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / samples)
     return PrevalenceReport(

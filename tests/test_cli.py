@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -153,6 +154,21 @@ def test_sdm_prevalence_subcommand(capsys):
     lab_report = run_experiment(spec).report
     assert set(report) == set(lab_report) - {"bound_finite"}
     assert all(report[k] == lab_report[k] for k in report)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sdm-enum", "--n", "4", "--k", "1", "--L", "3"],
+        ["sdm-prevalence", "--n", "4", "--tau", "6.0", "--Lmax", "3"],
+    ],
+)
+def test_enumeration_budget_exits_3_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(argv, capsys)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 3
+    assert json.loads(err)["error"] == "CombinatorialBudgetExceeded"
 
 
 def test_drift_subcommand(ham_file, capsys):

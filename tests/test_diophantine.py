@@ -150,3 +150,71 @@ def test_input_validation():
         estimate_gamma((1.0, GOLDEN), 1.0, 0)
     with pytest.raises(ValueError):
         fit_tau((1.0, GOLDEN), 5)
+
+
+# -- brute-force references ------------------------------------------------------
+
+
+def _half_ball(n, K):
+    """All k in Z^n with 0 < |k|_1 <= K and positive first nonzero entry, in
+    lexicographic order, and their l1 norms: a scan of the cube [-K, K]^n."""
+    r = np.arange(-K, K + 1, dtype=np.int8)
+    ks = np.stack(np.meshgrid(*[r] * n, indexing="ij"), -1).reshape(-1, n)
+    norms = np.abs(ks).sum(axis=1)
+    first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+    keep = (norms > 0) & (norms <= K) & (first > 0)
+    return ks[keep].astype(np.int64), norms[keep]
+
+
+def test_shell_array_matches_cube_scan():
+    for n in range(1, 5):
+        ks, norms = _half_ball(n, 12)
+        for s in range(13):
+            got = shell_array(n, s)
+            want = ks[norms == s]
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want), (n, s)
+
+
+def _shell_minima(alpha, K):
+    ks, norms = _half_ball(len(alpha), K)
+    a = np.asarray(alpha, dtype=float)
+    out = []
+    for s in range(1, K + 1):
+        shell = ks[norms == s]
+        vals = np.abs(shell @ a)
+        i = int(np.argmin(vals))
+        out.append((s, float(vals[i]), tuple(int(x) for x in shell[i])))
+    return out
+
+
+@pytest.mark.parametrize(
+    "alpha, K",
+    [
+        ((1.0, GOLDEN), 30),
+        ((1.0, GOLDEN), 100),
+        ((1.0, math.sqrt(2.0)), 50),
+        ((1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0)), 60),
+        ((1.0,), 50),
+    ],
+)
+def test_estimates_match_cube_scan(alpha, K):
+    minima = _shell_minima(alpha, K)
+    records, running = [], math.inf
+    for s, v, k in minima:
+        if v < running:
+            records.append((s, v, k))
+            running = v
+    assert envelope(alpha, K) == records
+    for tau in (1.0, 2.0):
+        best = min(minima, key=lambda r: r[1] * float(r[0]) ** tau)
+        est = estimate_gamma(alpha, tau, K)
+        assert (est.gamma_hat, est.argmin_k) == (best[1] * float(best[0]) ** tau, best[2])
+    if len(records) >= 2:
+        x = np.log([s for s, _, _ in records])
+        y = np.log([1.0 / v for _, v, _ in records])
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+        assert fit_tau(alpha, K) == (float(slope), resid)
+    else:
+        assert fit_tau(alpha, K) == (0.0, 0.0)

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hamlab import sdm
 from hamlab.errors import CombinatorialBudgetExceeded
 from hamlab.poly import ActionPolynomial
 from hamlab.sdm import (
@@ -22,6 +24,7 @@ from hamlab.sdm import (
     subspaces_up_to,
     truncated_measure_bound,
 )
+from hamlab.sdm import _int_key, _whole_space
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -116,6 +119,137 @@ def test_minimal_L_recorded():
     assert steep.L == 3
 
 
+def _reference_primitive(v):
+    g = 0
+    for x in v:
+        g = math.gcd(g, abs(x))
+    if g == 0:
+        return None
+    v = tuple(x // g for x in v)
+    first = next(x for x in v if x != 0)
+    return v if first > 0 else tuple(-x for x in v)
+
+
+def _fraction_key(rows):
+    """Primitive-integer RREF by Fraction Gauss-Jordan elimination (the
+    reference for the integer key)."""
+    M = [[Fraction(x) for x in r] for r in rows]
+    nrows, ncols = len(M), len(M[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = M[r][c]
+        M[r] = [x / inv for x in M[r]]
+        for i in range(nrows):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        r += 1
+        if r == nrows:
+            break
+    if r < nrows:
+        return None
+    key = []
+    for row in M:
+        den = 1
+        for x in row:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        key.append(_reference_primitive([int(x * den) for x in row]))
+    return tuple(key)
+
+
+def _reference_enumerate_GL(n, k, L):
+    """Fraction keys and one SVD and one QR per new key, in lexicographic
+    tuple order, stamped with L."""
+    if k == n:
+        return [_whole_space(n)]
+    cube = itertools.product(range(-L, L + 1), repeat=n)
+    cands = sorted({_reference_primitive(v) for v in cube} - {None})
+    seen = {}
+    for combo in itertools.combinations(cands, n - k):
+        key = _fraction_key(combo)
+        if key is None or key in seen:
+            continue
+        A = np.array(combo, dtype=float)
+        _, _, Vt = np.linalg.svd(A)
+        Q, _ = np.linalg.qr(A.T)
+        seen[key] = RationalSubspace(
+            n=n, k=k, L=L, perp_basis=combo, e_basis=Vt[n - k:],
+            f_basis=Q.T[: n - k], canonical_key=key,
+        )
+    return [seen[key] for key in sorted(seen)]
+
+
+def _reference_subspaces_up_to(n, L_max):
+    """One enumeration per L <= L_max; a subspace keeps its first L."""
+    out = {}
+    for L in range(1, L_max + 1):
+        for k in range(1, n):
+            for sub in _reference_enumerate_GL(n, k, L):
+                out.setdefault(sub.canonical_key, sub)
+    return [*out.values(), _whole_space(n)]
+
+
+def _assert_same_subspaces(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.n, g.k, g.L) == (w.n, w.k, w.L)
+        assert g.perp_basis == w.perp_basis
+        assert g.canonical_key == w.canonical_key
+        for a, b in ((g.e_basis, w.e_basis), (g.f_basis, w.f_basis)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n,L", [(2, 3), (2, 6), (3, 1), (3, 2), (3, 3), (4, 1)])
+def test_subspaces_up_to_matches_fraction_reference(n, L):
+    _assert_same_subspaces(subspaces_up_to(n, L), _reference_subspaces_up_to(n, L))
+
+
+@pytest.mark.parametrize("n,k,L", [(3, 1, 2), (3, 1, 3), (2, 1, 6), (4, 2, 1)])
+def test_enumerate_GL_matches_fraction_reference(n, k, L):
+    got = enumerate_GL(n, k, L)
+    _assert_same_subspaces(got, _reference_enumerate_GL(n, k, L))
+    # the lexicographic representative at L is not always the one of least L
+    if (n, k, L) == (3, 1, 3):
+        least = {s.canonical_key: s.perp_basis for s in subspaces_up_to(n, L) if s.k == k}
+        moved = sum(s.perp_basis != least[s.canonical_key] for s in got)
+        assert moved == 281 and len(got) == 3217
+
+
+def test_int_key_matches_fraction_key():
+    rng = np.random.default_rng(11)
+    cases = 0
+    for _ in range(3000):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 6))
+        rows = rng.integers(-4, 5, size=(m, n))
+        if m > 1 and rng.random() < 0.3:
+            # a combination of the other rows: rank-deficient
+            j = int(rng.integers(m))
+            rows[j] = rng.integers(-3, 4, size=m - 1) @ np.delete(rows, j, axis=0)
+        rows = [tuple(int(x) for x in r) for r in rows]
+        want = _fraction_key(rows)
+        assert _int_key(rows) == want, rows
+        cases += want is None
+    # both outcomes are exercised
+    assert 300 < cases < 2700
+    assert _int_key([(2, 4, 6), (1, 2, 3)]) is None
+    assert _int_key([(0, 0, 0)]) is None
+    assert _int_key([(0, -2, 4)]) == ((0, 1, -2),)
+
+
+def test_subspaces_budget_is_checked_before_enumerating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sdm, "_int_key", lambda rows: calls.append(rows))
+    with pytest.raises(CombinatorialBudgetExceeded):
+        subspaces_up_to(4, 3)
+    assert calls == []
+
+
 # -- quadratic check -----------------------------------------------------------
 
 
@@ -157,6 +291,38 @@ def test_quadratic_validation():
         check_sdm_quadratic(None, np.eye(2), 2.0, 3.0, 1)  # gamma' > 1
     with pytest.raises(ValueError):
         check_sdm_quadratic(None, np.ones(3), 0.1, 3.0, 1)
+
+
+def _per_subspace_verdict(beta, gamma_p, tau_p, L_max):
+    """The quadratic check with one eigvalsh call per subspace."""
+    best, worst = math.inf, None
+    for sub in subspaces_up_to(beta.shape[0], L_max):
+        E = sub.restriction_matrix()
+        margin = float(np.min(np.abs(np.linalg.eigvalsh(E.T @ beta @ E)))) * float(sub.L) ** tau_p
+        if margin < best:
+            best = margin
+            worst = (sub.L, sub.perp_basis or sub.canonical_key, None, margin)
+    return best >= gamma_p, best, worst
+
+
+@pytest.mark.parametrize(
+    "beta, gamma_p, tau_p, L_max",
+    [
+        (np.eye(3), 0.5, 3.0, 2),
+        (np.diag([1.0, -1.0]), 0.5, 3.0, 1),
+        (np.diag([1.0, -2.0]), 0.1, 3.0, 2),
+        (np.array([[1.0, 0.3, 0.0], [0.3, -1.7, 0.2], [0.0, 0.2, 0.9]]), 0.01, 2.0, 2),
+        (3.0 * np.array([[1.0, 0.3, 0.0], [0.3, -1.7, 0.2], [0.0, 0.2, 0.9]]), 0.01, 2.0, 2),
+        (np.eye(2), 1.0, 2.0, 1),
+        (np.array([[0.5]]), 0.1, 3.0, 1),
+    ],
+)
+def test_quadratic_check_matches_per_subspace_loop(beta, gamma_p, tau_p, L_max):
+    v = check_sdm_quadratic(None, beta, gamma_p, tau_p, L_max)
+    passed, best, worst = _per_subspace_verdict(beta, gamma_p, tau_p, L_max)
+    assert v.passed == passed
+    assert v.gamma_margin == best
+    assert tuple(v.worst_case) == worst
 
 
 def test_gamma_threshold_is_inclusive():
@@ -343,3 +509,45 @@ def test_prevalence_shrinks_with_gamma():
 def test_prevalence_validation():
     with pytest.raises(ValueError):
         prevalence_estimate(2, 6.0, 0.1, 2, samples=10)
+
+
+def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
+    """The random half of prevalence_estimate as a per-sample loop:
+    sequential (n, n) draws, each passed to check_sdm_quadratic."""
+    subs = subspaces_up_to(n, L_max)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    A = rng.uniform(-1.0, 1.0, size=(n, n))
+    beta0 = 0.5 * (A + A.T)
+    xis = rng.uniform(-2.0, 2.0, size=samples)
+    bad = np.zeros(samples, dtype=bool)
+    for sub in subs:
+        E = sub.restriction_matrix()
+        lams = np.linalg.eigvalsh(E.T @ beta0 @ E)
+        dmin = np.min(np.abs(lams[None, :] - xis[:, None]), axis=1)
+        bad |= dmin <= 0.5 * gamma_p * float(sub.L) ** (-tau_p)
+    drawn, bad_r = [], 0
+    for _ in range(samples):
+        Ar = rng.uniform(-1.0, 1.0, size=(n, n))
+        drawn.append(2.0 * (0.5 * (Ar + Ar.T)))
+        v = check_sdm_quadratic(None, drawn[-1], gamma_p, tau_p, L_max, _subspaces=subs)
+        bad_r += not v.passed
+    return float(np.mean(bad)), bad_r / samples, np.array(drawn)
+
+
+@pytest.mark.parametrize("n,L_max", [(2, 3), (3, 2)])
+def test_prevalence_matches_per_sample_reference(n, L_max, monkeypatch):
+    stacks = []
+
+    def recording(betas, subs, tau_p):
+        stacks.append(betas)
+        return margins(betas, subs, tau_p)
+
+    margins = sdm._margins
+    monkeypatch.setattr(sdm, "_margins", recording)
+    for seed in range(6):
+        stacks.clear()
+        rep = prevalence_estimate(n, 6.0, 0.05, L_max, samples=1000, seed=seed)
+        bad, bad_r, drawn = _reference_prevalence(n, 6.0, 0.05, L_max, 1000, seed)
+        assert (rep.bad_fraction, rep.bad_fraction_random) == (bad, bad_r)
+        assert stacks[0].tobytes() == drawn.tobytes()
+
