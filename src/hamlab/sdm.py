@@ -6,8 +6,9 @@ generated by integer vectors with entries bounded by L.  Its canonical key is
 the primitive-integer reduced row echelon form of that complement, computed
 by Bareiss fraction-free elimination: an exact, hash-friendly identity for the
 rational span (projector comparison is kept as a test oracle only).
-Enumeration is one pass over generator tuples that keeps the first per key;
-the bases of each dimension come from one batched SVD and one batched QR.
+Enumeration is one streamed pass over generator tuples that keeps one tuple
+per key; the bases of each dimension come from one batched SVD and one
+batched QR.
 """
 
 from __future__ import annotations
@@ -121,15 +122,15 @@ def _check_budget(ncands: int, ms) -> None:
 
 
 def _distinct(n: int, k: int, tuples, L_of) -> list:
-    """One subspace per canonical key, spanned by the first tuple of
-    ``tuples`` with that key, sorted by (L, key).  The bases of all of them
-    come from one batched SVD and one batched QR."""
+    """One subspace per canonical key, spanned by the tuple of ``tuples`` with
+    that key and least ``L_of``, the first one among ties, sorted by (L, key).
+    The bases of all of them come from one batched SVD and one batched QR."""
     first = {}
     for combo in tuples:
-        key = _int_key(combo)
-        if key is not None and key not in first:
-            first[key] = combo
-    kept = sorted((L_of(combo), key, combo) for key, combo in first.items())
+        key, L = _int_key(combo), L_of(combo)
+        if key is not None and L < first.get(key, (math.inf,))[0]:
+            first[key] = (L, combo)
+    kept = sorted((L, key, combo) for key, (L, combo) in first.items())
     A = np.array([combo for _, _, combo in kept], dtype=float)
     _, _, Vt = np.linalg.svd(A)
     Q, _ = np.linalg.qr(np.swapaxes(A, 1, 2))
@@ -180,19 +181,26 @@ def subspaces_up_to(n: int, L_max: int, include_full: bool = True) -> list:
     """All subspaces of G^L(n,k) for L <= L_max, k = 1..n-1 (then the whole
     space), each stamped with the smallest L at which it appears.
 
-    One pass at L_max: the generator tuples, stably sorted by their largest
-    entry, give each subspace its minimal L and the lexicographically first
-    tuple at that L.  The list is sorted by (L, k, canonical key)."""
+    One pass at L_max over the generator tuples in lexicographic order keeps,
+    per subspace, the first tuple of least largest entry: its minimal L and
+    the lexicographically first tuple at that L.  The list is sorted by
+    (L, k, canonical key)."""
     cands = primitive_vectors(n, L_max)
     _check_budget(len(cands), range(1, n))
     subs = []
     for k in range(1, n):
-        tuples = sorted(combinations(cands, n - k), key=_height)
-        subs += _distinct(n, k, tuples, _height)
+        subs += _distinct(n, k, combinations(cands, n - k), _height)
     subs.sort(key=lambda s: (s.L, s.k, s.canonical_key))
     if include_full:
         subs.append(_whole_space(n))
     return subs
+
+
+def _check_exponents(gamma_p: float, tau_p: float) -> None:
+    if tau_p < 2:
+        raise ValueError("tau' must be >= 2")
+    if gamma_p > 1:
+        raise ValueError("gamma' must be <= 1")
 
 
 def _margins(betas: np.ndarray, subs: list, tau_p: float) -> np.ndarray:
@@ -217,10 +225,7 @@ def check_sdm_quadratic(
         raise ValueError("beta must be a square matrix")
     if not np.allclose(beta, beta.T, atol=1e-12):
         raise ValueError("beta must be symmetric")
-    if tau_p < 2:
-        raise ValueError("tau' must be >= 2")
-    if gamma_p > 1:
-        raise ValueError("gamma' must be <= 1")
+    _check_exponents(gamma_p, tau_p)
     n = beta.shape[0]
     subs = subspaces_up_to(n, L_max) if _subspaces is None else _subspaces
     best = math.inf
@@ -388,6 +393,7 @@ def prevalence_estimate(
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    _check_exponents(gamma_p, tau_p)
     subs = subspaces_up_to(n, L_max)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     A = rng.uniform(-1.0, 1.0, size=(n, n))

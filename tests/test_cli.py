@@ -2,7 +2,6 @@
 
 import json
 import math
-import time
 
 import pytest
 
@@ -163,12 +162,23 @@ def test_sdm_prevalence_subcommand(capsys):
         ["sdm-prevalence", "--n", "4", "--tau", "6.0", "--Lmax", "3"],
     ],
 )
-def test_enumeration_budget_exits_3_at_once(argv, capsys):
-    t0 = time.perf_counter()
+def test_enumeration_budget_exits_3_at_once(argv, capsys, monkeypatch):
+    import hamlab.sdm as sdm
+
+    keyed = []
+    monkeypatch.setattr(sdm, "_int_key", lambda rows: keyed.append(rows))
     code, _, err = run(argv, capsys)
-    assert time.perf_counter() - t0 < 2.0
     assert code == 3
     assert json.loads(err)["error"] == "CombinatorialBudgetExceeded"
+    assert keyed == []
+
+
+@pytest.mark.parametrize("bad", [["--tau", "1.5"], ["--tau", "6.0", "--gamma", "2.0"]])
+def test_sdm_prevalence_invalid_exponents_exit_2(bad, capsys):
+    code, out, err = run(["sdm-prevalence", "--n", "2", "--Lmax", "2", *bad], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_drift_subcommand(ham_file, capsys):

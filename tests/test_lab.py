@@ -326,6 +326,17 @@ def test_run_sdm_prevalence_small():
     assert rep["bound_finite"]
 
 
+@pytest.mark.parametrize("tau_p, gamma_p", [(1.5, 0.05), (6.0, 2.0)])
+def test_run_sdm_prevalence_rejects_exponents_before_writing(tau_p, gamma_p, tmp_path):
+    spec = ExperimentSpec(
+        kind="sdm_prevalence", hamiltonian=RandomHamiltonianParams(n=2),
+        samples=100, L_max=2, gamma_p=gamma_p, tau_p=tau_p, output=str(tmp_path / "prev"),
+    )
+    with pytest.raises(ValueError):
+        run_experiment(spec)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_drift_vs_rho_small(tmp_path):
     spec = ExperimentSpec(
         kind="drift_vs_rho",

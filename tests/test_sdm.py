@@ -509,6 +509,10 @@ def test_prevalence_shrinks_with_gamma():
 def test_prevalence_validation():
     with pytest.raises(ValueError):
         prevalence_estimate(2, 6.0, 0.1, 2, samples=10)
+    with pytest.raises(ValueError, match="tau'"):
+        prevalence_estimate(2, 1.5, 0.1, 2, samples=100)
+    with pytest.raises(ValueError, match="gamma'"):
+        prevalence_estimate(2, 6.0, 2.0, 2, samples=100)
 
 
 def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
