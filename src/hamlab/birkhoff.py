@@ -98,26 +98,21 @@ def optimal_order(rho: float, gamma: float, tau: float, c_opt: float = 1.0) -> i
     return max(2, math.ceil(c_opt * (gamma / rho) ** (1.0 / (tau + 1.0))))
 
 
-def _alpha_values(H: EllipticHamiltonian, exact: bool, qfield: QuadField):
+def _alpha_values(H: EllipticHamiltonian, exact: bool):
     if not exact:
         return [float(a) for a in H.alpha]
-    out = []
-    for a in H.alpha:
-        if isinstance(a, ExactComplex):
-            out.append(a)
-        elif isinstance(a, (int, Fraction)):
-            out.append(ExactComplex(Fraction(a), field=qfield))
-        else:
-            raise ValueError("exact mode requires exact frequency components")
-    return out
+    if not all(isinstance(a, (int, Fraction, ExactComplex)) for a in H.alpha):
+        raise ValueError("exact mode requires exact frequency components")
+    return [a if isinstance(a, ExactComplex) else ExactComplex(a) for a in H.alpha]
 
 
 # -- graded chart layout --------------------------------------------------------
 
 # the float bracket forms its outer product at most this many entries at a time
 _BLOCK_ENTRIES = 1 << 18
-# the bracket's factor 2i; a Q(i) constant takes the field of what it multiplies
+# the bracket's factor 2i and the i of the homological divisor, exactly
 _TWO_I = ExactComplex(0, 2)
+_I = ExactComplex(0, 1)
 
 
 def _product_ranks(V: int, a: int, b: int, rows: slice = slice(None)) -> np.ndarray:
@@ -201,10 +196,7 @@ def _bracket(f: np.ndarray, g: np.ndarray, df: int, dg: int, n: int, scale=1) ->
             re = re + np.bincount(ix, M.real, size)
             im = im + np.bincount(ix, M.imag, size)
         return (re + 1j * im) * 2j * scale
-    # exact: loop over pairs of nonzero slots.  The values do not depend on
-    # the order, but the field an ExactComplex result is tagged with follows
-    # its left operand, so pairs go in slot order (sorted exponents) and each
-    # slot's sum keeps its first term on the left.
+    # exact: loop over pairs of nonzero slots
     fi = [i for i, c in enumerate(f.tolist()) if c is not None]
     gi = [i for i, c in enumerate(g.tolist()) if c is not None]
     Ef, Eg = _degree(V, df).E[fi], _degree(V, dg).E[gi]
@@ -280,7 +272,6 @@ class _Normalizer:
         two_m_target: int,
         D_work: int,
         exact: bool,
-        qfield: QuadField,
         divisor_floor: float | None,
     ):
         n = H.n
@@ -297,8 +288,7 @@ class _Normalizer:
         self.H = H
         self.n = n
         self.exact = exact
-        self.qfield = qfield
-        self.alpha = np.array(_alpha_values(H, exact, qfield), dtype=object if exact else float)
+        self.alpha = np.array(_alpha_values(H, exact), dtype=object if exact else float)
         self.alpha_float = H.alpha_floats()
         self.D_work = D_work
         amax = float(np.max(np.abs(self.alpha_float)))
@@ -352,7 +342,7 @@ class _Normalizer:
                 if o.is_zero():
                     raise ResonanceEncountered(d, tuple(k), 0.0)
                 self.smallest_divisor = min(self.smallest_divisor, abs(o.to_complex().real))
-                chi[s] = piece[s] / (ExactComplex.i(self.qfield) * o)
+                chi[s] = piece[s] / (_I * o)
             return chi
         size = np.abs(om)
         bad = np.flatnonzero(size <= self.divisor_floor)
@@ -419,14 +409,18 @@ def birkhoff_normal_form(
     radius: float | None = None,
     divisor_floor: float | None = None,
 ) -> NormalFormResult:
-    """Normalize H to order 2m; see the module docstring for the scheme."""
+    """Normalize H to order 2m; see the module docstring for the scheme.
+
+    ``qfield`` has no effect: the field of every exact coefficient follows
+    from its value and the frequencies.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if D_work is None:
         D_work = 2 * m + 4
     if radius is None:
         radius = 0.75 * H.s
-    norm = _Normalizer(H, 2 * m, D_work, exact, qfield, divisor_floor)
+    norm = _Normalizer(H, 2 * m, D_work, exact, divisor_floor)
     for d in range(3, 2 * m + 1):
         norm.normalize_degree(d)
     h_m = norm.h_of_order(m)
@@ -475,6 +469,8 @@ def remainder_curve(
 ) -> list:
     """Remainder majorant (computed part + tail bound) for m = 2..m_max.
 
+    ``qfield`` has no effect, as in :func:`birkhoff_normal_form`.
+
     The degree-by-degree pass is shared: after normalizing through degree 2m
     the internal state coincides with a direct order-m normalization at the
     same D_work, so one sweep yields the whole curve.
@@ -485,7 +481,7 @@ def remainder_curve(
         radius = 0.75 * H.s
     if D_work is None:
         D_work = 2 * m_max + 4
-    norm = _Normalizer(H, 2 * m_max, D_work, exact, qfield, None)
+    norm = _Normalizer(H, 2 * m_max, D_work, exact, None)
     curve = []
     for d in range(3, 2 * m_max + 1):
         norm.normalize_degree(d)

@@ -83,10 +83,7 @@ def _cmd_bnf_curve(args):
     H = _load_ham(args.ham)
     curve = birkhoff.remainder_curve(H, args.m_max, radius=args.radius)
     rows = [{"m": m, "remainder_majorant": r} for m, r in curve]
-    if args.out:
-        lab.write_csv(args.out, ("m", "remainder_majorant"), rows)
-    else:
-        sys.stdout.write(lab.csv_text(("m", "remainder_majorant"), rows))
+    lab.write_csv(args.out or sys.stdout, ("m", "remainder_majorant"), rows)
 
 
 def _cmd_dioph(args):
@@ -171,10 +168,7 @@ def _cmd_drift(args):
             row["drift_l1"] = float(np.sum(np.abs(I - I0)))
             rows.append(row)
     fields = ["trajectory_id", "t"] + [f"I_{i + 1}" for i in range(H.n)] + ["H", "drift_l1"]
-    if args.out:
-        lab.write_csv(args.out, fields, rows)
-    else:
-        sys.stdout.write(lab.csv_text(fields, rows))
+    lab.write_csv(args.out or sys.stdout, fields, rows)
     sys.stderr.write(
         json.dumps(
             {"max_drift_l1": ens.max_drift_l1, "median_drift_l1": ens.median_drift_l1,
@@ -192,10 +186,7 @@ def _cmd_escape_scan(args):
         seed=args.seed,
     )
     fields = ("rho", "escape_time", "censored", "max_drift_l1", "local_slope")
-    if args.out:
-        lab.write_csv(args.out, fields, rows)
-    else:
-        sys.stdout.write(lab.csv_text(fields, rows))
+    lab.write_csv(args.out or sys.stdout, fields, rows)
 
 
 def _cmd_experiment(args):

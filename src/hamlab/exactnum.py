@@ -6,6 +6,11 @@ p = q = 1 the generator is the golden ratio, with p = 0, q = 2 it is sqrt(2).
 This is exactly the ground field needed to run Birkhoff normalization exactly
 for frequency vectors such as (1,) or (1, golden): all homological divisors
 stay inside the field, so no rounding ever occurs.
+
+The field tag of an element is a function of its value: the extension field
+exactly when the extension part (br, bi) is nonzero, RATIONAL otherwise.  So
+a result has the same value, type and tag in any order of its operands, and
+equal elements hash alike, an element of Q like the Fraction it equals.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class ExactComplex:
         self.ai = Fraction(ai)
         self.br = Fraction(br)
         self.bi = Fraction(bi)
-        self.field = field
+        self.field = field if self.br or self.bi else RATIONAL
 
     # -- construction helpers -------------------------------------------------
 
@@ -55,30 +60,14 @@ class ExactComplex:
     def omega(field: QuadField) -> "ExactComplex":
         return ExactComplex(0, 0, 1, 0, field=field)
 
-    def _coerce(self, other):
-        if isinstance(other, ExactComplex):
-            if other.field == self.field:
-                return other
-            if other.field.trivial or (other.br == 0 and other.bi == 0):
-                return ExactComplex(other.ar, other.ai, field=self.field)
-            if self.field.trivial or (self.br == 0 and self.bi == 0):
-                return other  # caller must then swap roles
-            raise TypeError("cannot mix two distinct quadratic extensions")
-        if isinstance(other, (int, Fraction)):
-            return ExactComplex(other, field=self.field)
-        return None
-
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        if o.field != self.field:  # self was trivial, adopt o's field
-            return o + self
-        return ExactComplex(
-            self.ar + o.ar, self.ai + o.ai, self.br + o.br, self.bi + o.bi, self.field
-        )
+        f = join_fields(self.field, o.field)
+        return ExactComplex(self.ar + o.ar, self.ai + o.ai, self.br + o.br, self.bi + o.bi, f)
 
     __radd__ = __add__
 
@@ -86,7 +75,7 @@ class ExactComplex:
         return ExactComplex(-self.ar, -self.ai, -self.br, -self.bi, self.field)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return self + (-o)
@@ -95,12 +84,10 @@ class ExactComplex:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        if o.field != self.field:
-            return o * self
-        f = self.field
+        f = join_fields(self.field, o.field)
         # complex products of the (a, b) parts
         a1r, a1i, b1r, b1i = self.ar, self.ai, self.br, self.bi
         a2r, a2i, b2r, b2i = o.ar, o.ai, o.br, o.bi
@@ -135,11 +122,9 @@ class ExactComplex:
         )
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        if o.field != self.field:
-            return ExactComplex(self.ar, self.ai, field=o.field) / o
         # reduce to a complex-rational denominator via the Galois conjugate
         oc = o._conj_omega()
         num = self * oc
@@ -153,11 +138,11 @@ class ExactComplex:
             (num.ai * dr - num.ar * di) / n2,
             (num.br * dr + num.bi * di) / n2,
             (num.bi * dr - num.br * di) / n2,
-            self.field,
+            num.field,
         )
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return o / self
@@ -171,21 +156,21 @@ class ExactComplex:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ExactComplex)):
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-            if o.field != self.field:
-                return o == self
-            return (
-                self.ar == o.ar
-                and self.ai == o.ai
-                and self.br == o.br
-                and self.bi == o.bi
-            )
-        return NotImplemented
+        o = _lift(other)
+        if o is None:
+            return NotImplemented
+        join_fields(self.field, o.field)  # elements of two distinct extensions do not compare
+        return (
+            self.field == o.field
+            and self.ar == o.ar
+            and self.ai == o.ai
+            and self.br == o.br
+            and self.bi == o.bi
+        )
 
     def __hash__(self):
+        if not (self.ai or self.br or self.bi):
+            return hash(self.ar)
         return hash((self.ar, self.ai, self.br, self.bi, self.field))
 
     def real_exact(self) -> "ExactComplex":
@@ -210,6 +195,25 @@ class ExactComplex:
         return f"ExactComplex({self.ar}, {self.ai}, {self.br}, {self.bi})"
 
 
-def exact(value, field: QuadField = RATIONAL) -> ExactComplex:
+def _lift(x):
+    """x as an ExactComplex, or None for a type that does not embed."""
+    if isinstance(x, ExactComplex):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return ExactComplex(x)
+    return None
+
+
+def join_fields(f: QuadField, g: QuadField) -> QuadField:
+    """The field of a result from elements of f and g: RATIONAL joins any
+    field, and two distinct extensions raise TypeError."""
+    if f == g or g.trivial:
+        return f
+    if f.trivial:
+        return g
+    raise TypeError("cannot mix two distinct quadratic extensions")
+
+
+def exact(value) -> ExactComplex:
     """Lift an int or Fraction into the exact complex field."""
-    return ExactComplex(Fraction(value), field=field)
+    return ExactComplex(value)

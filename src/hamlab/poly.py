@@ -34,6 +34,7 @@ degree, so only the output coefficients are built as fractions.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from math import comb
@@ -42,7 +43,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NotActionRepresentable
-from .exactnum import RATIONAL, ExactComplex
+from .exactnum import ExactComplex, join_fields
 
 # Floating coefficients smaller than this are dropped to avoid denormals.
 # This is a storage guard, never a mathematical tolerance.
@@ -69,6 +70,19 @@ def _float_coeff(c):
     if isinstance(c, (int, Fraction)):
         return float(c)
     return c
+
+
+def _exact_json(c, real: bool = False) -> tuple:
+    """The real and imaginary parts of an exact coefficient as "p/q" strings;
+    a nonzero extension part, and with ``real`` a nonzero imaginary part, is
+    refused."""
+    if not isinstance(c, ExactComplex):
+        c = ExactComplex(c)
+    if c.br or c.bi:
+        raise ValueError("cannot serialize coefficients from a quadratic extension")
+    if real and c.ai:
+        raise ValueError(f"non-real action coefficient {c!r}")
+    return tuple(f"{x.numerator}/{x.denominator}" for x in (c.ar, c.ai))
 
 
 class _SparsePoly:
@@ -312,17 +326,8 @@ class Polynomial(_SparsePoly):
         terms = []
         for k in sorted(self.terms):
             c = self.terms[k]
-            if isinstance(c, ExactComplex):
-                if not c.field.trivial:
-                    raise ValueError(
-                        "cannot serialize coefficients from a quadratic extension"
-                    )
-                re = f"{c.ar.numerator}/{c.ar.denominator}"
-                im = f"{c.ai.numerator}/{c.ai.denominator}"
-            elif isinstance(c, (int, Fraction)):
-                f = Fraction(c)
-                re = f"{f.numerator}/{f.denominator}"
-                im = "0/1"
+            if _is_exact(c):
+                re, im = _exact_json(c)
             elif isinstance(c, complex):
                 re, im = c.real, c.imag
             else:
@@ -440,19 +445,8 @@ class ActionPolynomial(_SparsePoly):
         terms = []
         for k in sorted(self.terms):
             c = self.terms[k]
-            if isinstance(c, ExactComplex):
-                if not c.field.trivial:
-                    raise ValueError(
-                        "cannot serialize coefficients from a quadratic extension"
-                    )
-                if not c.imag_is_zero():
-                    raise ValueError(f"non-real action coefficient {c!r}")
-                c = c.ar
-            if isinstance(c, (int, Fraction)):
-                f = Fraction(c)
-                terms.append({"k": list(k), "c": f"{f.numerator}/{f.denominator}"})
-            else:
-                terms.append({"k": list(k), "c": float(c)})
+            c = _exact_json(c, real=True)[0] if _is_exact(c) else float(c)
+            terms.append({"k": list(k), "c": c})
         return {"n": self.n, "terms": terms}
 
 
@@ -485,15 +479,16 @@ def substitute_linear(f: Polynomial, images: list) -> Polynomial:
     return out
 
 
-def _real_exact(c):
-    """The real part of an exact coefficient, a Fraction when it lies in Q(i);
-    raise if the coefficient is not real."""
+def _real_exact(c, keep: bool = False):
+    """The real part of an exact coefficient: an ExactComplex when it has an
+    extension part or ``keep`` is set, else the Fraction it equals.  Raise if
+    the coefficient is not real."""
     if not isinstance(c, ExactComplex):
-        return c
+        return ExactComplex(c) if keep else c
     if not c.imag_is_zero():
         raise NotActionRepresentable(f"non-real exact coefficient {c!r}")
     r = c.real_exact()
-    return r.ar if r.field.trivial else r
+    return r if keep or r.br else r.ar
 
 
 def paired_part(g: Polynomial, exact: bool, tol: float | None = None) -> ActionPolynomial:
@@ -504,12 +499,15 @@ def paired_part(g: Polynomial, exact: bool, tol: float | None = None) -> ActionP
     are skipped and float coefficients give their real part.  With ``tol``
     set the reading is strict: an unpaired monomial (any, in exact mode) or an
     imaginary part above tol * max(1, max |c|) raises NotActionRepresentable.
-    A non-real exact coefficient always raises.
+    A non-real exact coefficient always raises.  Exact coefficients stay
+    ExactComplex when g holds any element with an extension part, and are
+    Fractions otherwise.
     """
     n = g.n
     bound = None
     if tol is not None and not exact:
         bound = tol * max(1.0, max((abs(c) for c in g.terms.values()), default=0.0))
+    keep = exact and any(isinstance(c, ExactComplex) and (c.br or c.bi) for c in g.terms.values())
     out = {}
     for k, c in g.terms.items():
         kw = k[:n]
@@ -521,7 +519,7 @@ def paired_part(g: Polynomial, exact: bool, tol: float | None = None) -> ActionP
             continue
         factor = 2 ** sum(kw)
         if exact:
-            cc = _real_exact(c * factor if isinstance(c, ExactComplex) else Fraction(c) * factor)
+            cc = _real_exact(c * factor if isinstance(c, ExactComplex) else Fraction(c) * factor, keep)
         else:
             cc = complex(c) * factor
             if bound is not None and abs(cc.imag) > bound:
@@ -700,83 +698,25 @@ def _rotate(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_parts(c):
-    """((ar, ai, br, bi), field) of an exact coefficient."""
-    if isinstance(c, ExactComplex):
-        return (c.ar, c.ai, c.br, c.bi), c.field
-    return (Fraction(c), Fraction(0), Fraction(0), Fraction(0)), RATIONAL
-
-
-def _replayed_field(terms, ext):
-    """The field ExactComplex addition tags a sum with, for terms (field,
-    numerators) added left to right and a sum that reaches zero dropping out
-    as a polynomial term does: the field of the first term, and ``ext`` from
-    the first term on with a nonzero extension part."""
-    field, total = None, None
-    for f, c in terms:
-        if total is None:
-            field, total = f, c
-            continue
-        if c[2] or c[3]:
-            field = ext
-        total = [a + b for a, b in zip(total, c)]
-        if not any(total):
-            total = None
-    return field
-
-
-def _output_fields(Y, X, fields, slots, E, which) -> list:
-    """The field tag of each output slot of an exact chart change, None where
-    it is zero: the tag that adding the substituted input terms in input order
-    gives it.  With one field among the inputs that is their field; otherwise
-    the extension where the extension part is nonzero, and else the tag found
-    by replaying the sum of the slot's inputs, the input slots with the same
-    pair degrees."""
-    ext = {f for f in fields if not f.trivial}
-    if len(ext) > 1:
-        raise TypeError("cannot mix two distinct quadratic extensions")
-    ext = ext.pop() if ext else RATIONAL
-    Y = Y.tolist()
-    if len(set(fields)) == 1:
-        return [ext if any(y) else None for y in Y]
-    n = len(E[0]) // 2
-    E = E.tolist()
-    sums = [tuple(e[j] + e[n + j] for j in range(n)) for e in E]
-    inputs: dict = {}
-    for f, r in zip(fields, slots):
-        inputs.setdefault(sums[r], []).append((f, r))
-    out = []
-    for s, y in enumerate(Y):
-        if not any(y) or y[2] or y[3]:
-            out.append(ext if any(y) else None)
-            continue
-        terms = []
-        for f, r in inputs[sums[s]]:
-            K = 1
-            for j, sj in enumerate(sums[s]):
-                K *= _pair_matrices(sj)[which, E[s][j], E[r][j]]
-            if K:
-                terms.append((f, [K * x for x in X[r]]))
-        out.append(_replayed_field(terms, ext))
-    return out
-
-
 def _change_piece(items: list, n: int, d: int, exact: bool, real: bool):
     """The chart change of one homogeneous piece of degree d >= 1, given as
     (exponent, coefficient) items, as (exponent, coefficient) pairs.
 
     Exact coefficients become integer numerators over one denominator, and
-    only the nonzero output components become fractions again.
+    only the nonzero output components become fractions again.  A real output
+    is an ExactComplex exactly when its extension part is nonzero.
     """
     V, which = 2 * n, 0 if real else 1
     tab = _degree(V, d)
     P = tab.E[:, n:].sum(axis=1)
     slots = _rank(np.array([k for k, _ in items], dtype=np.intp)).tolist()
     if exact:
-        parts = [_exact_parts(c) for _, c in items]
-        den = math.lcm(*(x.denominator for p, _ in parts for x in p))
+        cs = [c if isinstance(c, ExactComplex) else ExactComplex(c) for _, c in items]
+        ext = functools.reduce(join_fields, (c.field for c in cs))
+        parts = [(c.ar, c.ai, c.br, c.bi) for c in cs]
+        den = math.lcm(*(x.denominator for p in parts for x in p))
         X = np.zeros((len(P), 4), dtype=object)
-        X[slots] = [[x.numerator * (den // x.denominator) for x in p] for p, _ in parts]
+        X[slots] = [[x.numerator * (den // x.denominator) for x in p] for p in parts]
     else:
         X = np.zeros((len(P), 2))
         X[slots] = [(c.real, c.imag) for c in (complex(c) for _, c in items)]
@@ -797,17 +737,16 @@ def _change_piece(items: list, n: int, d: int, exact: bool, real: bool):
     if not real:
         den <<= d
     out = []
-    fields = _output_fields(Y, X, [f for _, f in parts], slots, tab.E, which)
-    for key, y, field in zip(keys, Y.tolist(), fields):
-        if field is None:
+    for key, y in zip(keys, Y.tolist()):
+        if not any(y):
             continue
         if not real:
-            out.append((key, ExactComplex(*(Fraction(x, den) if x else 0 for x in y), field=field)))
+            out.append((key, ExactComplex(*(Fraction(x, den) if x else 0 for x in y), field=ext)))
         elif y[1] or y[3]:
             raise NotActionRepresentable("realification produced a non-real exact coefficient")
         else:
             ar = Fraction(y[0], den)
-            out.append((key, ar if field.trivial else ExactComplex(ar, 0, Fraction(y[2], den), 0, field)))
+            out.append((key, ExactComplex(ar, 0, Fraction(y[2], den), 0, ext) if y[2] else ar))
     return out
 
 

@@ -513,13 +513,14 @@ assert not poly._TABLES
 @pytest.mark.parametrize(
     "qfield, digest",
     [
-        (GOLDEN, "d93a3c819695e1abe5c21077e2c7a0a99a3be7a21fc4852f9fc558cd0c23dfe1"),
-        (SQRT2, "bf6929e19c8371ca8cabcfdd550194442b90aa91220d24c6c916daf6492754e9"),
+        (GOLDEN, "f4a941fc182d901c7a26735aab5532a9cdf46447a2cb72a5ab6a7c9766974c81"),
+        (SQRT2, "00a0fe89c4822aa552d6b67bc016987ed36a5b7da451abc1b8da7b3467bcb5e5"),
         (RATIONAL, "034ce742d353e3547ab869801fcb1af0beb36074347b127b4108c4358ec05690"),
     ],
 )
 def test_exact_outputs_are_pinned(qfield, digest):
-    # digests recorded from the substitution chart change; a change of value,
+    # digests recorded from the substitution chart change (the extension-field
+    # ones again once field tags followed values); a change of value,
     # coefficient type or field tag in any output changes them
     if qfield.trivial:
         alpha = (Fraction(1), Fraction(13, 8))
@@ -529,6 +530,77 @@ def test_exact_outputs_are_pinned(qfield, digest):
         V = Polynomial(2, {(0, 1, 1, 2): Fraction(7, 10), (1, 0, 0, 3): Fraction(-9, 10)})
     res = birkhoff_normal_form(EllipticHamiltonian(alpha, V, s=4.0), m=3, exact=True, qfield=qfield)
     assert exact_digest(res) == digest
+
+
+def value_digest(res):
+    """SHA-256 of h_m, the remainder and the real generators by key and the
+    four components of each coefficient, without its type or field tag."""
+
+    def parts(c):
+        return (c.ar, c.ai, c.br, c.bi) if isinstance(c, ExactComplex) else (Fraction(c), 0, 0, 0)
+
+    ps = [res.h_m, res.remainder, *res.generators_real]
+    items = [[(k, *map(str, parts(c))) for k, c in sorted(p.terms.items())] for p in ps]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def extension_alpha(qfield, *more):
+    return (ExactComplex(1, field=qfield), ExactComplex.omega(qfield), *more)
+
+
+_MIXED_V = {(2, 0, 1, 0): Fraction(1, 3), (0, 1, 1, 2): Fraction(-2, 5)}
+# the bnf_exact benchmark input: a fixed quartic support whose signs vary
+_SIGNED_V = {(0, 1, 1, 2): Fraction(7, 10), (1, 0, 0, 3): Fraction(9, 10)}
+_CORPUS = {
+    "golden-n2-m2": (extension_alpha(GOLDEN), _MIXED_V, 2),
+    "golden-n2-m3": (extension_alpha(GOLDEN), _MIXED_V, 3),
+    "sqrt2-n2-m3": (extension_alpha(SQRT2), _MIXED_V, 3),
+    "rational-n1-m4": ((Fraction(1),), {(3, 0): Fraction(1, 3), (1, 2): Fraction(-1, 2), (2, 2): Fraction(3, 7)}, 4),
+    "rational-n2-m3": ((Fraction(1), Fraction(13, 8)), _MIXED_V, 3),
+    "golden-n3-m2": (
+        extension_alpha(GOLDEN, ExactComplex(3, 0, 2, 0, field=GOLDEN)),
+        {(2, 0, 0, 1, 0, 0): Fraction(1, 3), (0, 1, 1, 0, 0, 1): Fraction(-2, 5), (0, 0, 0, 2, 1, 1): Fraction(1, 2)},
+        2,
+    ),
+}
+for _signs in itertools.product((1, -1), repeat=2):
+    _CORPUS["bnf_exact%+d%+d-m3" % _signs] = (
+        extension_alpha(GOLDEN),
+        {k: s * c for (k, c), s in zip(_SIGNED_V.items(), _signs)},
+        3,
+    )
+# recorded under the former rule that a result takes the field tag of its
+# left operand: no tag rule may move a value
+_VALUE_DIGESTS = {
+    "golden-n2-m2": "e56539472dc24b6e1e7d2e52870deee428d6632ddb05837aa2ebc675d540abeb",
+    "golden-n2-m3": "f640b27e8f2cec60bf4a03b158c9370b9266ea30538b1e24e4f28ff66a0236b4",
+    "sqrt2-n2-m3": "2721908364fa3aca61a20e8dd1f056f1f18a4498e7ed1f7aeb2eff5d96095f40",
+    "rational-n1-m4": "ffeb3bbe6f3ab4ad436d55b80d26f3d063b7e9c18edc289ed5f25e0fbf9f7ccb",
+    "rational-n2-m3": "16a769f610fd5267327dab176faeaab478e15b109719ccb061b77ec66ff56f84",
+    "golden-n3-m2": "9530065385ba6d853d941797f7682927951ee3715baa3a13f80aa40fe12a134d",
+    "bnf_exact+1+1-m3": "b127a00b7be1549849d80112d3cdd8f0240b3b42755d4c09147019b83568cb75",
+    "bnf_exact+1-1-m3": "a0f0adc40ec9708f4a50bd7e9f6ec018175ace51fc14ac4d8f1b4930b06fb975",
+    "bnf_exact-1+1-m3": "38f5d41ce91d9193de584de3bc894a7db0aa5470493f6b4f0bdf5c2a5d6316dc",
+    "bnf_exact-1-1-m3": "05d809e84b049081d82564ceaaaad61039de06fae77f83099e37d46cd4df8825",
+}
+
+
+@pytest.mark.parametrize("case", list(_CORPUS))
+def test_exact_values_and_types_are_pinned(case):
+    # values are pinned by digest; coefficient types follow from them: h_m
+    # holds ExactComplex coefficients exactly when a frequency has an
+    # extension part, and a real output coefficient is an ExactComplex
+    # exactly when it has one
+    alpha, V, m = _CORPUS[case]
+    H = EllipticHamiltonian(alpha, Polynomial(len(alpha), V), s=4.0)
+    qfield = getattr(alpha[-1], "field", RATIONAL)
+    res = birkhoff_normal_form(H, m=m, exact=True, qfield=qfield)
+    assert value_digest(res) == _VALUE_DIGESTS[case]
+    extension = any(isinstance(a, ExactComplex) and a.br for a in alpha)
+    assert {type(c) for c in res.h_m.terms.values()} == {ExactComplex if extension else Fraction}
+    for p in [res.remainder, *res.generators_real]:
+        for c in p.terms.values():
+            assert type(c) is (ExactComplex if isinstance(c, ExactComplex) and c.br else Fraction)
 
 
 def test_float_outputs_have_the_exact_term_sets():

@@ -1,5 +1,8 @@
 """Ring and field axioms for the exact complex quadratic-extension numbers."""
 
+import functools
+import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex, exact
+from hamlab.poly import Polynomial
 
 fracs = st.builds(
     Fraction,
@@ -99,3 +103,46 @@ def test_field_mismatch_coercion():
     assert (a + b).to_complex().real == pytest.approx(1 / 2 + 1 / 3)
     assert (a - b).to_complex().real == pytest.approx(1 / 2 - 1 / 3)
     assert ((a / b) * b - a).is_zero()
+
+
+def test_equal_values_hash_alike():
+    half = Fraction(1, 2)
+    assert len({ExactComplex(half), half, ExactComplex(half, field=GOLDEN)}) == 1
+    assert hash(ExactComplex(3, field=SQRT2)) == hash(3)
+    w = ExactComplex.omega(GOLDEN)
+    assert w * w == w + 1 and hash(w * w) == hash(w + 1)
+    # a golden element times its conjugate lies in Q
+    assert ExactComplex(1, 0, 1, field=GOLDEN) * ExactComplex(2, 0, -1, field=GOLDEN) == 1
+    p = Polynomial(1, {(1, 1): half})
+    q = Polynomial(1, {(1, 1): ExactComplex(half, field=GOLDEN)})
+    assert p == q and hash(p) == hash(q)
+    # elements of two distinct extensions neither join nor compare, and they
+    # hash apart, so one set can hold both
+    assert len({w, ExactComplex.omega(SQRT2)}) == 2
+    with pytest.raises(TypeError):
+        w + ExactComplex.omega(SQRT2)
+    with pytest.raises(TypeError):
+        w == ExactComplex.omega(SQRT2)
+
+
+def same(x, y):
+    return (type(x), repr(x), getattr(x, "field", None)) == (type(y), repr(y), getattr(y, "field", None))
+
+
+def test_results_do_not_depend_on_operand_order():
+    one_g, w = ExactComplex(1, field=GOLDEN), ExactComplex.omega(GOLDEN)
+    for x in (Fraction(1, 2), ExactComplex(Fraction(1, 2)), ExactComplex(0, 1)):
+        for z in (one_g, w, w - w, one_g + w):
+            assert same(x + z, z + x)
+            assert same(x * z, z * x)
+    # every order of a mixed sum: the extension parts cancel in the first
+    # list, so its total is a RATIONAL-tagged ExactComplex, and not in the second
+    for terms in (
+        [Fraction(1, 2), ExactComplex(Fraction(1, 3)), one_g, w, -w],
+        [Fraction(-1, 2), ExactComplex(0, 2), one_g, w, w * w],
+    ):
+        totals = [functools.reduce(operator.add, order) for order in itertools.permutations(terms)]
+        assert all(same(t, totals[0]) for t in totals)
+        assert type(totals[0]) is ExactComplex
+        assert totals[0].field == (RATIONAL if totals[0].br == 0 else GOLDEN)
+    assert totals[0].field == GOLDEN

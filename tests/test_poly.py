@@ -267,13 +267,18 @@ def test_substitute_linear_identity():
 
 def test_action_json_exact_coefficients():
     # a real coefficient from the trivial field serializes as a fraction
-    h = ActionPolynomial(2, {(1, 0): ExactComplex(Fraction(3, 2)), (0, 2): Fraction(-1, 3)})
+    # (a golden-tagged 1 has no extension part, so it is the rational 1)
+    h = ActionPolynomial(
+        2,
+        {(1, 0): ExactComplex(Fraction(3, 2)), (0, 2): Fraction(-1, 3), (0, 1): ExactComplex(1, field=GOLDEN)},
+    )
     assert h.to_json_dict()["terms"] == [
+        {"k": [0, 1], "c": "1/1"},
         {"k": [0, 2], "c": "-1/3"},
         {"k": [1, 0], "c": "3/2"},
     ]
-    # a coefficient from a quadratic extension, or a non-real one, is refused
-    for c in (ExactComplex.omega(GOLDEN), ExactComplex(1, field=GOLDEN), ExactComplex(0, 1)):
+    # a coefficient with an extension part, or a non-real one, is refused
+    for c in (ExactComplex.omega(GOLDEN), ExactComplex(1, 0, 1, field=GOLDEN), ExactComplex(0, 1)):
         with pytest.raises(ValueError):
             ActionPolynomial(1, {(1,): c}).to_json_dict()
 
