@@ -1,11 +1,14 @@
 """Long-time symplectic integration of polynomial Hamiltonian flows.
 
 Implicit midpoint (order 2) and the two-stage Gauss collocation method
-(order 4) with fixed-point iteration; both are symplectic for arbitrary smooth
-Hamiltonians, which matters here because cubic terms make the flows
-nonseparable.  Trajectories are tracked through the formal actions and the
-energy; ensembles are integrated as a single vectorized batch with per-row
-status handling.
+(order 4); both are symplectic for arbitrary smooth Hamiltonians, which
+matters here because cubic terms make the flows nonseparable.  The stage
+equations are solved by simplified Newton iteration with the Jacobian frozen
+at the linear part ``CompiledField.A`` (Hairer, Lubich and Wanner, Geometric
+Numerical Integration, Ch. VIII), started from the exact linear step.
+Trajectories are tracked through the formal actions and the energy;
+ensembles are integrated as one vectorized batch in which each row
+iterates, converges or fails on its own.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from .errors import FixedPointDivergence, OutOfDomain
 from .model import EllipticHamiltonian, formal_actions
 from .poly import CompiledField, CompiledPoly, Polynomial
 
-# Butcher matrix of the two-stage Gauss collocation method
-_GAUSS_A = (
-    (0.25, 0.25 - math.sqrt(3.0) / 6.0),
-    (0.25 + math.sqrt(3.0) / 6.0, 0.25),
+# Butcher tableaus (a, b) of implicit midpoint and two-stage Gauss collocation
+_MIDPOINT = (np.array([[0.5]]), np.array([1.0]))
+_GAUSS4 = (
+    np.array([[0.25, 0.25 - math.sqrt(3.0) / 6.0], [0.25 + math.sqrt(3.0) / 6.0, 0.25]]),
+    np.array([0.5, 0.5]),
 )
 
 
@@ -30,6 +34,9 @@ _GAUSS_A = (
 class IntegratorConfig:
     method: str = "implicit_midpoint"  # or "gauss4"
     dt: float = 1e-2
+    # a row's Newton solve has converged once its increment dt * dK (in
+    # phase-space units) falls below fixed_point_tol; it then runs two polish
+    # sweeps, and max_fixed_point_iters + 2 sweeps are the most it gets
     fixed_point_tol: float = 1e-13
     max_fixed_point_iters: int = 50
     energy_abort_threshold: float = 1.0
@@ -37,6 +44,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.fixed_point_tol <= 0 or self.energy_abort_threshold <= 0:
             raise ValueError("dt, tolerances and thresholds must be positive")
+        if self.max_fixed_point_iters < 1:
+            raise ValueError("max_fixed_point_iters must be at least 1")
         if self.method not in ("implicit_midpoint", "gauss4"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -75,40 +84,53 @@ class EnsembleSummary:
 
 def _fixed_point_midpoint(F, z, dt, tol, max_iters):
     """One batched implicit-midpoint step; returns (z_next, converged_mask)."""
-    zn = z + dt * F(z)
-    converged = np.zeros(z.shape[0], dtype=bool)
-    polish = np.zeros(z.shape[0], dtype=np.int64)
-    for _ in range(max_iters + 2):
-        znew = z + dt * F(0.5 * (z + zn))
-        err = np.max(np.abs(znew - zn), axis=-1)
-        zn = znew
-        newly = err < tol
-        polish[converged] += 1
-        converged |= newly
-        if np.all(polish >= 2):
-            break
-    return zn, converged
+    return _newton_step(F, z, dt, tol, max_iters, _MIDPOINT)
 
 
 def _fixed_point_gauss4(F, z, dt, tol, max_iters):
-    (a11, a12), (a21, a22) = _GAUSS_A
-    K1 = F(z)
-    K2 = K1.copy()
-    converged = np.zeros(z.shape[0], dtype=bool)
-    polish = np.zeros(z.shape[0], dtype=np.int64)
+    """One batched two-stage Gauss step; returns (z_next, converged_mask)."""
+    return _newton_step(F, z, dt, tol, max_iters, _GAUSS4)
+
+
+def _newton_step(F, z, dt, tol, max_iters, tableau):
+    """Solve the stage equations K = F(z + dt a K) by simplified Newton.
+
+    The start is the exact step of the linear field ``F.A``, and every sweep
+    evaluates all stages of the active rows in one field call.  A row stops two
+    sweeps after its increment dt * dK first falls below ``tol``; a row still
+    short of that after ``max_iters + 2`` sweeps is reported unconverged.
+    """
+    a, b = tableau
+    inv, start = _collocation(F.A, dt, a)
+    N, d = z.shape
+    K = (z @ start.T).reshape(N, len(b), d)
+    converged = np.zeros(N, dtype=bool)
+    polish = np.zeros(N, dtype=np.int64)
+    rows = np.arange(N)
     for _ in range(max_iters + 2):
-        K1n = F(z + dt * (a11 * K1 + a12 * K2))
-        K2n = F(z + dt * (a21 * K1 + a22 * K2))
-        err = np.maximum(
-            np.max(np.abs(K1n - K1), axis=-1), np.max(np.abs(K2n - K2), axis=-1)
-        )
-        K1, K2 = K1n, K2n
-        newly = err < tol
-        polish[converged] += 1
-        converged |= newly
-        if np.all(polish >= 2):
+        Kr = K[rows]
+        G = Kr - F(z[rows, None, :] + dt * (a @ Kr))
+        dK = (G.reshape(rows.size, -1) @ inv.T).reshape(Kr.shape)
+        K[rows] = Kr - dK
+        polish[rows] += converged[rows]
+        converged[rows] |= abs(dt) * np.abs(dK).max(axis=(1, 2)) < tol
+        rows = rows[polish[rows] < 2]
+        if rows.size == 0:
             break
-    return z + 0.5 * dt * (K1 + K2), converged
+    return z + dt * (b @ K), converged
+
+
+def _collocation(A: np.ndarray, dt: float, a: np.ndarray) -> tuple:
+    """Newton inverse and linear start of a collocation step of the field A z.
+
+    Returns ``(inv, start)``: ``inv = (I - dt a (x) A)^-1`` is the simplified
+    Newton inverse with the Jacobian frozen at ``A``, and ``start @ z`` are the
+    stacked stage slopes of the exact step of the linear field.
+    """
+    sd = len(a) * A.shape[0]
+    kron = (a[:, None, :, None] * A[None, :, None, :]).reshape(sd, sd)
+    inv = np.linalg.inv(np.eye(sd) - dt * kron)
+    return inv, inv @ np.tile(A, (len(a), 1))
 
 
 def _check_startup(H_poly: Polynomial, s: float, z0: np.ndarray, dt: float):
@@ -123,25 +145,6 @@ def _check_startup(H_poly: Polynomial, s: float, z0: np.ndarray, dt: float):
         raise FixedPointDivergence(
             f"dt={dt} too large: dt * Hessian bound = {dt * hess_bound:.3f} >= 1"
         )
-
-
-def _linear_step_matrix(A: np.ndarray, dt: float, method: str) -> np.ndarray:
-    """Closed-form one-step map of the implicit integrator for a linear field.
-
-    This is exactly the fixed point the iteration converges to, so the linear
-    path and the generic path agree to rounding.
-    """
-    d = A.shape[0]
-    eye = np.eye(d)
-    if method == "implicit_midpoint":
-        return np.linalg.solve(eye - 0.5 * dt * A, eye + 0.5 * dt * A)
-    (a11, a12), (a21, a22) = _GAUSS_A
-    S = np.block(
-        [[eye - dt * a11 * A, -dt * a12 * A], [-dt * a21 * A, eye - dt * a22 * A]]
-    )
-    R = np.vstack([A, A])
-    K = np.linalg.solve(S, R)
-    return eye + 0.5 * dt * (K[:d] + K[d:])
 
 
 def integrate_batch(
@@ -186,12 +189,13 @@ def integrate_batch(
 
     linear = H_poly.degree() <= 2
     if linear:
-        # quadratic Hamiltonian: the field is linear and the implicit step has
-        # a closed form, so whole sample blocks are advanced by matrix powers
-        A = F(np.eye(2 * n)).T
-        Ms = np.linalg.matrix_power(
-            _linear_step_matrix(A, cfg.dt, cfg.method), sample_stride
-        )
+        # quadratic Hamiltonian: the field is linear and the implicit step is
+        # the closed-form Newton start, so whole sample blocks are advanced by
+        # matrix powers
+        a, b = _MIDPOINT if cfg.method == "implicit_midpoint" else _GAUSS4
+        _, start = _collocation(F.A, cfg.dt, a)
+        step = np.eye(2 * n) + cfg.dt * np.kron(b, np.eye(2 * n)) @ start
+        Ms = np.linalg.matrix_power(step, sample_stride)
 
         def advance(stride):  # called with stride == sample_stride only
             z[active] = z[active] @ Ms.T

@@ -372,6 +372,9 @@ class CompiledPoly:
     ``E`` (terms x nvars) is the sorted union of the monomials of all the
     polynomials and ``C`` (terms x outputs) holds their coefficients, so a
     call maps points of shape (..., nvars) to values of shape (..., outputs).
+    A call builds the powers z_v^0..z_v^dmax of each variable by repeated
+    multiplication and gathers the monomial factors with one index ``_idx``
+    into that table, so no entry costs a ``pow``.
     """
 
     def __init__(self, polys: list):
@@ -382,17 +385,27 @@ class CompiledPoly:
         for j, p in enumerate(polys):
             for k, c in p.terms.items():
                 self.C[row[k], j] = float(c)
+        self._dmax = int(self.E.max(initial=0))
+        self._idx = np.arange(self.E.shape[1]) * (self._dmax + 1) + self.E
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        return np.prod(z[..., None, :] ** self.E, axis=-1) @ self.C
+        powers = np.ones(z.shape + (self._dmax + 1,), dtype=np.result_type(z, 1.0))
+        powers[..., 1:] = z[..., None]
+        powers.cumprod(axis=-1, out=powers)
+        width = z.shape[-1] * (self._dmax + 1)
+        factors = powers.reshape(z.shape[:-1] + (width,))[..., self._idx]
+        return factors.prod(axis=-1) @ self.C
 
 
 class CompiledField(CompiledPoly):
-    """Hamiltonian vector field (dH/dp, -dH/dq) of a real polynomial H."""
+    """Hamiltonian vector field (dH/dp, -dH/dq) of H; ``A`` is its Jacobian at 0."""
 
     def __init__(self, H: Polynomial):
         grads = H.gradient()
         super().__init__(grads[H.n:] + [-g for g in grads[: H.n]])
+        linear = self.E.sum(axis=1) == 1
+        self.A = np.zeros((2 * H.n, 2 * H.n))
+        self.A[:, np.argmax(self.E[linear], axis=1)] = self.C[linear].T
 
 
 class ActionPolynomial(_SparsePoly):

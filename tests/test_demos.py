@@ -20,6 +20,11 @@ H = I + 1/4 q^4, rational mode
 """,
 }
 
+# a line the output must contain
+REQUIRED_LINE = {
+    "experiment_pipeline.py": "rerun from the saved spec is byte-identical: True",
+}
+
 
 @pytest.mark.parametrize(
     "script",
@@ -28,13 +33,17 @@ H = I + 1/4 q^4, rational mode
         "diophantine_constants.py",
         "normal_form_quartic_oscillator.py",
         "remainder_scaling_experiment.py",
+        "long_time_drift.py",
+        "experiment_pipeline.py",
     ],
 )
-def test_demo_runs(script):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def test_demo_runs(script, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(EXACT_OUTPUT.get(script, ""))
+    if script in REQUIRED_LINE:
+        assert REQUIRED_LINE[script] in proc.stdout.splitlines()

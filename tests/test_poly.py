@@ -96,6 +96,46 @@ def test_compiled_evaluators_match_evaluate():
             assert CompiledField(p)(z) == pytest.approx(f, abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_power_table_evaluator_matches_pow_reference(n):
+    rng = np.random.default_rng(40 + n)
+    polys = [rand_poly(n, rng, n_terms=12, deg_max=8) for _ in range(3)]
+    polys.append(Polynomial(n, {(0,) * (2 * n): 1.5, (8,) + (0,) * (2 * n - 1): -0.5}))
+    compiled = CompiledPoly(polys)
+    assert compiled.E.shape[0] > 10
+    empty = CompiledPoly([Polynomial.zero(n)])
+    for shape in [(), (7,), (2, 3)]:
+        z = rng.uniform(-1.5, 1.5, size=shape + (2 * n,))
+        # the evaluator before the power table: one pow per entry
+        powers = z[..., None, :] ** compiled.E
+        reference = np.prod(powers, axis=-1) @ compiled.C
+        scale = np.prod(np.abs(powers), axis=-1) @ np.abs(compiled.C)
+        got = compiled(z)
+        assert got.shape == shape + (len(polys),)
+        assert np.all(np.abs(got - reference) <= 1e-13 * scale)
+        assert empty(z).shape == shape + (1,)
+        assert not np.any(empty(z))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compiled_field_linear_part_is_the_jacobian_at_the_origin(n):
+    rng = np.random.default_rng(50 + n)
+    quadratic = {}
+    for i in range(2 * n):
+        for j in range(i, 2 * n):
+            k = [0] * (2 * n)
+            k[i] += 1
+            k[j] += 1
+            quadratic[tuple(k)] = float(rng.normal())
+    H = rand_poly(n, rng, n_terms=10, deg_max=5) + Polynomial(n, quadratic)
+    grads = H.gradient()
+    field = grads[n:] + [-g for g in grads[:n]]
+    origin = np.zeros(2 * n)
+    jacobian = [[float(f.partial(i).evaluate(origin)) for i in range(2 * n)] for f in field]
+    assert CompiledField(H).A.tolist() == jacobian
+    assert not np.any(CompiledField(Polynomial.zero(n)).A)
+
+
 def test_majorant_norm_bounds_sup_on_polydisc():
     rng = np.random.default_rng(2)
     f = rand_poly(2, rng, n_terms=6)
