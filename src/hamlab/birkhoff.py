@@ -89,13 +89,13 @@ class NormalFormResult:
     tail_ratio: float = field(default=0.0)
 
 
-def optimal_order(rho: float, gamma: float, tau: float, c_opt: float = 1.0) -> int:
+def optimal_order(rho: float, gamma: float, tau: float) -> int:
     """Optimal truncation order, of size (gamma/rho)^(1/(tau+1))."""
     if rho <= 0 or gamma <= 0:
         raise ValueError("rho and gamma must be positive")
     if rho >= gamma:
         raise ThresholdViolation(f"rho={rho} must be below gamma={gamma}")
-    return max(2, math.ceil(c_opt * (gamma / rho) ** (1.0 / (tau + 1.0))))
+    return max(2, math.ceil((gamma / rho) ** (1.0 / (tau + 1.0))))
 
 
 def _alpha_values(H: EllipticHamiltonian, exact: bool):
@@ -465,11 +465,8 @@ def remainder_curve(
     radius: float | None = None,
     D_work: int | None = None,
     exact: bool = False,
-    qfield: QuadField = RATIONAL,
 ) -> list:
     """Remainder majorant (computed part + tail bound) for m = 2..m_max.
-
-    ``qfield`` has no effect, as in :func:`birkhoff_normal_form`.
 
     The degree-by-degree pass is shared: after normalizing through degree 2m
     the internal state coincides with a direct order-m normalization at the

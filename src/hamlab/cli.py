@@ -26,7 +26,7 @@ from .errors import (
     ResonantFrequency,
     ThresholdViolation,
 )
-from .model import EllipticHamiltonian, _replacing
+from .model import EllipticHamiltonian
 from .poly import ActionPolynomial
 
 _NUMERICAL = (
@@ -47,21 +47,15 @@ def _parse_floats(text: str):
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _load_ham(path: str) -> EllipticHamiltonian:
-    return EllipticHamiltonian.load(path)
-
-
 def _emit(obj, out: str | None):
-    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
     if out:
-        with _replacing(out) as fh:
-            fh.write(text)
+        lab.write_json(out, obj)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def _cmd_bnf(args):
-    H = _load_ham(args.ham)
+    H = EllipticHamiltonian.load(args.ham)
     res = birkhoff.birkhoff_normal_form(
         H, args.m, D_work=args.D_work, radius=args.radius
     )
@@ -80,7 +74,7 @@ def _cmd_bnf(args):
 
 
 def _cmd_bnf_curve(args):
-    H = _load_ham(args.ham)
+    H = EllipticHamiltonian.load(args.ham)
     curve = birkhoff.remainder_curve(H, args.m_max, radius=args.radius)
     rows = [{"m": m, "remainder_majorant": r} for m, r in curve]
     lab.write_csv(args.out or sys.stdout, ("m", "remainder_majorant"), rows)
@@ -113,8 +107,7 @@ def _cmd_sdm_check(args):
     with open(args.quadratic) as fh:
         data = json.load(fh)
     beta = np.array(data["beta"] if isinstance(data, dict) else data, dtype=float)
-    alpha = data.get("alpha") if isinstance(data, dict) else None
-    v = sdm.check_sdm_quadratic(alpha, beta, args.gamma, args.tau, args.Lmax)
+    v = sdm.check_sdm_quadratic(beta, args.gamma, args.tau, args.Lmax)
     w = v.worst_case
     report = {
         "passed": v.passed,
@@ -151,7 +144,7 @@ def _cmd_sdm_prevalence(args):
 
 
 def _cmd_drift(args):
-    H = _load_ham(args.ham)
+    H = EllipticHamiltonian.load(args.ham)
     cfg = dynamics.IntegratorConfig(method=args.method, dt=args.dt)
     ens = dynamics.ensemble_drift(
         H, args.rho, args.N, args.T, cfg, seed=args.seed,
@@ -179,14 +172,13 @@ def _cmd_drift(args):
 
 
 def _cmd_escape_scan(args):
-    H = _load_ham(args.ham)
+    H = EllipticHamiltonian.load(args.ham)
     cfg = dynamics.IntegratorConfig(method=args.method, dt=args.dt)
     rows = dynamics.escape_time_scan(
         H, _parse_floats(args.rho), args.threshold_factor, args.T, cfg, args.N,
         seed=args.seed,
     )
-    fields = ("rho", "escape_time", "censored", "max_drift_l1", "local_slope")
-    lab.write_csv(args.out or sys.stdout, fields, rows)
+    lab.write_csv(args.out or sys.stdout, lab._ESCAPE_FIELDS, rows)
 
 
 def _cmd_experiment(args):
@@ -231,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_dioph)
 
     q = sub.add_parser("sdm-check", help="quadratic SDM verdict for a beta matrix")
-    q.add_argument("--quadratic", required=True, help="JSON file with beta (and alpha)")
+    q.add_argument("--quadratic", required=True, help="JSON file with a beta matrix")
     q.add_argument("--gamma", type=float, required=True)
     q.add_argument("--tau", type=float, required=True)
     q.add_argument("--Lmax", type=int, required=True)

@@ -28,6 +28,8 @@ _GAUSS4 = (
     np.array([[0.25, 0.25 - math.sqrt(3.0) / 6.0], [0.25 + math.sqrt(3.0) / 6.0, 0.25]]),
     np.array([0.5, 0.5]),
 )
+# convergence tolerance on a row's Newton increment, in phase-space units
+_NEWTON_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -35,15 +37,14 @@ class IntegratorConfig:
     method: str = "implicit_midpoint"  # or "gauss4"
     dt: float = 1e-2
     # a row's Newton solve has converged once its increment dt * dK (in
-    # phase-space units) falls below fixed_point_tol; it then runs two polish
+    # phase-space units) falls below _NEWTON_TOL; it then runs two polish
     # sweeps, and max_fixed_point_iters + 2 sweeps are the most it gets
-    fixed_point_tol: float = 1e-13
     max_fixed_point_iters: int = 50
     energy_abort_threshold: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.fixed_point_tol <= 0 or self.energy_abort_threshold <= 0:
-            raise ValueError("dt, tolerances and thresholds must be positive")
+        if self.dt <= 0 or self.energy_abort_threshold <= 0:
+            raise ValueError("dt and thresholds must be positive")
         if self.max_fixed_point_iters < 1:
             raise ValueError("max_fixed_point_iters must be at least 1")
         if self.method not in ("implicit_midpoint", "gauss4"):
@@ -208,7 +209,7 @@ def integrate_batch(
                     return
                 idx = np.flatnonzero(active)
                 zn, conv = stepper(
-                    F, z[idx], cfg.dt, cfg.fixed_point_tol, cfg.max_fixed_point_iters
+                    F, z[idx], cfg.dt, _NEWTON_TOL, cfg.max_fixed_point_iters
                 )
                 status[idx[~conv]] = FP_DIVERGED
                 active[idx[~conv]] = False

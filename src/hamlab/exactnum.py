@@ -53,8 +53,8 @@ class ExactComplex:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def i(field: QuadField = RATIONAL) -> "ExactComplex":
-        return ExactComplex(0, 1, field=field)
+    def i() -> "ExactComplex":
+        return ExactComplex(0, 1)
 
     @staticmethod
     def omega(field: QuadField) -> "ExactComplex":
@@ -175,9 +175,6 @@ class ExactComplex:
 
     def real_exact(self) -> "ExactComplex":
         return ExactComplex(self.ar, 0, self.br, 0, self.field)
-
-    def imag_exact(self) -> "ExactComplex":
-        return ExactComplex(self.ai, 0, self.bi, 0, self.field)
 
     def imag_is_zero(self) -> bool:
         return self.ai == 0 and self.bi == 0

@@ -15,13 +15,14 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .birkhoff import apply_transform, birkhoff_normal_form, remainder_curve
 from .diophantine import estimate_gamma
 from .dynamics import IntegratorConfig, ensemble_drift, escape_time_scan
+from .exactnum import GOLDEN
 from .model import EllipticHamiltonian, _replacing, formal_actions
 from .poly import ActionPolynomial, Polynomial, complexify_unnormalized, paired_part
 from .sdm import (
@@ -30,17 +31,6 @@ from .sdm import (
     prevalence_estimate,
     subspaces_up_to,
 )
-
-_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-EXPERIMENT_KINDS = (
-    "remainder_scaling",
-    "drift_vs_rho",
-    "sdm_prevalence",
-    "convex_vs_generic",
-    "bnf_roundtrip",
-)
-
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator for (seed, stream); identical across platforms."""
@@ -65,6 +55,8 @@ class RandomHamiltonianParams:
     s: float = 4.0
 
     def __post_init__(self):
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", tuple(self.alpha))
         if self.alpha_mode not in ("explicit", "random_unit_box", "golden_family"):
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
         if self.alpha_mode == "explicit" and self.alpha is None:
@@ -82,7 +74,7 @@ def default_frequencies(n: int) -> tuple:
     if n == 1:
         return (1.0,)
     if n == 2:
-        return (1.0, _GOLDEN)
+        return (1.0, GOLDEN.omega)
     theta = 2.0 ** (1.0 / n)
     return tuple(theta**j for j in range(n))
 
@@ -211,46 +203,12 @@ class ExperimentSpec:
         return generate_random_hamiltonian(self.hamiltonian)
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.hamiltonian, EllipticHamiltonian):
-            ham = {"type": "explicit", "data": self.hamiltonian.to_json_dict()}
+        h = self.hamiltonian
+        if isinstance(h, EllipticHamiltonian):
+            ham = {"type": "explicit", "data": h.to_json_dict()}
         else:
-            p = self.hamiltonian
-            beta = p.include_beta
-            if isinstance(beta, np.ndarray):
-                beta = beta.tolist()
-            ham = {
-                "type": "random",
-                "data": {
-                    "n": p.n,
-                    "alpha_mode": p.alpha_mode,
-                    "alpha": list(p.alpha) if p.alpha is not None else None,
-                    "degree_max": p.degree_max,
-                    "coefficient_scale": p.coefficient_scale,
-                    "n_terms": p.n_terms,
-                    "include_beta": beta,
-                    "seed": p.seed,
-                    "s": p.s,
-                },
-            }
-        return {
-            "kind": self.kind,
-            "hamiltonian": ham,
-            "rho_grid": list(self.rho_grid),
-            "m_max": self.m_max,
-            "radius": self.radius,
-            "tau": self.tau,
-            "gamma_K": self.gamma_K,
-            "L_max": self.L_max,
-            "gamma_p": self.gamma_p,
-            "tau_p": self.tau_p,
-            "N": self.N,
-            "T": self.T,
-            "dt": self.dt,
-            "samples": self.samples,
-            "drift_threshold_factor": self.drift_threshold_factor,
-            "seed": self.seed,
-            "output": self.output,
-        }
+            ham = {"type": "random", "data": _json_fields(h)}
+        return {**_json_fields(self), "hamiltonian": ham}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentSpec":
@@ -258,14 +216,8 @@ class ExperimentSpec:
         if ham["type"] == "explicit":
             h = EllipticHamiltonian.from_json_dict(ham["data"])
         else:
-            d = dict(ham["data"])
-            if d.get("alpha") is not None:
-                d["alpha"] = tuple(d["alpha"])
-            h = RandomHamiltonianParams(**d)
-        kwargs = {k: v for k, v in data.items() if k not in ("kind", "hamiltonian")}
-        if "rho_grid" in kwargs:
-            kwargs["rho_grid"] = tuple(kwargs["rho_grid"])
-        return cls(kind=data["kind"], hamiltonian=h, **kwargs)
+            h = RandomHamiltonianParams(**ham["data"])
+        return cls(**{**data, "hamiltonian": h})
 
     def save(self, path):
         with _replacing(path) as fh:
@@ -275,6 +227,17 @@ class ExperimentSpec:
     def load(cls, path) -> "ExperimentSpec":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _json_fields(obj) -> dict:
+    """The dataclass fields of obj, with tuples and arrays as lists."""
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        out[f.name] = list(v) if isinstance(v, tuple) else v
+    return out
 
 
 # -- artifact helpers ----------------------------------------------------------
@@ -330,26 +293,9 @@ def gnuplot_script(data_csv: str, xcol: int, ycol: int, title: str,
     return "\n".join(lines) + "\n"
 
 
-# report schemas: required top-level fields and their types, checked by
-# validate_report; shipped in-code so artifacts stay self-describing
-REPORT_SCHEMAS = {
-    "remainder_scaling": {
-        "rows": list, "fit": dict, "integrable": bool, "gamma_hat": float, "tau": float,
-    },
-    "sdm_prevalence": {
-        "n": int, "tau_p": float, "gamma_p": float, "L_max": int, "samples": int,
-        "seed": int, "bad_fraction": float, "bad_fraction_random": float,
-        "theory_bound": float, "binomial_sigma": float, "probe_interval": list,
-    },
-    "convex_vs_generic": {"rows": list, "rho": float},
-    "drift_vs_rho": {"rows": list},
-    "bnf_roundtrip": {"m": int, "roundtrip_error": float, "conjugacy_error": float,
-                      "smallest_divisor": float},
-}
-
-
 def validate_report(obj: dict, kind: str):
-    schema = REPORT_SCHEMAS[kind]
+    """Raise ValueError unless obj has every field, of its type, in kind's schema."""
+    schema = _KINDS[kind][1]
     for key, typ in schema.items():
         if key not in obj:
             raise ValueError(f"report missing field {key!r}")
@@ -423,7 +369,6 @@ def run_remainder_scaling(spec: ExperimentSpec) -> ExperimentResult:
         "gamma_hat": gamma_hat,
         "tau": spec.tau,
     }
-    validate_report(report, "remainder_scaling")
     return ExperimentResult(
         kind="remainder_scaling",
         report=report,
@@ -434,19 +379,7 @@ def run_remainder_scaling(spec: ExperimentSpec) -> ExperimentResult:
 
 def prevalence_report(rep: PrevalenceReport) -> dict:
     """The JSON report of an SDM prevalence estimate."""
-    return {
-        "n": rep.n,
-        "tau_p": rep.tau_p,
-        "gamma_p": rep.gamma_p,
-        "L_max": rep.L_max,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "probe_interval": list(rep.probe_interval),
-        "bad_fraction": rep.bad_fraction,
-        "bad_fraction_random": rep.bad_fraction_random,
-        "theory_bound": rep.theory_bound,
-        "binomial_sigma": rep.binomial_sigma,
-    }
+    return {**asdict(rep), "probe_interval": list(rep.probe_interval)}
 
 
 def run_sdm_prevalence(spec: ExperimentSpec) -> ExperimentResult:
@@ -455,7 +388,6 @@ def run_sdm_prevalence(spec: ExperimentSpec) -> ExperimentResult:
         n, spec.tau_p, spec.gamma_p, spec.L_max, spec.samples, spec.seed
     )
     report = {**prevalence_report(rep), "bound_finite": spec.tau_p > n * n + 1}
-    validate_report(report, "sdm_prevalence")
     return ExperimentResult(kind="sdm_prevalence", report=report)
 
 
@@ -482,9 +414,7 @@ def run_convex_vs_generic(spec: ExperimentSpec) -> ExperimentResult:
     rows = []
     for label, beta in _beta_variants(base.n):
         H = generate_random_hamiltonian(replace(base, include_beta=beta))
-        verdict = check_sdm_quadratic(
-            H.alpha, beta, spec.gamma_p, spec.tau_p, spec.L_max, _subspaces=subs
-        )
+        verdict = check_sdm_quadratic(beta, spec.gamma_p, spec.tau_p, spec.L_max, _subspaces=subs)
         ens = ensemble_drift(H, rho, spec.N, spec.T, cfg, seed=spec.seed)
         rows.append(
             {
@@ -497,7 +427,6 @@ def run_convex_vs_generic(spec: ExperimentSpec) -> ExperimentResult:
             }
         )
     report = {"rows": rows, "rho": rho}
-    validate_report(report, "convex_vs_generic")
     return ExperimentResult(
         kind="convex_vs_generic",
         report=report,
@@ -507,6 +436,10 @@ def run_convex_vs_generic(spec: ExperimentSpec) -> ExperimentResult:
         ),
         csv_rows=rows,
     )
+
+
+# the columns of an escape_time_scan table, also written by ``hamlab escape-scan``
+_ESCAPE_FIELDS = ("rho", "escape_time", "censored", "max_drift_l1", "local_slope")
 
 
 def run_drift_vs_rho(spec: ExperimentSpec) -> ExperimentResult:
@@ -522,11 +455,10 @@ def run_drift_vs_rho(spec: ExperimentSpec) -> ExperimentResult:
         seed=spec.seed,
     )
     report = {"rows": rows}
-    validate_report(report, "drift_vs_rho")
     return ExperimentResult(
         kind="drift_vs_rho",
         report=report,
-        csv_fields=("rho", "escape_time", "censored", "max_drift_l1", "local_slope"),
+        csv_fields=_ESCAPE_FIELDS,
         csv_rows=rows,
     )
 
@@ -556,17 +488,29 @@ def run_bnf_roundtrip(spec: ExperimentSpec) -> ExperimentResult:
         "tail_bound": res.tail_bound,
         "transform_displacement": res.transform_displacement,
     }
-    validate_report(report, "bnf_roundtrip")
     return ExperimentResult(kind="bnf_roundtrip", report=report)
 
 
-_RUNNERS = {
-    "remainder_scaling": run_remainder_scaling,
-    "sdm_prevalence": run_sdm_prevalence,
-    "convex_vs_generic": run_convex_vs_generic,
-    "drift_vs_rho": run_drift_vs_rho,
-    "bnf_roundtrip": run_bnf_roundtrip,
+# each experiment kind: its runner and its report schema, the required
+# top-level fields and their types checked by validate_report; shipped
+# in-code so artifacts stay self-describing
+_KINDS = {
+    "remainder_scaling": (run_remainder_scaling, {
+        "rows": list, "fit": dict, "integrable": bool, "gamma_hat": float, "tau": float,
+    }),
+    "drift_vs_rho": (run_drift_vs_rho, {"rows": list}),
+    "sdm_prevalence": (run_sdm_prevalence, {
+        "n": int, "tau_p": float, "gamma_p": float, "L_max": int, "samples": int,
+        "seed": int, "bad_fraction": float, "bad_fraction_random": float,
+        "theory_bound": float, "binomial_sigma": float, "probe_interval": list,
+    }),
+    "convex_vs_generic": (run_convex_vs_generic, {"rows": list, "rho": float}),
+    "bnf_roundtrip": (run_bnf_roundtrip, {
+        "m": int, "roundtrip_error": float, "conjugacy_error": float,
+        "smallest_divisor": float,
+    }),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -575,7 +519,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     Artifacts: <output>.json always; <output>.csv and <output>.gp (gnuplot)
     when the experiment has tabular output.
     """
-    result = _RUNNERS[spec.kind](spec)
+    result = _KINDS[spec.kind][0](spec)
+    validate_report(result.report, spec.kind)
     if spec.output:
         write_json(str(spec.output) + ".json", result.report)
         if result.csv_fields:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain
 from .exactnum import ExactComplex
-from .poly import CompiledField, Polynomial, substitute_linear
+from .poly import CompiledField, Polynomial, _exact_json, _is_exact, substitute_linear
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -196,9 +196,12 @@ class EllipticHamiltonian:
     # -- persistence ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """Exact frequency components are written as "p/q" strings, floats as floats."""
         return {
             "n": self.n,
-            "alpha": [_freq_float(a) for a in self.alpha],
+            "alpha": [
+                _exact_json(a, real=True)[0] if _is_exact(a) else float(a) for a in self.alpha
+            ],
             "s": self.s,
             "V": self.V.to_json_dict(),
         }
@@ -206,7 +209,8 @@ class EllipticHamiltonian:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EllipticHamiltonian":
         V = Polynomial.from_json_dict(data["V"])
-        return cls(data["alpha"], V, data.get("s", 4.0))
+        alpha = [Fraction(a) if isinstance(a, str) else a for a in data["alpha"]]
+        return cls(alpha, V, data.get("s", 4.0))
 
     def save(self, path):
         with _replacing(path) as fh:

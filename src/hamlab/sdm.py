@@ -214,12 +214,12 @@ def _margins(betas: np.ndarray, subs: list, tau_p: float) -> np.ndarray:
 
 
 def check_sdm_quadratic(
-    alpha, beta: np.ndarray, gamma_p: float, tau_p: float, L_max: int,
+    beta: np.ndarray, gamma_p: float, tau_p: float, L_max: int,
     _subspaces: list | None = None,
 ) -> SdmVerdict:
     """Quadratic SDM check: sigma_min of every rational restriction of beta
-    must exceed gamma' L^{-tau'}.  alpha is accepted and ignored (the quadratic
-    criterion puts no condition on the linear part)."""
+    must exceed gamma' L^{-tau'} (the criterion puts no condition on the
+    linear part alpha)."""
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 2 or beta.shape[0] != beta.shape[1]:
         raise ValueError("beta must be a square matrix")

@@ -99,6 +99,17 @@ def test_sdm_check_subcommand(capsys, tmp_path):
     assert report["gamma_margin"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_sdm_check_accepts_an_alpha_key(capsys, tmp_path):
+    argv = ["sdm-check", "--quadratic", str(tmp_path / "beta.json"), "--gamma", "0.1", "--tau", "3.0", "--Lmax", "2"]
+    outs = []
+    for data in ({"beta": [[1.0, 0.2], [0.2, -2.0]]}, {"beta": [[1.0, 0.2], [0.2, -2.0]], "alpha": [1.0, 1.5]}):
+        (tmp_path / "beta.json").write_text(json.dumps(data))
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_sdm_check_worst_case_output(capsys, tmp_path):
     beta_file = tmp_path / "beta.json"
     argv = ["sdm-check", "--quadratic", str(beta_file), "--gamma", "0.1", "--tau", "3.0", "--Lmax", "1"]
@@ -205,6 +216,23 @@ def test_escape_scan_subcommand(ham_file, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "rho,escape_time,censored,max_drift_l1,local_slope"
     assert len(lines) == 3
+
+
+def test_escape_scan_table_is_the_drift_vs_rho_table(ham_file, capsys):
+    from hamlab.lab import ExperimentSpec, run_drift_vs_rho
+
+    code, out, _ = run(
+        ["escape-scan", "--ham", ham_file, "--rho", "0.2,0.1", "--T", "2.0", "--dt", "0.05", "--N", "2"],
+        capsys,
+    )
+    assert code == 0
+    spec = ExperimentSpec(
+        kind="drift_vs_rho", hamiltonian=EllipticHamiltonian.load(ham_file),
+        rho_grid=(0.2, 0.1), T=2.0, dt=0.05, N=2,
+    )
+    result = run_drift_vs_rho(spec)
+    assert out.splitlines()[0] == ",".join(result.csv_fields)
+    assert out == result.csv()
 
 
 def test_experiment_subcommand(capsys, tmp_path, ham_file):

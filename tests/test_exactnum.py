@@ -38,8 +38,7 @@ def test_rational_basics():
 def test_i_squares_to_minus_one():
     i = ExactComplex.i()
     assert (i * i + 1).is_zero()
-    ig = ExactComplex.i(GOLDEN)
-    assert (ig * ig + ExactComplex(1, field=GOLDEN)).is_zero()
+    assert (i * i + ExactComplex(1, field=GOLDEN)).is_zero()
 
 
 def test_golden_ratio_identity():

@@ -1,5 +1,6 @@
 """Experiment harness: generators, specs, artifacts, and small end-to-end runs."""
 
+import hashlib
 import json
 import math
 import os
@@ -122,6 +123,48 @@ def test_spec_round_trip_explicit(tmp_path):
     assert isinstance(spec2.hamiltonian, EllipticHamiltonian)
     assert spec2.hamiltonian.V == H.V
     assert spec2.m_max == 3
+
+
+@pytest.mark.parametrize(
+    "spec, size, digest",
+    [
+        (
+            ExperimentSpec(
+                kind="drift_vs_rho",
+                hamiltonian=RandomHamiltonianParams(
+                    n=2, alpha_mode="explicit", alpha=(1.0, 1.3),
+                    include_beta=np.array([[1.0, -0.5], [-0.5, 2.0]]), seed=3, degree_max=5,
+                ),
+                rho_grid=(0.1, 0.05),
+                N=4,
+                output="runs/drift",
+            ),
+            607,
+            "5f3dd89039829520e46c5b1b406c6f4035fd425ef12ef805b749db8dd2517624",
+        ),
+        (
+            ExperimentSpec(
+                kind="remainder_scaling",
+                hamiltonian=EllipticHamiltonian(
+                    (1.0, GOLDEN_F), Polynomial(2, {(3, 0, 0, 0): 0.1, (0, 1, 1, 1): -0.08}), s=4.0
+                ),
+                rho_grid=(0.2, 0.1, 0.05),
+                m_max=3,
+                radius=1.0,
+            ),
+            694,
+            "94fadf52c0f95ad5c0acd88ae969192054123dba18d5349ca1be3fc040296577",
+        ),
+    ],
+    ids=["random", "explicit"],
+)
+def test_spec_file_bytes_are_pinned(spec, size, digest, tmp_path):
+    path = tmp_path / "spec.json"
+    spec.save(path)
+    body = path.read_bytes()
+    assert (len(body), hashlib.sha256(body).hexdigest()) == (size, digest)
+    ExperimentSpec.load(path).save(path)
+    assert path.read_bytes() == body
 
 
 def test_spec_rejects_unknown_kind():

@@ -1,11 +1,14 @@
 """Elliptic Hamiltonian model: actions, complex chart, vector field, persistence."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hamlab.birkhoff import birkhoff_normal_form
 from hamlab.errors import DimensionMismatch, OutOfDomain
+from hamlab.exactnum import GOLDEN, ExactComplex
 from hamlab.model import EllipticHamiltonian, complexify, formal_actions, realify
 from hamlab.poly import Polynomial
 
@@ -131,3 +134,21 @@ def test_json_persistence_round_trip(tmp_path):
     assert H2.alpha_floats() == pytest.approx(H.alpha_floats())
     assert H2.s == H.s
     assert H2.V == H.V
+
+
+def test_exact_frequencies_survive_save_and_load(tmp_path):
+    V = Polynomial(2, {(3, 0, 0, 0): Fraction(1, 10), (0, 1, 1, 1): Fraction(-2, 25)})
+    H = EllipticHamiltonian((Fraction(1), Fraction(7, 5)), V, s=4.0)
+    path = tmp_path / "ham.json"
+    H.save(path)
+    assert H.to_json_dict()["alpha"] == ["1/1", "7/5"]
+    H2 = EllipticHamiltonian.load(path)
+    assert H2.alpha == (Fraction(1), Fraction(7, 5))
+    want = birkhoff_normal_form(H, 2, exact=True).h_m.terms
+    assert birkhoff_normal_form(H2, 2, exact=True).h_m.terms == want
+    # a float frequency stays a float next to an exact one
+    mixed = EllipticHamiltonian((Fraction(1), 1.5), V, s=4.0).to_json_dict()
+    assert mixed["alpha"] == ["1/1", 1.5]
+    golden = EllipticHamiltonian((ExactComplex(1), ExactComplex.omega(GOLDEN)), V, s=4.0)
+    with pytest.raises(ValueError, match="quadratic extension"):
+        golden.save(tmp_path / "golden.json")

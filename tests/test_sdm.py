@@ -254,7 +254,7 @@ def test_subspaces_budget_is_checked_before_enumerating(monkeypatch):
 
 
 def test_identity_form_passes_with_unit_margin():
-    v = check_sdm_quadratic(None, np.eye(3), 0.5, 3.0, 2)
+    v = check_sdm_quadratic(np.eye(3), 0.5, 3.0, 2)
     assert isinstance(v, SdmVerdict)
     assert v.passed
     # every restriction of the identity has all eigenvalues 1, margin L^tau >= 1
@@ -263,7 +263,7 @@ def test_identity_form_passes_with_unit_margin():
 
 def test_hyperbolic_form_fails_on_diagonal_direction():
     # diag(1, -1) restricted to the line spanned by (1, 1) is zero
-    v = check_sdm_quadratic(None, np.diag([1.0, -1.0]), 0.5, 3.0, 1)
+    v = check_sdm_quadratic(np.diag([1.0, -1.0]), 0.5, 3.0, 1)
     assert not v.passed
     assert v.gamma_margin == pytest.approx(0.0, abs=1e-12)
     L, basis, point, margin = v.worst_case
@@ -271,26 +271,26 @@ def test_hyperbolic_form_fails_on_diagonal_direction():
 
 
 def test_indefinite_but_nondegenerate_form_passes():
-    v = check_sdm_quadratic(None, np.diag([1.0, -2.0]), 0.1, 3.0, 2)
+    v = check_sdm_quadratic(np.diag([1.0, -2.0]), 0.1, 3.0, 2)
     assert v.passed
 
 
 def test_margin_scales_linearly_in_beta():
     beta = np.array([[1.0, 0.3, 0.0], [0.3, -1.7, 0.2], [0.0, 0.2, 0.9]])
-    v1 = check_sdm_quadratic(None, beta, 0.01, 2.0, 2)
-    v2 = check_sdm_quadratic(None, 3.0 * beta, 0.01, 2.0, 2)
+    v1 = check_sdm_quadratic(beta, 0.01, 2.0, 2)
+    v2 = check_sdm_quadratic(3.0 * beta, 0.01, 2.0, 2)
     assert v2.gamma_margin == pytest.approx(3.0 * v1.gamma_margin, rel=1e-9)
 
 
 def test_quadratic_validation():
     with pytest.raises(ValueError):
-        check_sdm_quadratic(None, np.array([[1.0, 1.0], [0.0, 1.0]]), 0.1, 3.0, 1)
+        check_sdm_quadratic(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.1, 3.0, 1)
     with pytest.raises(ValueError):
-        check_sdm_quadratic(None, np.eye(2), 0.1, 1.0, 1)  # tau' < 2
+        check_sdm_quadratic(np.eye(2), 0.1, 1.0, 1)  # tau' < 2
     with pytest.raises(ValueError):
-        check_sdm_quadratic(None, np.eye(2), 2.0, 3.0, 1)  # gamma' > 1
+        check_sdm_quadratic(np.eye(2), 2.0, 3.0, 1)  # gamma' > 1
     with pytest.raises(ValueError):
-        check_sdm_quadratic(None, np.ones(3), 0.1, 3.0, 1)
+        check_sdm_quadratic(np.ones(3), 0.1, 3.0, 1)
 
 
 def _per_subspace_verdict(beta, gamma_p, tau_p, L_max):
@@ -318,7 +318,7 @@ def _per_subspace_verdict(beta, gamma_p, tau_p, L_max):
     ],
 )
 def test_quadratic_check_matches_per_subspace_loop(beta, gamma_p, tau_p, L_max):
-    v = check_sdm_quadratic(None, beta, gamma_p, tau_p, L_max)
+    v = check_sdm_quadratic(beta, gamma_p, tau_p, L_max)
     passed, best, worst = _per_subspace_verdict(beta, gamma_p, tau_p, L_max)
     assert v.passed == passed
     assert v.gamma_margin == best
@@ -327,7 +327,7 @@ def test_quadratic_check_matches_per_subspace_loop(beta, gamma_p, tau_p, L_max):
 
 def test_gamma_threshold_is_inclusive():
     # margin exactly equals gamma': verdict passes
-    v = check_sdm_quadratic(None, np.eye(2), 1.0, 2.0, 1)
+    v = check_sdm_quadratic(np.eye(2), 1.0, 2.0, 1)
     assert v.gamma_margin == pytest.approx(1.0)
     assert v.passed
 
@@ -372,7 +372,7 @@ def test_polynomial_check_agrees_with_quadratic_for_pure_forms():
     h = ActionPolynomial(
         2, {(2, 0): 0.5, (0, 2): -1.0}
     )
-    vq = check_sdm_quadratic(None, beta, 0.05, 3.0, 2)
+    vq = check_sdm_quadratic(beta, 0.05, 3.0, 2)
     vp = check_sdm_polynomial(h, (np.zeros(2), 1.0), 0.05, 3.0, 2)
     assert vq.passed
     assert vp.status in ("certified-pass", "inconclusive")
@@ -533,7 +533,7 @@ def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
     for _ in range(samples):
         Ar = rng.uniform(-1.0, 1.0, size=(n, n))
         drawn.append(2.0 * (0.5 * (Ar + Ar.T)))
-        v = check_sdm_quadratic(None, drawn[-1], gamma_p, tau_p, L_max, _subspaces=subs)
+        v = check_sdm_quadratic(drawn[-1], gamma_p, tau_p, L_max, _subspaces=subs)
         bad_r += not v.passed
     return float(np.mean(bad)), bad_r / samples, np.array(drawn)
 
