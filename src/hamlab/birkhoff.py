@@ -26,13 +26,15 @@ tables and past it recomputed per call.  Float pieces are complex128 arrays
 and are full from degree 6 up, so the float bracket is dense: two derivative
 matrices, one matrix product pairing d/dw with d/dwbar, and a bincount
 scatter-add into the target degree, done in blocks of rows so no temporary
-outgrows a fixed size.  Exact pieces hold ExactComplex coefficients in object
-arrays with the same tables, None in the empty slots; they are only about a
-quarter full, so the exact bracket loops over pairs of nonzero slots instead
-of multiplying exact zeros.  Arrays become Polynomial / ActionPolynomial only
-for h_m, the remainder and the generators; the remainder and the generators
-reach real coordinates through the chart change of :mod:`hamlab.poly`, an
-integer map with a phase on the same layout.
+outgrows a fixed size.  An exact piece is a triple (X, den, field): the Python
+int numerators (ar, ai, br, bi) of its coefficients in Q(i)(w) = field, one
+row per slot, over one int denominator; products fold in w^2 = p w + q, and
+each step divides out the gcd.  Exact pieces are only about a quarter full, so the exact
+bracket pairs only nonzero slots.  Pieces become Polynomial / ActionPolynomial
+(with ExactComplex coefficients) only for h_m, the remainder and the
+generators; the remainder and the generators reach real coordinates through
+the chart change of :mod:`hamlab.poly`, an integer map with a phase on the
+same layout.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
     ResonantFrequency,
     ThresholdViolation,
 )
-from .exactnum import RATIONAL, ExactComplex, QuadField
+from .exactnum import RATIONAL, ExactComplex, QuadField, join_fields
 from .model import EllipticHamiltonian
 from .poly import (
     FLOAT_PRUNE,
@@ -61,7 +63,9 @@ from .poly import (
     Polynomial,
     _choose_up,
     _degree,
+    _from_numerators,
     _kept,
+    _numerators,
     _rank,
     complexify_unnormalized,
     paired_part,
@@ -110,9 +114,6 @@ def _alpha_values(H: EllipticHamiltonian, exact: bool):
 
 # the float bracket forms its outer product at most this many entries at a time
 _BLOCK_ENTRIES = 1 << 18
-# the bracket's factor 2i and the i of the homological divisor, exactly
-_TWO_I = ExactComplex(0, 2)
-_I = ExactComplex(0, 1)
 
 
 def _product_ranks(V: int, a: int, b: int, rows: slice = slice(None)) -> np.ndarray:
@@ -139,16 +140,15 @@ def _cached_product_ranks(V: int, a: int, b: int):
     return _kept(("product", V, a, b), entries, lambda: _product_ranks(V, a, b).astype(np.int32))
 
 
-def _new_piece(V: int, d: int, exact: bool) -> np.ndarray:
-    size = comb(d + V - 1, V - 1)
-    return np.full(size, None, dtype=object) if exact else np.zeros(size, dtype=complex)
-
-
-def _chart_piece(terms: dict, d: int, n: int, exact: bool) -> np.ndarray:
-    """The array of a homogeneous chart polynomial of degree d given as a dict."""
-    p = _new_piece(2 * n, d, exact)
-    if terms:
-        p[_rank(np.array(list(terms), dtype=np.intp))] = list(terms.values())
+def _chart_piece(terms: dict, d: int, n: int, exact: bool):
+    """The piece of a homogeneous chart polynomial of degree d given as a
+    nonempty dict exponent -> coefficient."""
+    size = comb(d + 2 * n - 1, 2 * n - 1)
+    slots = _rank(np.array(list(terms), dtype=np.intp))
+    if exact:
+        return _numerators(terms.values(), slots, size)
+    p = np.zeros(size, dtype=complex)
+    p[slots] = list(terms.values())
     return p
 
 
@@ -156,25 +156,56 @@ def _piece_terms(p, d: int, n: int) -> dict:
     """The nonzero slots of a piece (or None) as a dict exponent -> coefficient."""
     if p is None:
         return {}
-    return {tuple(e): c for e, c in zip(_degree(2 * n, d).E.tolist(), p.tolist()) if c}
+    E = _degree(2 * n, d).E.tolist()
+    if not isinstance(p, tuple):
+        return {tuple(e): c for e, c in zip(E, p.tolist()) if c}
+    X, den, ext = p
+    return {tuple(e): _from_numerators(r, den, ext) for e, r in zip(E, X.tolist()) if any(r)}
 
 
-def _clean(p: np.ndarray):
-    """Apply the zero rule: float coefficients below FLOAT_PRUNE become 0 and
-    exact zeros become empty slots.  None if nothing is left."""
-    if p.dtype != object:
+def _clean(p):
+    """Apply the zero rule: float coefficients below FLOAT_PRUNE become 0, and
+    an exact piece is divided by the gcd of its numerators and denominator.
+    None if nothing is left."""
+    if not isinstance(p, tuple):
         p = np.where(np.abs(p) < FLOAT_PRUNE, 0, p)
         return p if p.any() else None
-    p = np.array([c if c else None for c in p.tolist()], dtype=object)
-    return p if any(c is not None for c in p.tolist()) else None
+    X, den, ext = p
+    flat = X.ravel().tolist()
+    if not any(flat):
+        return None
+    g = math.gcd(den, *flat)
+    return (X // g, den // g, ext) if g > 1 else p
 
 
-def _bracket(f: np.ndarray, g: np.ndarray, df: int, dg: int, n: int, scale=1) -> np.ndarray:
-    """scale * {f, g}, the chart bracket of pieces of degrees df and dg: a
-    piece of degree df + dg - 2."""
+def _ring(ext: QuadField) -> tuple:
+    """(L, L p, L q) as ints, L the least common denominator of p and q in
+    w^2 = p w + q."""
+    L = math.lcm(ext.p.denominator, ext.q.denominator)
+    return (L, *(x.numerator * (L // x.denominator) for x in (ext.p, ext.q)))
+
+
+def _qmul(X: np.ndarray, Y: np.ndarray, ext: QuadField) -> np.ndarray:
+    """Row-wise products of the numerators (ar, ai, br, bi) in X and Y, times
+    L of _ring, so that w^2 = p w + q keeps them integers."""
+    L, P, Q = _ring(ext)
+    ar, ai, br, bi = X.T
+    cr, ci, dr, di = Y.T
+    # (a + b w)(c + d w) = (ac + q bd) + (ad + bc + p bd) w, all parts complex
+    bdr, bdi = br * dr - bi * di, br * di + bi * dr
+    sr = L * (ar * cr - ai * ci) + Q * bdr
+    si = L * (ar * ci + ai * cr) + Q * bdi
+    wr = L * (ar * dr - ai * di + br * cr - bi * ci) + P * bdr
+    wi = L * (ar * di + ai * dr + br * ci + bi * cr) + P * bdi
+    return np.stack([sr, si, wr, wi], axis=1)
+
+
+def _bracket(f, g, df: int, dg: int, n: int, j: int = 1):
+    """{f, g} / j, the chart bracket of pieces of degrees df and dg: a piece
+    of degree df + dg - 2."""
     V = 2 * n
     size = comb(df + dg - 2 + V - 1, V - 1)
-    if f.dtype != object:
+    if not isinstance(f, tuple):
         # derivative matrices (monomials x variables); one product pairs
         # d/dw_j f with d/dwbar_j g and d/dwbar_j f with -d/dw_j g, and each
         # product monomial is scatter-added into its slot, a block of rows of
@@ -195,60 +226,49 @@ def _bracket(f: np.ndarray, g: np.ndarray, df: int, dg: int, n: int, scale=1) ->
                 ix = idx[r * nb : (r + step) * nb]
             re = re + np.bincount(ix, M.real, size)
             im = im + np.bincount(ix, M.imag, size)
-        return (re + 1j * im) * 2j * scale
-    # exact: loop over pairs of nonzero slots
-    fi = [i for i, c in enumerate(f.tolist()) if c is not None]
-    gi = [i for i, c in enumerate(g.tolist()) if c is not None]
+        return (re + 1j * im) * 2j * (1.0 / j)
+    # exact: the same pairing over the pairs of nonzero slots, on integer
+    # numerators; the exact pieces are too sparse for the dense kernel
+    (X, dx, fx), (Y, dy, fy) = f, g
+    ext = join_fields(fx, fy)
+    fi = np.flatnonzero((X != 0).any(axis=1))
+    gi = np.flatnonzero((Y != 0).any(axis=1))
     Ef, Eg = _degree(V, df).E[fi], _degree(V, dg).E[gi]
-    S = Ef[:, None, :] + Eg[None, :, :]
-    factor, target = [], []
-    for j in range(n):
-        a = Ef[:, None, j] * Eg[None, :, n + j] - Ef[:, None, n + j] * Eg[None, :, j]
-        drop = np.zeros(V, dtype=np.intp)
-        drop[[j, n + j]] = 1
-        factor.append(a.tolist())
-        # where a == 0 the clipped exponents are never used
-        target.append(_rank(np.maximum(S - drop, 0)).tolist())
-    out = [None] * size
-    for x, cf in enumerate(f[fi].tolist()):
-        for y, cg in enumerate(g[gi].tolist()):
-            c_pair = None
-            for j in range(n):
-                a = factor[j][x][y]
-                if a:
-                    if c_pair is None:
-                        c_pair = cf * cg
-                    c = c_pair * a
-                    t = target[j][x][y]
-                    out[t] = c if out[t] is None else out[t] + c
-    return np.array([None if c is None else c * _TWO_I * scale for c in out], dtype=object)
+    # factor[x, y, k] multiplies c_x c_y in the k-th pair of the bracket,
+    # whose monomial drops one w_k and one wbar_k
+    factor = Ef[:, None, :n] * Eg[None, :, n:] - Ef[:, None, n:] * Eg[None, :, :n]
+    x, y, k = np.nonzero(factor)
+    e = np.eye(V, dtype=np.intp)
+    S = Ef[x] + Eg[y] - e[k] - e[n + k]
+    out = np.zeros((size, 4), dtype=object)
+    np.add.at(out, _rank(S), _qmul(X[fi[x]], Y[gi[y]], ext) * factor[x, y, k][:, None])
+    # times 2i: (ar, ai, br, bi) -> (-2 ai, 2 ar, -2 bi, 2 br)
+    return out[:, [1, 0, 3, 2]] * [-2, 2, -2, 2], dx * dy * _ring(ext)[0] * j, ext
 
 
-def _add(p: np.ndarray | None, q: np.ndarray) -> np.ndarray:
-    """p + q, slot by slot; an empty slot of p takes q's coefficient."""
+def _add(p, q):
+    """p + q, slot by slot."""
     if p is None:
-        return q.copy()
-    if p.dtype != object:
+        return q
+    if not isinstance(p, tuple):
         return p + q
-    return np.array(
-        [b if a is None else a if b is None else a + b for a, b in zip(p.tolist(), q.tolist())],
-        dtype=object,
-    )
+    (X, a, f), (Y, b, g) = p, q
+    den = math.lcm(a, b)
+    return X * (den // a) + Y * (den // b), den, join_fields(f, g)
 
 
-def _lie_series(K: list, chi: np.ndarray, d: int, n: int, exact: bool) -> None:
+def _lie_series(K: list, chi, d: int, n: int) -> None:
     """Replace K (pieces by degree, None where empty) by exp(L_chi) K,
     truncated at degree len(K) - 1."""
     D_work = len(K) - 1
     term = list(K)
     j = 1
     while True:
-        inv = Fraction(1, j) if exact else 1.0 / j
         new = [None] * len(K)
         for dT, piece in enumerate(term):
             if piece is None or dT + d - 2 > D_work:
                 continue
-            new[dT + d - 2] = _clean(_bracket(piece, chi, dT, d, n, inv))
+            new[dT + d - 2] = _clean(_bracket(piece, chi, dT, d, n, j))
         if all(p is None for p in new):
             break
         for deg, p in enumerate(new):
@@ -285,13 +305,19 @@ class _Normalizer:
         if report.resonant:
             raise ResonantFrequency(report.witness, report.min_abs)
 
-        self.H = H
         self.n = n
         self.exact = exact
-        self.alpha = np.array(_alpha_values(H, exact), dtype=object if exact else float)
-        self.alpha_float = H.alpha_floats()
+        alpha = _alpha_values(H, exact)
+        if exact:
+            # the numerators (ar, br) of the frequencies, which are real; two
+            # distinct extensions in alpha and V raise TypeError
+            coeffs = [*alpha, *H.V.terms.values()]
+            X, self.alpha_den, self.field = _numerators(coeffs, slice(None), len(coeffs))
+            self.alpha = X[:n, [0, 2]]
+        else:
+            self.alpha = np.array(alpha)
         self.D_work = D_work
-        amax = float(np.max(np.abs(self.alpha_float)))
+        amax = float(np.max(np.abs(H.alpha_floats())))
         self.divisor_floor = 1e-13 * amax if divisor_floor is None else divisor_floor
         self.smallest_divisor = math.inf
         self.generators: list = []
@@ -302,8 +328,7 @@ class _Normalizer:
             key = [0] * (2 * n)
             key[j] = 1
             key[n + j] = 1
-            aj = self.alpha[j]
-            by_degree[2][tuple(key)] = aj / 2 if exact else aj / 2.0
+            by_degree[2][tuple(key)] = alpha[j] / 2 if exact else alpha[j] / 2.0
         V = H.V if exact else H.V.to_float()
         if V.terms:
             for k, c in complexify_unnormalized(V, exact=exact).terms.items():
@@ -318,37 +343,49 @@ class _Normalizer:
         piece = self.K[d]
         chi = None if piece is None else self._generator(piece, d)
         if chi is not None:
-            _lie_series(self.K, chi, d, self.n, self.exact)
-            # the homological equation cancels the non-resonant part exactly
-            res = piece.copy()
-            res[~_degree(2 * self.n, d).paired] = 0
-            self.K[d] = _clean(res)
+            _lie_series(self.K, chi, d, self.n)
+            # the homological equation cancels the non-resonant part exactly,
+            # which exact arithmetic has done already
+            if not self.exact:
+                self.K[d] = _clean(np.where(_degree(2 * self.n, d).paired, piece, 0))
         self.generators.append((d, chi))
 
-    def _generator(self, piece: np.ndarray, d: int):
+    def _generator(self, piece, d: int):
         """chi_d, dividing each non-resonant coefficient of the degree-d piece
         by i (k - l) . alpha; None when there is none."""
         n = self.n
         tab = _degree(2 * n, d)
-        filled = piece != 0 if not self.exact else np.array([c is not None for c in piece])
+        filled = (piece[0] != 0).any(axis=1) if self.exact else piece != 0
         idx = np.flatnonzero(filled & ~tab.paired)
         if not idx.size:
             return None
         delta = tab.E[idx, :n] - tab.E[idx, n:]
-        om = (delta * self.alpha).sum(axis=1)
-        chi = _new_piece(2 * n, d, self.exact)
         if self.exact:
-            for s, k, o in zip(idx.tolist(), delta.tolist(), om.tolist()):
-                if o.is_zero():
-                    raise ResonanceEncountered(d, tuple(k), 0.0)
-                self.smallest_divisor = min(self.smallest_divisor, abs(o.to_complex().real))
-                chi[s] = piece[s] / (_I * o)
-            return chi
+            # o = (a + b w) / D_alpha is real, and 1 / (i o) is -i times its
+            # Galois conjugate D_alpha (a + p b - b w) over its norm
+            # (a^2 + p a b - q b^2)
+            L, P, Q = _ring(self.field)
+            a, b = (delta @ self.alpha).T
+            norm = L * a * a + P * a * b - Q * b * b
+            bad = np.flatnonzero(norm == 0)
+            if bad.size:
+                raise ResonanceEncountered(d, tuple(delta[bad[0]].tolist()), 0.0)
+            D, w = self.alpha_den, self.field.omega
+            sizes = [abs(x / D + y / D * w) for x, y in zip(a, b)]
+            self.smallest_divisor = min(self.smallest_divisor, *sizes)
+            minus_i_conj = np.stack([0 * a, -L * a - P * b, 0 * a, L * b], axis=1)
+            M = math.lcm(*norm.tolist())
+            X, den, _ = piece
+            chi = np.zeros_like(X)
+            chi[idx] = _qmul(X[idx], minus_i_conj, self.field) * (D * (M // norm))[:, None]
+            return _clean((chi, den * L * M, self.field))
+        om = (delta * self.alpha).sum(axis=1)
         size = np.abs(om)
         bad = np.flatnonzero(size <= self.divisor_floor)
         if bad.size:
             raise ResonanceEncountered(d, tuple(delta[bad[0]].tolist()), float(size[bad[0]]))
         self.smallest_divisor = min(self.smallest_divisor, float(size.min()))
+        chi = np.zeros_like(piece)
         chi[idx] = piece[idx] / (1j * om)
         return chi
 
@@ -379,12 +416,19 @@ class _Normalizer:
         per_degree = []
         for deg in range(2 * m + 1, self.D_work + 1):
             piece = self.K[deg]
-            if piece is not None:
-                per_degree.append(
-                    math.fsum(abs(c) for c in piece.tolist() if c) * (2.0 * radius) ** deg
-                )
-            else:
+            if piece is None:
                 per_degree.append(0.0)
+                continue
+            if self.exact:
+                # each coefficient's value as ExactComplex.to_complex gives it
+                (X, D, _), w = piece, piece[2].omega
+                coeffs = [
+                    complex(ar / D + br / D * w, ai / D + bi / D * w)
+                    for ar, ai, br, bi in X.tolist()
+                ]
+            else:
+                coeffs = piece.tolist()
+            per_degree.append(math.fsum(abs(c) for c in coeffs if c) * (2.0 * radius) ** deg)
         total = math.fsum(per_degree)
         tail, ratio = 0.0, 0.0
         if len(per_degree) >= 2 and per_degree[-1] > 0.0:

@@ -14,6 +14,7 @@ iterates, converges or fails on its own.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,9 @@ _GAUSS4 = (
 )
 # convergence tolerance on a row's Newton increment, in phase-space units
 _NEWTON_TOL = 1e-13
+# _collocation(F.A, dt, a) by F, then by (dt, a): fixed for a run, so built
+# once per run; an entry goes with its field
+_COLLOCATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,11 @@ def _newton_step(F, z, dt, tol, max_iters, tableau):
     short of that after ``max_iters + 2`` sweeps is reported unconverged.
     """
     a, b = tableau
-    inv, start = _collocation(F.A, dt, a)
+    built = _COLLOCATIONS.setdefault(F, {})
+    key = (dt, a.tobytes())
+    if key not in built:
+        built[key] = _collocation(F.A, dt, a)
+    inv, start = built[key]
     N, d = z.shape
     K = (z @ start.T).reshape(N, len(b), d)
     converged = np.zeros(N, dtype=bool)

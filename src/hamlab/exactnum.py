@@ -11,6 +11,10 @@ The field tag of an element is a function of its value: the extension field
 exactly when the extension part (br, bi) is nonzero, RATIONAL otherwise.  So
 a result has the same value, type and tag in any order of its operands, and
 equal elements hash alike, an element of Q like the Fraction it equals.
+
+ExactComplex is the coefficient type at the API boundary.  The normal-form
+engine and the chart change compute on integer numerators over one
+denominator instead, and build ExactComplex values only for what they return.
 """
 
 from __future__ import annotations

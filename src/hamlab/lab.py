@@ -50,13 +50,19 @@ class RandomHamiltonianParams:
     degree_max: int = 4
     coefficient_scale: float = 1.0
     n_terms: int = 6
-    include_beta: object = None  # None | "random" | symmetric matrix
+    include_beta: object = None  # None | "random" | symmetric matrix (a tuple of rows)
     seed: int = 0
     s: float = 4.0
 
     def __post_init__(self):
         if self.alpha is not None:
             object.__setattr__(self, "alpha", tuple(self.alpha))
+        if self.include_beta is not None and not isinstance(self.include_beta, str):
+            # a matrix as a tuple of rows, so that equal specs compare and hash alike
+            beta = np.asarray(self.include_beta)
+            if beta.ndim != 2:
+                raise ValueError("include_beta must be a matrix")
+            object.__setattr__(self, "include_beta", tuple(map(tuple, beta.tolist())))
         if self.alpha_mode not in ("explicit", "random_unit_box", "golden_family"):
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
         if self.alpha_mode == "explicit" and self.alpha is None:
@@ -230,12 +236,10 @@ class ExperimentSpec:
 
 
 def _json_fields(obj) -> dict:
-    """The dataclass fields of obj, with tuples and arrays as lists."""
+    """The dataclass fields of obj, with tuples as lists."""
     out = {}
     for f in fields(obj):
         v = getattr(obj, f.name)
-        if isinstance(v, np.ndarray):
-            v = v.tolist()
         out[f.name] = list(v) if isinstance(v, tuple) else v
     return out
 
@@ -294,16 +298,16 @@ def gnuplot_script(data_csv: str, xcol: int, ycol: int, title: str,
 
 
 def validate_report(obj: dict, kind: str):
-    """Raise ValueError unless obj has every field, of its type, in kind's schema."""
+    """Raise ValueError unless obj has every field, of its type, in kind's
+    schema; a float field also takes an int, and only a bool field a bool."""
     schema = _KINDS[kind][1]
     for key, typ in schema.items():
         if key not in obj:
             raise ValueError(f"report missing field {key!r}")
-        if typ is float:
-            ok = isinstance(obj[key], (int, float))
-        else:
-            ok = isinstance(obj[key], typ)
-        if not ok:
+        v = obj[key]
+        if not isinstance(v, (int, float) if typ is float else typ) or (
+            isinstance(v, bool) and typ is not bool
+        ):
             raise ValueError(f"report field {key!r} has type {type(obj[key]).__name__}")
 
 

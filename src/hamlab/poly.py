@@ -711,6 +711,23 @@ def _rotate(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     return out
 
 
+def _numerators(cs, slots, size: int) -> tuple:
+    """Exact coefficients as integer numerators (ar, ai, br, bi) over one
+    common denominator, in the rows ``slots`` of a (size, 4) object array of
+    zeros: (array, denominator, the field they share)."""
+    cs = [c if isinstance(c, ExactComplex) else ExactComplex(c) for c in cs]
+    parts = [(c.ar, c.ai, c.br, c.bi) for c in cs]
+    den = math.lcm(*(x.denominator for p in parts for x in p))
+    X = np.zeros((size, 4), dtype=object)
+    X[slots] = [[x.numerator * (den // x.denominator) for x in p] for p in parts]
+    return X, den, functools.reduce(join_fields, (c.field for c in cs))
+
+
+def _from_numerators(row, den: int, field) -> ExactComplex:
+    """The element of the field with integer numerators row = (ar, ai, br, bi) over den."""
+    return ExactComplex(*(Fraction(x, den) if x else 0 for x in row), field=field)
+
+
 def _change_piece(items: list, n: int, d: int, exact: bool, real: bool):
     """The chart change of one homogeneous piece of degree d >= 1, given as
     (exponent, coefficient) items, as (exponent, coefficient) pairs.
@@ -724,12 +741,7 @@ def _change_piece(items: list, n: int, d: int, exact: bool, real: bool):
     P = tab.E[:, n:].sum(axis=1)
     slots = _rank(np.array([k for k, _ in items], dtype=np.intp)).tolist()
     if exact:
-        cs = [c if isinstance(c, ExactComplex) else ExactComplex(c) for _, c in items]
-        ext = functools.reduce(join_fields, (c.field for c in cs))
-        parts = [(c.ar, c.ai, c.br, c.bi) for c in cs]
-        den = math.lcm(*(x.denominator for p in parts for x in p))
-        X = np.zeros((len(P), 4), dtype=object)
-        X[slots] = [[x.numerator * (den // x.denominator) for x in p] for p in parts]
+        X, den, ext = _numerators([c for _, c in items], slots, len(P))
     else:
         X = np.zeros((len(P), 2))
         X[slots] = [(c.real, c.imag) for c in (complex(c) for _, c in items)]
@@ -754,7 +766,7 @@ def _change_piece(items: list, n: int, d: int, exact: bool, real: bool):
         if not any(y):
             continue
         if not real:
-            out.append((key, ExactComplex(*(Fraction(x, den) if x else 0 for x in y), field=ext)))
+            out.append((key, _from_numerators(y, den, ext)))
         elif y[1] or y[3]:
             raise NotActionRepresentable("realification produced a non-real exact coefficient")
         else:

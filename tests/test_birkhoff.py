@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamlab import birkhoff as engine
 from hamlab import poly
@@ -27,7 +29,7 @@ from hamlab.errors import (
     ResonantFrequency,
     ThresholdViolation,
 )
-from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex
+from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex, QuadField
 from hamlab.model import EllipticHamiltonian, complexify, formal_actions, realify
 from hamlab.poly import (
     Polynomial,
@@ -174,6 +176,31 @@ def test_exact_h_m_to_float_matches_float_mode():
     assert hf.terms == pytest.approx(rf.h_m.terms, abs=1e-12)
     I = np.array([0.3, 0.2])
     assert hf.evaluate(I) == pytest.approx(rf.h_m.evaluate(I), abs=1e-12)
+
+
+_ORACLE_MONOMIALS = [k for k in itertools.product(range(5), repeat=4) if sum(k) in (3, 4)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.sampled_from(_ORACLE_MONOMIALS),
+        st.fractions(min_value=-2, max_value=2, max_denominator=9),
+        max_size=4,
+    ),
+    m=st.integers(1, 3),
+)
+def test_float_h_m_matches_exact_oracle(terms, m):
+    # exact mode is the oracle for float mode: h_m agrees coefficient by
+    # coefficient, to a tolerance that grows as the smallest divisor shrinks
+    V = Polynomial(2, terms)
+    re = birkhoff_normal_form(EllipticHamiltonian(golden_alpha(), V, s=4.0), m=m, exact=True)
+    rf = birkhoff_normal_form(EllipticHamiltonian((1.0, GOLDEN_F), V.to_float(), s=4.0), m=m)
+    want = re.h_m.to_float().terms
+    scale = max([1.0] + [abs(c) for c in want.values()])
+    tol = 1e-12 * scale / min(1.0, re.smallest_divisor)
+    for k in set(want) | set(rf.h_m.terms):
+        assert abs(rf.h_m.terms.get(k, 0.0) - want.get(k, 0.0)) <= tol
 
 
 # -- divisors and resonances ---------------------------------------------------
@@ -409,16 +436,21 @@ def test_float_bracket_tables_and_blocks_are_bounded(monkeypatch):
     assert kept_tables().keys() == kept.keys()
 
 
-def random_piece(rng, n, d, exact):
-    """A random homogeneous chart piece of degree d; exact pieces are sparse
-    golden-field coefficients, float pieces dense complex ones."""
-    p = engine._new_piece(2 * n, d, exact)
-    if not exact:
-        return rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
-    for s in rng.choice(p.size, size=min(p.size, 6), replace=False):
+# a field whose w^2 = p w + q has non-integral p and q: w = (1 + sqrt 13) / 4
+HALF = QuadField(Fraction(1, 2), Fraction(3, 4), (1 + math.sqrt(13)) / 4)
+FIELDS = {"golden": GOLDEN, "sqrt2": SQRT2, "rational": RATIONAL, "half": HALF}
+
+
+def random_terms(rng, n, d, field=GOLDEN):
+    """Random sparse coefficients of a homogeneous chart piece of degree d in
+    the field, as a dict exponent -> coefficient."""
+    E = engine._degree(2 * n, d).E
+    terms = {}
+    for s in rng.choice(len(E), size=min(len(E), 6), replace=False):
         a, b, c, e = (Fraction(int(x), int(y)) for x, y in rng.integers(1, 7, size=(4, 2)))
-        p[s] = ExactComplex(a, -b, c, e, field=GOLDEN)
-    return p
+        ext = () if field.trivial else (c, e)
+        terms[tuple(E[s].tolist())] = ExactComplex(a, -b, *ext, field=field)
+    return terms
 
 
 def chart_poly(p, d, n):
@@ -429,7 +461,7 @@ def chart_poly(p, d, n):
 def test_exact_chart_bracket_algebra(seed):
     rng = np.random.default_rng(seed)
     n, (df, dg, dh) = 2, (3, 3, 4)
-    f, g, h = (random_piece(rng, n, d, True) for d in (df, dg, dh))
+    f, g, h = (engine._chart_piece(random_terms(rng, n, d), d, n, True) for d in (df, dg, dh))
 
     def br(a, b, da, db):
         return engine._bracket(a, b, da, db, n)
@@ -482,6 +514,173 @@ def test_chart_bracket_realifies_to_poisson_bracket(exact, n):
             keys = set(got.terms) | set(want.terms)
             err = max(abs(got.terms.get(k, 0.0) - want.terms.get(k, 0.0)) for k in keys)
             assert err <= 1e-13 * scale
+
+
+# -- the ExactComplex engine that integer numerators replaced, as the reference
+
+_TWO_I, _I = ExactComplex(0, 2), ExactComplex(0, 1)
+
+
+def ref_piece(terms, d, n):
+    """A piece in the reference layout: ExactComplex coefficients in an object
+    array, None in the empty slots; None when there is no term."""
+    if not terms:
+        return None
+    p = np.full(math.comb(d + 2 * n - 1, 2 * n - 1), None, dtype=object)
+    p[engine._rank(np.array(list(terms), dtype=np.intp))] = list(terms.values())
+    return p
+
+
+def ref_terms(p, d, n):
+    if p is None:
+        return {}
+    return {tuple(e): c for e, c in zip(engine._degree(2 * n, d).E.tolist(), p.tolist()) if c}
+
+
+def reference_bracket(f, g, df, dg, n, scale=1):
+    """scale * {f, g} by a loop over pairs of nonzero slots in ExactComplex."""
+    V = 2 * n
+    size = math.comb(df + dg - 2 + V - 1, V - 1)
+    fi = [i for i, c in enumerate(f.tolist()) if c is not None]
+    gi = [i for i, c in enumerate(g.tolist()) if c is not None]
+    Ef, Eg = engine._degree(V, df).E[fi], engine._degree(V, dg).E[gi]
+    S = Ef[:, None, :] + Eg[None, :, :]
+    factor, target = [], []
+    for j in range(n):
+        a = Ef[:, None, j] * Eg[None, :, n + j] - Ef[:, None, n + j] * Eg[None, :, j]
+        drop = np.zeros(V, dtype=np.intp)
+        drop[[j, n + j]] = 1
+        factor.append(a.tolist())
+        # where a == 0 the clipped exponents are never used
+        target.append(engine._rank(np.maximum(S - drop, 0)).tolist())
+    out = [None] * size
+    for x, cf in enumerate(f[fi].tolist()):
+        for y, cg in enumerate(g[gi].tolist()):
+            c_pair = None
+            for j in range(n):
+                a = factor[j][x][y]
+                if a:
+                    if c_pair is None:
+                        c_pair = cf * cg
+                    c = c_pair * a
+                    t = target[j][x][y]
+                    out[t] = c if out[t] is None else out[t] + c
+    return np.array([None if c is None else c * _TWO_I * scale for c in out], dtype=object)
+
+
+def reference_generator(p, d, n, alpha):
+    """chi_d: each non-resonant coefficient divided by i (k - l) . alpha."""
+    chi = {}
+    for k, c in ref_terms(p, d, n).items():
+        if k[:n] != k[n:]:
+            chi[k] = c / (_I * sum((x - y) * a for x, y, a in zip(k[:n], k[n:], alpha)))
+    return ref_piece(chi, d, n)
+
+
+def reference_normal_form(H, m):
+    """h_m, the chart generators and the remainder at D_work = 2m + 4, by the
+    reference bracket and generator on ExactComplex coefficients."""
+    n, D = H.n, 2 * m + 4
+    K = {k: c for k, c in complexify_unnormalized(H.V, exact=True).terms.items() if sum(k) <= D}
+    for j, a in enumerate(H.alpha):
+        K[tuple(int(i in (j, n + j)) for i in range(2 * n))] = ExactComplex(1) * a / 2
+
+    def piece(terms, d):
+        return ref_piece({k: c for k, c in terms.items() if sum(k) == d}, d, n)
+
+    gens = []
+    for d in range(3, 2 * m + 1):
+        chi = reference_generator(piece(K, d), d, n, H.alpha)
+        term, j = dict(K), 1
+        while chi is not None and term:
+            new = {}
+            for dT in range(2, D - d + 3):
+                p = piece(term, dT)
+                if p is not None:
+                    br = reference_bracket(p, chi, dT, d, n, Fraction(1, j))
+                    new.update(ref_terms(br, dT + d - 2, n))
+            for k, c in new.items():
+                K[k] = K[k] + c if k in K else c
+            K = {k: c for k, c in K.items() if c}
+            term, j = new, j + 1
+        # the homological equation cancels the non-resonant part exactly
+        assert all(k[:n] == k[n:] for k in K if sum(k) == d)
+        gens.append(ref_terms(chi, d, n))
+    h = poly.paired_part(Polynomial(n, {k: c for k, c in K.items() if sum(k) <= 2 * m}), True)
+    rem = Polynomial(n, {k: c for k, c in K.items() if sum(k) > 2 * m})
+    return h, gens, realify_unnormalized(rem, exact=True)
+
+
+def field_alpha(field):
+    if field.trivial:
+        return (Fraction(1), Fraction(13, 8))
+    return (ExactComplex(1, field=field), ExactComplex.omega(field))
+
+
+def same(a: dict, b: dict) -> bool:
+    """Equal as values and by repr, coefficient types and field tags included."""
+    def items(t):
+        return repr([(k, c, getattr(c, "field", None)) for k, c in sorted(t.items())])
+
+    return a == b and items(a) == items(b)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_integer_bracket_and_generator_match_reference(name, seed):
+    field, n = FIELDS[name], 2
+    rng = np.random.default_rng(seed)
+    V = Polynomial(n, {(3, 0, 0, 0): Fraction(1, 3)})
+    H = EllipticHamiltonian(field_alpha(field), V, s=4.0)
+    norm = engine._Normalizer(H, 6, 10, True, None)
+    pieces = {d: random_terms(rng, n, d, field) for d in (3, 4, 5)}
+    for (df, f), (dg, g) in itertools.product(pieces.items(), repeat=2):
+        fp, gp = engine._chart_piece(f, df, n, True), engine._chart_piece(g, dg, n, True)
+        fr, gr = ref_piece(f, df, n), ref_piece(g, dg, n)
+        for j in (1, 3):
+            got = engine._piece_terms(engine._bracket(fp, gp, df, dg, n, j), df + dg - 2, n)
+            want = ref_terms(reference_bracket(fr, gr, df, dg, n, Fraction(1, j)), df + dg - 2, n)
+            assert same(got, want)
+    for d, terms in pieces.items():
+        got = engine._piece_terms(norm._generator(engine._chart_piece(terms, d, n, True), d), d, n)
+        want = ref_terms(reference_generator(ref_piece(terms, d, n), d, n, H.alpha), d, n)
+        assert same(got, want)
+    alpha = [ExactComplex(1) * a for a in H.alpha]
+    divisors = [
+        abs(sum((x - y) * a for x, y, a in zip(k[:n], k[n:], alpha)).to_complex().real)
+        for terms in pieces.values()
+        for k in terms
+        if k[:n] != k[n:]
+    ]
+    assert norm.smallest_divisor == min(divisors)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_integer_normal_form_matches_reference(name):
+    field, n, m = FIELDS[name], 2, 3
+    rng = np.random.default_rng(11)
+    terms = {}
+    for k in itertools.product(range(4), repeat=2 * n):
+        if sum(k) in (3, 4) and rng.random() < 0.06:
+            terms[k] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+    H = EllipticHamiltonian(field_alpha(field), Polynomial(n, terms), s=4.0)
+    res = birkhoff_normal_form(H, m=m, exact=True)
+    h, gens, rem = reference_normal_form(H, m)
+    assert same(res.h_m.terms, h.terms)
+    assert len(res.generators) == len(gens)
+    assert all(same(g.terms, want) for g, want in zip(res.generators, gens))
+    assert same(res.remainder.terms, rem.terms)
+
+
+@pytest.mark.parametrize("k", [(0, 1, 1, 2), (3, 0, 0, 0)])
+def test_two_extensions_do_not_mix(k):
+    # the field is fixed from alpha and V before any step, so a sqrt(2)
+    # coefficient is refused with golden frequencies also where no product
+    # would meet both (q_1^3 only ever meets the rational alpha_1)
+    V = Polynomial(2, {k: ExactComplex(1, 0, 1, 0, field=SQRT2)})
+    H = EllipticHamiltonian(golden_alpha(), V, s=4.0)
+    with pytest.raises(TypeError, match="cannot mix two distinct quadratic extensions"):
+        birkhoff_normal_form(H, m=2, exact=True)
 
 
 def test_order_too_high_is_raised_before_any_table_is_built():

@@ -293,6 +293,26 @@ def test_rows_stop_iterating_on_their_own(stepper):
     assert np.max(np.abs(both[0] - alone[0])) <= 1e-15
 
 
+def test_newton_inverse_is_built_once_per_run(monkeypatch):
+    import hamlab.dynamics as dynamics
+
+    built = []
+    collocation = dynamics._collocation
+
+    def counted(A, dt, a):
+        built.append(dt)
+        return collocation(A, dt, a)
+
+    monkeypatch.setattr(dynamics, "_collocation", counted)
+    Z0 = sample_initial_conditions(2, 4, seed=0, scale=0.3)
+    for method in ("implicit_midpoint", "gauss4"):
+        built.clear()
+        cfg = IntegratorConfig(method=method, dt=0.01)
+        records = integrate_batch(cubic_example(), Z0, cfg, T=0.5)
+        assert built == [0.01]
+        assert all(r.status == "ok" for r in records)
+
+
 def test_sampler_properties():
     Z0 = sample_initial_conditions(2, 200, seed=3)
     I = formal_actions(2, Z0)

@@ -113,6 +113,21 @@ def test_spec_round_trip_random(tmp_path):
     assert spec2.hamiltonian == params
 
 
+def test_spec_with_beta_matrix_compares_and_hashes_after_reload(tmp_path):
+    a = RandomHamiltonianParams(n=2, include_beta=np.eye(2))
+    b = RandomHamiltonianParams(n=2, include_beta=[[1.0, 0.0], [0.0, 1.0]])
+    assert a == b and hash(a) == hash(b)
+    assert a != RandomHamiltonianParams(n=2, include_beta=np.diag([1.0, 2.0]))
+    spec = ExperimentSpec(kind="drift_vs_rho", hamiltonian=a, rho_grid=(0.1,), N=4)
+    path = tmp_path / "spec.json"
+    spec.save(path)
+    again = ExperimentSpec.load(path).hamiltonian
+    assert again == a and hash(again) == hash(a)
+    assert generate_random_hamiltonian(again).V == generate_random_hamiltonian(a).V
+    with pytest.raises(ValueError, match="include_beta must be a matrix"):
+        RandomHamiltonianParams(n=2, include_beta=[1.0, 2.0])
+
+
 def test_spec_round_trip_explicit(tmp_path):
     V = Polynomial(2, {(3, 0, 0, 0): 0.1})
     H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
@@ -318,6 +333,18 @@ def test_validate_report_catches_missing_and_mistyped():
         validate_report({"rows": []}, "convex_vs_generic")
     with pytest.raises(ValueError):
         validate_report({"rows": "x", "rho": 0.1}, "convex_vs_generic")
+
+
+def test_validate_report_refuses_bool_for_numbers():
+    # bool is an int subclass, but only a bool field takes one
+    with pytest.raises(ValueError, match="'rho' has type bool"):
+        validate_report({"rows": [], "rho": True}, "convex_vs_generic")
+    report = {"m": False, "roundtrip_error": 0.0, "conjugacy_error": 0, "smallest_divisor": 1.0}
+    with pytest.raises(ValueError, match="'m' has type bool"):
+        validate_report(report, "bnf_roundtrip")
+    # a bool field takes a bool, and a float field an int
+    report = {"rows": [], "fit": {}, "integrable": True, "gamma_hat": 1, "tau": 1.0}
+    validate_report(report, "remainder_scaling")
 
 
 # -- end-to-end experiment runs ------------------------------------------------
