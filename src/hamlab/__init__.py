@@ -45,7 +45,7 @@ from .lab import (
     generate_random_hamiltonian,
     run_experiment,
 )
-from .model import EllipticHamiltonian, complexify, formal_actions, realify
+from .model import EllipticHamiltonian, formal_actions
 from .poly import (
     ActionPolynomial,
     Polynomial,
@@ -101,7 +101,6 @@ __all__ = [
     "check_nonresonant",
     "check_sdm_polynomial",
     "check_sdm_quadratic",
-    "complexify",
     "ensemble_drift",
     "enumerate_GL",
     "envelope",
@@ -114,7 +113,6 @@ __all__ = [
     "optimal_order",
     "poisson_bracket",
     "prevalence_estimate",
-    "realify",
     "remainder_curve",
     "run_experiment",
     "sample_initial_conditions",

@@ -104,7 +104,7 @@ def optimal_order(rho: float, gamma: float, tau: float) -> int:
 
 def _alpha_values(H: EllipticHamiltonian, exact: bool):
     if not exact:
-        return [float(a) for a in H.alpha]
+        return H.alpha_floats().tolist()
     if not all(isinstance(a, (int, Fraction, ExactComplex)) for a in H.alpha):
         raise ValueError("exact mode requires exact frequency components")
     return [a if isinstance(a, ExactComplex) else ExactComplex(a) for a in H.alpha]

@@ -1,20 +1,24 @@
 """Finite-order non-resonance checks and empirical Diophantine constants.
 
 A frequency vector alpha is probed against all integer vectors k with
-0 < |k|_1 <= K (one representative of each pair {k, -k}).  From the minima of
-|k.alpha| per l1-shell one obtains a lower bound gamma_hat for the Diophantine
-constant at a given exponent tau, and a fitted exponent from the record
-envelope.
+0 < |k|_1 <= K (one representative of each pair {k, -k}).  One sweep over the
+l1-shells s = 1..K gives the minimum of |k.alpha| on each shell and the
+lexicographically first k attaining it; the shells are built by repeat
+expansion, one coordinate at a time, in blocks of consecutive shells of
+bounded size.  check_nonresonant, estimate_gamma and envelope all read that
+sweep: a lower bound gamma_hat for the Diophantine constant at a given
+exponent tau, and a fitted exponent from the record envelope.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
+from .blocks import blocks, expand
 from .errors import ResonantFrequency
 from .exactnum import ExactComplex
 
@@ -26,11 +30,14 @@ def _floats(alpha) -> np.ndarray:
             out.append(a.to_complex().real)
         else:
             out.append(float(a))
+    if not all(np.isfinite(out)):
+        raise ValueError("frequency components must be finite")
     return np.array(out)
 
 
-def zero_tolerance(alpha, k1norm: int) -> float:
-    """Floating threshold below which k.alpha counts as an exact resonance."""
+def zero_tolerance(alpha, k1norm):
+    """Floating threshold below which k.alpha counts as an exact resonance;
+    ``k1norm`` may be an int or an integer array of l1 norms."""
     amax = float(np.max(np.abs(_floats(alpha))))
     return 1e-12 * k1norm * amax
 
@@ -41,38 +48,64 @@ def _alpha_exact(alpha):
     return None
 
 
-def shell_array(n: int, s: int) -> np.ndarray:
+def shell_array(n: int, s) -> np.ndarray:
     """All k in Z^n with |k|_1 = s, one representative per {k, -k} pair.
 
     Representatives have positive first nonzero entry.  Rows are returned in
-    lexicographic order.
+    lexicographic order.  ``s`` may also be an array of shells: the rows of
+    each positive one, shell after shell.
+
+    The rows are built one coordinate at a time: each partial row is repeated
+    once per admissible value of the next coordinate.
     """
-    if s == 0:
-        return np.zeros((0, n), dtype=np.int64)
-    ks = _full_shell(n, s)
-    first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
-    ks = ks[first > 0]  # the half-space: first nonzero entry positive
-    order = np.lexsort(ks.T[::-1])
-    return ks[order]
+    left = np.atleast_1d(np.asarray(s, dtype=np.int64))
+    left = left[left >= 1]  # the l1 norm the remaining coordinates take
+    zero = np.ones(len(left), dtype=bool)  # every coordinate so far is 0
+    cols = []
+    for j in range(n):
+        if j < n - 1:  # 0..left after leading zeros, else -left..left
+            count = np.where(zero, left, 2 * left) + 1
+            start, step = np.where(zero, 0, -left), np.ones_like(left)
+        else:  # the last one is +left after leading zeros, else -left and +left
+            count = 1 + (~zero & (left > 0))
+            start, step = np.where(zero, left, -left), 2 * left
+        parent, offset = expand(count)
+        col = start[parent] + step[parent] * offset
+        cols = [c[parent] for c in cols] + [col]
+        left, zero = left[parent] - np.abs(col), zero[parent] & (col == 0)
+    return np.stack(cols, axis=1)
 
 
-def _full_shell(n: int, s: int) -> np.ndarray:
-    """All k in Z^n with |k|_1 = s (both signs), in no particular order."""
-    if s == 0:
-        return np.zeros((1, n), dtype=np.int64)
-    if n == 1:
-        return np.array([[s], [-s]], dtype=np.int64)
-    if n == 2:
-        k1 = np.arange(-s, s + 1, dtype=np.int64)
-        r = s - np.abs(k1)
-        up = np.stack([k1, r], axis=1)
-        return np.concatenate([up, up[r > 0] * (1, -1)], axis=0)
-    blocks = []
-    for k1 in range(-s, s + 1):
-        rest = _full_shell(n - 1, s - abs(k1))
-        col = np.full((rest.shape[0], 1), k1, dtype=np.int64)
-        blocks.append(np.concatenate([col, rest], axis=1))
-    return np.concatenate(blocks, axis=0)
+def _shell_minima(alpha_f: np.ndarray, K: int):
+    """For each shell s = 1..K, min |k.alpha| over shell_array(n, s) and the
+    lexicographically first k attaining it: a (K,) array and a (K, n) array.
+
+    The shells are swept in blocks of consecutive shells (see blocks)."""
+    n = len(alpha_f)
+    # shell s has half the lattice points of the l1 sphere, counted by their
+    # number i of nonzero coordinates
+    sizes = np.array(
+        [sum(2**i * comb(n, i) * comb(s - 1, i - 1) for i in range(1, n + 1)) // 2 for s in range(1, K + 1)]
+    )
+    mins = np.empty(K)
+    argmins = np.empty((K, n), dtype=np.int64)
+    for lo, hi in blocks(sizes):
+        ks = shell_array(n, np.arange(lo + 1, hi + 1))
+        vals = np.abs(ks @ alpha_f)
+        starts = np.r_[0, np.cumsum(sizes[lo:hi - 1])]
+        mins[lo:hi] = np.minimum.reduceat(vals, starts)
+        hits = np.flatnonzero(vals == np.repeat(mins[lo:hi], sizes[lo:hi]))
+        argmins[lo:hi] = ks[hits[np.searchsorted(hits, starts)]]
+    return mins, argmins
+
+
+def _first_resonant(alpha, mins: np.ndarray, argmins: np.ndarray) -> None:
+    """Raise ResonantFrequency at the first shell whose minimum is below
+    zero_tolerance for that shell."""
+    hit = np.flatnonzero(mins < zero_tolerance(alpha, np.arange(1, len(mins) + 1)))
+    if len(hit):
+        i = hit[0]
+        raise ResonantFrequency(tuple(argmins[i].tolist()), float(mins[i]))
 
 
 @dataclass(frozen=True)
@@ -91,13 +124,6 @@ class DiophantineEstimate:
     argmin_k: tuple
 
 
-def _shell_min(alpha_f: np.ndarray, s: int):
-    ks = shell_array(len(alpha_f), s)
-    vals = np.abs(ks @ alpha_f)
-    i = int(np.argmin(vals))
-    return float(vals[i]), tuple(int(x) for x in ks[i])
-
-
 def check_nonresonant(alpha, order: int) -> ResonanceReport:
     """Exhaustively test k.alpha != 0 for 0 < |k|_1 <= order."""
     if order < 1:
@@ -107,11 +133,9 @@ def check_nonresonant(alpha, order: int) -> ResonanceReport:
         e1 = tuple([1] + [0] * (len(alpha) - 1))
         return ResonanceReport(order, True, e1, 0.0)
     exact = _alpha_exact(alpha)
-    best_val, best_k = math.inf, None
-    for s in range(1, order + 1):
-        v, k = _shell_min(alpha_f, s)
-        if v < best_val:
-            best_val, best_k = v, k
+    mins, argmins = _shell_minima(alpha_f, order)
+    i = int(np.argmin(mins))
+    best_val, best_k = float(mins[i]), tuple(argmins[i].tolist())
     resonant = best_val < zero_tolerance(alpha, order)
     if resonant and exact is not None:
         # rational alpha: the zero test is exact
@@ -128,16 +152,11 @@ def estimate_gamma(alpha, tau: float, K: int) -> DiophantineEstimate:
         raise ValueError("K must be >= 1")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    alpha_f = _floats(alpha)
-    best, best_k = math.inf, None
-    for s in range(1, K + 1):
-        v, k = _shell_min(alpha_f, s)
-        if v < zero_tolerance(alpha, s):
-            raise ResonantFrequency(k, v)
-        w = v * float(s) ** tau
-        if w < best:
-            best, best_k = w, k
-    return DiophantineEstimate(best, float(tau), K, best_k)
+    mins, argmins = _shell_minima(_floats(alpha), K)
+    _first_resonant(alpha, mins, argmins)
+    w = mins * np.array([float(s) ** tau for s in range(1, K + 1)])
+    i = int(np.argmin(w))
+    return DiophantineEstimate(float(w[i]), float(tau), K, tuple(argmins[i].tolist()))
 
 
 def envelope(alpha, K: int):
@@ -146,17 +165,10 @@ def envelope(alpha, K: int):
     A shell enters the envelope when its minimum is strictly smaller than
     every minimum seen on smaller shells.
     """
-    alpha_f = _floats(alpha)
-    records = []
-    running = math.inf
-    for s in range(1, K + 1):
-        v, k = _shell_min(alpha_f, s)
-        if v < zero_tolerance(alpha, s):
-            raise ResonantFrequency(k, v)
-        if v < running:
-            records.append((s, v, k))
-            running = v
-    return records
+    mins, argmins = _shell_minima(_floats(alpha), K)
+    _first_resonant(alpha, mins, argmins)
+    records = np.flatnonzero(mins < np.minimum.accumulate(np.r_[np.inf, mins[:-1]]))
+    return [(int(i) + 1, float(mins[i]), tuple(argmins[i].tolist())) for i in records]
 
 
 def fit_tau(alpha, K: int):

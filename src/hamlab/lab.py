@@ -24,7 +24,7 @@ from .diophantine import estimate_gamma
 from .dynamics import IntegratorConfig, ensemble_drift, escape_time_scan
 from .exactnum import GOLDEN
 from .model import EllipticHamiltonian, _replacing, formal_actions
-from .poly import ActionPolynomial, Polynomial, complexify_unnormalized, paired_part
+from .poly import ActionPolynomial, Polynomial
 from .sdm import (
     PrevalenceReport,
     check_sdm_quadratic,
@@ -101,22 +101,6 @@ def beta_action_polynomial(beta: np.ndarray) -> ActionPolynomial:
     return ActionPolynomial(n, terms)
 
 
-def extract_quartic_action_part(V: Polynomial) -> np.ndarray:
-    """Recover the matrix beta from the paired degree-4 part of V.
-
-    The inverse of :func:`beta_action_polynomial`: the paired degree-4 chart
-    monomials read off beta I . I, whose I_i I_j coefficient is beta_ii on the
-    diagonal and 2 beta_ij off it.
-    """
-    n = V.n
-    h = paired_part(complexify_unnormalized(V.truncate(4, 4).to_float()), exact=False)
-    beta = np.zeros((n, n))
-    for k, c in h.terms.items():
-        i, j = [i for i in range(n) for _ in range(k[i])]
-        beta[i, j] = beta[j, i] = c if i == j else 0.5 * c
-    return beta
-
-
 def _monomial_support(n: int, degree: int):
     """All exponent tuples in 2n variables of the given total degree."""
     out = []
@@ -136,8 +120,7 @@ def generate_random_hamiltonian(params: RandomHamiltonianParams) -> EllipticHami
     """Deterministic random Hamiltonian: sparse V, optional embedded beta.
 
     When include_beta is set, the random support skips degree 4 entirely so
-    that the paired degree-4 part of V is exactly beta I . I and the embedding
-    round-trips through extract_quartic_action_part.
+    that the paired degree-4 part of V is exactly beta I . I.
     """
     n = params.n
     rng = stream_rng(params.seed, 0)

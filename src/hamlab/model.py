@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import stat
 from fractions import Fraction
@@ -19,9 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain
 from .exactnum import ExactComplex
-from .poly import CompiledField, Polynomial, _exact_json, _is_exact, substitute_linear
-
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
+from .poly import CompiledField, Polynomial, _exact_json, _is_exact
 
 
 def _freq_float(a) -> float:
@@ -40,57 +37,6 @@ def formal_actions(n: int, z) -> np.ndarray:
     if z.shape[-1] != 2 * n:
         raise DimensionMismatch(f"point of length {z.shape[-1]}, expected {2 * n}")
     return 0.5 * (z[..., :n] ** 2 + z[..., n:] ** 2)
-
-
-def complexify(f: Polynomial) -> Polynomial:
-    """Symplectic complex chart zeta_j = (z_j - i z_{n+j}) / sqrt(2).
-
-    The first n output variables are zeta_1..zeta_n, the last n their
-    conjugates.  The chart maps alpha.I to sum_j alpha_j zeta_j zetabar_j with
-    no extra factor, so homological divisors are exactly i (k-l).alpha.
-    """
-    n = f.n
-    images = []
-    for j in range(n):  # q_j = (zeta + zetabar)/sqrt(2)
-        kw = [0] * (2 * n)
-        kw[j] = 1
-        kwb = [0] * (2 * n)
-        kwb[n + j] = 1
-        images.append(Polynomial(n, {tuple(kw): _SQRT1_2 + 0j, tuple(kwb): _SQRT1_2 + 0j}))
-    for j in range(n):  # p_j = i(zeta - zetabar)/sqrt(2)
-        kw = [0] * (2 * n)
-        kw[j] = 1
-        kwb = [0] * (2 * n)
-        kwb[n + j] = 1
-        images.append(Polynomial(n, {tuple(kw): 1j * _SQRT1_2, tuple(kwb): -1j * _SQRT1_2}))
-    return substitute_linear(f, images)
-
-
-def realify(g: Polynomial, tol: float = 1e-10) -> Polynomial:
-    """Inverse of :func:`complexify`; drops numerically zero imaginary parts."""
-    n = g.n
-    images = []
-    for j in range(n):  # zeta_j = (z_j - i z_{n+j})/sqrt(2)
-        kq = [0] * (2 * n)
-        kq[j] = 1
-        kp = [0] * (2 * n)
-        kp[n + j] = 1
-        images.append(Polynomial(n, {tuple(kq): _SQRT1_2 + 0j, tuple(kp): -1j * _SQRT1_2}))
-    for j in range(n):
-        kq = [0] * (2 * n)
-        kq[j] = 1
-        kp = [0] * (2 * n)
-        kp[n + j] = 1
-        images.append(Polynomial(n, {tuple(kq): _SQRT1_2 + 0j, tuple(kp): 1j * _SQRT1_2}))
-    h = substitute_linear(g, images)
-    max_c = max((abs(c) for c in h.terms.values()), default=0.0)
-    out = {}
-    for k, c in h.terms.items():
-        c = complex(c)
-        if abs(c.imag) > tol * max(1.0, max_c):
-            raise ValueError(f"realify produced imaginary coefficient {c.imag:.3e}")
-        out[k] = c.real
-    return Polynomial(n, out)
 
 
 @contextlib.contextmanager

@@ -29,7 +29,6 @@ with a phase: per variable pair, (q - ip)^k (q + ip)^l = sum_t i^t K_t(k, l)
 q^(k+l-t) p^t with integer K_t.  The map is kept factored, one stage per
 pair.  Exact coefficients become integer numerators over one denominator per
 degree, so only the output coefficients are built as fractions.
-:func:`substitute_linear` remains for general linear substitutions.
 """
 
 from __future__ import annotations
@@ -461,35 +460,6 @@ class ActionPolynomial(_SparsePoly):
             c = _exact_json(c, real=True)[0] if _is_exact(c) else float(c)
             terms.append({"k": list(k), "c": c})
         return {"n": self.n, "terms": terms}
-
-
-def substitute_linear(f: Polynomial, images: list) -> Polynomial:
-    """Substitute z_i -> images[i]; images are polynomials sharing one dimension."""
-    if len(images) != 2 * f.n:
-        raise DimensionMismatch("need one image per variable")
-    m = images[0].n
-    # cache powers of each image to avoid recomputation across monomials
-    pow_cache: dict = {}
-
-    def image_power(i, e):
-        key = (i, e)
-        if key not in pow_cache:
-            if e == 0:
-                pow_cache[key] = None
-            elif e == 1:
-                pow_cache[key] = images[i]
-            else:
-                pow_cache[key] = image_power(i, e - 1) * images[i]
-        return pow_cache[key]
-
-    out = Polynomial.zero(m)
-    for k, c in f.terms.items():
-        term = Polynomial.constant(m, c)
-        for i, e in enumerate(k):
-            if e:
-                term = term * image_power(i, e)
-        out = out + term
-    return out
 
 
 def _real_exact(c, keep: bool = False):

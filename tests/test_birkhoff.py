@@ -30,7 +30,7 @@ from hamlab.errors import (
     ThresholdViolation,
 )
 from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex, QuadField
-from hamlab.model import EllipticHamiltonian, complexify, formal_actions, realify
+from hamlab.model import EllipticHamiltonian, formal_actions
 from hamlab.poly import (
     Polynomial,
     complexify_unnormalized,
@@ -82,6 +82,18 @@ def test_resonant_normal_term_passes_through():
     assert res.h_m.terms == pytest.approx(
         {(1, 0): 1.0, (0, 1): GOLDEN_F, (1, 1): 1.0}
     )
+
+
+def complexify(f):
+    """The symplectic chart zeta_j = (z_j - i z_{n+j}) / sqrt(2), in which
+    alpha.I is sum_j alpha_j zeta_j zetabar_j and homological divisors are
+    i (k - l).alpha: the chart w = sqrt(2) zeta of complexify_unnormalized."""
+    return Polynomial(f.n, {k: c * math.sqrt(2.0) ** sum(k) for k, c in complexify_unnormalized(f).terms.items()})
+
+
+def realify(g):
+    """Inverse of :func:`complexify`."""
+    return realify_unnormalized(Polynomial(g.n, {k: c / math.sqrt(2.0) ** sum(k) for k, c in g.terms.items()}))
 
 
 def single_step_oracle(H):
@@ -201,6 +213,28 @@ def test_float_h_m_matches_exact_oracle(terms, m):
     tol = 1e-12 * scale / min(1.0, re.smallest_divisor)
     for k in set(want) | set(rf.h_m.terms):
         assert abs(rf.h_m.terms.get(k, 0.0) - want.get(k, 0.0)) <= tol
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_float_mode_accepts_exact_frequencies(m):
+    # float mode reads exact frequencies through their floats: the same
+    # normal form, bit for bit, as from the floats themselves, and within
+    # 1e-12 of exact mode
+    V = Polynomial(2, {(3, 0, 0, 0): Fraction(3, 10), (0, 1, 2, 0): Fraction(-1, 5), (1, 1, 1, 1): Fraction(1, 10)})
+    H = EllipticHamiltonian(golden_alpha(), V, s=4.0)
+    got = birkhoff_normal_form(H, m=m)
+    want = birkhoff_normal_form(EllipticHamiltonian(tuple(H.alpha_floats()), V, s=4.0), m=m)
+
+    def bits(res):
+        polys = [res.h_m, res.remainder, *res.generators, *res.generators_real]
+        scalars = (res.tail_bound, res.smallest_divisor, res.transform_displacement, res.tail_ratio)
+        return [{k: repr(c) for k, c in p.terms.items()} for p in polys], repr(scalars)
+
+    assert bits(got) == bits(want)
+    oracle = birkhoff_normal_form(H, m=m, exact=True).h_m.to_float().terms
+    assert set(got.h_m.terms) == set(oracle)
+    for k, c in oracle.items():
+        assert abs(got.h_m.terms[k] - c) <= 1e-12 * max(1.0, abs(c))
 
 
 # -- divisors and resonances ---------------------------------------------------

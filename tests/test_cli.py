@@ -86,6 +86,13 @@ def test_dioph_resonant_exits_3(capsys):
     assert payload["error"] == "ResonantFrequency"
 
 
+def test_dioph_non_finite_alpha_exits_2(capsys):
+    code, out, err = run(["dioph", "--alpha", "nan,1", "--K", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "frequency components must be finite"}
+
+
 def test_sdm_check_subcommand(capsys, tmp_path):
     beta_file = tmp_path / "beta.json"
     beta_file.write_text(json.dumps({"beta": [[1.0, 0.0], [0.0, -1.0]]}))
@@ -177,7 +184,8 @@ def test_enumeration_budget_exits_3_at_once(argv, capsys, monkeypatch):
     import hamlab.sdm as sdm
 
     keyed = []
-    monkeypatch.setattr(sdm, "_int_key", lambda rows: keyed.append(rows))
+    monkeypatch.setattr(sdm, "_plucker", lambda A: keyed.append(A))
+    monkeypatch.setattr(sdm, "_rref_keys", lambda A, P: keyed.append(A))
     code, _, err = run(argv, capsys)
     assert code == 3
     assert json.loads(err)["error"] == "CombinatorialBudgetExceeded"

@@ -196,6 +196,8 @@ def _shell_minima(alpha, K):
         ((1.0, math.sqrt(2.0)), 50),
         ((1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0)), 60),
         ((1.0,), 50),
+        # |k.alpha| = 0.25 on shells 4 and 13, below the first resonance at 17
+        ((1.0, 3.25), 16),
     ],
 )
 def test_estimates_match_cube_scan(alpha, K):
@@ -218,3 +220,87 @@ def test_estimates_match_cube_scan(alpha, K):
         assert fit_tau(alpha, K) == (float(slope), resid)
     else:
         assert fit_tau(alpha, K) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 64])
+def test_shell_block_size_does_not_change_results(rows, monkeypatch):
+    """Shells are swept in blocks of about blocks.BLOCK_ROWS rows: tiny blocks
+    put a boundary after almost every shell, and every result must stay the
+    same, and equal to the cube scan."""
+    from hamlab import blocks
+
+    cases = [
+        ((1.0, GOLDEN), 100),
+        ((1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0)), 30),
+        ((1.0,), 20),
+        ((1.0, 0.71, 0.37, 0.113), 12),
+    ]
+
+    def results(alpha, K):
+        return (
+            envelope(alpha, K),
+            estimate_gamma(alpha, 1.5, K),
+            check_nonresonant(alpha, K),
+            fit_tau(alpha, max(K, 10)),
+        )
+
+    def witness(alpha, K):
+        with pytest.raises(ResonantFrequency) as err:
+            estimate_gamma(alpha, 1.0, K)
+        return err.value.witness, err.value.value, check_nonresonant(alpha, K)
+
+    want = {case: results(*case) for case in cases}
+    resonant = [((1, 2), 5), ((1.0, 2.0, 3.0), 6), ((0.5, 1.5), 9)]
+    want_witness = {case: witness(*case) for case in resonant}
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", rows)
+    for alpha, K in cases:
+        got = results(alpha, K)
+        assert got == want[alpha, K]
+        minima = _shell_minima(alpha, K)
+        assert [(s, v, k) for s, v, k in minima if v < min([m for _, m, _ in minima[: s - 1]], default=math.inf)] == got[0]
+        best = min(minima, key=lambda r: r[1] * float(r[0]) ** 1.5)
+        assert (got[1].gamma_hat, got[1].argmin_k) == (best[1] * float(best[0]) ** 1.5, best[2])
+    for alpha, K in resonant:
+        assert witness(alpha, K) == want_witness[alpha, K]
+        # the first shell with a minimum below its zero tolerance, and its
+        # lexicographically first minimizer
+        s, v, k = next(r for r in _shell_minima(alpha, K) if r[1] < zero_tolerance(alpha, r[0]))
+        assert witness(alpha, K)[:2] == (k, v)
+    for n in (1, 2, 3):
+        ks, norms = _half_ball(n, 9)
+        for s in range(10):
+            assert np.array_equal(shell_array(n, s), ks[norms == s])
+
+
+def test_shell_sweep_builds_its_blocks_through_shell_array(monkeypatch):
+    """Every block of the sweep is one shell_array call over its shells, so
+    a wrapper of shell_array sees each vector of shells 1..K exactly once."""
+    from hamlab import diophantine
+
+    seen = []
+
+    def recording(n, s):
+        ks = shell_array(n, s)
+        seen.append(ks)
+        return ks
+
+    monkeypatch.setattr(diophantine, "shell_array", recording)
+    estimate_gamma((1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0)), 1.5, 40)
+    ks, norms = _half_ball(3, 40)
+    assert len(seen) >= 1
+    # the cube scan is in lexicographic order: a stable sort by l1 norm gives
+    # the shells one after the other
+    assert np.array_equal(np.concatenate(seen), ks[np.argsort(norms, kind="stable")])
+    assert np.array_equal(shell_array(3, [2, 0, 1]), np.concatenate([shell_array(3, 2), shell_array(3, 1)]))
+
+
+@pytest.mark.parametrize("alpha", [(1.0, math.nan), (math.inf, 1.0)])
+def test_non_finite_frequencies_are_refused(alpha):
+    for probe in (
+        lambda: check_nonresonant(alpha, 5),
+        lambda: estimate_gamma(alpha, 1.0, 5),
+        lambda: envelope(alpha, 5),
+        lambda: fit_tau(alpha, 20),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            probe()

@@ -16,7 +16,6 @@ from hamlab.lab import (
     beta_action_polynomial,
     csv_text,
     default_frequencies,
-    extract_quartic_action_part,
     generate_random_hamiltonian,
     gnuplot_script,
     run_experiment,
@@ -26,7 +25,7 @@ from hamlab.lab import (
     write_json,
 )
 from hamlab.model import EllipticHamiltonian
-from hamlab.poly import Polynomial
+from hamlab.poly import Polynomial, complexify_unnormalized, paired_part
 
 GOLDEN_F = (1 + math.sqrt(5)) / 2
 
@@ -81,6 +80,19 @@ def test_generator_validation():
         RandomHamiltonianParams(n=2, degree_max=2)
     with pytest.raises(ValueError):
         RandomHamiltonianParams(n=2, alpha_mode="sideways")
+
+
+def extract_quartic_action_part(V):
+    """Recover the matrix beta from the paired degree-4 part of V: the paired
+    degree-4 chart monomials read off beta I . I, whose I_i I_j coefficient
+    is beta_ii on the diagonal and 2 beta_ij off it."""
+    n = V.n
+    h = paired_part(complexify_unnormalized(V.truncate(4, 4).to_float()), exact=False)
+    beta = np.zeros((n, n))
+    for k, c in h.terms.items():
+        i, j = [i for i in range(n) for _ in range(k[i])]
+        beta[i, j] = beta[j, i] = c if i == j else 0.5 * c
+    return beta
 
 
 def test_beta_embedding_round_trip():

@@ -9,8 +9,8 @@ import pytest
 from hamlab.birkhoff import birkhoff_normal_form
 from hamlab.errors import DimensionMismatch, OutOfDomain
 from hamlab.exactnum import GOLDEN, ExactComplex
-from hamlab.model import EllipticHamiltonian, complexify, formal_actions, realify
-from hamlab.poly import Polynomial
+from hamlab.model import EllipticHamiltonian, formal_actions
+from hamlab.poly import Polynomial, complexify_unnormalized, realify_unnormalized
 
 
 def test_formal_actions_values_and_norm():
@@ -30,11 +30,11 @@ def test_formal_actions_batched():
 
 
 def test_complexify_sends_actions_to_products():
-    # alpha.I becomes sum alpha_j zeta_j zetabar_j with unit coefficient
+    # in the chart w_j = z_j - i z_{n+j}, alpha.I becomes sum alpha_j w_j wbar_j / 2
     f = Polynomial.action_variable(2, 1) * 3.0
-    g = complexify(f)
+    g = complexify_unnormalized(f)
     assert set(g.terms) == {(0, 1, 0, 1)}
-    assert complex(g.terms[(0, 1, 0, 1)]) == pytest.approx(3.0)
+    assert complex(g.terms[(0, 1, 0, 1)]) == pytest.approx(1.5)
 
 
 def test_complexify_realify_round_trip():
@@ -46,7 +46,7 @@ def test_complexify_realify_round_trip():
             continue
         terms[k] = float(rng.normal())
     f = Polynomial(2, terms)
-    back = realify(complexify(f))
+    back = realify_unnormalized(complexify_unnormalized(f))
     diff = back - f
     assert all(abs(c) < 1e-10 for c in diff.terms.values())
 

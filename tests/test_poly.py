@@ -19,7 +19,6 @@ from hamlab.poly import (
     paired_part,
     poisson_bracket,
     realify_unnormalized,
-    substitute_linear,
     to_action_form,
 )
 
@@ -296,6 +295,27 @@ def test_chart_action_image():
     assert set(g.terms) == {(1, 0, 1, 0)}
     c = next(iter(g.terms.values()))
     assert c.to_complex() == pytest.approx(0.5)
+
+
+def substitute_linear(f, images):
+    """Substitute z_i -> images[i] (polynomials sharing one dimension) by
+    polynomial products: the reference for the chart change."""
+    m = images[0].n
+    powers = {}  # (i, e) -> images[i] ** e, shared across monomials
+
+    def power(i, e):
+        if (i, e) not in powers:
+            powers[i, e] = images[i] if e == 1 else power(i, e - 1) * images[i]
+        return powers[i, e]
+
+    out = Polynomial.zero(m)
+    for k, c in f.terms.items():
+        term = Polynomial.constant(m, c)
+        for i, e in enumerate(k):
+            if e:
+                term = term * power(i, e)
+        out = out + term
+    return out
 
 
 def test_substitute_linear_identity():

@@ -24,7 +24,7 @@ from hamlab.sdm import (
     subspaces_up_to,
     truncated_measure_bound,
 )
-from hamlab.sdm import _int_key, _whole_space
+from hamlab.sdm import _plucker, _rref_keys, _whole_space
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -39,6 +39,11 @@ def test_primitive_vectors_small_cases():
         assert math.gcd(*[abs(x) for x in v]) == 1
         nz = [x for x in v if x != 0]
         assert nz[0] > 0
+
+
+def _projector(sub):
+    """The orthogonal projector onto a subspace, from its orthonormal rows."""
+    return sub.e_basis.T @ sub.e_basis
 
 
 def brute_force_subspaces(n, k, L):
@@ -65,7 +70,7 @@ def test_enumeration_matches_projector_oracle(n, k, L):
     assert len(subs) == len(oracle)
     # match each enumerated projector to exactly one oracle projector
     for sub in subs:
-        P = sub.projector()
+        P = _projector(sub)
         dists = [np.max(np.abs(P - Q)) for Q in oracle]
         assert min(dists) < 1e-6
 
@@ -101,7 +106,7 @@ def test_basis_invariants():
 
 def test_projectors_pairwise_distinct():
     subs = subspaces_up_to(3, 2, include_full=False)
-    Ps = [s.projector() for s in subs]
+    Ps = [_projector(s) for s in subs]
     for i in range(len(Ps)):
         for j in range(i + 1, len(Ps)):
             if subs[i].k == subs[j].k:
@@ -220,9 +225,23 @@ def test_enumerate_GL_matches_fraction_reference(n, k, L):
         assert moved == 281 and len(got) == 3217
 
 
+def _batched_keys(tuples):
+    """The key of each of a list of equally shaped tuples by the array pass:
+    Plücker vectors for all of them, RREF rows for the independent ones, None
+    for a dependent one."""
+    A = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(tuples[0]), -1)
+    P = _plucker(A)
+    ok = np.flatnonzero(P.any(axis=1))
+    keys = [None] * len(tuples)
+    if len(ok):
+        for i, key in zip(ok, _rref_keys(A[ok], P[ok]).tolist()):
+            keys[i] = tuple(map(tuple, key))
+    return keys
+
+
 def test_int_key_matches_fraction_key():
     rng = np.random.default_rng(11)
-    cases = 0
+    by_shape = {}
     for _ in range(3000):
         m = int(rng.integers(1, 5))
         n = int(rng.integers(1, 6))
@@ -231,23 +250,58 @@ def test_int_key_matches_fraction_key():
             # a combination of the other rows: rank-deficient
             j = int(rng.integers(m))
             rows[j] = rng.integers(-3, 4, size=m - 1) @ np.delete(rows, j, axis=0)
-        rows = [tuple(int(x) for x in r) for r in rows]
-        want = _fraction_key(rows)
-        assert _int_key(rows) == want, rows
-        cases += want is None
+        by_shape.setdefault((m, n), []).append(tuple(tuple(int(x) for x in r) for r in rows))
+    cases = 0
+    for tuples in by_shape.values():
+        # one stack per shape, each tuple checked against its own Fraction key
+        for rows, got in zip(tuples, _batched_keys(tuples)):
+            want = _fraction_key(rows)
+            assert got == want, rows
+            cases += want is None
     # both outcomes are exercised
     assert 300 < cases < 2700
-    assert _int_key([(2, 4, 6), (1, 2, 3)]) is None
-    assert _int_key([(0, 0, 0)]) is None
-    assert _int_key([(0, -2, 4)]) == ((0, 1, -2),)
+    assert _batched_keys([((2, 4, 6), (1, 2, 3)), ((0, 0, 0), (0, 0, 0))]) == [None, None]
+    assert _batched_keys([((0, 0, 0),)]) == [None]
+    assert _batched_keys([((0, -2, 4),)]) == [((0, 1, -2),)]
 
 
 def test_subspaces_budget_is_checked_before_enumerating(monkeypatch):
     calls = []
-    monkeypatch.setattr(sdm, "_int_key", lambda rows: calls.append(rows))
+    monkeypatch.setattr(sdm, "_plucker", lambda A: calls.append(A))
+    monkeypatch.setattr(sdm, "_rref_keys", lambda A, P: calls.append(A))
     with pytest.raises(CombinatorialBudgetExceeded):
         subspaces_up_to(4, 3)
+    with pytest.raises(CombinatorialBudgetExceeded):
+        enumerate_GL(4, 1, 3)
     assert calls == []
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_chunk_size_does_not_change_results(rows, monkeypatch):
+    """Tuples are keyed in chunks and subspaces checked in stacks of about
+    blocks.BLOCK_ROWS rows: tiny chunks put a boundary almost everywhere."""
+    from hamlab import blocks
+
+    grid = [(2, 6), (3, 2), (4, 1)]
+    want = {nL: subspaces_up_to(*nL) for nL in grid}
+    want_gl = enumerate_GL(3, 1, 3)
+    beta = np.array([[1.0, 0.3, 0.0], [0.3, -1.7, 0.2], [0.0, 0.2, 0.9]])
+    h = ActionPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 0.1, (0, 1): -0.1, (3, 0): 0.5})
+    h_fail = ActionPolynomial(2, {(3, 0): -0.46, (1, 2): 0.18, (2, 0): -0.01, (0, 2): 0.03, (1, 0): -0.06})
+    checks = [
+        lambda: check_sdm_quadratic(beta, 0.01, 2.0, 2),
+        lambda: check_sdm_polynomial(h, (np.zeros(2), 0.5), 0.05, 3.0, 2, grid_density=4),
+        lambda: check_sdm_polynomial(h_fail, ((-0.18, 0.01), 0.21), 0.05, 3.0, 2, grid_density=5),
+        lambda: prevalence_estimate(3, 6.0, 0.05, 1, samples=200, seed=3),
+    ]
+    verdicts = [repr(check()) for check in checks]
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", rows)
+    for nL in grid:
+        got = subspaces_up_to(*nL)
+        _assert_same_subspaces(got, want[nL])
+        _assert_same_subspaces(got, _reference_subspaces_up_to(*nL))
+    _assert_same_subspaces(enumerate_GL(3, 1, 3), want_gl)
+    assert [repr(check()) for check in checks] == verdicts
 
 
 # -- quadratic check -----------------------------------------------------------
@@ -297,7 +351,7 @@ def _per_subspace_verdict(beta, gamma_p, tau_p, L_max):
     """The quadratic check with one eigvalsh call per subspace."""
     best, worst = math.inf, None
     for sub in subspaces_up_to(beta.shape[0], L_max):
-        E = sub.restriction_matrix()
+        E = sub.e_basis.T
         margin = float(np.min(np.abs(np.linalg.eigvalsh(E.T @ beta @ E)))) * float(sub.L) ** tau_p
         if margin < best:
             best = margin
@@ -417,7 +471,7 @@ def _unbatched_polynomial_verdict(h, B, gamma_p, tau_p, L_max, grid_density):
     pts, delta = _grid_points(np.asarray(B[0], dtype=float), float(B[1]), grid_density)
     status, worst, best = "certified-pass", None, math.inf
     for sub in subspaces_up_to(n, L_max):
-        E = sub.restriction_matrix()
+        E = sub.e_basis.T
         thr = gamma_p * float(sub.L) ** (-tau_p)
         for x, g_full, H_full in zip(pts, h.grad(pts), h.hess(pts)):
             g = float(np.linalg.norm(E.T @ g_full))
@@ -447,6 +501,8 @@ def _unbatched_polynomial_verdict(h, B, gamma_p, tau_p, L_max, grid_density):
              (0, 2, 0): 1.2, (0, 0, 2): 1.1, (1, 1, 0): 0.3, (1, 1, 1): 0.02},
             ((0.5, 0.5, 0.5), 0.2), 2, 4,
         ),
+        # the first violation witness comes before the least margin (0.0048)
+        ({(3, 0): -0.46, (1, 2): 0.18, (2, 0): -0.01, (0, 2): 0.03, (1, 0): -0.06}, ((-0.18, 0.01), 0.21), 2, 5),
     ],
 )
 def test_polynomial_check_matches_unbatched_reference(terms, B, L_max, density):
@@ -525,7 +581,7 @@ def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
     xis = rng.uniform(-2.0, 2.0, size=samples)
     bad = np.zeros(samples, dtype=bool)
     for sub in subs:
-        E = sub.restriction_matrix()
+        E = sub.e_basis.T
         lams = np.linalg.eigvalsh(E.T @ beta0 @ E)
         dmin = np.min(np.abs(lams[None, :] - xis[:, None]), axis=1)
         bad |= dmin <= 0.5 * gamma_p * float(sub.L) ** (-tau_p)
@@ -553,5 +609,7 @@ def test_prevalence_matches_per_sample_reference(n, L_max, monkeypatch):
         rep = prevalence_estimate(n, 6.0, 0.05, L_max, samples=1000, seed=seed)
         bad, bad_r, drawn = _reference_prevalence(n, 6.0, 0.05, L_max, 1000, seed)
         assert (rep.bad_fraction, rep.bad_fraction_random) == (bad, bad_r)
+        assert rep.probe_interval == (-2.0, 2.0)
+        assert rep.theory_bound == truncated_measure_bound(n, 6.0, 0.05, L_max) / 4.0
         assert stacks[0].tobytes() == drawn.tobytes()
 
