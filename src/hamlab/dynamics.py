@@ -5,10 +5,10 @@ Implicit midpoint (order 2) and the two-stage Gauss collocation method
 matters here because cubic terms make the flows nonseparable.  The stage
 equations are solved by simplified Newton iteration with the Jacobian frozen
 at the linear part ``CompiledField.A`` (Hairer, Lubich and Wanner, Geometric
-Numerical Integration, Ch. VIII), started from the exact linear step.
-Trajectories are tracked through the formal actions and the energy;
-ensembles are integrated as one vectorized batch in which each row
-iterates, converges or fails on its own.
+Numerical Integration, Ch. VIII.6), started from the exact linear step.
+Trajectories are tracked through the formal actions and the energy; in one
+vectorized batch each row stops at its own first Newton increment below the
+tolerance, or fails on its own.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ _COLLOCATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 class IntegratorConfig:
     method: str = "implicit_midpoint"  # or "gauss4"
     dt: float = 1e-2
-    # a row's Newton solve has converged once its increment dt * dK (in
-    # phase-space units) falls below _NEWTON_TOL; it then runs two polish
-    # sweeps, and max_fixed_point_iters + 2 sweeps are the most it gets
+    # a row's Newton solve has converged, and stops, at the first sweep whose
+    # increment dt * dK (in phase-space units) falls below _NEWTON_TOL;
+    # max_fixed_point_iters + 2 sweeps are the most it gets
     max_fixed_point_iters: int = 50
     energy_abort_threshold: float = 1.0
 
@@ -100,10 +100,10 @@ def _fixed_point_gauss4(F, z, dt, tol, max_iters):
 def _newton_step(F, z, dt, tol, max_iters, tableau):
     """Solve the stage equations K = F(z + dt a K) by simplified Newton.
 
-    The start is the exact step of the linear field ``F.A``, and every sweep
-    evaluates all stages of the active rows in one field call.  A row stops two
-    sweeps after its increment dt * dK first falls below ``tol``; a row still
-    short of that after ``max_iters + 2`` sweeps is reported unconverged.
+    Starts from the exact step of the linear field ``F.A``; each sweep calls F
+    once on all stages of the rows still iterating, kept compact.  A row stops
+    at its first increment dt * dK below ``tol``, which leaves an error far
+    below ``tol``, or after ``max_iters + 2`` sweeps as unconverged.
     """
     a, b = tableau
     built = _COLLOCATIONS.setdefault(F, {})
@@ -114,18 +114,19 @@ def _newton_step(F, z, dt, tol, max_iters, tableau):
     N, d = z.shape
     K = (z @ start.T).reshape(N, len(b), d)
     converged = np.zeros(N, dtype=bool)
-    polish = np.zeros(N, dtype=np.int64)
-    rows = np.arange(N)
+    rows, zr, Kr = np.arange(N), z[:, None, :], K
     for _ in range(max_iters + 2):
-        Kr = K[rows]
-        G = Kr - F(z[rows, None, :] + dt * (a @ Kr))
-        dK = (G.reshape(rows.size, -1) @ inv.T).reshape(Kr.shape)
-        K[rows] = Kr - dK
-        polish[rows] += converged[rows]
-        converged[rows] |= abs(dt) * np.abs(dK).max(axis=(1, 2)) < tol
-        rows = rows[polish[rows] < 2]
         if rows.size == 0:
             break
+        G = Kr - F(zr + dt * (a @ Kr))
+        dK = (G.reshape(rows.size, -1) @ inv.T).reshape(Kr.shape)
+        Kr = Kr - dK
+        done = abs(dt) * np.abs(dK).max(axis=(1, 2)) < tol
+        if done.any():
+            K[rows[done]] = Kr[done]
+            converged[rows[done]] = True
+            rows, zr, Kr = rows[~done], zr[~done], Kr[~done]
+    K[rows] = Kr
     return z + dt * (b @ K), converged
 
 
@@ -213,15 +214,15 @@ def integrate_batch(
 
         def advance(stride):
             for _ in range(stride):
-                if not np.any(active):
-                    return
-                idx = np.flatnonzero(active)
-                zn, conv = stepper(
-                    F, z[idx], cfg.dt, _NEWTON_TOL, cfg.max_fixed_point_iters
-                )
-                status[idx[~conv]] = FP_DIVERGED
-                active[idx[~conv]] = False
-                z[idx[conv]] = zn[conv]
+                # with every row active the batch is z itself, not a gather
+                idx = slice(None) if active.all() else np.flatnonzero(active)
+                zn, conv = stepper(F, z[idx], cfg.dt, _NEWTON_TOL, cfg.max_fixed_point_iters)
+                if not conv.all():
+                    idx = np.arange(N)[idx]
+                    status[idx[~conv]] = FP_DIVERGED
+                    active[idx[~conv]] = False
+                    idx, zn = idx[conv], zn[conv]
+                z[idx] = zn
 
     for sample_idx in range(1, n_samples):
         if not np.any(active):

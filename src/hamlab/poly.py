@@ -371,29 +371,28 @@ class CompiledPoly:
     ``E`` (terms x nvars) is the sorted union of the monomials of all the
     polynomials and ``C`` (terms x outputs) holds their coefficients, so a
     call maps points of shape (..., nvars) to values of shape (..., outputs).
-    A call builds the powers z_v^0..z_v^dmax of each variable by repeated
-    multiplication and gathers the monomial factors with one index ``_idx``
-    into that table, so no entry costs a ``pow``.
+    A call builds the variable-major power table (dmax + 1, nvars, points) by
+    elementwise multiplies and gathers the monomial factors from it through
+    the flat index ``_idx`` (nvars x terms), so no entry costs a ``pow``.
     """
 
     def __init__(self, polys: list):
         keys = sorted(set().union(*(p.terms for p in polys)))
-        row = {k: i for i, k in enumerate(keys)}
         self.E = np.array(keys, dtype=np.int64).reshape(len(keys), polys[0].nvars)
-        self.C = np.zeros((len(keys), len(polys)))
-        for j, p in enumerate(polys):
-            for k, c in p.terms.items():
-                self.C[row[k], j] = float(c)
+        coeffs = [[float(p.terms.get(k, 0)) for p in polys] for k in keys]
+        self.C = np.array(coeffs, dtype=float).reshape(len(keys), len(polys))
         self._dmax = int(self.E.max(initial=0))
-        self._idx = np.arange(self.E.shape[1]) * (self._dmax + 1) + self.E
+        self._idx = self.E.T * self.E.shape[1] + np.arange(self.E.shape[1])[:, None]
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        powers = np.ones(z.shape + (self._dmax + 1,), dtype=np.result_type(z, 1.0))
-        powers[..., 1:] = z[..., None]
-        powers.cumprod(axis=-1, out=powers)
-        width = z.shape[-1] * (self._dmax + 1)
-        factors = powers.reshape(z.shape[:-1] + (width,))[..., self._idx]
-        return factors.prod(axis=-1) @ self.C
+        pts = z.reshape(-1, z.shape[-1]).T
+        table = np.empty((self._dmax + 1,) + pts.shape, dtype=np.result_type(z, 1.0))
+        table[0] = 1.0
+        table[1:] = pts
+        for j in range(2, self._dmax + 1):
+            table[j] *= table[j - 1]
+        monomials = np.multiply.reduce(table.reshape(-1, pts.shape[1]).take(self._idx, axis=0), axis=0)
+        return (self.C.T @ monomials).T.reshape(z.shape[:-1] + (self.C.shape[1],))
 
 
 class CompiledField(CompiledPoly):
@@ -462,15 +461,15 @@ class ActionPolynomial(_SparsePoly):
         return {"n": self.n, "terms": terms}
 
 
-def _real_exact(c, keep: bool = False):
-    """The real part of an exact coefficient: an ExactComplex when it has an
-    extension part or ``keep`` is set, else the Fraction it equals.  Raise if
-    the coefficient is not real."""
+def _real_exact(c, keep: bool = False, scale: int = 1):
+    """The real part of an exact coefficient times ``scale``, scaled part by
+    part: an ExactComplex when it has an extension part or ``keep`` is set,
+    else the Fraction it equals.  Raise if the coefficient is not real."""
     if not isinstance(c, ExactComplex):
-        return ExactComplex(c) if keep else c
+        return ExactComplex(c * scale) if keep else c * scale
     if not c.imag_is_zero():
         raise NotActionRepresentable(f"non-real exact coefficient {c!r}")
-    r = c.real_exact()
+    r = ExactComplex(c.ar * scale, 0, c.br * scale, 0, c.field)
     return r if keep or r.br else r.ar
 
 
@@ -502,7 +501,7 @@ def paired_part(g: Polynomial, exact: bool, tol: float | None = None) -> ActionP
             continue
         factor = 2 ** sum(kw)
         if exact:
-            cc = _real_exact(c * factor if isinstance(c, ExactComplex) else Fraction(c) * factor, keep)
+            cc = _real_exact(c if isinstance(c, ExactComplex) else Fraction(c), keep, factor)
         else:
             cc = complex(c) * factor
             if bound is not None and abs(cc.imag) > bound:

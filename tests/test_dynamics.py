@@ -293,6 +293,96 @@ def test_rows_stop_iterating_on_their_own(stepper):
     assert np.max(np.abs(both[0] - alone[0])) <= 1e-15
 
 
+_GAUSS_A = np.array([[0.25, 0.25 - math.sqrt(3.0) / 6.0], [0.25 + math.sqrt(3.0) / 6.0, 0.25]])
+
+
+def _newton_increments(F, z, dt, a, sweeps):
+    """dt * max |dK| of the first sweeps of simplified Newton on one row."""
+    s, d = len(a), z.size
+    M = np.eye(s * d) - dt * np.kron(a, F.A)
+    K = np.linalg.solve(M, np.tile(F.A @ z, s))  # the exact linear step
+    out = []
+    for _ in range(sweeps):
+        dK = np.linalg.solve(M, K - F(z + dt * (a @ K.reshape(s, d))).ravel())
+        K = K - dK
+        out.append(abs(dt) * np.max(np.abs(dK)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "stepper, a", [(_fixed_point_midpoint, np.array([[0.5]])), (_fixed_point_gauss4, _GAUSS_A)]
+)
+def test_rows_stop_at_their_first_small_increment(stepper, a):
+    F = random_quintic_field(0)
+    # increments of both rows stay at least a factor 2 away from tol
+    Z = np.array([[0.05, -0.02, 0.03, 0.01], [0.9, -0.7, 0.8, 0.6]])
+    first = []
+    for z in Z:
+        incs = _newton_increments(F, z, 0.1, a, 20)
+        first.append(1 + next(j for j, inc in enumerate(incs) if inc < 1e-13))
+        rec = RecordingField(F)
+        _, conv = stepper(rec, z[None, :], 0.1, 1e-13, 50)
+        assert conv.all() and len(rec.rows) == first[-1]
+    assert first[0] < first[1]
+    rec = RecordingField(F)
+    stepper(rec, Z, 0.1, 1e-13, 50)
+    assert rec.rows == [2] * first[0] + [1] * (first[1] - first[0])
+
+
+@pytest.mark.parametrize("dt", [0.2, 0.1, -0.05])
+@pytest.mark.parametrize("scale", [0.6, 0.9, 1.2])
+def test_stopped_rows_match_a_long_newton_solve(scale, dt):
+    # the first increment below tol leaves an error of about theta * tol,
+    # theta the contraction ratio, so 200 sweeps change a stopped row by
+    # far less than tol
+    converged = 0
+    for seed in range(6):
+        F = random_quintic_field(seed)
+        Z = sample_initial_conditions(2, 16, seed=seed, scale=scale)
+        for stepper in (_fixed_point_midpoint, _fixed_point_gauss4):
+            with np.errstate(all="ignore"):
+                z_new, conv = stepper(F, Z, dt, 1e-13, 50)
+                z_long, never = stepper(F, Z, dt, 0.0, 198)
+            assert not never.any()
+            assert np.max(np.abs(z_new[conv] - z_long[conv]), initial=0.0) <= 1e-13
+            converged += conv.sum()
+    assert converged > 0
+
+
+def test_criterion_8_ensemble_field_evaluations_per_step(monkeypatch):
+    """Count guard: at most 5 field calls per implicit step on criterion 8's
+    ensemble (rho = 0.05 over its T = 133), so a costlier solve shows without
+    a wall clock."""
+    import hamlab.dynamics as dynamics
+
+    counts = {"evals": 0, "steps": 0}
+    call = CompiledField.__call__
+
+    def counted_call(self, z):
+        counts["evals"] += 1
+        return call(self, z)
+
+    monkeypatch.setattr(CompiledField, "__call__", counted_call)
+    for name in ("_fixed_point_midpoint", "_fixed_point_gauss4"):
+
+        def counted_step(*args, step=getattr(dynamics, name)):
+            counts["steps"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(dynamics, name, counted_step)
+    params = RandomHamiltonianParams(
+        n=2, include_beta=np.diag([1.0, -2.0]), degree_max=5, n_terms=4, coefficient_scale=0.3, seed=1
+    )
+    H = generate_random_hamiltonian(params)
+    for method in ("implicit_midpoint", "gauss4"):
+        counts.update(evals=0, steps=0)
+        cfg = IntegratorConfig(method=method, dt=0.1)
+        summary = ensemble_drift(H, 0.05, N=32, T=133.0, cfg=cfg, seed=8, sample_stride=10)
+        assert summary.escape_count == 0
+        assert counts["steps"] == 1330
+        assert counts["evals"] <= 5 * counts["steps"]
+
+
 def test_newton_inverse_is_built_once_per_run(monkeypatch):
     import hamlab.dynamics as dynamics
 

@@ -116,6 +116,38 @@ def test_power_table_evaluator_matches_pow_reference(n):
         assert not np.any(empty(z))
 
 
+def cumprod_evaluator(compiled, z):
+    """The evaluator before the variable-major table: powers along a short
+    last axis by cumprod, one gather per point, a product over that axis."""
+    dmax = int(compiled.E.max(initial=0))
+    idx = np.arange(compiled.E.shape[1]) * (dmax + 1) + compiled.E
+    powers = np.ones(z.shape + (dmax + 1,), dtype=np.result_type(z, 1.0))
+    powers[..., 1:] = z[..., None]
+    powers.cumprod(axis=-1, out=powers)
+    width = z.shape[-1] * (dmax + 1)
+    factors = powers.reshape(z.shape[:-1] + (width,))[..., idx]
+    return factors.prod(axis=-1) @ compiled.C
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_variable_major_evaluator_matches_cumprod_reference(n):
+    rng = np.random.default_rng(60 + n)
+    polys = [rand_poly(n, rng, n_terms=12, deg_max=8) for _ in range(3)]
+    constant = CompiledPoly([Polynomial.constant(n, 2.5), Polynomial.zero(n)])
+    assert not constant.E.any()
+    cases = [CompiledPoly(polys), CompiledField(polys[0]), CompiledPoly([Polynomial.zero(n)]), constant]
+    for compiled in cases:
+        for shape in [(), (7,), (2, 3), (5, 2, 4)]:
+            x = rng.uniform(-1.5, 1.5, size=shape + (2 * n,))
+            for z in (x, x * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=x.shape))):
+                got, reference = compiled(z), cumprod_evaluator(compiled, z)
+                assert got.shape == reference.shape == shape + (compiled.C.shape[1],)
+                assert got.dtype == reference.dtype == z.dtype
+                scale = np.prod(np.abs(z[..., None, :]) ** compiled.E, axis=-1) @ np.abs(compiled.C)
+                assert np.all(np.abs(got - reference) <= 1e-15 * scale)
+    assert np.all(constant(x) == [2.5, 0.0])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compiled_field_linear_part_is_the_jacobian_at_the_origin(n):
     rng = np.random.default_rng(50 + n)
