@@ -17,7 +17,7 @@ the full Hamiltonian as a truncated Lie series (degrees are tracked exactly,
 truncation at D_work).  Resonant monomials (k = l) are collected into the
 Birkhoff polynomial h_m in the formal actions.
 
-Graded layout.  Inside the engine a chart polynomial is one 1-D array per
+Graded layout.  Inside the engine a chart polynomial is one piece per
 homogeneous degree on the graded layout of :mod:`hamlab.poly` (slots ranked
 lexicographically, index tables built on first use and shared).  This module
 adds the rank of every product of two degrees; a product table grows like the
@@ -29,12 +29,12 @@ scatter-add into the target degree, done in blocks of rows so no temporary
 outgrows a fixed size.  An exact piece is a triple (X, den, field): the Python
 int numerators (ar, ai, br, bi) of its coefficients in Q(i)(w) = field, one
 row per slot, over one int denominator; products fold in w^2 = p w + q, and
-each step divides out the gcd.  Exact pieces are only about a quarter full, so the exact
-bracket pairs only nonzero slots.  Pieces become Polynomial / ActionPolynomial
-(with ExactComplex coefficients) only for h_m, the remainder and the
-generators; the remainder and the generators reach real coordinates through
-the chart change of :mod:`hamlab.poly`, an integer map with a phase on the
-same layout.
+each step divides out the gcd.  Exact pieces are only about a quarter full,
+so the exact bracket pairs only nonzero slots.  Pieces in, pieces out: H
+enters the chart one piece at a time through the piece map of
+:mod:`hamlab.poly`, the remainder and the generators leave it the same way,
+and the remainder majorant and the transform displacement are read off the
+pieces.  Pieces become Polynomial / ActionPolynomial only for the outputs.
 """
 
 from __future__ import annotations
@@ -61,15 +61,17 @@ from .poly import (
     ActionPolynomial,
     CompiledField,
     Polynomial,
+    _change_piece,
     _choose_up,
     _degree,
-    _from_numerators,
     _kept,
     _numerators,
     _rank,
-    complexify_unnormalized,
+    _realify,
+    _to_pieces,
+    _to_terms,
+    _values,
     paired_part,
-    realify_unnormalized,
 )
 
 # candidate monomial count above which a normalization is refused
@@ -138,29 +140,6 @@ def _cached_product_ranks(V: int, a: int, b: int):
     would take the kept tables past their budget."""
     entries = comb(a + V - 1, V - 1) * comb(b + V - 1, V - 1)
     return _kept(("product", V, a, b), entries, lambda: _product_ranks(V, a, b).astype(np.int32))
-
-
-def _chart_piece(terms: dict, d: int, n: int, exact: bool):
-    """The piece of a homogeneous chart polynomial of degree d given as a
-    nonempty dict exponent -> coefficient."""
-    size = comb(d + 2 * n - 1, 2 * n - 1)
-    slots = _rank(np.array(list(terms), dtype=np.intp))
-    if exact:
-        return _numerators(terms.values(), slots, size)
-    p = np.zeros(size, dtype=complex)
-    p[slots] = list(terms.values())
-    return p
-
-
-def _piece_terms(p, d: int, n: int) -> dict:
-    """The nonzero slots of a piece (or None) as a dict exponent -> coefficient."""
-    if p is None:
-        return {}
-    E = _degree(2 * n, d).E.tolist()
-    if not isinstance(p, tuple):
-        return {tuple(e): c for e, c in zip(E, p.tolist()) if c}
-    X, den, ext = p
-    return {tuple(e): _from_numerators(r, den, ext) for e, r in zip(E, X.tolist()) if any(r)}
 
 
 def _clean(p):
@@ -257,6 +236,22 @@ def _add(p, q):
     return X * (den // a) + Y * (den // b), den, join_fields(f, g)
 
 
+def _displacement(chi, d: int, n: int, radius: float) -> float:
+    """max_i of the majorant norm at the radius of d chi / d z_i, for chi a
+    real piece of degree d.  The partial holds the coefficients of chi times
+    the exponent of z_i, scaled on the integer numerators in exact mode."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    E = _degree(2 * n, d).E
+    if isinstance(chi, tuple):
+        X, den, ext = chi
+        partials = [(X * E[:, i : i + 1], den, ext) for i in range(2 * n)]
+    else:
+        partials = [chi * E[:, i] for i in range(2 * n)]
+    rk = radius ** (d - 1)
+    return max(math.fsum(abs(c) * rk for c in _values(q) if c) for q in partials)
+
+
 def _lie_series(K: list, chi, d: int, n: int) -> None:
     """Replace K (pieces by degree, None where empty) by exp(L_chi) K,
     truncated at degree len(K) - 1."""
@@ -322,21 +317,11 @@ class _Normalizer:
         self.smallest_divisor = math.inf
         self.generators: list = []
 
-        # assemble K in the chart, split by homogeneous degree
-        by_degree: dict = {2: {}}
-        for j in range(n):
-            key = [0] * (2 * n)
-            key[j] = 1
-            key[n + j] = 1
-            by_degree[2][tuple(key)] = alpha[j] / 2 if exact else alpha[j] / 2.0
-        V = H.V if exact else H.V.to_float()
-        if V.terms:
-            for k, c in complexify_unnormalized(V, exact=exact).terms.items():
-                if sum(k) <= D_work:
-                    by_degree.setdefault(sum(k), {})[k] = c
+        # complexify H one homogeneous piece at a time
         self.K = [None] * (D_work + 1)
-        for deg, terms in by_degree.items():
-            self.K[deg] = _chart_piece(terms, deg, n, exact)
+        for deg, p in _to_pieces(H.full_polynomial(exact), exact).items():
+            if deg <= D_work:
+                self.K[deg] = _clean(_change_piece(p, n, deg, real=False))
 
     def normalize_degree(self, d: int):
         """Remove the non-resonant degree-d monomials by one Lie transform."""
@@ -389,22 +374,14 @@ class _Normalizer:
         chi[idx] = piece[idx] / (1j * om)
         return chi
 
-    def terms(self, d: int) -> dict:
-        """The degree-d piece of K as a dict exponent -> coefficient."""
-        return _piece_terms(self.K[d], d, self.n)
-
     def h_of_order(self, m: int) -> ActionPolynomial:
         """Collect resonant parts of degrees <= 2m into an action polynomial."""
-        even = {}
-        for deg in range(2, 2 * m + 1, 2):
-            even.update(self.terms(deg))
+        even = _to_terms({deg: self.K[deg] for deg in range(2, 2 * m + 1, 2)}, self.n)
         return paired_part(Polynomial(self.n, even), self.exact)
 
     def remainder_polynomial(self, m: int) -> Polynomial:
-        terms = {}
-        for deg in range(2 * m + 1, self.D_work + 1):
-            terms.update(self.terms(deg))
-        return realify_unnormalized(Polynomial(self.n, terms), exact=self.exact)
+        pieces = {d: self.K[d] for d in range(2 * m + 1, self.D_work + 1) if self.K[d] is not None}
+        return Polynomial(self.n, _to_terms(_realify(pieces, self.n), self.n, real=True))
 
     def remainder_majorant(self, m: int, radius: float):
         """(computed majorant, geometric tail bound, tail ratio) at the radius.
@@ -418,17 +395,8 @@ class _Normalizer:
             piece = self.K[deg]
             if piece is None:
                 per_degree.append(0.0)
-                continue
-            if self.exact:
-                # each coefficient's value as ExactComplex.to_complex gives it
-                (X, D, _), w = piece, piece[2].omega
-                coeffs = [
-                    complex(ar / D + br / D * w, ai / D + bi / D * w)
-                    for ar, ai, br, bi in X.tolist()
-                ]
             else:
-                coeffs = piece.tolist()
-            per_degree.append(math.fsum(abs(c) for c in coeffs if c) * (2.0 * radius) ** deg)
+                per_degree.append(math.fsum(abs(c) for c in _values(piece) if c) * (2.0 * radius) ** deg)
         total = math.fsum(per_degree)
         tail, ratio = 0.0, 0.0
         if len(per_degree) >= 2 and per_degree[-1] > 0.0:
@@ -475,17 +443,15 @@ def birkhoff_normal_form(
     generators_real = []
     displacement = 0.0
     for d, chi in norm.generators:
-        cp = Polynomial(H.n, _piece_terms(chi, d, H.n))
-        generators_chart.append(cp)
-        if cp.terms:
-            rp = realify_unnormalized(cp, exact=exact)
-        else:
-            rp = Polynomial.zero(H.n)
+        # the zero rule drops the float coefficients a dict would not hold
+        chi = None if chi is None else _clean(chi)
+        pieces = {} if chi is None else {d: chi}
+        generators_chart.append(Polynomial(H.n, _to_terms(pieces, H.n)))
+        real = _realify(pieces, H.n)
+        rp = Polynomial(H.n, _to_terms(real, H.n, real=True))
         generators_real.append(rp)
         if rp.terms:
-            displacement += max(
-                rp.partial(i).majorant_norm(radius) for i in range(2 * H.n)
-            )
+            displacement += _displacement(real[d], d, H.n, radius)
     return NormalFormResult(
         m=m,
         h_m=h_m,

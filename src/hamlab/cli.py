@@ -18,7 +18,6 @@ from .errors import (
     CombinatorialBudgetExceeded,
     DimensionMismatch,
     FixedPointDivergence,
-    HamlabError,
     NotActionRepresentable,
     OrderTooHigh,
     OutOfDomain,
@@ -27,7 +26,6 @@ from .errors import (
     ThresholdViolation,
 )
 from .model import EllipticHamiltonian
-from .poly import ActionPolynomial
 
 _NUMERICAL = (
     ResonantFrequency,

@@ -57,10 +57,6 @@ class ExactComplex:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def i() -> "ExactComplex":
-        return ExactComplex(0, 1)
-
-    @staticmethod
     def omega(field: QuadField) -> "ExactComplex":
         return ExactComplex(0, 0, 1, 0, field=field)
 
@@ -177,9 +173,6 @@ class ExactComplex:
             return hash(self.ar)
         return hash((self.ar, self.ai, self.br, self.bi, self.field))
 
-    def real_exact(self) -> "ExactComplex":
-        return ExactComplex(self.ar, 0, self.br, 0, self.field)
-
     def imag_is_zero(self) -> bool:
         return self.ai == 0 and self.bi == 0
 
@@ -214,7 +207,3 @@ def join_fields(f: QuadField, g: QuadField) -> QuadField:
         return g
     raise TypeError("cannot mix two distinct quadratic extensions")
 
-
-def exact(value) -> ExactComplex:
-    """Lift an int or Fraction into the exact complex field."""
-    return ExactComplex(value)

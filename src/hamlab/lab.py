@@ -24,7 +24,7 @@ from .diophantine import estimate_gamma
 from .dynamics import IntegratorConfig, ensemble_drift, escape_time_scan
 from .exactnum import GOLDEN
 from .model import EllipticHamiltonian, _replacing, formal_actions
-from .poly import ActionPolynomial, Polynomial
+from .poly import ActionPolynomial, Polynomial, _degree
 from .sdm import (
     PrevalenceReport,
     check_sdm_quadratic,
@@ -101,21 +101,6 @@ def beta_action_polynomial(beta: np.ndarray) -> ActionPolynomial:
     return ActionPolynomial(n, terms)
 
 
-def _monomial_support(n: int, degree: int):
-    """All exponent tuples in 2n variables of the given total degree."""
-    out = []
-
-    def rec(pos, remaining, acc):
-        if pos == 2 * n - 1:
-            out.append(tuple(acc + [remaining]))
-            return
-        for v in range(remaining + 1):
-            rec(pos + 1, remaining - v, acc + [v])
-
-    rec(0, degree, [])
-    return out
-
-
 def generate_random_hamiltonian(params: RandomHamiltonianParams) -> EllipticHamiltonian:
     """Deterministic random Hamiltonian: sparse V, optional embedded beta.
 
@@ -136,7 +121,7 @@ def generate_random_hamiltonian(params: RandomHamiltonianParams) -> EllipticHami
         degrees = [d for d in degrees if d != 4]
     support = []
     for d in degrees:
-        support.extend(_monomial_support(n, d))
+        support.extend(map(tuple, _degree(2 * n, d).E.tolist()))
     terms = {}
     if params.coefficient_scale > 0.0 and support and params.n_terms > 0:
         count = min(params.n_terms, len(support))
@@ -262,21 +247,16 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def gnuplot_script(data_csv: str, xcol: int, ycol: int, title: str,
-                   logx: bool = False, logy: bool = False) -> str:
-    """A minimal gnuplot script plotting one CSV column pair."""
+def gnuplot_script(data_csv: str, title: str) -> str:
+    """A minimal gnuplot script plotting the second CSV column against the
+    first on a log y axis."""
     lines = [
         "set datafile separator ','",
         f"set title '{title}'",
         "set key off",
+        "set logscale y",
+        f"plot '{data_csv}' every ::1 using 1:2 with linespoints",
     ]
-    if logx:
-        lines.append("set logscale x")
-    if logy:
-        lines.append("set logscale y")
-    lines.append(
-        f"plot '{data_csv}' every ::1 using {xcol}:{ycol} with linespoints"
-    )
     return "\n".join(lines) + "\n"
 
 
@@ -514,5 +494,5 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             csv_path = str(spec.output) + ".csv"
             write_csv(csv_path, result.csv_fields, result.csv_rows)
             with _replacing(str(spec.output) + ".gp") as fh:
-                fh.write(gnuplot_script(csv_path, 1, 2, spec.kind, logy=True))
+                fh.write(gnuplot_script(csv_path, spec.kind))
     return result

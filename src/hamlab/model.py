@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfDomain
+from .errors import DimensionMismatch
 from .exactnum import ExactComplex
-from .poly import CompiledField, Polynomial, _exact_json, _is_exact
+from .poly import Polynomial, _exact_json, _is_exact
 
 
 def _freq_float(a) -> float:
@@ -102,7 +102,6 @@ class EllipticHamiltonian:
         self.alpha = alpha
         self.V = V
         self.s = float(s)
-        self._field = None
 
     @property
     def rho(self) -> float:
@@ -127,17 +126,6 @@ class EllipticHamiltonian:
     def scaled(self, rho: float) -> "EllipticHamiltonian":
         """Apply the standard scaling z -> rho z, H -> rho^-2 H (alpha unchanged)."""
         return EllipticHamiltonian(self.alpha, self.V.scale(rho, -2), self.s)
-
-    def vector_field(self, z) -> np.ndarray:
-        """Hamiltonian vector field (dH/dp, -dH/dq) at a real point."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (2 * self.n,):
-            raise DimensionMismatch(f"point of shape {z.shape}")
-        if np.linalg.norm(z) >= self.s:
-            raise OutOfDomain(f"||z|| = {np.linalg.norm(z):.3f} >= s = {self.s}")
-        if self._field is None:
-            self._field = CompiledField(self.full_polynomial())
-        return self._field(z)
 
     # -- persistence ----------------------------------------------------------
 

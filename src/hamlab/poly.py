@@ -22,13 +22,16 @@ The per-degree tables grow like the pieces; every other kept table counts
 against one fixed entry budget, and past it is rebuilt per call.  The normal
 form engine (:mod:`hamlab.birkhoff`) keeps its chart on this layout.
 
-Chart change.  :func:`complexify_unnormalized` and
-:func:`realify_unnormalized` map between real coordinates and the chart
-w_j = z_j - i z_{n+j} one degree at a time on the layout, as an integer map
-with a phase: per variable pair, (q - ip)^k (q + ip)^l = sum_t i^t K_t(k, l)
-q^(k+l-t) p^t with integer K_t.  The map is kept factored, one stage per
-pair.  Exact coefficients become integer numerators over one denominator per
-degree, so only the output coefficients are built as fractions.
+Chart change.  The map between real coordinates and the chart
+w_j = z_j - i z_{n+j} takes pieces and returns pieces: a float piece is a
+complex128 slot array, an exact one a triple (X, den, field) of Python int
+numerators (ar, ai, br, bi) per slot over one int denominator.  On a piece
+the map is an integer map with a phase: per variable pair,
+(q - ip)^k (q + ip)^l = sum_t i^t K_t(k, l) q^(k+l-t) p^t with integer K_t,
+kept factored, one stage per pair.  :func:`_to_pieces` and :func:`_to_terms`
+are the one boundary between dicts and pieces: the normal form engine crosses
+it only to read H and to build its outputs, and :func:`complexify_unnormalized`
+and :func:`realify_unnormalized` are dict wrappers around the piece map.
 """
 
 from __future__ import annotations
@@ -193,12 +196,6 @@ class _SparsePoly:
         """Convert exact coefficients to float, or to complex where non-real."""
         return self.map_coefficients(_float_coeff)
 
-    def truncate(self, d_min: int, d_max: int):
-        """Keep exactly the terms with d_min <= total degree <= d_max."""
-        if not 0 <= d_min <= d_max:
-            raise ValueError("require 0 <= d_min <= d_max")
-        return self._new({k: c for k, c in self.terms.items() if d_min <= sum(k) <= d_max})
-
     # -- analysis -------------------------------------------------------------
 
     def evaluate(self, x):
@@ -263,10 +260,6 @@ class Polynomial(_SparsePoly):
         key = [0] * (2 * n)
         key[index] = 1
         return cls(n, {tuple(key): coeff})
-
-    @classmethod
-    def monomial(cls, n: int, exponents, coeff) -> "Polynomial":
-        return cls(n, {tuple(exponents): coeff})
 
     @classmethod
     def action_variable(cls, n: int, i: int, exact: bool = False) -> "Polynomial":
@@ -411,17 +404,6 @@ class ActionPolynomial(_SparsePoly):
 
     __slots__ = ()
     _symbol = "I"
-
-    @classmethod
-    def linear(cls, alpha) -> "ActionPolynomial":
-        """alpha . I for a frequency vector alpha."""
-        n = len(alpha)
-        terms = {}
-        for i, a in enumerate(alpha):
-            k = [0] * n
-            k[i] = 1
-            terms[tuple(k)] = a
-        return cls(n, terms)
 
     def _compiled_at(self, polys: list, I) -> np.ndarray:
         I = np.asarray(I, dtype=float)
@@ -692,71 +674,116 @@ def _numerators(cs, slots, size: int) -> tuple:
     return X, den, functools.reduce(join_fields, (c.field for c in cs))
 
 
-def _from_numerators(row, den: int, field) -> ExactComplex:
-    """The element of the field with integer numerators row = (ar, ai, br, bi) over den."""
-    return ExactComplex(*(Fraction(x, den) if x else 0 for x in row), field=field)
+def _to_pieces(f: Polynomial, exact: bool) -> dict:
+    """The homogeneous pieces of f by degree: complex128 slot arrays, or
+    (X, den, field) integer-numerator triples in exact mode."""
+    by_degree: dict = {}
+    for k, c in f.terms.items():
+        by_degree.setdefault(sum(k), {})[k] = c
+    out = {}
+    for d, terms in by_degree.items():
+        slots = _rank(np.array(list(terms), dtype=np.intp))
+        size = comb(d + f.nvars - 1, f.nvars - 1)
+        if exact:
+            out[d] = _numerators(terms.values(), slots, size)
+        else:
+            out[d] = np.zeros(size, dtype=complex)
+            out[d][slots] = [complex(c) for c in terms.values()]
+    return out
 
 
-def _change_piece(items: list, n: int, d: int, exact: bool, real: bool):
-    """The chart change of one homogeneous piece of degree d >= 1, given as
-    (exponent, coefficient) items, as (exponent, coefficient) pairs.
+def _to_terms(pieces: dict, n: int, real: bool = False) -> dict:
+    """The nonzero slots of pieces (degree -> piece, or None when empty) as
+    one dict exponent -> coefficient.  Exact coefficients are ExactComplex,
+    but with ``real`` one without an extension part is the Fraction it equals."""
+    out = {}
+    for d, p in pieces.items():
+        if p is None:
+            continue
+        E = map(tuple, _degree(2 * n, d).E.tolist())
+        if not isinstance(p, tuple):
+            out.update((e, c) for e, c in zip(E, p.tolist()) if c)
+            continue
+        X, den, ext = p
+        for e, row in zip(E, X.tolist()):
+            if real and not row[2]:
+                if row[0]:
+                    out[e] = Fraction(row[0], den)
+            elif any(row):
+                out[e] = ExactComplex(*(Fraction(x, den) if x else 0 for x in row), field=ext)
+    return out
 
-    Exact coefficients become integer numerators over one denominator, and
-    only the nonzero output components become fractions again.  A real output
-    is an ExactComplex exactly when its extension part is nonzero.
+
+def _values(p) -> list:
+    """The coefficients of a piece as Python floats or complex numbers, each
+    exact one as ExactComplex.to_complex gives it."""
+    if not isinstance(p, tuple):
+        return p.tolist()
+    X, D, ext = p
+    w = ext.omega
+    return [complex(ar / D + br / D * w, ai / D + bi / D * w) for ar, ai, br, bi in X.tolist()]
+
+
+def _change_piece(p, n: int, d: int, real: bool):
+    """The chart change of one homogeneous piece of degree d, realified
+    (real) or complexified: a piece of the same kind.
+
+    A realified float piece keeps its imaginary parts for _realify to check;
+    a realified exact piece with a nonzero imaginary numerator raises
+    NotActionRepresentable.
     """
     V, which = 2 * n, 0 if real else 1
-    tab = _degree(V, d)
-    P = tab.E[:, n:].sum(axis=1)
-    slots = _rank(np.array([k for k, _ in items], dtype=np.intp)).tolist()
-    if exact:
-        X, den, ext = _numerators([c for _, c in items], slots, len(P))
+    P = _degree(V, d).E[:, n:].sum(axis=1)
+    if isinstance(p, tuple):
+        X, den, ext = p
     else:
-        X = np.zeros((len(P), 2))
-        X[slots] = [(c.real, c.imag) for c in (complex(c) for _, c in items)]
+        X = np.stack([p.real, p.imag], axis=1)
     if not real:
         X = _rotate(X, P)
     Y = _apply_pairs(X, V, d, which)
     if real:
         Y = _rotate(Y, P)
-    keys = [tuple(e) for e in tab.E.tolist()]
-    if not exact:
-        if real:
-            # drop the rounding residue of exact zeros
-            bound = _apply_pairs(np.hypot(X[:, :1], X[:, 1:]), V, d, 2)[:, 0]
-            Y[np.abs(Y[:, 0]) <= _REALIFY_RESIDUE * bound, 0] = 0.0
-        else:
-            Y *= 0.5**d
-        return zip(keys, (Y[:, 0] + 1j * Y[:, 1]).tolist())
-    if not real:
-        den <<= d
-    out = []
-    for key, y in zip(keys, Y.tolist()):
-        if not any(y):
-            continue
-        if not real:
-            out.append((key, _from_numerators(y, den, ext)))
-        elif y[1] or y[3]:
+    if isinstance(p, tuple):
+        if real and (Y[:, 1].any() or Y[:, 3].any()):
             raise NotActionRepresentable("realification produced a non-real exact coefficient")
-        else:
-            ar = Fraction(y[0], den)
-            out.append((key, ExactComplex(ar, 0, Fraction(y[2], den), 0, ext) if y[2] else ar))
-    return out
+        return Y, den if real else den << d, ext
+    if real:
+        # drop the rounding residue of exact zeros
+        bound = _apply_pairs(np.hypot(X[:, :1], X[:, 1:]), V, d, 2)[:, 0]
+        Y[np.abs(Y[:, 0]) <= _REALIFY_RESIDUE * bound, 0] = 0.0
+    else:
+        Y *= 0.5**d
+    return Y[:, 0] + 1j * Y[:, 1]
 
 
-def _change_chart(f: Polynomial, exact: bool, real: bool) -> dict:
-    """The terms of f realified (real) or complexified, one degree at a time."""
-    by_degree: dict = {}
-    for k, c in f.terms.items():
-        by_degree.setdefault(sum(k), []).append((k, c))
-    out = {}
-    for d, items in by_degree.items():
-        if exact and d == 0:
-            # a constant meets no image, so it keeps its type
-            ((k, c),) = items
-            out[k] = _real_exact(c) if real else c
-        else:
-            out.update(_change_piece(items, f.n, d, exact, real))
+def _realify(pieces: dict, n: int, tol: float = 1e-10) -> dict:
+    """The pieces (degree -> piece) realified.  A float piece comes back as a
+    real float array under the zero rule; an imaginary part above
+    tol * max(1, max |c|) over all the pieces raises NotActionRepresentable."""
+    out = {d: _change_piece(p, n, d, real=True) for d, p in pieces.items()}
+    floats = [q for q in out.values() if not isinstance(q, tuple)]
+    if not floats:
+        return out
+    h = np.concatenate(floats)
+    bound = tol * max(1.0, max(map(abs, h.tolist()), default=0.0))
+    big = np.flatnonzero(np.abs(h.imag) > bound)
+    if big.size:
+        raise NotActionRepresentable(f"realification produced imaginary part {h.imag[big[0]]:.3e}")
+    return {d: np.where(np.abs(q.real) < FLOAT_PRUNE, 0.0, q.real) for d, q in out.items()}
+
+
+def _change_chart(f: Polynomial, exact: bool, real: bool, tol: float = 1e-10) -> dict:
+    """The terms of f realified (real) or complexified, one piece at a time."""
+    pieces = _to_pieces(f, exact)
+    if real:
+        pieces = _realify(pieces, f.n, tol)
+    else:
+        pieces = {d: _change_piece(p, f.n, d, real=False) for d, p in pieces.items()}
+    out = _to_terms(pieces, f.n, real)
+    key = (0,) * f.nvars
+    if exact and key in f.terms:
+        # a constant meets no image, so it keeps its type
+        out[key] = _real_exact(f.terms[key]) if real else f.terms[key]
     return out
 
 
@@ -777,11 +804,4 @@ def realify_unnormalized(g: Polynomial, exact: bool = False, tol: float = 1e-10)
     tol * max(1, max |c|) (any, in exact mode) raises NotActionRepresentable.
     Float coefficients within rounding of an exact zero are dropped.
     """
-    h = _change_chart(g, exact, real=True)
-    if exact:
-        return Polynomial(g.n, h)
-    bound = tol * max(1.0, max((abs(c) for c in h.values()), default=0.0))
-    for c in h.values():
-        if abs(c.imag) > bound:
-            raise NotActionRepresentable(f"realification produced imaginary part {c.imag:.3e}")
-    return Polynomial(g.n, {k: c.real for k, c in h.items()})
+    return Polynomial(g.n, _change_chart(g, exact, real=True, tol=tol))

@@ -233,7 +233,7 @@ def enumerate_GL(n: int, k: int, L: int) -> list:
     return _distinct(n, k, cands, lambda A: np.full(len(A), L))
 
 
-def subspaces_up_to(n: int, L_max: int, include_full: bool = True) -> list:
+def subspaces_up_to(n: int, L_max: int) -> list:
     """All subspaces of G^L(n,k) for L <= L_max, k = 1..n-1 (then the whole
     space), each stamped with the smallest L at which it appears.
 
@@ -247,8 +247,7 @@ def subspaces_up_to(n: int, L_max: int, include_full: bool = True) -> list:
     for k in range(1, n):
         subs += _distinct(n, k, cands, lambda A: np.abs(A).max(axis=(1, 2)))
     subs.sort(key=lambda s: (s.L, s.k, s.canonical_key))
-    if include_full:
-        subs.append(_whole_space(n))
+    subs.append(_whole_space(n))
     return subs
 
 

@@ -106,8 +106,8 @@ def single_step_oracle(H):
     n = H.n
     alpha = H.alpha_floats()
     V = H.V.to_float()
-    V3 = V.truncate(3, 3)
-    V4 = V.truncate(4, 4)
+    V3 = Polynomial(n, {k: c for k, c in V.terms.items() if sum(k) == 3})
+    V4 = Polynomial(n, {k: c for k, c in V.terms.items() if sum(k) == 4})
     c3 = complexify(V3)
     chi_terms = {}
     for k, c in c3.terms.items():
@@ -487,15 +487,19 @@ def random_terms(rng, n, d, field=GOLDEN):
     return terms
 
 
+def chart_piece(terms, d, n, exact=True):
+    return poly._to_pieces(Polynomial(n, terms), exact)[d]
+
+
 def chart_poly(p, d, n):
-    return Polynomial(n, engine._piece_terms(p, d, n))
+    return Polynomial(n, poly._to_terms({d: p}, n))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exact_chart_bracket_algebra(seed):
     rng = np.random.default_rng(seed)
     n, (df, dg, dh) = 2, (3, 3, 4)
-    f, g, h = (engine._chart_piece(random_terms(rng, n, d), d, n, True) for d in (df, dg, dh))
+    f, g, h = (chart_piece(random_terms(rng, n, d), d, n, True) for d in (df, dg, dh))
 
     def br(a, b, da, db):
         return engine._bracket(a, b, da, db, n)
@@ -507,7 +511,7 @@ def test_exact_chart_bracket_algebra(seed):
     assert (P(br(f, g, df, dg), df + dg - 2) + P(br(g, f, dg, df), df + dg - 2)).is_zero()
     # Leibniz: {f, gh} = {f, g} h + g {f, h}
     gh = P(g, dg) * P(h, dh)
-    lhs = P(br(f, engine._chart_piece(gh.terms, dg + dh, n, True), df, dg + dh), df + dg + dh - 2)
+    lhs = P(br(f, chart_piece(gh.terms, dg + dh, n, True), df, dg + dh), df + dg + dh - 2)
     rhs = P(br(f, g, df, dg), df + dg - 2) * P(h, dh) + P(g, dg) * P(br(f, h, df, dh), df + dh - 2)
     assert lhs == rhs
     # Jacobi
@@ -536,7 +540,7 @@ def test_chart_bracket_realifies_to_poisson_bracket(exact, n):
     for df, dg in ((2, 3), (3, 3), (3, 5)):
         f, g = real_poly(df), real_poly(dg)
         cf, cg = (
-            engine._chart_piece(complexify_unnormalized(p, exact=exact).terms, d, n, exact)
+            chart_piece(complexify_unnormalized(p, exact=exact).terms, d, n, exact)
             for p, d in ((f, df), (g, dg))
         )
         got = realify_unnormalized(chart_poly(engine._bracket(cf, cg, df, dg, n), df + dg - 2, n), exact=exact)
@@ -669,14 +673,14 @@ def test_integer_bracket_and_generator_match_reference(name, seed):
     norm = engine._Normalizer(H, 6, 10, True, None)
     pieces = {d: random_terms(rng, n, d, field) for d in (3, 4, 5)}
     for (df, f), (dg, g) in itertools.product(pieces.items(), repeat=2):
-        fp, gp = engine._chart_piece(f, df, n, True), engine._chart_piece(g, dg, n, True)
+        fp, gp = chart_piece(f, df, n, True), chart_piece(g, dg, n, True)
         fr, gr = ref_piece(f, df, n), ref_piece(g, dg, n)
         for j in (1, 3):
-            got = engine._piece_terms(engine._bracket(fp, gp, df, dg, n, j), df + dg - 2, n)
+            got = poly._to_terms({df + dg - 2: engine._bracket(fp, gp, df, dg, n, j)}, n)
             want = ref_terms(reference_bracket(fr, gr, df, dg, n, Fraction(1, j)), df + dg - 2, n)
             assert same(got, want)
     for d, terms in pieces.items():
-        got = engine._piece_terms(norm._generator(engine._chart_piece(terms, d, n, True), d), d, n)
+        got = poly._to_terms({d: norm._generator(chart_piece(terms, d, n, True), d)}, n)
         want = ref_terms(reference_generator(ref_piece(terms, d, n), d, n, H.alpha), d, n)
         assert same(got, want)
     alpha = [ExactComplex(1) * a for a in H.alpha]
@@ -856,3 +860,73 @@ def test_float_outputs_have_the_exact_term_sets():
         rf = birkhoff_normal_form(Hf, m=m)
         assert set(rf.remainder.terms) == set(re.remainder.terms)
         assert [set(g.terms) for g in rf.generators_real] == [set(g.terms) for g in re.generators_real]
+
+
+# -- the chart boundary: pieces in and out against the dict formulas -------------
+
+_BOUNDARY = {
+    "float-random": (None, None),
+    "float-sqrt2": (extension_alpha(SQRT2), False),
+    "exact-sqrt2": (extension_alpha(SQRT2), True),
+    "exact-golden": (extension_alpha(GOLDEN), True),
+    "exact-rational": ((Fraction(1), Fraction(13, 8)), True),
+}
+
+
+def boundary_hamiltonian(case):
+    alpha, exact = _BOUNDARY[case]
+    if alpha is None:
+        # numpy's complex abs, against Python's, moves this H's majorants
+        rng = np.random.default_rng(2)
+        support = [k for k in itertools.product(range(4), repeat=4) if 3 <= sum(k) <= 5]
+        V = {support[i]: float(rng.uniform(-0.4, 0.4)) for i in rng.choice(len(support), 9, replace=False)}
+        return EllipticHamiltonian((1.0, (1 + 5**0.5) / 2), Polynomial(2, V), s=4.0), False
+    # the bnf_exact input: scaling a partial after the float conversion, not
+    # on the integer numerators, moves its extension-field displacement
+    return EllipticHamiltonian(alpha, Polynomial(2, _SIGNED_V), s=4.0), exact
+
+
+def majorant_reference(chart: dict, radius: float):
+    """(total, tail, ratio) from the per-degree sums fsum |c| (2r)^d over the
+    chart terms of degrees in ``chart`` (degree -> dict), in order."""
+    per = [math.fsum(abs(c) for c in t.values()) * (2.0 * radius) ** d for d, t in chart.items()]
+    tail = ratio = 0.0
+    if len(per) >= 2 and per[-1] > 0.0:
+        ratio = per[-1] / per[-2] if per[-2] > 0.0 else math.inf
+        tail = per[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    return math.fsum(per), tail, ratio
+
+
+def displacement_reference(res):
+    """The sum over generators of max_i of the majorant norm of d chi / d z_i
+    at the radius, on the real generators as dicts."""
+    return sum(
+        max(g.partial(i).majorant_norm(res.radius) for i in range(2 * g.n))
+        for g in res.generators_real
+        if g.terms
+    )
+
+
+@pytest.mark.parametrize("radius", [None, 0.3])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("case", list(_BOUNDARY))
+def test_chart_boundary_matches_the_dict_formulas(case, m, radius):
+    H, exact = boundary_hamiltonian(case)
+    n, D_work = H.n, 2 * m + 4
+    res = birkhoff_normal_form(H, m=m, exact=exact, radius=radius)
+    norm = engine._Normalizer(H, 2 * m, D_work, exact, None)
+    for d in range(3, 2 * m + 1):
+        norm.normalize_degree(d)
+    chart = {d: poly._to_terms({d: norm.K[d]}, n) for d in range(2 * m + 1, D_work + 1)}
+    # the remainder and the generators leave the chart as the public
+    # realification of their chart terms would take them
+    terms = {k: c for t in chart.values() for k, c in t.items()}
+    assert same(res.remainder.terms, realify_unnormalized(Polynomial(n, terms), exact=exact).terms)
+    assert len(res.generators) == len(res.generators_real) == 2 * m - 2
+    for g, gr in zip(res.generators, res.generators_real):
+        assert same(gr.terms, realify_unnormalized(g, exact=exact).terms)
+    # both scalars read off the pieces are the dict formulas, to the bit
+    want = majorant_reference(chart, res.radius)
+    assert norm.remainder_majorant(m, res.radius) == want
+    assert (res.tail_bound, res.tail_ratio) == want[1:]
+    assert res.transform_displacement == displacement_reference(res) > 0.0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex, exact
+from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex
 from hamlab.poly import Polynomial
 
 fracs = st.builds(
@@ -28,15 +28,15 @@ golden_elems = st.tuples(fracs, fracs, fracs, fracs).map(golden_numbers)
 
 
 def test_rational_basics():
-    a = exact(Fraction(3, 4))
-    b = exact(Fraction(-1, 3))
+    a = ExactComplex(Fraction(3, 4))
+    b = ExactComplex(Fraction(-1, 3))
     assert (a + b).to_complex() == pytest.approx(3 / 4 - 1 / 3)
-    assert (a * b).real_exact().ar == Fraction(-1, 4)
+    assert (a * b).ar == Fraction(-1, 4)
     assert (a - a).is_zero()
 
 
 def test_i_squares_to_minus_one():
-    i = ExactComplex.i()
+    i = ExactComplex(0, 1)
     assert (i * i + 1).is_zero()
     assert (i * i + ExactComplex(1, field=GOLDEN)).is_zero()
 
@@ -54,7 +54,7 @@ def test_sqrt2_identity():
 
 
 def test_division_rational():
-    a = exact(Fraction(7, 3)) + ExactComplex(0, Fraction(1, 2))
+    a = ExactComplex(Fraction(7, 3), Fraction(1, 2))
     q = a / a
     assert (q - 1).is_zero()
 
@@ -91,13 +91,13 @@ def test_float_embedding_is_homomorphic(x):
 def test_real_and_imag_parts():
     x = ExactComplex(Fraction(1, 2), Fraction(3), Fraction(-1), Fraction(0), field=GOLDEN)
     assert not x.imag_is_zero()
-    assert x.real_exact().to_complex().imag == 0.0
-    r = x.real_exact().to_complex().real
-    assert r == pytest.approx(0.5 - (1 + 5**0.5) / 2)
+    assert ExactComplex(x.ar, 0, x.br, 0, GOLDEN).imag_is_zero()
+    assert x.to_complex().real == pytest.approx(0.5 - (1 + 5**0.5) / 2)
+    assert x.to_complex().imag == 3.0
 
 
 def test_field_mismatch_coercion():
-    a = exact(Fraction(1, 2))  # rational field
+    a = ExactComplex(Fraction(1, 2))  # rational field
     b = ExactComplex(Fraction(1, 3), field=GOLDEN)
     assert (a + b).to_complex().real == pytest.approx(1 / 2 + 1 / 3)
     assert (a - b).to_complex().real == pytest.approx(1 / 2 - 1 / 3)

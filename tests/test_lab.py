@@ -87,7 +87,8 @@ def extract_quartic_action_part(V):
     degree-4 chart monomials read off beta I . I, whose I_i I_j coefficient
     is beta_ii on the diagonal and 2 beta_ij off it."""
     n = V.n
-    h = paired_part(complexify_unnormalized(V.truncate(4, 4).to_float()), exact=False)
+    V4 = Polynomial(n, {k: c for k, c in V.terms.items() if sum(k) == 4})
+    h = paired_part(complexify_unnormalized(V4.to_float()), exact=False)
     beta = np.zeros((n, n))
     for k, c in h.terms.items():
         i, j = [i for i in range(n) for _ in range(k[i])]
@@ -332,9 +333,9 @@ def test_artifact_write_keeps_what_is_not_a_plain_file(tmp_path):
 
 
 def test_gnuplot_script_contents():
-    s = gnuplot_script("data.csv", 1, 3, "drift", logy=True)
+    s = gnuplot_script("data.csv", "drift")
     assert "set logscale y" in s
-    assert "using 1:3" in s
+    assert "using 1:2" in s
     assert "data.csv" in s
 
 

@@ -93,7 +93,7 @@ def test_enumeration_validation_and_budget():
 
 
 def test_basis_invariants():
-    for sub in subspaces_up_to(3, 2, include_full=False):
+    for sub in subspaces_up_to(3, 2)[:-1]:
         E, F = sub.e_basis, sub.f_basis
         assert E @ E.T == pytest.approx(np.eye(sub.k), abs=1e-12)
         assert F @ F.T == pytest.approx(np.eye(sub.n - sub.k), abs=1e-12)
@@ -105,7 +105,7 @@ def test_basis_invariants():
 
 
 def test_projectors_pairwise_distinct():
-    subs = subspaces_up_to(3, 2, include_full=False)
+    subs = subspaces_up_to(3, 2)[:-1]
     Ps = [_projector(s) for s in subs]
     for i in range(len(Ps)):
         for j in range(i + 1, len(Ps)):
@@ -114,7 +114,7 @@ def test_projectors_pairwise_distinct():
 
 
 def test_minimal_L_recorded():
-    subs = subspaces_up_to(2, 3, include_full=False)
+    subs = subspaces_up_to(2, 3)[:-1]
     by_key = {s.canonical_key: s for s in subs}
     # the coordinate axes already appear at L = 1
     axis = by_key[((1, 0),)]
