@@ -240,8 +240,6 @@ def _displacement(chi, d: int, n: int, radius: float) -> float:
     """max_i of the majorant norm at the radius of d chi / d z_i, for chi a
     real piece of degree d.  The partial holds the coefficients of chi times
     the exponent of z_i, scaled on the integer numerators in exact mode."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     E = _degree(2 * n, d).E
     if isinstance(chi, tuple):
         X, den, ext = chi
@@ -412,6 +410,15 @@ class _Normalizer:
         return total, tail, ratio
 
 
+def _radius(H: EllipticHamiltonian, radius: float | None) -> float:
+    """The evaluation radius, 0.75 s by default; a radius <= 0 is refused."""
+    if radius is None:
+        return 0.75 * H.s
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    return radius
+
+
 def birkhoff_normal_form(
     H: EllipticHamiltonian,
     m: int,
@@ -430,8 +437,7 @@ def birkhoff_normal_form(
         raise ValueError("m must be >= 1")
     if D_work is None:
         D_work = 2 * m + 4
-    if radius is None:
-        radius = 0.75 * H.s
+    radius = _radius(H, radius)
     norm = _Normalizer(H, 2 * m, D_work, exact, divisor_floor)
     for d in range(3, 2 * m + 1):
         norm.normalize_degree(d)
@@ -484,8 +490,7 @@ def remainder_curve(
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    if radius is None:
-        radius = 0.75 * H.s
+    radius = _radius(H, radius)
     if D_work is None:
         D_work = 2 * m_max + 4
     norm = _Normalizer(H, 2 * m_max, D_work, exact, None)

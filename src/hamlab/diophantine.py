@@ -20,19 +20,11 @@ import numpy as np
 
 from .blocks import blocks, expand
 from .errors import ResonantFrequency
-from .exactnum import ExactComplex
+from .exactnum import real_float
 
 
 def _floats(alpha) -> np.ndarray:
-    out = []
-    for a in alpha:
-        if isinstance(a, ExactComplex):
-            out.append(a.to_complex().real)
-        else:
-            out.append(float(a))
-    if not all(np.isfinite(out)):
-        raise ValueError("frequency components must be finite")
-    return np.array(out)
+    return np.array([real_float(a) for a in alpha])
 
 
 def zero_tolerance(alpha, k1norm):

@@ -189,6 +189,17 @@ class ExactComplex:
         return f"ExactComplex({self.ar}, {self.ai}, {self.br}, {self.bi})"
 
 
+def real_float(a) -> float:
+    """The float value of a frequency component, a plain number or an
+    ExactComplex; a nonzero imaginary part or a non-finite value is refused."""
+    z = a.to_complex() if isinstance(a, ExactComplex) else complex(a)
+    if z.imag != 0.0:
+        raise ValueError("frequency components must be real")
+    if not math.isfinite(z.real):
+        raise ValueError("frequency components must be finite")
+    return z.real
+
+
 def _lift(x):
     """x as an ExactComplex, or None for a type that does not embed."""
     if isinstance(x, ExactComplex):

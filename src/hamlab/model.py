@@ -17,18 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch
-from .exactnum import ExactComplex
+from .exactnum import real_float
 from .poly import Polynomial, _exact_json, _is_exact
-
-
-def _freq_float(a) -> float:
-    """Float value of a frequency component (plain number or ExactComplex)."""
-    if isinstance(a, ExactComplex):
-        z = a.to_complex()
-        if z.imag != 0.0:
-            raise ValueError("frequency components must be real")
-        return z.real
-    return float(a)
 
 
 def formal_actions(n: int, z) -> np.ndarray:
@@ -92,7 +82,7 @@ class EllipticHamiltonian:
             raise ValueError("need at least one frequency")
         if V.n != n:
             raise DimensionMismatch(f"V has n={V.n}, alpha has n={n}")
-        if len(set(_freq_float(a) for a in alpha)) != n:
+        if len(set(real_float(a) for a in alpha)) != n:
             raise ValueError("components of alpha must be pairwise distinct")
         if V.terms and V.min_degree() <= 2:
             raise ValueError("V must contain only terms of degree >= 3")
@@ -109,12 +99,12 @@ class EllipticHamiltonian:
         return self.V.majorant_norm(self.s) if self.V.terms else 0.0
 
     def alpha_floats(self) -> np.ndarray:
-        return np.array([_freq_float(a) for a in self.alpha])
+        return np.array([real_float(a) for a in self.alpha])
 
     def quadratic_part(self, exact: bool = False) -> Polynomial:
         out = Polynomial.zero(self.n)
         for i, a in enumerate(self.alpha):
-            ai = a if exact else _freq_float(a)
+            ai = a if exact else real_float(a)
             out = out + Polynomial.action_variable(self.n, i, exact=exact) * ai
         return out
 
@@ -157,6 +147,6 @@ class EllipticHamiltonian:
 
     def __repr__(self):
         return (
-            f"EllipticHamiltonian(n={self.n}, alpha={tuple(_freq_float(a) for a in self.alpha)}, "
+            f"EllipticHamiltonian(n={self.n}, alpha={tuple(real_float(a) for a in self.alpha)}, "
             f"s={self.s}, rho={self.rho:.4g}, |V|={len(self.V.terms)} terms)"
         )

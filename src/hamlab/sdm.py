@@ -14,7 +14,7 @@ of det(A_S), over its gcd.
 
 Enumeration is one array pass over the generator tuples in lexicographic
 order, in bounded blocks, keeping per Plücker vector the first tuple of least
-L; the bases come from one batched SVD and one batched QR per dimension.
+L; the bases come from one batched SVD per dimension.
 Minors are exact in int64: those of m vectors with entries at most L, and the
 partial sums of their cofactor expansion, are at most m! L^m.  The budget
 check admits only m <= 4 (the (3^(m+1) - 1)/2 candidates with entries in
@@ -27,7 +27,7 @@ polynomial check stops at its first failing stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -39,16 +39,20 @@ from .errors import CombinatorialBudgetExceeded
 from .poly import ActionPolynomial
 
 ENUMERATION_BUDGET = 10_000_000
+PROBE_INTERVAL = (-2.0, 2.0)  # the xi range of the prevalence probe beta0 - xi I
 
 
 @dataclass(frozen=True)
 class RationalSubspace:
+    """A rational subspace, identified (for equality and hashing) by its
+    integer fields; ``e_basis`` is computed once, by the enumeration that
+    builds it."""
+
     n: int
     k: int
     L: int  # enumerate_GL: the L asked for; subspaces_up_to: the least L it appears at
     perp_basis: tuple  # (n-k) primitive integer generators of the complement
-    e_basis: np.ndarray  # (k, n) orthonormal rows spanning the subspace
-    f_basis: np.ndarray  # (n-k, n) orthonormal rows spanning the complement
+    e_basis: np.ndarray = field(compare=False)  # (k, n) orthonormal rows spanning the subspace
     canonical_key: tuple
 
 
@@ -168,7 +172,7 @@ def _distinct(n: int, k: int, cands: list, L_of) -> list:
     """One subspace per Plücker vector, spanned by the tuple of ``cands`` of
     least ``L_of`` with that vector, the lexicographically first among ties,
     sorted by (L, canonical key).  The bases of all of them come from one
-    batched SVD and one batched QR."""
+    batched SVD."""
     m = n - k
     C = np.array(cands, dtype=np.int64)
     idx = np.zeros((0, m), dtype=np.int64)
@@ -194,26 +198,17 @@ def _distinct(n: int, k: int, cands: list, L_of) -> list:
     rows, K = np.unique(np.ascontiguousarray(K).view(f"V{8 * n}").ravel(), return_inverse=True)
     rows, K = list(map(tuple, rows.view(np.int64).reshape(-1, n).tolist())), K.reshape(-1, m)
     Vt = np.linalg.svd(C[idx].astype(float))[2]
-    Q = np.linalg.qr(np.swapaxes(C[idx], 1, 2).astype(float))[0]
     return [
         RationalSubspace(
-            n=n, k=k, L=L_i, perp_basis=tuple(cands[j] for j in idx_i.tolist()), e_basis=E, f_basis=F,
+            n=n, k=k, L=L_i, perp_basis=tuple(cands[j] for j in idx_i.tolist()), e_basis=E,
             canonical_key=tuple(rows[j] for j in K_i.tolist()),
         )
-        for L_i, idx_i, K_i, E, F in zip(L.tolist(), idx, K, Vt[:, m:], np.swapaxes(Q, 1, 2))
+        for L_i, idx_i, K_i, E in zip(L.tolist(), idx, K, Vt[:, m:])
     ]
 
 
 def _whole_space(n: int) -> RationalSubspace:
-    return RationalSubspace(
-        n=n,
-        k=n,
-        L=1,
-        perp_basis=(),
-        e_basis=np.eye(n),
-        f_basis=np.zeros((0, n)),
-        canonical_key=("full", n),
-    )
+    return RationalSubspace(n=n, k=n, L=1, perp_basis=(), e_basis=np.eye(n), canonical_key=("full", n))
 
 
 def enumerate_GL(n: int, k: int, L: int) -> list:
@@ -267,7 +262,7 @@ def _stacks(subs: list, per_sub: int):
     cuts = [0] + [i for i in range(1, len(ks)) if ks[i] != ks[i - 1]] + [len(ks)]
     for a, b in zip(cuts, cuts[1:]):
         for lo, hi in blocks(np.full(b - a, per_sub)):
-            yield a + lo, a + hi, np.stack([sub.e_basis for sub in subs[a + lo:a + hi]])
+            yield a + lo, a + hi, np.array([sub.e_basis for sub in subs[a + lo:a + hi]])
 
 
 def _powers(subs: list, scale: float, p: float) -> np.ndarray:
@@ -276,14 +271,12 @@ def _powers(subs: list, scale: float, p: float) -> np.ndarray:
     return np.array([scale * float(sub.L) ** p for sub in subs])[:, None]
 
 
-def _margins(betas: np.ndarray, subs: list, tau_p: float) -> np.ndarray:
+def _margins(betas: np.ndarray, E: np.ndarray, subs: list, tau_p: float) -> np.ndarray:
     """sigma_min(E^T beta E) L^tau' of every matrix of a (samples, n, n) stack
-    on every subspace, as a (subspaces, samples) array."""
-    sig = np.empty((len(subs), len(betas)))
-    for lo, hi, E in _stacks(subs, len(betas)):
-        restricted = E[:, None] @ betas @ np.swapaxes(E, 1, 2)[:, None]
-        sig[lo:hi] = np.abs(np.linalg.eigvalsh(restricted)).min(axis=-1)
-    return sig * _powers(subs, 1.0, tau_p)
+    on every subspace of one stack, with (S, k, n) bases E, as an
+    (S, samples) array."""
+    restricted = E[:, None] @ betas @ np.swapaxes(E, 1, 2)[:, None]
+    return np.abs(np.linalg.eigvalsh(restricted)).min(axis=-1) * _powers(subs, 1.0, tau_p)
 
 
 def check_sdm_quadratic(
@@ -301,7 +294,9 @@ def check_sdm_quadratic(
     _check_exponents(gamma_p, tau_p)
     n = beta.shape[0]
     subs = subspaces_up_to(n, L_max) if _subspaces is None else _subspaces
-    margins = _margins(beta[None], subs, tau_p)[:, 0]
+    margins = np.concatenate(
+        [_margins(beta[None], E, subs[lo:hi], tau_p)[:, 0] for lo, hi, E in _stacks(subs, 1)]
+    )
     i = int(np.argmin(margins))
     sub, best = subs[i], float(margins[i])
     worst = WorstCase(sub.L, sub.perp_basis or sub.canonical_key, None, best)
@@ -366,22 +361,13 @@ def check_sdm_polynomial(
     radius = float(B[1])
     n = h.n
     r_box = float(np.max(np.abs(center))) + radius
-    # Frobenius-style majorant bounds for the 2nd/3rd derivative tensors on B
-    M2 = math.sqrt(
-        math.fsum(
-            h.partial(i).partial(j).majorant_norm(r_box) ** 2
-            for i in range(n)
-            for j in range(n)
-        )
-    )
-    M3 = math.sqrt(
-        math.fsum(
-            h.partial(i).partial(j).partial(k).majorant_norm(r_box) ** 2
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-    )
+    # Frobenius-style majorant bounds for the 2nd/3rd derivative tensors on B,
+    # from one tower of partials, each level built from the one below, (i, j)
+    # and (i, j, k) in row-major order
+    first = [h.partial(i) for i in range(n)]
+    second = [p.partial(j) for p in first for j in range(n)]
+    third = [p.partial(k) for p in second for k in range(n)]
+    M2, M3 = (math.sqrt(math.fsum(p.majorant_norm(r_box) ** 2 for p in d)) for d in (second, third))
     pts, delta = _grid_points(center, radius, grid_density)
     grads = h.grad(pts)
     hessians = h.hess(pts)
@@ -448,11 +434,10 @@ def prevalence_estimate(
     L_max: int,
     samples: int,
     seed: int = 0,
-    probe_interval: tuple = (-2.0, 2.0),
 ) -> PrevalenceReport:
     """Monte-Carlo fraction of SDM-failing quadratic forms along the
-    one-parameter probe beta0 - xi I (xi uniform), plus an independent run
-    with fully random symmetric matrices.
+    one-parameter probe beta0 - xi I (xi uniform on PROBE_INTERVAL), plus an
+    independent run with fully random symmetric matrices.
 
     The failure condition is the one in the genericity theorem for
     h = alpha.I + beta I.I, whose restricted Hessian is the doubled matrix
@@ -465,27 +450,25 @@ def prevalence_estimate(
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     A = rng.uniform(-1.0, 1.0, size=(n, n))
     beta0 = 0.5 * (A + A.T)
-    lo, hi = probe_interval
+    lo, hi = PROBE_INTERVAL
     xis = rng.uniform(lo, hi, size=samples)
+    Ar = rng.uniform(-1.0, 1.0, size=(samples, n, n))
+    betar = 2.0 * (0.5 * (Ar + np.swapaxes(Ar, 1, 2)))
 
     # restricted spectra of beta0 are shift-equivariant: the smallest singular
     # value of 2(beta0_L - xi I) is 2 min_i |lambda_i - xi|, so the probe check
-    # reduces to eigenvalue gaps against half the threshold
+    # reduces to eigenvalue gaps against half the threshold.  The random half
+    # fails where check_sdm_quadratic would: the least margin of the doubled
+    # betar over the subspaces, taken one stack at a time, is below gamma'
     bad = np.zeros(samples, dtype=bool)
+    best = np.full(samples, math.inf)
     thr = _powers(subs, gamma_p, -tau_p)
     for i, j, E in _stacks(subs, samples):
         lams = np.linalg.eigvalsh(E @ beta0 @ np.swapaxes(E, 1, 2))
         dmin = np.min(np.abs(lams[:, None, :] - xis[None, :, None]), axis=2)
         bad |= (dmin <= 0.5 * thr[i:j]).any(axis=0)
+        best = np.minimum(best, np.min(_margins(betar, E, subs[i:j], tau_p), axis=0))
     bad_fraction = float(np.mean(bad))
-
-    # the random half fails where check_sdm_quadratic would: the least margin
-    # of 2 betar over the subspaces, taken one stack at a time, is below gamma'
-    Ar = rng.uniform(-1.0, 1.0, size=(samples, n, n))
-    betar = 0.5 * (Ar + np.swapaxes(Ar, 1, 2))
-    best = np.full(samples, math.inf)
-    for i, j, _ in _stacks(subs, samples):
-        best = np.minimum(best, np.min(_margins(2.0 * betar, subs[i:j], tau_p), axis=0))
     bad_r = int(np.count_nonzero(best < gamma_p))
     bound = truncated_measure_bound(n, tau_p, gamma_p, L_max) / (hi - lo)
     sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / samples)
@@ -496,7 +479,7 @@ def prevalence_estimate(
         L_max=L_max,
         samples=samples,
         seed=seed,
-        probe_interval=(float(lo), float(hi)),
+        probe_interval=PROBE_INTERVAL,
         bad_fraction=bad_fraction,
         bad_fraction_random=bad_r / samples,
         theory_bound=bound,

@@ -301,6 +301,16 @@ def test_remainder_curve_shape_and_consistency():
     assert vals[-1] < vals[0]
 
 
+@pytest.mark.parametrize("radius", [-0.5, 0.0, math.nan])
+@pytest.mark.parametrize("V", [Polynomial.zero(2), Polynomial(2, {(3, 0, 0, 0): 0.05, (0, 0, 2, 1): -0.04})])
+def test_non_positive_radius_is_refused(radius, V):
+    H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        remainder_curve(H, m_max=3, radius=radius)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        birkhoff_normal_form(H, m=2, radius=radius)
+
+
 def test_conjugacy_on_sample_points():
     # H(forward(z)) should equal h_m(I(z)) up to the remainder size
     V = Polynomial(2, {(3, 0, 0, 0): 0.1, (0, 1, 1, 1): -0.08})

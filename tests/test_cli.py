@@ -55,6 +55,14 @@ def test_bnf_curve_subcommand(ham_file, capsys):
     assert len(lines) == 3  # m = 2, 3
 
 
+@pytest.mark.parametrize("cmd", [["bnf", "--m", "2"], ["bnf-curve", "--m-max", "3"]])
+def test_non_positive_radius_exits_2(cmd, ham_file, capsys):
+    code, out, err = run([cmd[0], "--ham", ham_file, *cmd[1:], "--radius", "-0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "radius must be positive"}
+
+
 def test_dioph_subcommand(capsys, tmp_path):
     env = tmp_path / "env.csv"
     code, out, _ = run(

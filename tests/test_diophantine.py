@@ -15,6 +15,7 @@ from hamlab.diophantine import (
     shell_array,
     zero_tolerance,
 )
+from hamlab.exactnum import ExactComplex
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -304,3 +305,17 @@ def test_non_finite_frequencies_are_refused(alpha):
     ):
         with pytest.raises(ValueError, match="finite"):
             probe()
+
+
+def test_non_real_frequencies_are_refused():
+    # the imaginary part of an exact frequency is refused, not dropped
+    alpha = (ExactComplex(1, 1), 2.0)
+    for probe in (
+        lambda: check_nonresonant(alpha, 5),
+        lambda: estimate_gamma(alpha, 1.0, 5),
+        lambda: envelope(alpha, 5),
+        lambda: fit_tau(alpha, 20),
+    ):
+        with pytest.raises(ValueError, match="real"):
+            probe()
+    assert estimate_gamma((ExactComplex(1), 2.5), 1.0, 5) == estimate_gamma((1.0, 2.5), 1.0, 5)

@@ -195,6 +195,12 @@ def test_spec_file_bytes_are_pinned(spec, size, digest, tmp_path):
     assert path.read_bytes() == body
 
 
+@pytest.mark.parametrize("radius", [-0.5, 0.0])
+def test_spec_rejects_non_positive_radius(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        ExperimentSpec(kind="remainder_scaling", hamiltonian=RandomHamiltonianParams(n=2), radius=radius)
+
+
 def test_spec_rejects_unknown_kind():
     with pytest.raises(ValueError):
         ExperimentSpec(kind="nope", hamiltonian=RandomHamiltonianParams(n=2))

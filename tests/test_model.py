@@ -71,6 +71,10 @@ def test_constructor_validation():
         EllipticHamiltonian((1.0, 2.0), V, s=2.0)
     with pytest.raises(DimensionMismatch):
         EllipticHamiltonian((1.0,), V)
+    with pytest.raises(ValueError, match="finite"):
+        EllipticHamiltonian((1.0, math.inf), V)
+    with pytest.raises(ValueError, match="real"):
+        EllipticHamiltonian((1.0, ExactComplex(2, 1)), V)
 
 
 def test_rho_is_majorant_of_perturbation():

@@ -1,7 +1,9 @@
 """Rational subspace enumeration and quadratic/polynomial Morse-type checks."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -94,11 +96,9 @@ def test_enumeration_validation_and_budget():
 
 def test_basis_invariants():
     for sub in subspaces_up_to(3, 2)[:-1]:
-        E, F = sub.e_basis, sub.f_basis
+        E = sub.e_basis
         assert E @ E.T == pytest.approx(np.eye(sub.k), abs=1e-12)
-        assert F @ F.T == pytest.approx(np.eye(sub.n - sub.k), abs=1e-12)
-        assert E @ F.T == pytest.approx(np.zeros((sub.k, sub.n - sub.k)), abs=1e-12)
-        # f_basis really spans the integer complement
+        # the integer generators span the complement
         for v in sub.perp_basis:
             v = np.array(v, dtype=float)
             assert E @ v == pytest.approx(np.zeros(sub.k), abs=1e-10)
@@ -167,8 +167,8 @@ def _fraction_key(rows):
 
 
 def _reference_enumerate_GL(n, k, L):
-    """Fraction keys and one SVD and one QR per new key, in lexicographic
-    tuple order, stamped with L."""
+    """Fraction keys and one SVD per new key, in lexicographic tuple order,
+    stamped with L."""
     if k == n:
         return [_whole_space(n)]
     cube = itertools.product(range(-L, L + 1), repeat=n)
@@ -180,11 +180,7 @@ def _reference_enumerate_GL(n, k, L):
             continue
         A = np.array(combo, dtype=float)
         _, _, Vt = np.linalg.svd(A)
-        Q, _ = np.linalg.qr(A.T)
-        seen[key] = RationalSubspace(
-            n=n, k=k, L=L, perp_basis=combo, e_basis=Vt[n - k:],
-            f_basis=Q.T[: n - k], canonical_key=key,
-        )
+        seen[key] = RationalSubspace(n=n, k=k, L=L, perp_basis=combo, e_basis=Vt[n - k:], canonical_key=key)
     return [seen[key] for key in sorted(seen)]
 
 
@@ -204,9 +200,8 @@ def _assert_same_subspaces(got, want):
         assert (g.n, g.k, g.L) == (w.n, w.k, w.L)
         assert g.perp_basis == w.perp_basis
         assert g.canonical_key == w.canonical_key
-        for a, b in ((g.e_basis, w.e_basis), (g.f_basis, w.f_basis)):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
+        assert g.e_basis.shape == w.e_basis.shape and g.e_basis.dtype == w.e_basis.dtype
+        assert g.e_basis.tobytes() == w.e_basis.tobytes()
 
 
 @pytest.mark.parametrize("n,L", [(2, 3), (2, 6), (3, 1), (3, 2), (3, 3), (4, 1)])
@@ -598,18 +593,61 @@ def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
 def test_prevalence_matches_per_sample_reference(n, L_max, monkeypatch):
     stacks = []
 
-    def recording(betas, subs, tau_p):
+    def recording(betas, E, subs, tau_p):
         stacks.append(betas)
-        return margins(betas, subs, tau_p)
+        return margins(betas, E, subs, tau_p)
 
-    margins = sdm._margins
+    def stacks_once(subs, per_sub):
+        passes.append(per_sub)
+        return stack_pass(subs, per_sub)
+
+    margins, stack_pass, passes = sdm._margins, sdm._stacks, []
     monkeypatch.setattr(sdm, "_margins", recording)
+    monkeypatch.setattr(sdm, "_stacks", stacks_once)
     for seed in range(6):
         stacks.clear()
+        passes.clear()
         rep = prevalence_estimate(n, 6.0, 0.05, L_max, samples=1000, seed=seed)
+        # the probe and random halves share one pass over the stacked bases
+        assert passes == [1000]
         bad, bad_r, drawn = _reference_prevalence(n, 6.0, 0.05, L_max, 1000, seed)
         assert (rep.bad_fraction, rep.bad_fraction_random) == (bad, bad_r)
         assert rep.probe_interval == (-2.0, 2.0)
         assert rep.theory_bound == truncated_measure_bound(n, 6.0, 0.05, L_max) / 4.0
         assert stacks[0].tobytes() == drawn.tobytes()
 
+
+# -- value semantics -----------------------------------------------------------
+
+
+def test_returned_frozen_values_are_values():
+    """A frozen result from a real call hashes, and equals its deepcopy and
+    its pickle round trip (equal values hash alike)."""
+    from hamlab.diophantine import check_nonresonant, estimate_gamma
+    from hamlab.dynamics import IntegratorConfig
+
+    h = ActionPolynomial(2, {(3, 0): 1.0, (0, 3): 1.0})
+    poly_verdict = check_sdm_polynomial(h, (np.zeros(2), 0.5), 0.05, 3.0, 1, grid_density=5)
+    values = [
+        subspaces_up_to(3, 2)[5],
+        subspaces_up_to(2, 1)[-1],  # the whole space
+        check_sdm_quadratic(np.diag([1.0, -1.0]), 0.5, 3.0, 1),
+        poly_verdict,
+        poly_verdict.worst_case,
+        bad_set_quadratic(np.diag([1.0, 1.1, 3.0]), 0.1),
+        prevalence_estimate(2, 6.0, 0.05, 1, samples=100, seed=2),
+        estimate_gamma((1.0, math.sqrt(2.0)), 1.0, 10),
+        check_nonresonant((1, 2), 4),
+        IntegratorConfig(method="gauss4", dt=0.05),
+    ]
+    for value in values:
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value), value
+
+
+def test_subspaces_are_distinct_values():
+    subs = subspaces_up_to(3, 3)
+    assert len(set(subs)) == len(subs) == 3363
+    # equality reads the integer fields, not the float basis
+    sub = subs[7]
+    assert sub == RationalSubspace(sub.n, sub.k, sub.L, sub.perp_basis, -sub.e_basis, sub.canonical_key)
