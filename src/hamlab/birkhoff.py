@@ -277,6 +277,8 @@ class _Normalizer:
 
     ``K[d]`` is the degree-d piece of the Hamiltonian in the chart (None when
     empty) and ``generators`` lists (d, chi_d) with chi_d a piece or None.
+    A float small divisor at or below 1e-13 max |alpha| raises
+    ResonanceEncountered; exact mode refuses only an exact zero.
     """
 
     def __init__(
@@ -285,7 +287,6 @@ class _Normalizer:
         two_m_target: int,
         D_work: int,
         exact: bool,
-        divisor_floor: float | None,
     ):
         n = H.n
         if D_work < two_m_target + 1:
@@ -310,8 +311,6 @@ class _Normalizer:
         else:
             self.alpha = np.array(alpha)
         self.D_work = D_work
-        amax = float(np.max(np.abs(H.alpha_floats())))
-        self.divisor_floor = 1e-13 * amax if divisor_floor is None else divisor_floor
         self.smallest_divisor = math.inf
         self.generators: list = []
 
@@ -364,7 +363,7 @@ class _Normalizer:
             return _clean((chi, den * L * M, self.field))
         om = (delta * self.alpha).sum(axis=1)
         size = np.abs(om)
-        bad = np.flatnonzero(size <= self.divisor_floor)
+        bad = np.flatnonzero(size <= 1e-13 * np.abs(self.alpha).max())
         if bad.size:
             raise ResonanceEncountered(d, tuple(delta[bad[0]].tolist()), float(size[bad[0]]))
         self.smallest_divisor = min(self.smallest_divisor, float(size.min()))
@@ -426,19 +425,19 @@ def birkhoff_normal_form(
     exact: bool = False,
     qfield: QuadField = RATIONAL,
     radius: float | None = None,
-    divisor_floor: float | None = None,
 ) -> NormalFormResult:
     """Normalize H to order 2m; see the module docstring for the scheme.
 
     ``qfield`` has no effect: the field of every exact coefficient follows
-    from its value and the frequencies.
+    from its value and the frequencies.  A float divisor just above the
+    resonance tolerance can make realification fail (NotActionRepresentable).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if D_work is None:
         D_work = 2 * m + 4
     radius = _radius(H, radius)
-    norm = _Normalizer(H, 2 * m, D_work, exact, divisor_floor)
+    norm = _Normalizer(H, 2 * m, D_work, exact)
     for d in range(3, 2 * m + 1):
         norm.normalize_degree(d)
     h_m = norm.h_of_order(m)
@@ -479,10 +478,9 @@ def remainder_curve(
     H: EllipticHamiltonian,
     m_max: int,
     radius: float | None = None,
-    D_work: int | None = None,
-    exact: bool = False,
 ) -> list:
-    """Remainder majorant (computed part + tail bound) for m = 2..m_max.
+    """Remainder majorant (computed part + tail bound) for m = 2..m_max, in
+    float mode at D_work = 2 m_max + 4.
 
     The degree-by-degree pass is shared: after normalizing through degree 2m
     the internal state coincides with a direct order-m normalization at the
@@ -491,9 +489,7 @@ def remainder_curve(
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     radius = _radius(H, radius)
-    if D_work is None:
-        D_work = 2 * m_max + 4
-    norm = _Normalizer(H, 2 * m_max, D_work, exact, None)
+    norm = _Normalizer(H, 2 * m_max, 2 * m_max + 4, exact=False)
     curve = []
     for d in range(3, 2 * m_max + 1):
         norm.normalize_degree(d)

@@ -8,6 +8,10 @@ expansion, one coordinate at a time, in blocks of consecutive shells of
 bounded size.  check_nonresonant, estimate_gamma and envelope all read that
 sweep: a lower bound gamma_hat for the Diophantine constant at a given
 exponent tau, and a fitted exponent from the record envelope.
+
+These and fit_tau read one resonance rule: alpha is resonant at the first
+shell s whose minimum is below zero_tolerance(alpha, s), for rational alpha
+only if a k there below it has k.alpha = 0 exactly (zero alpha: k = e_1).
 """
 
 from __future__ import annotations
@@ -32,12 +36,6 @@ def zero_tolerance(alpha, k1norm):
     ``k1norm`` may be an int or an integer array of l1 norms."""
     amax = float(np.max(np.abs(_floats(alpha))))
     return 1e-12 * k1norm * amax
-
-
-def _alpha_exact(alpha):
-    if all(isinstance(a, (int, Fraction)) for a in alpha):
-        return [Fraction(a) for a in alpha]
-    return None
 
 
 def shell_array(n: int, s) -> np.ndarray:
@@ -91,13 +89,24 @@ def _shell_minima(alpha_f: np.ndarray, K: int):
     return mins, argmins
 
 
-def _first_resonant(alpha, mins: np.ndarray, argmins: np.ndarray) -> None:
-    """Raise ResonantFrequency at the first shell whose minimum is below
-    zero_tolerance for that shell."""
-    hit = np.flatnonzero(mins < zero_tolerance(alpha, np.arange(1, len(mins) + 1)))
-    if len(hit):
-        i = hit[0]
-        raise ResonantFrequency(tuple(argmins[i].tolist()), float(mins[i]))
+def _resonance_sweep(alpha, K: int):
+    """The shell minima and argmins of alpha up to K (see _shell_minima), and
+    the witness k and |k.alpha| of the first resonant shell by the rule of the
+    module docstring (0.0 for an exact zero), or None."""
+    alpha_f = _floats(alpha)
+    mins, argmins = _shell_minima(alpha_f, K)
+    if not alpha_f.any():
+        return mins, argmins, ((1,) + (0,) * (len(alpha_f) - 1), 0.0)
+    rational = all(isinstance(a, (int, Fraction)) for a in alpha)
+    tol = zero_tolerance(alpha_f, np.arange(1, K + 1))
+    for i in np.flatnonzero(mins < tol):
+        if not rational:
+            return mins, argmins, (tuple(argmins[i].tolist()), float(mins[i]))
+        ks = shell_array(len(alpha_f), i + 1)
+        for k in ks[np.abs(ks @ alpha_f) < tol[i]].tolist():
+            if sum(ki * ai for ki, ai in zip(k, alpha)) == 0:
+                return mins, argmins, (tuple(k), 0.0)
+    return mins, argmins, None
 
 
 @dataclass(frozen=True)
@@ -117,25 +126,13 @@ class DiophantineEstimate:
 
 
 def check_nonresonant(alpha, order: int) -> ResonanceReport:
-    """Exhaustively test k.alpha != 0 for 0 < |k|_1 <= order."""
+    """Exhaustively test k.alpha != 0 for 0 < |k|_1 <= order, by the module's rule."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    alpha_f = _floats(alpha)
-    if not np.any(alpha_f):
-        e1 = tuple([1] + [0] * (len(alpha) - 1))
-        return ResonanceReport(order, True, e1, 0.0)
-    exact = _alpha_exact(alpha)
-    mins, argmins = _shell_minima(alpha_f, order)
-    i = int(np.argmin(mins))
-    best_val, best_k = float(mins[i]), tuple(argmins[i].tolist())
-    resonant = best_val < zero_tolerance(alpha, order)
-    if resonant and exact is not None:
-        # rational alpha: the zero test is exact
-        dot = sum(Fraction(int(ki)) * ai for ki, ai in zip(best_k, exact))
-        resonant = dot == 0
-        if resonant:
-            best_val = 0.0
-    return ResonanceReport(order, resonant, best_k if resonant else None, best_val)
+    mins, _, hit = _resonance_sweep(alpha, order)
+    if hit is not None:
+        return ResonanceReport(order, True, *hit)
+    return ResonanceReport(order, False, None, float(mins.min()))
 
 
 def estimate_gamma(alpha, tau: float, K: int) -> DiophantineEstimate:
@@ -144,8 +141,9 @@ def estimate_gamma(alpha, tau: float, K: int) -> DiophantineEstimate:
         raise ValueError("K must be >= 1")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    mins, argmins = _shell_minima(_floats(alpha), K)
-    _first_resonant(alpha, mins, argmins)
+    mins, argmins, hit = _resonance_sweep(alpha, K)
+    if hit is not None:
+        raise ResonantFrequency(*hit)
     w = mins * np.array([float(s) ** tau for s in range(1, K + 1)])
     i = int(np.argmin(w))
     return DiophantineEstimate(float(w[i]), float(tau), K, tuple(argmins[i].tolist()))
@@ -157,8 +155,9 @@ def envelope(alpha, K: int):
     A shell enters the envelope when its minimum is strictly smaller than
     every minimum seen on smaller shells.
     """
-    mins, argmins = _shell_minima(_floats(alpha), K)
-    _first_resonant(alpha, mins, argmins)
+    mins, argmins, hit = _resonance_sweep(alpha, K)
+    if hit is not None:
+        raise ResonantFrequency(*hit)
     records = np.flatnonzero(mins < np.minimum.accumulate(np.r_[np.inf, mins[:-1]]))
     return [(int(i) + 1, float(mins[i]), tuple(argmins[i].tolist())) for i in records]
 

@@ -29,8 +29,11 @@ _GAUSS4 = (
     np.array([[0.25, 0.25 - math.sqrt(3.0) / 6.0], [0.25 + math.sqrt(3.0) / 6.0, 0.25]]),
     np.array([0.5, 0.5]),
 )
-# convergence tolerance on a row's Newton increment, in phase-space units
+# a row's Newton solve has converged, and stops, at the first sweep whose
+# increment dt * dK (in phase-space units) falls below _NEWTON_TOL, and gets
+# at most _NEWTON_MAX_ITERS + 2 sweeps
 _NEWTON_TOL = 1e-13
+_NEWTON_MAX_ITERS = 50
 # _collocation(F.A, dt, a) by F, then by (dt, a): fixed for a run, so built
 # once per run; an entry goes with its field
 _COLLOCATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -38,19 +41,16 @@ _COLLOCATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Method, step and energy-abort bound; the implicit solve's tolerance and
+    sweep cap are the constants _NEWTON_TOL and _NEWTON_MAX_ITERS."""
+
     method: str = "implicit_midpoint"  # or "gauss4"
     dt: float = 1e-2
-    # a row's Newton solve has converged, and stops, at the first sweep whose
-    # increment dt * dK (in phase-space units) falls below _NEWTON_TOL;
-    # max_fixed_point_iters + 2 sweeps are the most it gets
-    max_fixed_point_iters: int = 50
     energy_abort_threshold: float = 1.0
 
     def __post_init__(self):
         if self.dt <= 0 or self.energy_abort_threshold <= 0:
             raise ValueError("dt and thresholds must be positive")
-        if self.max_fixed_point_iters < 1:
-            raise ValueError("max_fixed_point_iters must be at least 1")
         if self.method not in ("implicit_midpoint", "gauss4"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -166,6 +166,8 @@ def integrate_batch(
     drift_threshold: float | None = None,
 ):
     """Integrate a batch of initial conditions; returns a list of DriftRecord."""
+    if not (math.isfinite(T) and T > 0) or sample_stride < 1:
+        raise ValueError(f"need a finite T > 0 and sample_stride >= 1, got {T} and {sample_stride}")
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=float))
     N, dim = Z0.shape
     n = H.n
@@ -216,7 +218,7 @@ def integrate_batch(
             for _ in range(stride):
                 # with every row active the batch is z itself, not a gather
                 idx = slice(None) if active.all() else np.flatnonzero(active)
-                zn, conv = stepper(F, z[idx], cfg.dt, _NEWTON_TOL, cfg.max_fixed_point_iters)
+                zn, conv = stepper(F, z[idx], cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS)
                 if not conv.all():
                     idx = np.arange(N)[idx]
                     status[idx[~conv]] = FP_DIVERGED
@@ -280,10 +282,9 @@ def integrate(
     cfg: IntegratorConfig,
     T: float,
     sample_stride: int = 1,
-    drift_threshold: float | None = None,
 ) -> DriftRecord:
     """Integrate a single trajectory; raises on divergence of the implicit solve."""
-    rec = integrate_batch(H, np.asarray(z0, dtype=float)[None, :], cfg, T, sample_stride, drift_threshold)[0]
+    rec = integrate_batch(H, np.asarray(z0, dtype=float)[None, :], cfg, T, sample_stride)[0]
     if rec.status == "fixed_point_divergence":
         raise FixedPointDivergence("implicit step failed to converge; reduce dt")
     return rec
@@ -350,19 +351,19 @@ def escape_time_scan(
     cfg: IntegratorConfig,
     N: int,
     seed: int = 0,
-    sample_stride: int = 10,
 ):
     """Escape-or-censor table over a decreasing rho grid.
 
     Escape = first time any ensemble member's l1 action drift exceeds
-    drift_threshold_factor * rho (scaled variables); censored at T_max.
+    drift_threshold_factor * rho (scaled variables), read every 10 steps;
+    censored at T_max.
     Emits local slopes d log T_esc / d log(1/rho) between consecutive rows.
     """
     rows = []
     for rho in rho_list:
         Hs = H.scaled(rho)
         Z0 = sample_initial_conditions(H.n, N, seed)
-        recs = integrate_batch(Hs, Z0, cfg, T_max, sample_stride, drift_threshold=drift_threshold_factor * rho)
+        recs = integrate_batch(Hs, Z0, cfg, T_max, 10, drift_threshold=drift_threshold_factor * rho)
         esc = [r.escape_time for r in recs if r.escape_time is not None]
         max_drift = max(r.max_drift_l1 for r in recs)
         rows.append(

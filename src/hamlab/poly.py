@@ -189,12 +189,9 @@ class _SparsePoly:
     def gradient(self) -> list:
         return [self.partial(i) for i in range(self.nvars)]
 
-    def map_coefficients(self, fn: Callable):
-        return self._new({k: fn(c) for k, c in self.terms.items()})
-
     def to_float(self):
         """Convert exact coefficients to float, or to complex where non-real."""
-        return self.map_coefficients(_float_coeff)
+        return self._new({k: _float_coeff(c) for k, c in self.terms.items()})
 
     # -- analysis -------------------------------------------------------------
 
@@ -253,15 +250,6 @@ class Polynomial(_SparsePoly):
         return cls(n, {(0,) * (2 * n): c})
 
     @classmethod
-    def variable(cls, n: int, index: int, coeff=1.0) -> "Polynomial":
-        """The monomial z_index (0-based: q_1..q_n then p_1..p_n)."""
-        if not 0 <= index < 2 * n:
-            raise ValueError(f"variable index {index} out of range for n={n}")
-        key = [0] * (2 * n)
-        key[index] = 1
-        return cls(n, {tuple(key): coeff})
-
-    @classmethod
     def action_variable(cls, n: int, i: int, exact: bool = False) -> "Polynomial":
         """The formal action I_i = (z_i^2 + z_{n+i}^2)/2 as a polynomial."""
         half = Fraction(1, 2) if exact else 0.5
@@ -286,14 +274,6 @@ class Polynomial(_SparsePoly):
         return Polynomial(self.n, {k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, m: int):
-        if m < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(self.n, 1 if _is_exact(next(iter(self.terms.values()), 1)) else 1.0)
-        for _ in range(m):
-            out = out * self
-        return out
 
     def scale(self, rho: float, power: int) -> "Polynomial":
         """The scaled Hamiltonian rho^power * H(rho z)."""
@@ -405,22 +385,6 @@ class ActionPolynomial(_SparsePoly):
     __slots__ = ()
     _symbol = "I"
 
-    def _compiled_at(self, polys: list, I) -> np.ndarray:
-        I = np.asarray(I, dtype=float)
-        if I.shape[-1:] != (self.n,):
-            raise DimensionMismatch(f"points of shape {I.shape}, expected (..., {self.n})")
-        return CompiledPoly(polys)(I)
-
-    def grad(self, I) -> np.ndarray:
-        """Gradient at a point (n,) or at a batch of points (..., n)."""
-        return self._compiled_at(self.gradient(), I)
-
-    def hess(self, I) -> np.ndarray:
-        """Hessian at a point, (n, n), or at a batch of points, (..., n, n)."""
-        second = [g.partial(j) for g in self.gradient() for j in range(self.n)]
-        H = self._compiled_at(second, I)
-        return H.reshape(H.shape[:-1] + (self.n, self.n))
-
     def expand(self, exact: bool = False) -> Polynomial:
         """Re-expand in phase-space variables via I_i = (z_i^2 + z_{n+i}^2)/2."""
         n = self.n
@@ -493,15 +457,16 @@ def paired_part(g: Polynomial, exact: bool, tol: float | None = None) -> ActionP
     return ActionPolynomial(n, out)
 
 
-def to_action_form(f: Polynomial, tol: float = 1e-9) -> ActionPolynomial:
+def to_action_form(f: Polynomial) -> ActionPolynomial:
     """Write f(z) as a polynomial in the formal actions, or raise.
 
     Works through the complex chart w_j = z_j - i z_{n+j}: a polynomial is a
     function of the actions iff every chart monomial has equal w and conjugate
-    exponents, and then (w_j wbar_j)^k = (2 I_j)^k.
+    exponents, and then (w_j wbar_j)^k = (2 I_j)^k.  The chart is read by
+    paired_part, strictly, at tol = 1e-9.
     """
     exact = all(_is_exact(c) for c in f.terms.values())
-    return paired_part(complexify_unnormalized(f, exact=exact), exact, tol)
+    return paired_part(complexify_unnormalized(f, exact=exact), exact, 1e-9)
 
 
 # -- graded layout ---------------------------------------------------------------
@@ -756,27 +721,27 @@ def _change_piece(p, n: int, d: int, real: bool):
     return Y[:, 0] + 1j * Y[:, 1]
 
 
-def _realify(pieces: dict, n: int, tol: float = 1e-10) -> dict:
+def _realify(pieces: dict, n: int) -> dict:
     """The pieces (degree -> piece) realified.  A float piece comes back as a
     real float array under the zero rule; an imaginary part above
-    tol * max(1, max |c|) over all the pieces raises NotActionRepresentable."""
+    1e-10 max(1, max |c|) over all the pieces raises NotActionRepresentable."""
     out = {d: _change_piece(p, n, d, real=True) for d, p in pieces.items()}
     floats = [q for q in out.values() if not isinstance(q, tuple)]
     if not floats:
         return out
     h = np.concatenate(floats)
-    bound = tol * max(1.0, max(map(abs, h.tolist()), default=0.0))
+    bound = 1e-10 * max(1.0, max(map(abs, h.tolist()), default=0.0))
     big = np.flatnonzero(np.abs(h.imag) > bound)
     if big.size:
         raise NotActionRepresentable(f"realification produced imaginary part {h.imag[big[0]]:.3e}")
     return {d: np.where(np.abs(q.real) < FLOAT_PRUNE, 0.0, q.real) for d, q in out.items()}
 
 
-def _change_chart(f: Polynomial, exact: bool, real: bool, tol: float = 1e-10) -> dict:
+def _change_chart(f: Polynomial, exact: bool, real: bool) -> dict:
     """The terms of f realified (real) or complexified, one piece at a time."""
     pieces = _to_pieces(f, exact)
     if real:
-        pieces = _realify(pieces, f.n, tol)
+        pieces = _realify(pieces, f.n)
     else:
         pieces = {d: _change_piece(p, f.n, d, real=False) for d, p in pieces.items()}
     out = _to_terms(pieces, f.n, real)
@@ -797,11 +762,11 @@ def complexify_unnormalized(f: Polynomial, exact: bool = False) -> Polynomial:
     return Polynomial(f.n, _change_chart(f, exact, real=False))
 
 
-def realify_unnormalized(g: Polynomial, exact: bool = False, tol: float = 1e-10) -> Polynomial:
+def realify_unnormalized(g: Polynomial, exact: bool = False) -> Polynomial:
     """Inverse of :func:`complexify_unnormalized`: w_j = z_j - i z_{n+j}.
 
     A real-valued g comes back with real coefficients; an imaginary part above
-    tol * max(1, max |c|) (any, in exact mode) raises NotActionRepresentable.
+    1e-10 max(1, max |c|) (any, in exact mode) raises NotActionRepresentable.
     Float coefficients within rounding of an exact zero are dropped.
     """
-    return Polynomial(g.n, _change_chart(g, exact, real=True, tol=tol))
+    return Polynomial(g.n, _change_chart(g, exact, real=True))

@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import blocks, expand
-from .errors import CombinatorialBudgetExceeded
-from .poly import ActionPolynomial
+from .errors import CombinatorialBudgetExceeded, DimensionMismatch
+from .poly import ActionPolynomial, CompiledPoly
 
 ENUMERATION_BUDGET = 10_000_000
 PROBE_INTERVAL = (-2.0, 2.0)  # the xi range of the prevalence probe beta0 - xi I
@@ -360,17 +360,19 @@ def check_sdm_polynomial(
     center = np.asarray(B[0], dtype=float)
     radius = float(B[1])
     n = h.n
+    if center.shape != (n,):
+        raise DimensionMismatch(f"ball center of shape {center.shape}, expected ({n},)")
     r_box = float(np.max(np.abs(center))) + radius
-    # Frobenius-style majorant bounds for the 2nd/3rd derivative tensors on B,
-    # from one tower of partials, each level built from the one below, (i, j)
-    # and (i, j, k) in row-major order
+    # one tower of partials, each level built from the one below, (i, j) and
+    # (i, j, k) row-major: the grid evaluates the first two levels, and the
+    # last two give Frobenius-style majorants of the 2nd/3rd derivatives on B
     first = [h.partial(i) for i in range(n)]
     second = [p.partial(j) for p in first for j in range(n)]
     third = [p.partial(k) for p in second for k in range(n)]
     M2, M3 = (math.sqrt(math.fsum(p.majorant_norm(r_box) ** 2 for p in d)) for d in (second, third))
     pts, delta = _grid_points(center, radius, grid_density)
-    grads = h.grad(pts)
-    hessians = h.hess(pts)
+    grads = CompiledPoly(first)(pts)
+    hessians = CompiledPoly(second)(pts).reshape(len(pts), n, n)
 
     subs = subspaces_up_to(n, L_max)
 

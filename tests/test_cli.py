@@ -234,6 +234,24 @@ def test_escape_scan_subcommand(ham_file, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["drift", "--rho", "0.1", "--T", "0"],
+        ["drift", "--rho", "0.1", "--T", "-5"],
+        ["drift", "--rho", "0.1", "--T", "2.0", "--sample-stride", "0"],
+        ["escape-scan", "--rho", "0.2,0.1", "--T", "-1"],
+    ],
+)
+def test_bad_horizon_or_stride_exits_2(argv, ham_file, capsys):
+    code, out, err = run([argv[0], "--ham", ham_file, *argv[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert report["message"].startswith("need a finite T > 0 and sample_stride >= 1")
+
+
 def test_escape_scan_table_is_the_drift_vs_rho_table(ham_file, capsys):
     from hamlab.lab import ExperimentSpec, run_drift_vs_rho
 

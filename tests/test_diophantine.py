@@ -1,6 +1,7 @@
 """Small-divisor probes: shells, resonance detection, gamma and tau estimates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -319,3 +320,36 @@ def test_non_real_frequencies_are_refused():
         with pytest.raises(ValueError, match="real"):
             probe()
     assert estimate_gamma((ExactComplex(1), 2.5), 1.0, 5) == estimate_gamma((1.0, 2.5), 1.0, 5)
+
+
+@pytest.mark.parametrize(
+    "alpha, witness",
+    [
+        # 5e-12 is above the shell-2 tolerance 2e-12, though below the
+        # order-wide 1e-12 K max|alpha| = 1e-11
+        ((1.0, 1.0 + 5e-12), None),
+        # non-resonant by the exact test, although |(2, -1).alpha| rounds to
+        # 8.9e-16, far below the float tolerance of shell 3
+        ((Fraction(1), 2 + Fraction(1, 10**15)), None),
+        # in floats (0, 1, -1), (2, -1, 0) and (2, 0, -1) all give 0; only the
+        # last is an exact zero, and it is not the float minimizer of shell 3
+        ((Fraction(1), 2 + Fraction(1, 10**17), Fraction(2)), (2, 0, -1)),
+        ((1, 2), (2, -1)),
+        ((0.0, 0.0), (1, 0)),
+    ],
+)
+def test_one_resonance_rule(alpha, witness):
+    """check_nonresonant, estimate_gamma, envelope and fit_tau agree on
+    whether alpha is resonant up to K = 10, and on the witness."""
+    rep = check_nonresonant(alpha, 10)
+    assert rep.witness == witness and rep.resonant == (witness is not None)
+    probes = (lambda: estimate_gamma(alpha, 0.0, 10), lambda: envelope(alpha, 10), lambda: fit_tau(alpha, 10))
+    if rep.resonant:
+        for probe in probes:
+            with pytest.raises(ResonantFrequency) as err:
+                probe()
+            assert (err.value.witness, err.value.value) == (witness, rep.min_abs)
+    else:
+        assert probes[0]().gamma_hat == rep.min_abs
+        for probe in probes[1:]:
+            probe()  # does not raise

@@ -40,10 +40,6 @@ def test_config_validation():
         IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")
-    for iters in (0, -3):
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_fixed_point_iters=iters)
-    assert IntegratorConfig(max_fixed_point_iters=1).max_fixed_point_iters == 1
 
 
 def test_harmonic_actions_exactly_conserved():
@@ -170,6 +166,16 @@ def test_domain_and_stability_guards():
         integrate_batch(H, np.zeros((2, 6)), cfg, T=1.0)
     with pytest.raises(FixedPointDivergence):
         integrate(H, np.array([2.0, 0.0, 0.0, 0.0]), IntegratorConfig(dt=5.0), T=10.0)
+
+
+@pytest.mark.parametrize("T, stride", [(0.0, 1), (-5.0, 1), (math.inf, 1), (math.nan, 1), (1.0, 0), (1.0, -2)])
+def test_bad_horizon_or_stride_is_refused_first(T, stride):
+    H, cfg = cubic_example(), IntegratorConfig(dt=1e-2)
+    with pytest.raises(ValueError, match="finite T > 0 and sample_stride >= 1"):
+        integrate(H, np.array([0.1, 0.0, 0.0, 0.1]), cfg, T=T, sample_stride=stride)
+    # refused before the points are read: these would leave the domain
+    with pytest.raises(ValueError, match="finite T > 0 and sample_stride >= 1"):
+        integrate_batch(H, np.zeros((2, 6)), cfg, T, stride)
 
 
 @pytest.mark.parametrize("method", ["implicit_midpoint", "gauss4"])
@@ -451,7 +457,7 @@ def test_escape_scan_integrable_case_censored():
 def test_escape_scan_reports_escapes_with_tiny_threshold():
     H = cubic_example()
     cfg = IntegratorConfig(dt=2e-2)
-    rows = escape_time_scan(H, [0.2, 0.1], 1e-9, T_max=20.0, cfg=cfg, N=4, sample_stride=5)
+    rows = escape_time_scan(H, [0.2, 0.1], 1e-9, T_max=20.0, cfg=cfg, N=4)
     assert not rows[0]["censored"]
     assert rows[0]["escape_time"] > 0.0
     assert "local_slope" in rows[1]

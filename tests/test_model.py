@@ -55,8 +55,8 @@ def test_complexify_is_symplectic_change():
     # the bracket factor is preserved: {zeta, zetabar} images of {q, p} = 1
     from hamlab.poly import poisson_bracket
 
-    q = Polynomial.variable(1, 0)
-    p = Polynomial.variable(1, 1)
+    q = Polynomial(1, {(1, 0): 1.0})
+    p = Polynomial(1, {(0, 1): 1.0})
     b = poisson_bracket(q, p)
     assert complex(b.terms[(0, 0)]) == pytest.approx(1.0)
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from hamlab import sdm
-from hamlab.errors import CombinatorialBudgetExceeded
-from hamlab.poly import ActionPolynomial
+from hamlab.errors import CombinatorialBudgetExceeded, DimensionMismatch
+from hamlab.poly import ActionPolynomial, CompiledPoly
 from hamlab.sdm import (
     BadSet,
     PrevalenceReport,
@@ -464,11 +464,13 @@ def _unbatched_polynomial_verdict(h, B, gamma_p, tau_p, L_max, grid_density):
         for i in idx for j in idx for k in idx
     ))
     pts, delta = _grid_points(np.asarray(B[0], dtype=float), float(B[1]), grid_density)
+    grads = CompiledPoly(h.gradient())(pts)
+    hessians = CompiledPoly([g.partial(j) for g in h.gradient() for j in idx])(pts).reshape(len(pts), n, n)
     status, worst, best = "certified-pass", None, math.inf
     for sub in subspaces_up_to(n, L_max):
         E = sub.e_basis.T
         thr = gamma_p * float(sub.L) ** (-tau_p)
-        for x, g_full, H_full in zip(pts, h.grad(pts), h.hess(pts)):
+        for x, g_full, H_full in zip(pts, grads, hessians):
             g = float(np.linalg.norm(E.T @ g_full))
             sig = float(np.min(np.abs(np.linalg.eigvalsh(E.T @ H_full @ E))))
             margin = max(g, sig) * float(sub.L) ** tau_p
@@ -519,6 +521,8 @@ def test_polynomial_check_validation():
     h = ActionPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
     with pytest.raises(ValueError):
         check_sdm_polynomial(h, (np.zeros(2), 1.0), 0.1, 3.0, 1, grid_density=1)
+    with pytest.raises(DimensionMismatch):
+        check_sdm_polynomial(h, (np.zeros(3), 0.5), 0.1, 3.0, 1)
 
 
 # -- measure and prevalence ----------------------------------------------------
