@@ -35,7 +35,7 @@ def main():
         ("indefinite diag(1, -2)", np.diag([1.0, -2.0])),
         ("degenerate diag(1, -1)", np.diag([1.0, -1.0])),
     ):
-        v = check_sdm_quadratic(beta, GAMMA_P, TAU_P, L_MAX, _subspaces=subs)
+        v = check_sdm_quadratic(beta, GAMMA_P, TAU_P, L_MAX)
         print(f"  {label:24s} passed = {v.passed!s:5s} margin = {v.gamma_margin:.4f}")
     print("  (diag(1, -1) degenerates on the line spanned by (1, 1))")
 

@@ -107,8 +107,9 @@ def optimal_order(rho: float, gamma: float, tau: float) -> int:
 def _alpha_values(H: EllipticHamiltonian, exact: bool):
     if not exact:
         return H.alpha_floats().tolist()
-    if not all(isinstance(a, (int, Fraction, ExactComplex)) for a in H.alpha):
-        raise ValueError("exact mode requires exact frequency components")
+    for what, cs in (("frequency components", H.alpha), ("coefficients of V", H.V.terms.values())):
+        if not all(isinstance(c, (int, Fraction, ExactComplex)) for c in cs):
+            raise ValueError(f"exact mode requires exact {what}")
     return [a if isinstance(a, ExactComplex) else ExactComplex(a) for a in H.alpha]
 
 
@@ -289,6 +290,7 @@ class _Normalizer:
         exact: bool,
     ):
         n = H.n
+        alpha = _alpha_values(H, exact)
         if D_work < two_m_target + 1:
             raise ValueError("D_work must be at least 2m+1")
         if comb(D_work + 2 * n, 2 * n) > MONOMIAL_BUDGET:
@@ -301,7 +303,6 @@ class _Normalizer:
 
         self.n = n
         self.exact = exact
-        alpha = _alpha_values(H, exact)
         if exact:
             # the numerators (ar, br) of the frequencies, which are real; two
             # distinct extensions in alpha and V raise TypeError

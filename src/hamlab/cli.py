@@ -119,18 +119,9 @@ def _cmd_sdm_check(args):
 
 def _cmd_sdm_enum(args):
     subs = sdm.enumerate_GL(args.n, args.k, args.L)
-    if args.count_only:
-        _emit({"n": args.n, "k": args.k, "L": args.L, "count": len(subs)}, args.out)
-        return
-    report = {
-        "n": args.n,
-        "k": args.k,
-        "L": args.L,
-        "count": len(subs),
-        "subspaces": [
-            {"perp_basis": [list(map(int, g)) for g in s.perp_basis]} for s in subs
-        ],
-    }
+    report = {"n": args.n, "k": args.k, "L": args.L, "count": len(subs)}
+    if not args.count_only:  # generators are tuples of ints, written as JSON lists
+        report["subspaces"] = [{"perp_basis": s.perp_basis} for s in subs]
     _emit(report, args.out)
 
 
@@ -285,16 +276,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         args.func(args)
-    except _NUMERICAL as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 3
-    except _VALIDATION as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 2
+    except (*_NUMERICAL, *_VALIDATION) as exc:
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return 3 if isinstance(exc, _NUMERICAL) else 2
     return 0
 
 

@@ -27,6 +27,7 @@ from .model import EllipticHamiltonian, _replacing, formal_actions
 from .poly import ActionPolynomial, Polynomial, _degree
 from .sdm import (
     PrevalenceReport,
+    _stacks,
     check_sdm_quadratic,
     prevalence_estimate,
     subspaces_up_to,
@@ -380,10 +381,11 @@ def run_convex_vs_generic(spec: ExperimentSpec) -> ExperimentResult:
     rho = spec.rho_grid[0]
     cfg = IntegratorConfig(dt=spec.dt)
     subs = subspaces_up_to(base.n, spec.L_max)
+    stacked = subs, list(_stacks(subs, 1))  # the bases, built once for three checks
     rows = []
     for label, beta in _beta_variants(base.n):
         H = generate_random_hamiltonian(replace(base, include_beta=beta))
-        verdict = check_sdm_quadratic(beta, spec.gamma_p, spec.tau_p, spec.L_max, _subspaces=subs)
+        verdict = check_sdm_quadratic(beta, spec.gamma_p, spec.tau_p, spec.L_max, _stacked=stacked)
         ens = ensemble_drift(H, rho, spec.N, spec.T, cfg, seed=spec.seed)
         rows.append(
             {

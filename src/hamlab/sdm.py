@@ -14,7 +14,8 @@ of det(A_S), over its gcd.
 
 Enumeration is one array pass over the generator tuples in lexicographic
 order, in bounded blocks, keeping per Plücker vector the first tuple of least
-L; the bases come from one batched SVD per dimension.
+L; it builds integer values only.  The orthonormal bases come from the checks,
+one batched SVD per stack of the subspaces they check.
 Minors are exact in int64: those of m vectors with entries at most L, and the
 partial sums of their cofactor expansion, are at most m! L^m.  The budget
 check admits only m <= 4 (the (3^(m+1) - 1)/2 candidates with entries in
@@ -27,7 +28,7 @@ polynomial check stops at its first failing stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -42,18 +43,21 @@ ENUMERATION_BUDGET = 10_000_000
 PROBE_INTERVAL = (-2.0, 2.0)  # the xi range of the prevalence probe beta0 - xi I
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalSubspace:
-    """A rational subspace, identified (for equality and hashing) by its
-    integer fields; ``e_basis`` is computed once, by the enumeration that
-    builds it."""
+    """A rational subspace, a value of integer fields.  The checks build the
+    orthonormal bases of the subspaces they stack; ``e_basis`` builds one."""
 
     n: int
     k: int
     L: int  # enumerate_GL: the L asked for; subspaces_up_to: the least L it appears at
     perp_basis: tuple  # (n-k) primitive integer generators of the complement
-    e_basis: np.ndarray = field(compare=False)  # (k, n) orthonormal rows spanning the subspace
     canonical_key: tuple
+
+    @property
+    def e_basis(self) -> np.ndarray:
+        """(k, n) orthonormal rows spanning the subspace."""
+        return _bases([self])[0]
 
 
 class WorstCase(NamedTuple):
@@ -171,8 +175,7 @@ def _first_per_vector(idx, P, L):
 def _distinct(n: int, k: int, cands: list, L_of) -> list:
     """One subspace per Plücker vector, spanned by the tuple of ``cands`` of
     least ``L_of`` with that vector, the lexicographically first among ties,
-    sorted by (L, canonical key).  The bases of all of them come from one
-    batched SVD."""
+    sorted by (L, canonical key)."""
     m = n - k
     C = np.array(cands, dtype=np.int64)
     idx = np.zeros((0, m), dtype=np.int64)
@@ -196,19 +199,16 @@ def _distinct(n: int, k: int, cands: list, L_of) -> list:
     # keys share their row tuples, as generator tuples share the candidate
     # vectors: at (4, 2), 818,436 key rows hold 3,892 distinct ones
     rows, K = np.unique(np.ascontiguousarray(K).view(f"V{8 * n}").ravel(), return_inverse=True)
-    rows, K = list(map(tuple, rows.view(np.int64).reshape(-1, n).tolist())), K.reshape(-1, m)
-    Vt = np.linalg.svd(C[idx].astype(float))[2]
+    rows = list(map(tuple, rows.view(np.int64).reshape(-1, n).tolist()))
+    gen, key = cands.__getitem__, rows.__getitem__
     return [
-        RationalSubspace(
-            n=n, k=k, L=L_i, perp_basis=tuple(cands[j] for j in idx_i.tolist()), e_basis=E,
-            canonical_key=tuple(rows[j] for j in K_i.tolist()),
-        )
-        for L_i, idx_i, K_i, E in zip(L.tolist(), idx, K, Vt[:, m:])
+        RationalSubspace(n, k, L_i, tuple(map(gen, idx_i)), tuple(map(key, K_i)))
+        for L_i, idx_i, K_i in zip(L.tolist(), idx.tolist(), K.reshape(-1, m).tolist())
     ]
 
 
 def _whole_space(n: int) -> RationalSubspace:
-    return RationalSubspace(n=n, k=n, L=1, perp_basis=(), e_basis=np.eye(n), canonical_key=("full", n))
+    return RationalSubspace(n=n, k=n, L=1, perp_basis=(), canonical_key=("full", n))
 
 
 def enumerate_GL(n: int, k: int, L: int) -> list:
@@ -241,7 +241,7 @@ def subspaces_up_to(n: int, L_max: int) -> list:
     subs = []
     for k in range(1, n):
         subs += _distinct(n, k, cands, lambda A: np.abs(A).max(axis=(1, 2)))
-    subs.sort(key=lambda s: (s.L, s.k, s.canonical_key))
+    subs.sort(key=lambda s: s.L)  # stable: each k comes sorted by (L, key)
     subs.append(_whole_space(n))
     return subs
 
@@ -253,6 +253,15 @@ def _check_exponents(gamma_p: float, tau_p: float) -> None:
         raise ValueError("gamma' must be <= 1")
 
 
+def _bases(subs: list) -> np.ndarray:
+    """The (S, k, n) orthonormal bases of subspaces of one dimension, by one
+    batched SVD of their (S, n-k, n) complements: it factors each matrix alone,
+    so a basis has the same bits in any stack; the whole space gets I."""
+    n, m = subs[0].n, subs[0].n - subs[0].k
+    A = np.array([sub.perp_basis for sub in subs], dtype=float).reshape(len(subs), m, n)
+    return np.ascontiguousarray(np.linalg.svd(A)[2][:, m:])
+
+
 def _stacks(subs: list, per_sub: int):
     """Runs of consecutive subspaces of one dimension, in list order, cut
     into blocks with each subspace counted as per_sub rows: their range lo:hi
@@ -262,7 +271,7 @@ def _stacks(subs: list, per_sub: int):
     cuts = [0] + [i for i in range(1, len(ks)) if ks[i] != ks[i - 1]] + [len(ks)]
     for a, b in zip(cuts, cuts[1:]):
         for lo, hi in blocks(np.full(b - a, per_sub)):
-            yield a + lo, a + hi, np.array([sub.e_basis for sub in subs[a + lo:a + hi]])
+            yield a + lo, a + hi, _bases(subs[a + lo:a + hi])
 
 
 def _powers(subs: list, scale: float, p: float) -> np.ndarray:
@@ -281,11 +290,14 @@ def _margins(betas: np.ndarray, E: np.ndarray, subs: list, tau_p: float) -> np.n
 
 def check_sdm_quadratic(
     beta: np.ndarray, gamma_p: float, tau_p: float, L_max: int,
-    _subspaces: list | None = None,
+    _stacked: tuple | None = None,
 ) -> SdmVerdict:
     """Quadratic SDM check: sigma_min of every rational restriction of beta
     must exceed gamma' L^{-tau'} (the criterion puts no condition on the
-    linear part alpha)."""
+    linear part alpha).
+
+    ``_stacked`` (private): the subspaces up to L_max and their list of
+    ``_stacks(subs, 1)``, built once by a caller that checks many matrices."""
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 2 or beta.shape[0] != beta.shape[1]:
         raise ValueError("beta must be a square matrix")
@@ -293,9 +305,10 @@ def check_sdm_quadratic(
         raise ValueError("beta must be symmetric")
     _check_exponents(gamma_p, tau_p)
     n = beta.shape[0]
-    subs = subspaces_up_to(n, L_max) if _subspaces is None else _subspaces
+    subs = subspaces_up_to(n, L_max) if _stacked is None else _stacked[0]
+    stacks = _stacks(subs, 1) if _stacked is None else _stacked[1]
     margins = np.concatenate(
-        [_margins(beta[None], E, subs[lo:hi], tau_p)[:, 0] for lo, hi, E in _stacks(subs, 1)]
+        [_margins(beta[None], E, subs[lo:hi], tau_p)[:, 0] for lo, hi, E in stacks]
     )
     i = int(np.argmin(margins))
     sub, best = subs[i], float(margins[i])

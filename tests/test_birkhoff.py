@@ -266,7 +266,7 @@ def test_divisor_floor_raises_at_the_first_small_divisor():
     # |(-2, 1).alpha| = 8.9e-16 is below the floor 1e-13 max |alpha|: float
     # mode stops at that first degree-3 divisor, exact mode normalizes
     alpha = (Fraction(1), 2 + Fraction(1, 10**15))
-    V = Polynomial(2, {(2, 0, 0, 1): 0.1, (0, 1, 2, 0): 0.1})
+    V = Polynomial(2, {(2, 0, 0, 1): Fraction(1, 10), (0, 1, 2, 0): Fraction(1, 10)})
     H = EllipticHamiltonian(alpha, V, s=4.0)
     with pytest.raises(ResonanceEncountered, match=r"degree 3: k=\(-2, 1\), \|k.alpha\|=8.882e-16"):
         birkhoff_normal_form(H, m=2)
@@ -314,6 +314,33 @@ def test_non_positive_radius_is_refused(radius, V):
         remainder_curve(H, m_max=3, radius=radius)
     with pytest.raises(ValueError, match="radius must be positive"):
         birkhoff_normal_form(H, m=2, radius=radius)
+
+
+@pytest.mark.parametrize(
+    "alpha, c, what",
+    [
+        ((1.0, Fraction(13, 8)), Fraction(1, 10), "frequency components"),
+        ((Fraction(1), Fraction(13, 8)), 0.1, "coefficients of V"),
+        ((Fraction(1), Fraction(13, 8)), np.float64(0.1), "coefficients of V"),
+    ],
+    ids=["float_alpha", "float_V", "numpy_float_V"],
+)
+def test_exact_mode_refuses_float_inputs_first(alpha, c, what, monkeypatch):
+    # refused before the resonance check, the first work of a normalization
+    def refused(*args):
+        raise AssertionError("the normalization started")
+
+    monkeypatch.setattr(engine.diophantine, "check_nonresonant", refused)
+    V = Polynomial(2, {(2, 0, 0, 2): c, (3, 0, 0, 0): Fraction(1, 3)})
+    with pytest.raises(ValueError, match=f"exact mode requires exact {what}"):
+        birkhoff_normal_form(EllipticHamiltonian(alpha, V, s=4.0), m=2, exact=True)
+
+
+@pytest.mark.parametrize("c", [1, Fraction(1, 10), ExactComplex(Fraction(1, 10))])
+def test_exact_mode_takes_exact_coefficients_of_V(c):
+    # <q_1^2 p_2^2> = I_1 I_2, so the coefficient passes through unchanged
+    H = EllipticHamiltonian((Fraction(1), Fraction(13, 8)), Polynomial(2, {(2, 0, 0, 2): c}), s=4.0)
+    assert birkhoff_normal_form(H, m=2, exact=True).h_m.terms[1, 1] == c
 
 
 def test_conjugacy_on_sample_points():

@@ -168,9 +168,9 @@ def _fraction_key(rows):
 
 def _reference_enumerate_GL(n, k, L):
     """Fraction keys and one SVD per new key, in lexicographic tuple order,
-    stamped with L."""
+    stamped with L: (subspace, basis) pairs, each basis beside its value."""
     if k == n:
-        return [_whole_space(n)]
+        return [(_whole_space(n), np.eye(n))]
     cube = itertools.product(range(-L, L + 1), repeat=n)
     cands = sorted({_reference_primitive(v) for v in cube} - {None})
     seen = {}
@@ -180,28 +180,31 @@ def _reference_enumerate_GL(n, k, L):
             continue
         A = np.array(combo, dtype=float)
         _, _, Vt = np.linalg.svd(A)
-        seen[key] = RationalSubspace(n=n, k=k, L=L, perp_basis=combo, e_basis=Vt[n - k:], canonical_key=key)
+        seen[key] = RationalSubspace(n=n, k=k, L=L, perp_basis=combo, canonical_key=key), Vt[n - k:]
     return [seen[key] for key in sorted(seen)]
 
 
 def _reference_subspaces_up_to(n, L_max):
-    """One enumeration per L <= L_max; a subspace keeps its first L."""
+    """One enumeration per L <= L_max; a subspace keeps its first L, and the
+    basis of its generators at that L."""
     out = {}
     for L in range(1, L_max + 1):
         for k in range(1, n):
-            for sub in _reference_enumerate_GL(n, k, L):
-                out.setdefault(sub.canonical_key, sub)
-    return [*out.values(), _whole_space(n)]
+            for sub, E in _reference_enumerate_GL(n, k, L):
+                out.setdefault(sub.canonical_key, (sub, E))
+    return [*out.values(), (_whole_space(n), np.eye(n))]
 
 
 def _assert_same_subspaces(got, want):
+    """``got`` equals the values of the reference pairs ``want`` field by
+    field, and each basis has the bits of the reference basis beside it."""
     assert len(got) == len(want)
-    for g, w in zip(got, want):
+    for g, (w, E) in zip(got, want):
         assert (g.n, g.k, g.L) == (w.n, w.k, w.L)
         assert g.perp_basis == w.perp_basis
         assert g.canonical_key == w.canonical_key
-        assert g.e_basis.shape == w.e_basis.shape and g.e_basis.dtype == w.e_basis.dtype
-        assert g.e_basis.tobytes() == w.e_basis.tobytes()
+        assert g.e_basis.shape == E.shape and g.e_basis.dtype == E.dtype
+        assert g.e_basis.tobytes() == E.tobytes()
 
 
 @pytest.mark.parametrize("n,L", [(2, 3), (2, 6), (3, 1), (3, 2), (3, 3), (4, 1)])
@@ -260,6 +263,29 @@ def test_int_key_matches_fraction_key():
     assert _batched_keys([((0, -2, 4),)]) == [((0, 1, -2),)]
 
 
+def test_enumeration_builds_no_basis(monkeypatch):
+    want = subspaces_up_to(3, 3), enumerate_GL(3, 1, 3)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the enumeration computed an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    assert (subspaces_up_to(3, 3), enumerate_GL(3, 1, 3)) == want
+
+
+@pytest.mark.parametrize("n,L,per_sub", [(2, 6, 1), (3, 3, 1), (3, 2, 50), (4, 1, 7)])
+def test_stacks_hold_the_bases_of_their_subspaces(n, L, per_sub):
+    subs = subspaces_up_to(n, L)
+    covered = 0
+    for lo, hi, E in sdm._stacks(subs, per_sub):
+        assert lo == covered and E.shape == (hi - lo, subs[lo].k, n)
+        for sub, E_sub in zip(subs[lo:hi], E):
+            assert sub.k == subs[lo].k
+            assert E_sub.tobytes() == sub.e_basis.tobytes()
+        covered = hi
+    assert covered == len(subs)
+
+
 def test_subspaces_budget_is_checked_before_enumerating(monkeypatch):
     calls = []
     monkeypatch.setattr(sdm, "_plucker", lambda A: calls.append(A))
@@ -293,9 +319,9 @@ def test_chunk_size_does_not_change_results(rows, monkeypatch):
     monkeypatch.setattr(blocks, "BLOCK_ROWS", rows)
     for nL in grid:
         got = subspaces_up_to(*nL)
-        _assert_same_subspaces(got, want[nL])
+        assert got == want[nL]
         _assert_same_subspaces(got, _reference_subspaces_up_to(*nL))
-    _assert_same_subspaces(enumerate_GL(3, 1, 3), want_gl)
+    assert enumerate_GL(3, 1, 3) == want_gl
     assert [repr(check()) for check in checks] == verdicts
 
 
@@ -572,8 +598,10 @@ def test_prevalence_validation():
 
 def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
     """The random half of prevalence_estimate as a per-sample loop:
-    sequential (n, n) draws, each passed to check_sdm_quadratic."""
+    sequential (n, n) draws, each passed to check_sdm_quadratic with the
+    stacks built once."""
     subs = subspaces_up_to(n, L_max)
+    stacked = subs, list(sdm._stacks(subs, 1))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     A = rng.uniform(-1.0, 1.0, size=(n, n))
     beta0 = 0.5 * (A + A.T)
@@ -588,7 +616,7 @@ def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
     for _ in range(samples):
         Ar = rng.uniform(-1.0, 1.0, size=(n, n))
         drawn.append(2.0 * (0.5 * (Ar + Ar.T)))
-        v = check_sdm_quadratic(drawn[-1], gamma_p, tau_p, L_max, _subspaces=subs)
+        v = check_sdm_quadratic(drawn[-1], gamma_p, tau_p, L_max, _stacked=stacked)
         bad_r += not v.passed
     return float(np.mean(bad)), bad_r / samples, np.array(drawn)
 
@@ -652,6 +680,7 @@ def test_returned_frozen_values_are_values():
 def test_subspaces_are_distinct_values():
     subs = subspaces_up_to(3, 3)
     assert len(set(subs)) == len(subs) == 3363
-    # equality reads the integer fields, not the float basis
+    # a twin built from the integer fields alone equals it
     sub = subs[7]
-    assert sub == RationalSubspace(sub.n, sub.k, sub.L, sub.perp_basis, -sub.e_basis, sub.canonical_key)
+    twin = RationalSubspace(sub.n, sub.k, sub.L, sub.perp_basis, sub.canonical_key)
+    assert twin == sub and hash(twin) == hash(sub)
