@@ -50,7 +50,6 @@ from .poly import (
     ActionPolynomial,
     Polynomial,
     poisson_bracket,
-    to_action_form,
 )
 from .sdm import (
     BadSet,
@@ -116,5 +115,4 @@ __all__ = [
     "remainder_curve",
     "run_experiment",
     "sample_initial_conditions",
-    "to_action_form",
 ]

@@ -19,22 +19,23 @@ Birkhoff polynomial h_m in the formal actions.
 
 Graded layout.  Inside the engine a chart polynomial is one piece per
 homogeneous degree on the graded layout of :mod:`hamlab.poly` (slots ranked
-lexicographically, index tables built on first use and shared).  This module
-adds the rank of every product of two degrees; a product table grows like the
-product of two piece sizes, so it is kept only within the budget of kept
-tables and past it recomputed per call.  Float pieces are complex128 arrays
-and are full from degree 6 up, so the float bracket is dense: two derivative
-matrices, one matrix product pairing d/dw with d/dwbar, and a bincount
-scatter-add into the target degree, done in blocks of rows so no temporary
-outgrows a fixed size.  An exact piece is a triple (X, den, field): the Python
-int numerators (ar, ai, br, bi) of its coefficients in Q(i)(w) = field, one
-row per slot, over one int denominator; products fold in w^2 = p w + q, and
-each step divides out the gcd.  Exact pieces are only about a quarter full,
-so the exact bracket pairs only nonzero slots.  Pieces in, pieces out: H
-enters the chart one piece at a time through the piece map of
-:mod:`hamlab.poly`, the remainder and the generators leave it the same way,
-and the remainder majorant and the transform displacement are read off the
-pieces.  Pieces become Polynomial / ActionPolynomial only for the outputs.
+lexicographically, index tables built on first use and kept).  This module
+adds the rank of every product of two degrees.  A product table grows like the
+product of two piece sizes, so it is the one budgeted table: the product
+tables are kept up to ``_PRODUCT_CACHE_ENTRIES`` entries in all, and past that
+recomputed per call.  Float pieces are complex128 arrays and are full from
+degree 6 up, so the float bracket is dense: two derivative matrices, one
+matrix product pairing d/dw with d/dwbar, and a bincount scatter-add into the
+target degree, done in blocks of rows so no temporary outgrows a fixed size.
+An exact piece is a triple (X, den, field): the Python int numerators (ar, ai,
+br, bi) of its coefficients in Q(i)(w) = field, one row per slot, over one int
+denominator; products fold in w^2 = p w + q, and each step divides out the
+gcd.  Exact pieces are only about a quarter full, so the exact bracket pairs
+only nonzero slots.  Pieces in, pieces out: H enters the chart one piece at a
+time through the piece map of :mod:`hamlab.poly`, the remainder and the
+generators leave it the same way, and the remainder majorant and the transform
+displacement are read off the pieces.  Pieces become Polynomial /
+ActionPolynomial only for the outputs.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .poly import (
     _change_piece,
     _choose_up,
     _degree,
-    _kept,
     _numerators,
     _rank,
     _realify,
@@ -91,7 +91,6 @@ class NormalFormResult:
     D_work: int
     radius: float
     s: float
-    exact: bool = False
     tail_ratio: float = field(default=0.0)
 
 
@@ -117,6 +116,10 @@ def _alpha_values(H: EllipticHamiltonian, exact: bool):
 
 # the float bracket forms its outer product at most this many entries at a time
 _BLOCK_ENTRIES = 1 << 18
+# (V, a, b) -> the int32 product ranks of degrees a and b, kept while they hold
+# at most _PRODUCT_CACHE_ENTRIES entries in all (32 MiB)
+_PRODUCT_RANKS: dict = {}
+_PRODUCT_CACHE_ENTRIES = 1 << 23
 
 
 def _product_ranks(V: int, a: int, b: int, rows: slice = slice(None)) -> np.ndarray:
@@ -138,9 +141,14 @@ def _product_ranks(V: int, a: int, b: int, rows: slice = slice(None)) -> np.ndar
 
 def _cached_product_ranks(V: int, a: int, b: int):
     """_product_ranks(V, a, b) as a kept int32 table, or None when keeping it
-    would take the kept tables past their budget."""
-    entries = comb(a + V - 1, V - 1) * comb(b + V - 1, V - 1)
-    return _kept(("product", V, a, b), entries, lambda: _product_ranks(V, a, b).astype(np.int32))
+    would take the kept product tables past their budget."""
+    tab = _PRODUCT_RANKS.get((V, a, b))
+    if tab is None:
+        entries = comb(a + V - 1, V - 1) * comb(b + V - 1, V - 1)
+        if sum(t.size for t in _PRODUCT_RANKS.values()) + entries > _PRODUCT_CACHE_ENTRIES:
+            return None
+        tab = _PRODUCT_RANKS[(V, a, b)] = _product_ranks(V, a, b).astype(np.int32)
+    return tab
 
 
 def _clean(p):
@@ -470,7 +478,6 @@ def birkhoff_normal_form(
         D_work=D_work,
         radius=radius,
         s=H.s,
-        exact=exact,
         tail_ratio=ratio,
     )
 

@@ -34,6 +34,8 @@ _GAUSS4 = (
 # at most _NEWTON_MAX_ITERS + 2 sweeps
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITERS = 50
+# a row whose energy moves more than this from its start is stopped
+_ENERGY_ABORT = 1.0
 # _collocation(F.A, dt, a) by F, then by (dt, a): fixed for a run, so built
 # once per run; an entry goes with its field
 _COLLOCATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -41,16 +43,16 @@ _COLLOCATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Method, step and energy-abort bound; the implicit solve's tolerance and
-    sweep cap are the constants _NEWTON_TOL and _NEWTON_MAX_ITERS."""
+    """Method and step; the implicit solve's tolerance and sweep cap and the
+    energy-abort bound are the constants _NEWTON_TOL, _NEWTON_MAX_ITERS and
+    _ENERGY_ABORT."""
 
     method: str = "implicit_midpoint"  # or "gauss4"
     dt: float = 1e-2
-    energy_abort_threshold: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.energy_abort_threshold <= 0:
-            raise ValueError("dt and thresholds must be positive")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         if self.method not in ("implicit_midpoint", "gauss4"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -165,9 +167,16 @@ def integrate_batch(
     sample_stride: int = 1,
     drift_threshold: float | None = None,
 ):
-    """Integrate a batch of initial conditions; returns a list of DriftRecord."""
+    """Integrate a batch of initial conditions; returns a list of DriftRecord.
+
+    The run takes the most whole steps that fit in T, up to a relative 1e-9
+    for the rounding of T / dt; a T shorter than one step is refused.
+    """
     if not (math.isfinite(T) and T > 0) or sample_stride < 1:
         raise ValueError(f"need a finite T > 0 and sample_stride >= 1, got {T} and {sample_stride}")
+    n_steps = math.floor(T / cfg.dt * (1 + 1e-9))
+    if n_steps < 1:
+        raise ValueError(f"need T >= dt, got T={T} and dt={cfg.dt}")
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=float))
     N, dim = Z0.shape
     n = H.n
@@ -183,7 +192,6 @@ def integrate_batch(
     energy = CompiledPoly([H_poly])
     stepper = _fixed_point_midpoint if cfg.method == "implicit_midpoint" else _fixed_point_gauss4
 
-    n_steps = max(1, int(round(T / cfg.dt)))
     n_samples = n_steps // sample_stride + 1
     times = np.arange(n_samples) * (cfg.dt * sample_stride)
     actions = np.full((N, n_samples, n), np.nan)
@@ -243,7 +251,7 @@ def integrate_batch(
         status[out] = LEFT_DOMAIN
         active[out] = False
         live = np.flatnonzero(active)
-        eb = live[np.abs(Ea[live] - E0[live]) > cfg.energy_abort_threshold]
+        eb = live[np.abs(Ea[live] - E0[live]) > _ENERGY_ABORT]
         status[eb] = ENERGY_ABORT
         active[eb] = False
         rec = np.flatnonzero(active)
@@ -281,16 +289,16 @@ def integrate(
     z0,
     cfg: IntegratorConfig,
     T: float,
-    sample_stride: int = 1,
 ) -> DriftRecord:
-    """Integrate a single trajectory; raises on divergence of the implicit solve."""
-    rec = integrate_batch(H, np.asarray(z0, dtype=float)[None, :], cfg, T, sample_stride)[0]
+    """Integrate a single trajectory, sampled at every step; raises on
+    divergence of the implicit solve."""
+    rec = integrate_batch(H, np.asarray(z0, dtype=float)[None, :], cfg, T)[0]
     if rec.status == "fixed_point_divergence":
         raise FixedPointDivergence("implicit step failed to converge; reduce dt")
     return rec
 
 
-def sample_initial_conditions(n: int, N: int, seed: int, scale: float = 1.0) -> np.ndarray:
+def sample_initial_conditions(n: int, N: int, seed: int) -> np.ndarray:
     """Draw N points with action vector uniform on {|I|_1 < 1}, angles uniform.
 
     Uses the counter-based Philox generator keyed by (seed, trajectory index),
@@ -302,7 +310,7 @@ def sample_initial_conditions(n: int, N: int, seed: int, scale: float = 1.0) -> 
         e = rng.exponential(size=n + 1)
         I = e[:n] / np.sum(e)  # uniform on the open simplex {sum I_i < 1}
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        r = np.sqrt(2.0 * I) * scale
+        r = np.sqrt(2.0 * I)
         out[i, :n] = r * np.cos(theta)
         out[i, n:] = r * np.sin(theta)
     return out

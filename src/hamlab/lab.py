@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -238,12 +237,6 @@ def write_csv(path_or_buf, fieldnames, rows):
             w.writerow([_fmt(row.get(k)) for k in fieldnames])
 
 
-def csv_text(fieldnames, rows) -> str:
-    buf = io.StringIO()
-    write_csv(buf, fieldnames, rows)
-    return buf.getvalue()
-
-
 def write_json(path, obj):
     with _replacing(path) as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
@@ -286,9 +279,6 @@ class ExperimentResult:
     report: dict
     csv_fields: tuple = ()
     csv_rows: list = field(default_factory=list)
-
-    def csv(self) -> str:
-        return csv_text(self.csv_fields, self.csv_rows) if self.csv_fields else ""
 
 
 def run_remainder_scaling(spec: ExperimentSpec) -> ExperimentResult:

@@ -17,10 +17,10 @@ Graded layout.  A homogeneous piece of degree d in V variables is one array
 indexed by the rank of its exponent vectors among the C(d+V-1, V-1) vectors
 of degree d in lexicographic order (the dense homogeneous layout of Jorba,
 Exp. Math. 8, 1999).  The rank has a closed form; the index tables are built
-on first use, never at import, and shared by every call through ``_TABLES``.
-The per-degree tables grow like the pieces; every other kept table counts
-against one fixed entry budget, and past it is rebuilt per call.  The normal
-form engine (:mod:`hamlab.birkhoff`) keeps its chart on this layout.
+on first use, never at import, and kept for every later call in ``_TABLES``:
+the per-degree tables, and the pair maps (3 (s+1)^2 ints at pair degree s)
+and fibers (N_d slots per pair) of the chart change below.  The normal form
+engine (:mod:`hamlab.birkhoff`) keeps its chart on this layout.
 
 Chart change.  The map between real coordinates and the chart
 w_j = z_j - i z_{n+j} takes pieces and returns pieces: a float piece is a
@@ -419,65 +419,52 @@ def _real_exact(c, keep: bool = False, scale: int = 1):
     return r if keep or r.br else r.ar
 
 
-def paired_part(g: Polynomial, exact: bool, tol: float | None = None) -> ActionPolynomial:
+def paired_part(g: Polynomial, exact: bool) -> ActionPolynomial:
     """The action polynomial read off the paired chart monomials of g.
 
     In the unnormalized chart w_j wbar_j = 2 I_j, so a paired monomial
-    w^k wbar^k contributes c (2I)^k.  With ``tol`` unset, unpaired monomials
-    are skipped and float coefficients give their real part.  With ``tol``
-    set the reading is strict: an unpaired monomial (any, in exact mode) or an
-    imaginary part above tol * max(1, max |c|) raises NotActionRepresentable.
-    A non-real exact coefficient always raises.  Exact coefficients stay
-    ExactComplex when g holds any element with an extension part, and are
-    Fractions otherwise.
+    w^k wbar^k contributes c (2I)^k.  Unpaired monomials are skipped and float
+    coefficients give their real part; a non-real exact coefficient raises
+    NotActionRepresentable.  Exact coefficients stay ExactComplex when g holds
+    any element with an extension part, and are Fractions otherwise.
     """
     n = g.n
-    bound = None
-    if tol is not None and not exact:
-        bound = tol * max(1.0, max((abs(c) for c in g.terms.values()), default=0.0))
     keep = exact and any(isinstance(c, ExactComplex) and (c.br or c.bi) for c in g.terms.values())
     out = {}
     for k, c in g.terms.items():
         kw = k[:n]
         if kw != k[n:]:
-            if tol is not None and (exact or abs(c) > bound):
-                raise NotActionRepresentable(
-                    f"monomial w^{kw} wbar^{k[n:]} is not action-paired"
-                )
             continue
         factor = 2 ** sum(kw)
         if exact:
             cc = _real_exact(c if isinstance(c, ExactComplex) else Fraction(c), keep, factor)
         else:
-            cc = complex(c) * factor
-            if bound is not None and abs(cc.imag) > bound:
-                raise NotActionRepresentable("non-real action coefficient")
-            cc = cc.real
+            cc = (complex(c) * factor).real
         out[kw] = out[kw] + cc if kw in out else cc
     return ActionPolynomial(n, out)
 
 
-def to_action_form(f: Polynomial) -> ActionPolynomial:
-    """Write f(z) as a polynomial in the formal actions, or raise.
-
-    Works through the complex chart w_j = z_j - i z_{n+j}: a polynomial is a
-    function of the actions iff every chart monomial has equal w and conjugate
-    exponents, and then (w_j wbar_j)^k = (2 I_j)^k.  The chart is read by
-    paired_part, strictly, at tol = 1e-9.
-    """
-    exact = all(_is_exact(c) for c in f.terms.values())
-    return paired_part(complexify_unnormalized(f, exact=exact), exact, 1e-9)
-
-
 # -- graded layout ---------------------------------------------------------------
 
-# (nvars, degree) -> _Degree; every other table sits under a key whose first
-# element names its kind.  All are built on first use, none at import.
+# (kind, *args) -> the table that args give; built on first use, never at
+# import, and kept
 _TABLES: dict = {}
-# the tables kept in _TABLES besides the per-degree ones hold at most this many
-# entries in all (32 MiB of int32 product ranks); past it a table is rebuilt
-# per call
-_PRODUCT_CACHE_ENTRIES = 1 << 23
+
+
+def _table(kind: str):
+    """Keep the table build(*args) returns in _TABLES under (kind, *args)."""
+
+    def wrap(build: Callable) -> Callable:
+        @functools.wraps(build)
+        def get(*args):
+            tab = _TABLES.get((kind, *args))
+            if tab is None:
+                tab = _TABLES[(kind, *args)] = build(*args)
+            return tab
+
+        return get
+
+    return wrap
 
 
 class _Degree(NamedTuple):
@@ -508,37 +495,17 @@ def _rank(E: np.ndarray) -> np.ndarray:
     return rank
 
 
+@_table("degree")
 def _degree(V: int, d: int) -> _Degree:
-    tab = _TABLES.get((V, d))
-    if tab is None:
-        step = np.eye(V, dtype=np.intp)
-        if d == 0:
-            E = np.zeros((1, V), dtype=np.intp)
-        else:
-            below = _degree(V, d - 1)
-            E = np.empty((comb(d + V - 1, V - 1), V), dtype=np.intp)
-            E[below.up] = below.E[:, None, :] + step
-        n = V // 2
-        tab = _Degree(E, _rank(E[:, None, :] + step), (E[:, :n] == E[:, n:]).all(axis=1))
-        _TABLES[(V, d)] = tab
-    return tab
-
-
-def _kept(key: tuple, entries: int, build: Callable):
-    """The table under key in _TABLES, built by build() on first use and kept
-    while all the kept tables besides the per-degree ones stay within
-    _PRODUCT_CACHE_ENTRIES entries; None when it would not fit."""
-    tab = _TABLES.get(key)
-    if tab is None:
-        kept = sum(
-            t.size if isinstance(t, np.ndarray) else sum(a.size for a in t)
-            for k, t in _TABLES.items()
-            if isinstance(k[0], str)
-        )
-        if kept + entries > _PRODUCT_CACHE_ENTRIES:
-            return None
-        tab = _TABLES[key] = build()
-    return tab
+    step = np.eye(V, dtype=np.intp)
+    if d == 0:
+        E = np.zeros((1, V), dtype=np.intp)
+    else:
+        below = _degree(V, d - 1)
+        E = np.empty((comb(d + V - 1, V - 1), V), dtype=np.intp)
+        E[below.up] = below.E[:, None, :] + step
+    n = V // 2
+    return _Degree(E, _rank(E[:, None, :] + step), (E[:, :n] == E[:, n:]).all(axis=1))
 
 
 # -- chart change -----------------------------------------------------------------
@@ -553,6 +520,7 @@ def _kept(key: tuple, entries: int, build: Callable):
 _REALIFY_RESIDUE = 64 * np.finfo(float).eps
 
 
+@_table("pair")
 def _pair_matrices(s: int) -> np.ndarray:
     """The integer maps of one pair (x_j, x_{n+j}) at pair degree s, indexed
     [map, out, in] by the exponent of x_j, as Python ints.
@@ -561,45 +529,36 @@ def _pair_matrices(s: int) -> np.ndarray:
     K_t(k, l) = sum_a (-1)^a C(k, a) C(l, t-a).  Map 1 complexifies:
     q^a p^b -> (w + wbar)^a (w - wbar)^b, b = s - a.  Map 2 is |map 0|.
     """
-
-    def build():
-        M = np.zeros((3, s + 1, s + 1), dtype=object)
-        for x in range(s + 1):
-            for y in range(s + 1):
-                M[0, s - x, y] = sum(
-                    (-1) ** a * comb(y, a) * comb(s - y, x - a) for a in range(x + 1)
-                )
-                M[1, x, y] = sum(
-                    (-1) ** (s - y + x + u) * comb(y, u) * comb(s - y, x - u)
-                    for u in range(x + 1)
-                )
-        M[2] = abs(M[0])
-        return M
-
-    M = _kept(("pair", s), 3 * (s + 1) ** 2, build)
-    return build() if M is None else M
+    M = np.zeros((3, s + 1, s + 1), dtype=object)
+    for x in range(s + 1):
+        for y in range(s + 1):
+            M[0, s - x, y] = sum(
+                (-1) ** a * comb(y, a) * comb(s - y, x - a) for a in range(x + 1)
+            )
+            M[1, x, y] = sum(
+                (-1) ** (s - y + x + u) * comb(y, u) * comb(s - y, x - u)
+                for u in range(x + 1)
+            )
+    M[2] = abs(M[0])
+    return M
 
 
+@_table("fibers")
 def _pair_fibers(V: int, d: int, j: int) -> tuple:
     """The degree-d slots grouped for pair j: row r of the s-th array holds the
     ranks of the monomials that agree outside the pair, have pair degree s and
     x_j exponent 0..s.  Every slot appears once, so the table has N_d entries."""
-
-    def build():
-        n = V // 2
-        E = _degree(V, d).E
-        s_all = E[:, j] + E[:, n + j]
-        F = []
-        for s in range(d + 1):
-            # one representative per fiber: the member with all of s on x_j
-            M = np.repeat(E[(s_all == s) & (E[:, n + j] == 0)][:, None, :], s + 1, axis=1)
-            M[:, :, j] = np.arange(s + 1)
-            M[:, :, n + j] = s - np.arange(s + 1)
-            F.append(_rank(M))
-        return tuple(F)
-
-    F = _kept(("fibers", V, d, j), comb(d + V - 1, V - 1), build)
-    return build() if F is None else F
+    n = V // 2
+    E = _degree(V, d).E
+    s_all = E[:, j] + E[:, n + j]
+    F = []
+    for s in range(d + 1):
+        # one representative per fiber: the member with all of s on x_j
+        M = np.repeat(E[(s_all == s) & (E[:, n + j] == 0)][:, None, :], s + 1, axis=1)
+        M[:, :, j] = np.arange(s + 1)
+        M[:, :, n + j] = s - np.arange(s + 1)
+        F.append(_rank(M))
+    return tuple(F)
 
 
 def _apply_pairs(X: np.ndarray, V: int, d: int, which: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import pytest
 
 from hamlab.birkhoff import apply_transform, birkhoff_normal_form
 from hamlab.diophantine import estimate_gamma
-from hamlab.dynamics import IntegratorConfig, ensemble_drift, integrate
+from hamlab.dynamics import IntegratorConfig, ensemble_drift, integrate_batch
 from hamlab.exactnum import GOLDEN, ExactComplex
 from hamlab.lab import ExperimentSpec, RandomHamiltonianParams, generate_random_hamiltonian, run_remainder_scaling, stream_rng
 from hamlab.model import EllipticHamiltonian
@@ -179,13 +179,13 @@ def test_criterion_7_integrator_suite():
     t0 = time.time()
     # (a) quadratic invariants over a million midpoint steps
     H = EllipticHamiltonian((1.0, GOLDEN_F), Polynomial.zero(2), s=4.0)
-    rec = integrate(
+    rec = integrate_batch(
         H,
-        np.array([0.4, -0.3, 0.2, 0.5]),
+        np.array([[0.4, -0.3, 0.2, 0.5]]),
         IntegratorConfig(dt=1e-3),
-        T=1000.0,
-        sample_stride=1000,
-    )
+        1000.0,
+        1000,
+    )[0]
     ok = rec.max_drift_l1 <= 1e-10
 
     # (b) reversibility of the midpoint step on a nonseparable Hamiltonian

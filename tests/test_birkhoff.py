@@ -465,8 +465,11 @@ def exact_digest(res):
 
 
 def kept_tables():
-    """The tables kept under the budget, by key."""
-    return {key: t for key, t in poly._TABLES.items() if isinstance(key[0], str)}
+    """The kept tables besides the per-degree ones, by key: the chart-change
+    tables of the layout and the product ranks of the engine."""
+    kept = {key: t for key, t in poly._TABLES.items() if key[0] != "degree"}
+    kept.update((("product", *key), t) for key, t in engine._PRODUCT_RANKS.items())
+    return kept
 
 
 def table_entries(t):
@@ -474,10 +477,10 @@ def table_entries(t):
 
 
 def test_float_bracket_tables_and_blocks_are_bounded(monkeypatch):
-    # with a small table budget and small row blocks, the kept tables stay
-    # under the budget, each kept chart-change stage is linear in its piece,
-    # the exact outputs are unchanged and the float curve and normal form
-    # agree with the default layout up to rounding
+    # with a small product budget and small row blocks, the product tables
+    # stay under the budget, each kept chart-change stage is linear in its
+    # piece, the exact outputs are unchanged and the float curve and normal
+    # form agree with the default layout up to rounding
     V = Polynomial(2, {(3, 0, 0, 0): 0.4, (1, 2, 0, 0): -0.3, (0, 0, 2, 2): 0.25})
     H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
     want_curve = remainder_curve(H, m_max=5, radius=0.05)
@@ -487,13 +490,15 @@ def test_float_bracket_tables_and_blocks_are_bounded(monkeypatch):
     want_exact = exact_digest(birkhoff_normal_form(He, m=3, exact=True, qfield=GOLDEN))
     cap = 4000
     monkeypatch.setattr(poly, "_TABLES", {})
-    monkeypatch.setattr(poly, "_PRODUCT_CACHE_ENTRIES", cap)
+    monkeypatch.setattr(engine, "_PRODUCT_RANKS", {})
+    monkeypatch.setattr(engine, "_PRODUCT_CACHE_ENTRIES", cap)
     monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 64)
     got_curve = remainder_curve(H, m_max=5, radius=0.05)
     got = birkhoff_normal_form(H, m=4)
     assert exact_digest(birkhoff_normal_form(He, m=3, exact=True, qfield=GOLDEN)) == want_exact
     kept = kept_tables()
-    assert 0 < sum(table_entries(t) for t in kept.values()) <= cap
+    products = [t for key, t in kept.items() if key[0] == "product"]
+    assert products and sum(t.size for t in products) <= cap
     stages = [key for key in kept if key[0] == "fibers"]
     assert stages
     for key in stages:
@@ -506,10 +511,19 @@ def test_float_bracket_tables_and_blocks_are_bounded(monkeypatch):
         scale = max(abs(c) for c in w.terms.values())
         keys = set(g.terms) | set(w.terms)
         assert max(abs(g.terms.get(k, 0.0) - w.terms.get(k, 0.0)) for k in keys) <= 1e-13 * scale
-    # with no room left every table is rebuilt per call, to the same outputs
-    monkeypatch.setattr(poly, "_PRODUCT_CACHE_ENTRIES", 0)
+    # with no room for products every product table is rebuilt per call, to
+    # the same outputs, and the pair maps and fibers are kept all the same
+    monkeypatch.setattr(poly, "_TABLES", {})
+    monkeypatch.setattr(engine, "_PRODUCT_RANKS", {})
+    monkeypatch.setattr(engine, "_PRODUCT_CACHE_ENTRIES", 0)
+    assert remainder_curve(H, m_max=5, radius=0.05) == got_curve
+    again = birkhoff_normal_form(H, m=4)
+    for g, w in zip([again.remainder] + again.generators_real, [got.remainder] + got.generators_real):
+        assert g.terms == w.terms
     assert exact_digest(birkhoff_normal_form(He, m=3, exact=True, qfield=GOLDEN)) == want_exact
-    assert kept_tables().keys() == kept.keys()
+    assert not engine._PRODUCT_RANKS
+    assert kept_tables().keys() == {key for key in kept if key[0] != "product"}
+    assert {key[0] for key in kept_tables()} == {"pair", "fibers"}
 
 
 # a field whose w^2 = p w + q has non-integral p and q: w = (1 + sqrt 13) / 4

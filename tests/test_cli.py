@@ -1,5 +1,6 @@
 """Command line interface: subcommands, artifacts, and exit codes."""
 
+import io
 import json
 import math
 
@@ -252,8 +253,18 @@ def test_bad_horizon_or_stride_exits_2(argv, ham_file, capsys):
     assert report["message"].startswith("need a finite T > 0 and sample_stride >= 1")
 
 
+@pytest.mark.parametrize("command", ["drift", "escape-scan"])
+def test_horizon_shorter_than_one_step_exits_2(command, ham_file, capsys):
+    code, out, err = run([command, "--ham", ham_file, "--rho", "0.1", "--T", "0.004", "--dt", "0.01"], capsys)
+    assert code == 2
+    assert out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert report["message"].startswith("need T >= dt")
+
+
 def test_escape_scan_table_is_the_drift_vs_rho_table(ham_file, capsys):
-    from hamlab.lab import ExperimentSpec, run_drift_vs_rho
+    from hamlab.lab import ExperimentSpec, run_drift_vs_rho, write_csv
 
     code, out, _ = run(
         ["escape-scan", "--ham", ham_file, "--rho", "0.2,0.1", "--T", "2.0", "--dt", "0.05", "--N", "2"],
@@ -266,7 +277,9 @@ def test_escape_scan_table_is_the_drift_vs_rho_table(ham_file, capsys):
     )
     result = run_drift_vs_rho(spec)
     assert out.splitlines()[0] == ",".join(result.csv_fields)
-    assert out == result.csv()
+    buf = io.StringIO()
+    write_csv(buf, result.csv_fields, result.csv_rows)
+    assert out == buf.getvalue()
 
 
 def test_experiment_subcommand(capsys, tmp_path, ham_file):

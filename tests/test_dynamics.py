@@ -48,7 +48,7 @@ def test_harmonic_actions_exactly_conserved():
     H = harmonic()
     cfg = IntegratorConfig(dt=1e-2)
     z0 = np.array([0.3, -0.2, 0.1, 0.4])
-    rec = integrate(H, z0, cfg, T=50.0, sample_stride=10)
+    rec = integrate_batch(H, z0[None], cfg, 50.0, 10)[0]
     assert rec.status == "ok"
     assert rec.max_drift_l1 < 1e-12
     assert rec.energy_spread < 1e-12
@@ -58,7 +58,7 @@ def test_harmonic_matches_exact_rotation():
     # one oscillator: z(t) is a rotation by angle alpha t, up to O(dt^2) phase
     H = EllipticHamiltonian((1.0,), Polynomial.zero(1), s=4.0)
     dt, T = 1e-3, 2.0
-    rec = integrate(H, np.array([0.5, 0.0]), IntegratorConfig(dt=dt), T, sample_stride=2000)
+    rec = integrate_batch(H, np.array([[0.5, 0.0]]), IntegratorConfig(dt=dt), T, 2000)[0]
     exact = np.array([0.5 * math.cos(T), -0.5 * math.sin(T)])
     got = np.sqrt(2 * rec.actions[-1][0])
     assert got == pytest.approx(0.5, abs=1e-12)
@@ -87,7 +87,7 @@ def test_convergence_order(method, order):
     T = 1.0
     errs = []
     for dt in (0.1, 0.05):
-        rec = integrate(H, np.array([1.0, 0.0]), IntegratorConfig(method=method, dt=dt), T, sample_stride=int(T / dt))
+        rec = integrate_batch(H, np.array([[1.0, 0.0]]), IntegratorConfig(method=method, dt=dt), T, int(T / dt))[0]
         # recover the final point from the action and energy is not enough;
         # integrate the nonlinear path instead for the error probe
         z = np.array([[1.0, 0.0]])
@@ -108,7 +108,7 @@ def test_nonlinear_energy_conservation_and_reversibility():
     H = cubic_example()
     cfg = IntegratorConfig(dt=5e-3)
     z0 = np.array([0.3, 0.2, -0.1, 0.25])
-    rec = integrate(H, z0, cfg, T=20.0, sample_stride=10)
+    rec = integrate_batch(H, z0[None], cfg, 20.0, 10)[0]
     assert rec.status == "ok"
     assert rec.energy_spread < 1e-8
 
@@ -149,10 +149,10 @@ def test_symplecticity_via_finite_differences():
 def test_integrate_batch_matches_single_runs():
     H = cubic_example()
     cfg = IntegratorConfig(dt=1e-2)
-    Z0 = sample_initial_conditions(2, 3, seed=5, scale=0.3)
+    Z0 = sample_initial_conditions(2, 3, seed=5) * 0.3
     batch = integrate_batch(H, Z0, cfg, T=2.0, sample_stride=10)
     for i in range(3):
-        single = integrate(H, Z0[i], cfg, T=2.0, sample_stride=10)
+        single = integrate_batch(H, Z0[i][None], cfg, 2.0, 10)[0]
         assert batch[i].max_drift_l1 == pytest.approx(single.max_drift_l1, rel=1e-12, abs=1e-15)
         assert batch[i].actions[-1] == pytest.approx(single.actions[-1])
 
@@ -172,19 +172,39 @@ def test_domain_and_stability_guards():
 def test_bad_horizon_or_stride_is_refused_first(T, stride):
     H, cfg = cubic_example(), IntegratorConfig(dt=1e-2)
     with pytest.raises(ValueError, match="finite T > 0 and sample_stride >= 1"):
-        integrate(H, np.array([0.1, 0.0, 0.0, 0.1]), cfg, T=T, sample_stride=stride)
+        integrate_batch(H, np.array([[0.1, 0.0, 0.0, 0.1]]), cfg, T, stride)
     # refused before the points are read: these would leave the domain
     with pytest.raises(ValueError, match="finite T > 0 and sample_stride >= 1"):
         integrate_batch(H, np.zeros((2, 6)), cfg, T, stride)
 
 
+@pytest.mark.parametrize("T, dt, steps", [(0.016, 0.01, 1), (12.0, 0.1, 120)])
+def test_horizon_is_the_most_whole_steps_within_T(T, dt, steps):
+    # the run never passes T: 0.016 takes one step of 0.01, not two; and T / dt
+    # just below a whole number (12 / 0.1) still counts that step
+    for H in (harmonic(), cubic_example()):
+        rec = integrate_batch(H, np.array([[0.2, 0.1, -0.1, 0.3]]), IntegratorConfig(dt=dt), T)[0]
+        assert rec.status == "ok"
+        assert len(rec.sample_times) == steps + 1
+        assert rec.sample_times[-1] == pytest.approx(steps * dt, rel=1e-12)
+        assert rec.sample_times[-1] <= T * (1 + 1e-9)
+
+
+def test_horizon_shorter_than_one_step_is_refused():
+    with pytest.raises(ValueError, match="need T >= dt"):
+        integrate_batch(cubic_example(), np.array([[0.1, 0.0, 0.0, 0.1]]), IntegratorConfig(dt=0.01), 0.004)
+
+
 @pytest.mark.parametrize("method", ["implicit_midpoint", "gauss4"])
-def test_divergence_inside_a_run(method):
+def test_divergence_inside_a_run(method, monkeypatch):
     # beyond the saddle of q^2/2 + q^3 the orbit blows up in finite time; once
     # dt |H''| is of order one the implicit solve stops converging, long before
-    # the orbit reaches |z| = s
+    # the orbit reaches |z| = s or its energy moves by the raised abort bound
+    import hamlab.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "_ENERGY_ABORT", 1e12)
     H = EllipticHamiltonian((1.0,), Polynomial(1, {(3, 0): 1.0}), s=1e6)
-    cfg = IntegratorConfig(method=method, dt=0.1, energy_abort_threshold=1e12)
+    cfg = IntegratorConfig(method=method, dt=0.1)
     Z0 = np.array([[0.3, 0.1], [0.1, 0.0]])
     with np.errstate(all="ignore"):
         bad, good = integrate_batch(H, Z0, cfg, T=10.0)
@@ -258,7 +278,7 @@ def random_quintic_field(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_newton_steps_match_fixed_point_reference(seed, dt):
     F = random_quintic_field(seed)
-    Z = sample_initial_conditions(2, 16, seed=seed, scale=0.6)
+    Z = sample_initial_conditions(2, 16, seed=seed) * 0.6
     for stepper, reference in (
         (_fixed_point_midpoint, _reference_midpoint),
         (_fixed_point_gauss4, _reference_gauss4),
@@ -344,7 +364,7 @@ def test_stopped_rows_match_a_long_newton_solve(scale, dt):
     converged = 0
     for seed in range(6):
         F = random_quintic_field(seed)
-        Z = sample_initial_conditions(2, 16, seed=seed, scale=scale)
+        Z = sample_initial_conditions(2, 16, seed=seed) * scale
         for stepper in (_fixed_point_midpoint, _fixed_point_gauss4):
             with np.errstate(all="ignore"):
                 z_new, conv = stepper(F, Z, dt, 1e-13, 50)
@@ -400,7 +420,7 @@ def test_newton_inverse_is_built_once_per_run(monkeypatch):
         return collocation(A, dt, a)
 
     monkeypatch.setattr(dynamics, "_collocation", counted)
-    Z0 = sample_initial_conditions(2, 4, seed=0, scale=0.3)
+    Z0 = sample_initial_conditions(2, 4, seed=0) * 0.3
     for method in ("implicit_midpoint", "gauss4"):
         built.clear()
         cfg = IntegratorConfig(method=method, dt=0.01)
@@ -417,9 +437,6 @@ def test_sampler_properties():
     # counter-based keying: the first rows do not depend on how many are drawn
     Z1 = sample_initial_conditions(2, 5, seed=3)
     assert Z1 == pytest.approx(Z0[:5])
-    # scale parameter acts on the radius
-    Zs = sample_initial_conditions(2, 5, seed=3, scale=0.5)
-    assert Zs == pytest.approx(Z1 * 0.5)
 
 
 def test_ensemble_drift_summary():
@@ -465,7 +482,7 @@ def test_escape_scan_reports_escapes_with_tiny_threshold():
 
 def test_drift_record_fields():
     H = harmonic()
-    rec = integrate(H, np.array([0.1, 0.0, 0.0, 0.1]), IntegratorConfig(dt=0.1), T=1.0, sample_stride=2)
+    rec = integrate_batch(H, np.array([[0.1, 0.0, 0.0, 0.1]]), IntegratorConfig(dt=0.1), 1.0, 2)[0]
     assert isinstance(rec, DriftRecord)
     assert rec.sample_times[0] == 0.0
     assert rec.actions.shape == (len(rec.sample_times), 2)

@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses what it imports."""
+"""Source hygiene: every module of the package uses what it imports, and every
+private name the package defines is read inside the package."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,37 @@ def test_unused_import_detector():
         "__all__ = ['b']\nprint(np.pi)\n"
     )
     assert unused_imports(source) == [(1, "os"), (3, "d")]
+
+
+def private_definitions(source: str) -> list:
+    """The private names (one leading underscore) a module defines at its top
+    level, by def, class or assignment."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def read_names(source: str) -> set:
+    """The names a module reads, bare or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    bare = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bare | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
+def test_private_names_are_read_inside_the_package():
+    # a private helper or constant that only tests reach is dead weight
+    sources = {path.name: path.read_text() for path in MODULES}
+    read = set().union(*map(read_names, sources.values()))
+    unread = [(name, n) for name, src in sources.items() for n in private_definitions(src) if n not in read]
+    assert unread == []
+
+
+def test_private_name_detector():
+    source = "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\nx = _C\n"
+    assert private_definitions(source) == ["_A", "_B", "_f", "_C"]
+    assert {"_A", "_C"} <= read_names(source) and not {"_B", "_f"} & read_names(source)

@@ -1,6 +1,7 @@
 """Experiment harness: generators, specs, artifacts, and small end-to-end runs."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,7 +15,6 @@ from hamlab.lab import (
     ExperimentSpec,
     RandomHamiltonianParams,
     beta_action_polynomial,
-    csv_text,
     default_frequencies,
     generate_random_hamiltonian,
     gnuplot_script,
@@ -28,6 +28,13 @@ from hamlab.model import EllipticHamiltonian
 from hamlab.poly import Polynomial, complexify_unnormalized, paired_part
 
 GOLDEN_F = (1 + math.sqrt(5)) / 2
+
+
+def csv_text(fieldnames, rows) -> str:
+    """What write_csv writes for these rows, as a string."""
+    buf = io.StringIO()
+    write_csv(buf, fieldnames, rows)
+    return buf.getvalue()
 
 
 # -- infrastructure ------------------------------------------------------------
@@ -388,7 +395,7 @@ def test_run_remainder_scaling_small():
     assert not rep["integrable"]
     assert len(rep["rows"]) == 3
     assert rep["fit"]["slope"] is not None
-    assert result.csv().startswith("rho,m,remainder_majorant,is_min")
+    assert csv_text(result.csv_fields, result.csv_rows).startswith("rho,m,remainder_majorant,is_min")
 
 
 def test_run_remainder_scaling_integrable_flag():
@@ -493,5 +500,5 @@ def test_reruns_are_byte_identical(tmp_path):
     )
     a = run_experiment(spec)
     b = run_experiment(spec)
-    assert a.csv() == b.csv()
+    assert csv_text(a.csv_fields, a.csv_rows) == csv_text(b.csv_fields, b.csv_rows)
     assert json.dumps(a.report, sort_keys=True) == json.dumps(b.report, sort_keys=True)

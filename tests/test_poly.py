@@ -19,7 +19,6 @@ from hamlab.poly import (
     paired_part,
     poisson_bracket,
     realify_unnormalized,
-    to_action_form,
 )
 
 
@@ -280,25 +279,9 @@ def test_paired_part_lenient_and_strict():
     # w1 wbar1 = 2 I_1 is paired; w1^2 is not
     g = Polynomial(1, {(1, 1): 0.5, (2, 0): 0.25 + 0.1j})
     assert paired_part(g, exact=False).terms == {(1,): 1.0}
-    with pytest.raises(NotActionRepresentable):
-        paired_part(g, exact=False, tol=1e-9)
-    assert paired_part(Polynomial(1, {(1, 1): 0.5 + 1e-12j}), False, tol=1e-9).terms == {(1,): 1.0}
     e = Polynomial(1, {(1, 1): ExactComplex(Fraction(1, 2), Fraction(1, 3))})
     with pytest.raises(NotActionRepresentable):
         paired_part(e, exact=True)  # a non-real exact coefficient always raises
-
-
-def test_to_action_form_round_trip():
-    h = ActionPolynomial(2, {(1, 0): Fraction(2), (1, 1): Fraction(-3, 2)})
-    f = h.expand(exact=True)
-    back = to_action_form(f)
-    assert back.terms == h.terms
-
-
-def test_to_action_form_rejects_angle_dependence():
-    f = Polynomial(1, {(3, 0): 1.0})  # q^3 depends on the angle
-    with pytest.raises(NotActionRepresentable):
-        to_action_form(f)
 
 
 # -- chart round trips ---------------------------------------------------------
