@@ -174,7 +174,10 @@ def integrate_batch(
     """
     if not (math.isfinite(T) and T > 0) or sample_stride < 1:
         raise ValueError(f"need a finite T > 0 and sample_stride >= 1, got {T} and {sample_stride}")
-    n_steps = math.floor(T / cfg.dt * (1 + 1e-9))
+    steps = T / cfg.dt * (1 + 1e-9)
+    if not math.isfinite(steps):
+        raise ValueError(f"need finitely many steps of dt in T, got T={T} and dt={cfg.dt}")
+    n_steps = math.floor(steps)
     if n_steps < 1:
         raise ValueError(f"need T >= dt, got T={T} and dt={cfg.dt}")
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=float))

@@ -27,9 +27,9 @@ from .poly import ActionPolynomial, Polynomial, _degree
 from .sdm import (
     PrevalenceReport,
     _stacks,
+    _up_to,
     check_sdm_quadratic,
     prevalence_estimate,
-    subspaces_up_to,
 )
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -370,8 +370,7 @@ def run_convex_vs_generic(spec: ExperimentSpec) -> ExperimentResult:
     base = spec.hamiltonian
     rho = spec.rho_grid[0]
     cfg = IntegratorConfig(dt=spec.dt)
-    subs = subspaces_up_to(base.n, spec.L_max)
-    stacked = subs, list(_stacks(subs, 1))  # the bases, built once for three checks
+    stacked = list(_stacks(_up_to(base.n, spec.L_max), 1))  # the bases, built once for three checks
     rows = []
     for label, beta in _beta_variants(base.n):
         H = generate_random_hamiltonian(replace(base, include_beta=beta))

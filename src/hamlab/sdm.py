@@ -14,8 +14,8 @@ of det(A_S), over its gcd.
 
 Enumeration is one array pass over the generator tuples in lexicographic
 order, in bounded blocks, keeping per Plücker vector the first tuple of least
-L; it builds integer values only.  The orthonormal bases come from the checks,
-one batched SVD per stack of the subspaces they check.
+L.  The checks work on its integer arrays, with one batched SVD per stack for
+the bases; only ``subspaces_up_to`` and ``enumerate_GL`` make values, in bulk.
 Minors are exact in int64: those of m vectors with entries at most L, and the
 partial sums of their cofactor expansion, are at most m! L^m.  The budget
 check admits only m <= 4 (the (3^(m+1) - 1)/2 candidates with entries in
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from typing import NamedTuple
 
@@ -43,9 +43,8 @@ ENUMERATION_BUDGET = 10_000_000
 PROBE_INTERVAL = (-2.0, 2.0)  # the xi range of the prevalence probe beta0 - xi I
 
 
-@dataclass(frozen=True, slots=True)
-class RationalSubspace:
-    """A rational subspace, a value of integer fields.  The checks build the
+class RationalSubspace(NamedTuple):
+    """A rational subspace, a tuple of integer fields.  The checks build the
     orthonormal bases of the subspaces they stack; ``e_basis`` builds one."""
 
     n: int
@@ -57,7 +56,7 @@ class RationalSubspace:
     @property
     def e_basis(self) -> np.ndarray:
         """(k, n) orthonormal rows spanning the subspace."""
-        return _bases([self])[0]
+        return _bases(np.array(self.perp_basis).reshape(1, self.n - self.k, self.n))[0]
 
 
 class WorstCase(NamedTuple):
@@ -172,12 +171,12 @@ def _first_per_vector(idx, P, L):
     return idx[keep], P[keep], L[keep]
 
 
-def _distinct(n: int, k: int, cands: list, L_of) -> list:
-    """One subspace per Plücker vector, spanned by the tuple of ``cands`` of
-    least ``L_of`` with that vector, the lexicographically first among ties,
-    sorted by (L, canonical key)."""
+def _distinct(n: int, k: int, C: np.ndarray, L_of) -> tuple:
+    """One subspace per Plücker vector, spanned by the tuple of rows of ``C``
+    of least ``L_of`` with that vector, the lexicographically first among
+    ties, in (L, key) order: the run (L, idx, K) of their L, generators (as
+    row indices of ``C``) and keys."""
     m = n - k
-    C = np.array(cands, dtype=np.int64)
     idx = np.zeros((0, m), dtype=np.int64)
     P = np.zeros((0, comb(n, m)), dtype=np.int64)
     L = np.zeros(0, dtype=np.int64)
@@ -195,20 +194,25 @@ def _distinct(n: int, k: int, cands: list, L_of) -> list:
     idx, P, L = _first_per_vector(idx, P, L)
     K = _rref_keys(C[idx], P)
     order = np.lexsort([*K.reshape(len(K), -1).T[::-1], L])
-    idx, K, L = idx[order], K[order], L[order]
-    # keys share their row tuples, as generator tuples share the candidate
-    # vectors: at (4, 2), 818,436 key rows hold 3,892 distinct ones
-    rows, K = np.unique(np.ascontiguousarray(K).view(f"V{8 * n}").ravel(), return_inverse=True)
-    rows = list(map(tuple, rows.view(np.int64).reshape(-1, n).tolist()))
-    gen, key = cands.__getitem__, rows.__getitem__
-    return [
-        RationalSubspace(n, k, L_i, tuple(map(gen, idx_i)), tuple(map(key, K_i)))
-        for L_i, idx_i, K_i in zip(L.tolist(), idx.tolist(), K.reshape(-1, m).tolist())
-    ]
+    return L[order], idx[order], K[order]
 
 
 def _whole_space(n: int) -> RationalSubspace:
     return RationalSubspace(n=n, k=n, L=1, perp_basis=(), canonical_key=("full", n))
+
+
+def _values(C: np.ndarray, L: np.ndarray, idx: np.ndarray, K: np.ndarray) -> list:
+    """The values of a run, one constructor call each on fields zipped from its
+    columns.  Generators are the candidate tuples, and keys share their row
+    tuples (at (4, 2), 818,436 key rows hold 3,892 distinct ones)."""
+    (S, m), n = idx.shape, C.shape[1]
+    if m == 0:
+        return [_whole_space(n)]
+    rows, K = np.unique(np.ascontiguousarray(K).view(f"V{8 * n}").ravel(), return_inverse=True)
+    rows, cands = (list(map(tuple, X.tolist())) for X in (rows.view(np.int64).reshape(-1, n), C))
+    gens = zip(*(map(cands.__getitem__, col) for col in idx.T.tolist()))
+    keys = zip(*(map(rows.__getitem__, col) for col in K.reshape(S, m).T.tolist()))
+    return list(map(RationalSubspace, repeat(n, S), repeat(n - m, S), L.tolist(), gens, keys))
 
 
 def enumerate_GL(n: int, k: int, L: int) -> list:
@@ -223,9 +227,26 @@ def enumerate_GL(n: int, k: int, L: int) -> list:
         raise ValueError("L must be >= 1")
     if k == n:
         return [_whole_space(n)]
-    cands = primitive_vectors(n, L)
-    _check_budget(len(cands), [n - k])
-    return _distinct(n, k, cands, lambda A: np.full(len(A), L))
+    C = np.array(primitive_vectors(n, L), dtype=np.int64)
+    _check_budget(len(C), [n - k])
+    return _values(C, *_distinct(n, k, C, lambda A: np.full(len(A), L)))
+
+
+def _up_to(n: int, L_max: int) -> tuple:
+    """``subspaces_up_to(n, L_max)`` in arrays: the candidates C and, in list
+    order, the runs (L, idx, K) of one dimension, then the whole space.  A
+    stable argsort on L of all dimensions, each in (L, key) order, gives the
+    order (L, k, key), where a run is a slice of one dimension's arrays."""
+    C = np.array(primitive_vectors(n, L_max), dtype=np.int64).reshape(-1, n)
+    _check_budget(len(C), range(1, n))
+    dims = [_distinct(n, k, C, lambda A: np.abs(A).max(axis=(1, 2))) for k in range(1, n)]
+    sizes = np.array([len(L) for L, _, _ in dims], dtype=np.int64)
+    order = np.argsort(np.concatenate([np.zeros(0, np.int64), *(L for L, _, _ in dims)]), kind="stable")
+    dim = np.repeat(np.arange(n - 1), sizes)[order]
+    row = order - (np.cumsum(sizes) - sizes)[dim]  # the row within its dimension
+    cuts = np.flatnonzero(np.diff(dim, prepend=-1, append=-1)).tolist()  # [] if no rows
+    runs = [tuple(X[row[a]:row[a] + b - a] for X in dims[dim[a]]) for a, b in zip(cuts, cuts[1:])]
+    return C, runs + [(np.ones(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64), None)]
 
 
 def subspaces_up_to(n: int, L_max: int) -> list:
@@ -236,14 +257,8 @@ def subspaces_up_to(n: int, L_max: int) -> list:
     per subspace, the first tuple of least largest entry: its minimal L and
     the lexicographically first tuple at that L.  The list is sorted by
     (L, k, canonical key)."""
-    cands = primitive_vectors(n, L_max)
-    _check_budget(len(cands), range(1, n))
-    subs = []
-    for k in range(1, n):
-        subs += _distinct(n, k, cands, lambda A: np.abs(A).max(axis=(1, 2)))
-    subs.sort(key=lambda s: s.L)  # stable: each k comes sorted by (L, key)
-    subs.append(_whole_space(n))
-    return subs
+    C, runs = _up_to(n, L_max)
+    return [sub for run in runs for sub in _values(C, *run)]
 
 
 def _check_exponents(gamma_p: float, tau_p: float) -> None:
@@ -253,67 +268,67 @@ def _check_exponents(gamma_p: float, tau_p: float) -> None:
         raise ValueError("gamma' must be <= 1")
 
 
-def _bases(subs: list) -> np.ndarray:
-    """The (S, k, n) orthonormal bases of subspaces of one dimension, by one
-    batched SVD of their (S, n-k, n) complements: it factors each matrix alone,
-    so a basis has the same bits in any stack; the whole space gets I."""
-    n, m = subs[0].n, subs[0].n - subs[0].k
-    A = np.array([sub.perp_basis for sub in subs], dtype=float).reshape(len(subs), m, n)
-    return np.ascontiguousarray(np.linalg.svd(A)[2][:, m:])
+def _bases(G: np.ndarray) -> np.ndarray:
+    """The (S, k, n) orthonormal bases of the subspaces with (S, n-k, n) integer
+    generators G, by one batched SVD: it factors each matrix alone, so a basis
+    has the same bits in any stack; the whole space gets I."""
+    return np.ascontiguousarray(np.linalg.svd(G.astype(float))[2][:, G.shape[1]:])
 
 
-def _stacks(subs: list, per_sub: int):
-    """Runs of consecutive subspaces of one dimension, in list order, cut
-    into blocks with each subspace counted as per_sub rows: their range lo:hi
-    in ``subs`` and their stacked (S, k, n) orthonormal bases, whose batched
-    products and eigvalsh give the bits of one call per subspace."""
-    ks = [sub.k for sub in subs]
-    cuts = [0] + [i for i in range(1, len(ks)) if ks[i] != ks[i - 1]] + [len(ks)]
-    for a, b in zip(cuts, cuts[1:]):
-        for lo, hi in blocks(np.full(b - a, per_sub)):
-            yield a + lo, a + hi, _bases(subs[a + lo:a + hi])
+def _stacks(arrays: tuple, per_sub: int):
+    """The runs of ``_up_to`` in blocks, each subspace counted as per_sub rows:
+    the L, generators G and stacked (S, k, n) bases of a block's subspaces,
+    whose batched products and eigvalsh give the bits of one call each."""
+    C, runs = arrays
+    for L, idx, _ in runs:
+        for lo, hi in blocks(np.full(len(L), per_sub)):
+            G = C[idx[lo:hi]]
+            yield L[lo:hi], G, _bases(G)
 
 
-def _powers(subs: list, scale: float, p: float) -> np.ndarray:
-    """scale * L^p of every subspace, as a column, by Python float powers
-    (numpy's vectorized power need not round them the same way)."""
-    return np.array([scale * float(sub.L) ** p for sub in subs])[:, None]
+def _powers(L: np.ndarray, scale: float, p: float) -> np.ndarray:
+    """scale * L^p of every L, as a column, by one Python float power per
+    value up to max(L) (numpy's vectorized power need not round them the
+    same way)."""
+    return np.array([scale * float(l) ** p for l in range(1, int(L.max()) + 1)])[L - 1, None]
 
 
-def _margins(betas: np.ndarray, E: np.ndarray, subs: list, tau_p: float) -> np.ndarray:
+def _worst(L, G: np.ndarray, point, margin: float) -> WorstCase:
+    """The WorstCase of the subspace with least L and generators G."""
+    return WorstCase(int(L), tuple(map(tuple, G.tolist())) or ("full", G.shape[1]), point, margin)
+
+
+def _margins(betas: np.ndarray, E: np.ndarray, L: np.ndarray, tau_p: float) -> np.ndarray:
     """sigma_min(E^T beta E) L^tau' of every matrix of a (samples, n, n) stack
-    on every subspace of one stack, with (S, k, n) bases E, as an
+    on every subspace of one stack, with (S, k, n) bases E and least L, as an
     (S, samples) array."""
     restricted = E[:, None] @ betas @ np.swapaxes(E, 1, 2)[:, None]
-    return np.abs(np.linalg.eigvalsh(restricted)).min(axis=-1) * _powers(subs, 1.0, tau_p)
+    return np.abs(np.linalg.eigvalsh(restricted)).min(axis=-1) * _powers(L, 1.0, tau_p)
 
 
 def check_sdm_quadratic(
     beta: np.ndarray, gamma_p: float, tau_p: float, L_max: int,
-    _stacked: tuple | None = None,
+    _stacked: list | None = None,
 ) -> SdmVerdict:
     """Quadratic SDM check: sigma_min of every rational restriction of beta
     must exceed gamma' L^{-tau'} (the criterion puts no condition on the
     linear part alpha).
 
-    ``_stacked`` (private): the subspaces up to L_max and their list of
-    ``_stacks(subs, 1)``, built once by a caller that checks many matrices."""
+    ``_stacked`` (private): the list of ``_stacks(_up_to(n, L_max), 1)``,
+    built once by a caller that checks many matrices."""
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 2 or beta.shape[0] != beta.shape[1]:
         raise ValueError("beta must be a square matrix")
     if not np.allclose(beta, beta.T, atol=1e-12):
         raise ValueError("beta must be symmetric")
     _check_exponents(gamma_p, tau_p)
-    n = beta.shape[0]
-    subs = subspaces_up_to(n, L_max) if _stacked is None else _stacked[0]
-    stacks = _stacks(subs, 1) if _stacked is None else _stacked[1]
-    margins = np.concatenate(
-        [_margins(beta[None], E, subs[lo:hi], tau_p)[:, 0] for lo, hi, E in stacks]
-    )
-    i = int(np.argmin(margins))
-    sub, best = subs[i], float(margins[i])
-    worst = WorstCase(sub.L, sub.perp_basis or sub.canonical_key, None, best)
-    return SdmVerdict(passed=best >= gamma_p, gamma_margin=best, worst_case=worst)
+    cases = []  # the first least margin of each stack, so the first of all
+    for L, G, E in _stacks(_up_to(beta.shape[0], L_max), 1) if _stacked is None else _stacked:
+        margins = _margins(beta[None], E, L, tau_p)[:, 0]
+        i = int(np.argmin(margins))
+        cases.append((L[i], G[i], None, float(margins[i])))
+    worst = _worst(*cases[int(np.argmin([c[3] for c in cases]))])
+    return SdmVerdict(passed=worst.margin >= gamma_p, gamma_margin=worst.margin, worst_case=worst)
 
 
 def bad_set_quadratic(beta_k: np.ndarray, kappa: float) -> BadSet:
@@ -387,15 +402,12 @@ def check_sdm_polynomial(
     grads = CompiledPoly(first)(pts)
     hessians = CompiledPoly(second)(pts).reshape(len(pts), n, n)
 
-    subs = subspaces_up_to(n, L_max)
-
-    def case(lo, e, margin):
+    def case(L, G, e, margin):
         i, p = divmod(int(e), len(pts))
-        sub = subs[lo + i]
-        return WorstCase(sub.L, sub.perp_basis or sub.canonical_key, tuple(pts[p]), float(margin[e]))
+        return _worst(L[i], G[i], tuple(pts[p]), float(margin[e]))
 
     best_margin, worst = math.inf, None
-    for lo, hi, E in _stacks(subs, len(pts)):
+    for L, G, E in _stacks(_up_to(n, L_max), len(pts)):
         # every (subspace, point) pair of the stack at once: restricted
         # gradients (S, points, k, 1), their norms as sqrt(r^T r) by matmul
         # (rounded like a per-point norm), and the smallest |eigenvalue| of
@@ -404,8 +416,8 @@ def check_sdm_polynomial(
         g = np.sqrt((np.swapaxes(r, -1, -2) @ r)[..., 0, 0])
         restricted = E[:, None] @ hessians @ np.swapaxes(E, 1, 2)[:, None]
         sig = np.min(np.abs(np.linalg.eigvalsh(restricted)), axis=-1)
-        thr = _powers(subs[lo:hi], gamma_p, -tau_p)
-        margin = (np.maximum(g, sig) * _powers(subs[lo:hi], 1.0, tau_p)).ravel()
+        thr = _powers(L, gamma_p, -tau_p)
+        margin = (np.maximum(g, sig) * _powers(L, 1.0, tau_p)).ravel()
         # a sample is an exact violation witness, or its cell is certified by
         # the Lipschitz slack, or it leaves the verdict open; entries are taken
         # in (subspace, point) order
@@ -413,10 +425,10 @@ def check_sdm_polynomial(
         failed = np.flatnonzero(open_ & ((g <= thr) & (sig <= thr)).ravel())
         if len(failed):  # the least margin up to and including the witness
             best_margin = min(best_margin, float(margin[: failed[0] + 1].min()))
-            return SdmVerdict(False, best_margin, case(lo, failed[0], margin), "certified-fail")
+            return SdmVerdict(False, best_margin, case(L, G, failed[0], margin), "certified-fail")
         best_margin = min(best_margin, float(margin.min()))
         if worst is None and open_.any():
-            worst = case(lo, np.argmax(open_), margin)
+            worst = case(L, G, np.argmax(open_), margin)
     status = "certified-pass" if worst is None else "inconclusive"
     return SdmVerdict(worst is None, best_margin, worst, status)
 
@@ -461,7 +473,6 @@ def prevalence_estimate(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     _check_exponents(gamma_p, tau_p)
-    subs = subspaces_up_to(n, L_max)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     A = rng.uniform(-1.0, 1.0, size=(n, n))
     beta0 = 0.5 * (A + A.T)
@@ -477,26 +488,13 @@ def prevalence_estimate(
     # betar over the subspaces, taken one stack at a time, is below gamma'
     bad = np.zeros(samples, dtype=bool)
     best = np.full(samples, math.inf)
-    thr = _powers(subs, gamma_p, -tau_p)
-    for i, j, E in _stacks(subs, samples):
+    for L, _, E in _stacks(_up_to(n, L_max), samples):
         lams = np.linalg.eigvalsh(E @ beta0 @ np.swapaxes(E, 1, 2))
         dmin = np.min(np.abs(lams[:, None, :] - xis[None, :, None]), axis=2)
-        bad |= (dmin <= 0.5 * thr[i:j]).any(axis=0)
-        best = np.minimum(best, np.min(_margins(betar, E, subs[i:j], tau_p), axis=0))
-    bad_fraction = float(np.mean(bad))
-    bad_r = int(np.count_nonzero(best < gamma_p))
+        bad |= (dmin <= 0.5 * _powers(L, gamma_p, -tau_p)).any(axis=0)
+        best = np.minimum(best, np.min(_margins(betar, E, L, tau_p), axis=0))
+    bad_r = int(np.count_nonzero(best < gamma_p)) / samples
     bound = truncated_measure_bound(n, tau_p, gamma_p, L_max) / (hi - lo)
     sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / samples)
-    return PrevalenceReport(
-        n=n,
-        tau_p=tau_p,
-        gamma_p=gamma_p,
-        L_max=L_max,
-        samples=samples,
-        seed=seed,
-        probe_interval=PROBE_INTERVAL,
-        bad_fraction=bad_fraction,
-        bad_fraction_random=bad_r / samples,
-        theory_bound=bound,
-        binomial_sigma=sigma,
-    )
+    return PrevalenceReport(n, tau_p, gamma_p, L_max, samples, seed, PROBE_INTERVAL,
+                            float(np.mean(bad)), bad_r, bound, sigma)

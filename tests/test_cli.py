@@ -1,5 +1,6 @@
 """Command line interface: subcommands, artifacts, and exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -162,6 +163,28 @@ def test_sdm_enum_subcommand(capsys):
     assert all("perp_basis" in s for s in subs)
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["sdm-enum", "--n", "3", "--k", "1", "--L", "2"], "c512bf461de30fad6bc6a15f8d53c5a5d3d705bfbc7f1dff854a60da38823d44"),
+        (
+            ["sdm-check", "--quadratic", "BETA", "--gamma", "0.01", "--tau", "2.0", "--Lmax", "3"],
+            "b1cad06c3f8c05c02ef7dea041d9393194e60e94627b9b07ee8278816a72077f",
+        ),
+    ],
+    ids=["sdm-enum", "sdm-check"],
+)
+def test_sdm_reports_are_pinned(argv, digest, capsys, tmp_path):
+    # SHA-256 of stdout, recorded while the checks still walked RationalSubspace
+    # values; the sdm-check margin (0.0015126..., on a subspace at L = 3) comes
+    # from LAPACK, whose rounding another build may not share
+    beta_file = tmp_path / "beta.json"
+    beta_file.write_text(json.dumps({"beta": [[1.1, 0.37, -0.21], [0.37, -1.3, 0.44], [-0.21, 0.44, 0.7]]}))
+    code, out, _ = run([str(beta_file) if a == "BETA" else a for a in argv], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sdm_prevalence_subcommand(capsys):
     code, out, _ = run(
         ["sdm-prevalence", "--n", "2", "--tau", "6.0", "--gamma", "0.05", "--Lmax", "2", "--samples", "150"],
@@ -261,6 +284,16 @@ def test_horizon_shorter_than_one_step_exits_2(command, ham_file, capsys):
     report = json.loads(err)
     assert report["error"] == "ValueError"
     assert report["message"].startswith("need T >= dt")
+
+
+@pytest.mark.parametrize("command", ["drift", "escape-scan"])
+def test_horizon_of_infinitely_many_steps_exits_2(command, ham_file, capsys):
+    code, out, err = run([command, "--ham", ham_file, "--rho", "0.1", "--T", "1e308", "--dt", "1e-10"], capsys)
+    assert code == 2
+    assert out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert report["message"].startswith("need finitely many steps of dt in T")
 
 
 def test_escape_scan_table_is_the_drift_vs_rho_table(ham_file, capsys):

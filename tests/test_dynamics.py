@@ -195,6 +195,15 @@ def test_horizon_shorter_than_one_step_is_refused():
         integrate_batch(cubic_example(), np.array([[0.1, 0.0, 0.0, 0.1]]), IntegratorConfig(dt=0.01), 0.004)
 
 
+@pytest.mark.parametrize("T, dt", [(1e308, 1e-10), (1e300, 1e-300)])
+def test_horizon_of_infinitely_many_steps_is_refused(T, dt):
+    # T and dt are finite, but T / dt overflows to inf: refused before the
+    # step count is taken, and before the points are read
+    for Z0 in (np.array([[0.1, 0.0, 0.0, 0.1]]), np.zeros((2, 6))):
+        with pytest.raises(ValueError, match="need finitely many steps of dt in T"):
+            integrate_batch(cubic_example(), Z0, IntegratorConfig(dt=dt), T)
+
+
 @pytest.mark.parametrize("method", ["implicit_midpoint", "gauss4"])
 def test_divergence_inside_a_run(method, monkeypatch):
     # beyond the saddle of q^2/2 + q^3 the orbit blows up in finite time; once

@@ -275,15 +275,58 @@ def test_enumeration_builds_no_basis(monkeypatch):
 
 @pytest.mark.parametrize("n,L,per_sub", [(2, 6, 1), (3, 3, 1), (3, 2, 50), (4, 1, 7)])
 def test_stacks_hold_the_bases_of_their_subspaces(n, L, per_sub):
-    subs = subspaces_up_to(n, L)
-    covered = 0
-    for lo, hi, E in sdm._stacks(subs, per_sub):
-        assert lo == covered and E.shape == (hi - lo, subs[lo].k, n)
-        for sub, E_sub in zip(subs[lo:hi], E):
-            assert sub.k == subs[lo].k
+    """The stacks walk the subspaces of subspaces_up_to in list order, one
+    dimension per stack, with their L, generators and bases."""
+    subs = iter(subspaces_up_to(n, L))
+    for Ls, G, E in sdm._stacks(sdm._up_to(n, L), per_sub):
+        assert len(Ls) == len(G) == len(E) >= 1 and E.shape[1:] == (n - G.shape[1], n)
+        for L_sub, G_sub, E_sub in zip(Ls.tolist(), G, E):
+            sub = next(subs)
+            assert (sub.L, sub.perp_basis, sub.k) == (L_sub, tuple(map(tuple, G_sub.tolist())), n - G.shape[1])
             assert E_sub.tobytes() == sub.e_basis.tobytes()
-        covered = hi
-    assert covered == len(subs)
+    assert next(subs, None) is None
+
+
+@pytest.mark.parametrize("n,L", [(2, 4), (3, 2), (3, 3)])
+def test_subspaces_up_to_is_a_prefix_of_the_next_L(n, L):
+    """Each subspace keeps its least L and the first tuple at that L, so the
+    list up to L is the list up to L + 1 cut at L, less the whole space."""
+    got = subspaces_up_to(n, L)[:-1]
+    want = [s for s in subspaces_up_to(n, L + 1) if s.L <= L and s.k < n]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.n, g.k, g.L, g.perp_basis, g.canonical_key) == (w.n, w.k, w.L, w.perp_basis, w.canonical_key)
+
+
+def test_checks_build_no_subspace_values(monkeypatch):
+    from hamlab.lab import ExperimentSpec, RandomHamiltonianParams, run_experiment
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a RationalSubspace was built")
+
+    monkeypatch.setattr(RationalSubspace, "__new__", refused)
+    with pytest.raises(AssertionError, match="RationalSubspace"):
+        subspaces_up_to(2, 1)  # the guard bites
+    beta = np.array([[1.0, 0.3, 0.0], [0.3, -1.7, 0.2], [0.0, 0.2, 0.9]])
+    h = ActionPolynomial(2, {(3, 0): -0.46, (1, 2): 0.18, (2, 0): -0.01, (0, 2): 0.03, (1, 0): -0.06})
+    assert check_sdm_quadratic(beta, 0.01, 2.0, 3).worst_case.L == 3
+    assert check_sdm_polynomial(h, ((-0.18, 0.01), 0.21), 0.05, 3.0, 2).status == "certified-fail"
+    prevalence_estimate(3, 6.0, 0.05, 2, samples=200, seed=3)
+    params = RandomHamiltonianParams(n=2, seed=3, n_terms=3, coefficient_scale=0.2)
+    spec = ExperimentSpec(kind="convex_vs_generic", hamiltonian=params, rho_grid=(0.1,), N=3, T=1.0, dt=0.05, L_max=2)
+    assert len(run_experiment(spec).report["rows"]) == 3
+
+
+def test_subspaces_up_to_builds_one_value_per_subspace(monkeypatch):
+    built, new = [], RationalSubspace.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(RationalSubspace, "__new__", counted)
+    subs = subspaces_up_to(3, 3)
+    assert len(built) == len(subs) == 3363
 
 
 def test_subspaces_budget_is_checked_before_enumerating(monkeypatch):
@@ -601,7 +644,7 @@ def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
     sequential (n, n) draws, each passed to check_sdm_quadratic with the
     stacks built once."""
     subs = subspaces_up_to(n, L_max)
-    stacked = subs, list(sdm._stacks(subs, 1))
+    stacked = list(sdm._stacks(sdm._up_to(n, L_max), 1))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     A = rng.uniform(-1.0, 1.0, size=(n, n))
     beta0 = 0.5 * (A + A.T)
