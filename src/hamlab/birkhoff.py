@@ -19,11 +19,12 @@ Birkhoff polynomial h_m in the formal actions.
 
 Graded layout.  Inside the engine a chart polynomial is one piece per
 homogeneous degree on the graded layout of :mod:`hamlab.poly` (slots ranked
-lexicographically, index tables built on first use and kept).  This module
-adds the rank of every product of two degrees.  A product table grows like the
-product of two piece sizes, so it is the one budgeted table: the product
-tables are kept up to ``_PRODUCT_CACHE_ENTRIES`` entries in all, and past that
-recomputed per call.  Float pieces are complex128 arrays and are full from
+lexicographically by its one rank formula, index tables built on first use
+and kept, a slot zero when it equals zero).  This module keeps the ranks of
+the products of two degrees.  A product table grows like the product of two
+piece sizes, so it is the one budgeted table: the product tables are kept up
+to ``_PRODUCT_CACHE_ENTRIES`` entries in all, and past that recomputed per
+block of rows.  Float pieces are complex128 arrays and are full from
 degree 6 up, so the float bracket is dense: two derivative matrices, one
 matrix product pairing d/dw with d/dwbar, and a bincount scatter-add into the
 target degree, done in blocks of rows so no temporary outgrows a fixed size.
@@ -58,12 +59,10 @@ from .errors import (
 from .exactnum import RATIONAL, ExactComplex, QuadField, join_fields
 from .model import EllipticHamiltonian
 from .poly import (
-    FLOAT_PRUNE,
     ActionPolynomial,
     CompiledField,
     Polynomial,
     _change_piece,
-    _choose_up,
     _degree,
     _numerators,
     _rank,
@@ -122,41 +121,25 @@ _PRODUCT_RANKS: dict = {}
 _PRODUCT_CACHE_ENTRIES = 1 << 23
 
 
-def _product_ranks(V: int, a: int, b: int, rows: slice = slice(None)) -> np.ndarray:
-    """Rank in degree a + b of the product of every degree-a monomial in rows
-    with every degree-b monomial, flattened row-major.
-
-    In the suffix sums s_k = E[k] + ... + E[V-1], which add under products,
-    rank = C(D+V-1, V-1) - 1 - sum_{k>=1} C(s_k+V-1-k, V-k), so each term is
-    one lookup in a table over s_k = 0..D.
-    """
-    Sa = np.cumsum(_degree(V, a).E[rows, ::-1], axis=1)[:, ::-1]
-    Sb = np.cumsum(_degree(V, b).E[:, ::-1], axis=1)[:, ::-1]
-    D = a + b
-    out = np.full((len(Sa), len(Sb)), comb(D + V - 1, V - 1) - 1, dtype=np.intp)
-    for k in range(1, V):
-        out -= _choose_up(np.arange(-1, D), V - k)[Sa[:, None, k] + Sb[None, :, k]]
-    return out.ravel()
-
-
 def _cached_product_ranks(V: int, a: int, b: int):
-    """_product_ranks(V, a, b) as a kept int32 table, or None when keeping it
-    would take the kept product tables past their budget."""
+    """The ranks in degree a + b of the products of every degree-a monomial
+    with every degree-b monomial, flattened row-major, as a kept int32 table;
+    None when keeping it would take the kept product tables past their budget."""
     tab = _PRODUCT_RANKS.get((V, a, b))
     if tab is None:
-        entries = comb(a + V - 1, V - 1) * comb(b + V - 1, V - 1)
-        if sum(t.size for t in _PRODUCT_RANKS.values()) + entries > _PRODUCT_CACHE_ENTRIES:
+        Ea, Eb = _degree(V, a).E, _degree(V, b).E
+        entries = sum(t.size for t in _PRODUCT_RANKS.values()) + len(Ea) * len(Eb)
+        if entries > _PRODUCT_CACHE_ENTRIES:
             return None
-        tab = _PRODUCT_RANKS[(V, a, b)] = _product_ranks(V, a, b).astype(np.int32)
+        tab = _PRODUCT_RANKS[(V, a, b)] = _rank(Ea[:, None, :], Eb).astype(np.int32).ravel()
     return tab
 
 
 def _clean(p):
-    """Apply the zero rule: float coefficients below FLOAT_PRUNE become 0, and
-    an exact piece is divided by the gcd of its numerators and denominator.
-    None if nothing is left."""
+    """The piece p, or None when every slot is zero (the one zero rule of
+    :mod:`hamlab.poly`); an exact piece is divided by the gcd of its
+    numerators and denominator."""
     if not isinstance(p, tuple):
-        p = np.where(np.abs(p) < FLOAT_PRUNE, 0, p)
         return p if p.any() else None
     X, den, ext = p
     flat = X.ravel().tolist()
@@ -209,7 +192,7 @@ def _bracket(f, g, df: int, dg: int, n: int, j: int = 1):
         for r in range(0, len(F), step):
             M = (F[r : r + step] @ G).ravel()
             if idx is None:
-                ix = _product_ranks(V, df - 1, dg - 1, slice(r, r + step))
+                ix = _rank(ta.E[r : r + step, None, :], tb.E).ravel()
             else:
                 ix = idx[r * nb : (r + step) * nb]
             re = re + np.bincount(ix, M.real, size)
@@ -457,8 +440,6 @@ def birkhoff_normal_form(
     generators_real = []
     displacement = 0.0
     for d, chi in norm.generators:
-        # the zero rule drops the float coefficients a dict would not hold
-        chi = None if chi is None else _clean(chi)
         pieces = {} if chi is None else {d: chi}
         generators_chart.append(Polynomial(H.n, _to_terms(pieces, H.n)))
         real = _realify(pieces, H.n)

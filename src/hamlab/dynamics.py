@@ -84,7 +84,6 @@ class EnsembleSummary:
     median_drift_l1: float
     escape_count: int
     drifts: np.ndarray
-    escape_times: list
     statuses: list
     records: list = field(default_factory=list)
 
@@ -341,14 +340,12 @@ def ensemble_drift(
     recs = integrate_batch(Hs, Z0, cfg, T, sample_stride)
     drifts = np.array([r.max_drift_l1 for r in recs])
     statuses = [r.status for r in recs]
-    escs = [r.escape_time for r in recs]
     return EnsembleSummary(
         n_traj=N,
         max_drift_l1=float(np.max(drifts)),
         median_drift_l1=float(np.median(drifts)),
         escape_count=sum(s != "ok" for s in statuses),
         drifts=drifts,
-        escape_times=escs,
         statuses=statuses,
         records=recs if keep_records else [],
     )

@@ -45,7 +45,7 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class RandomHamiltonianParams:
     n: int
-    alpha_mode: str = "golden_family"  # explicit | random_unit_box | golden_family
+    alpha_mode: str = "golden_family"  # explicit | golden_family
     alpha: tuple | None = None
     degree_max: int = 4
     coefficient_scale: float = 1.0
@@ -63,7 +63,7 @@ class RandomHamiltonianParams:
             if beta.ndim != 2:
                 raise ValueError("include_beta must be a matrix")
             object.__setattr__(self, "include_beta", tuple(map(tuple, beta.tolist())))
-        if self.alpha_mode not in ("explicit", "random_unit_box", "golden_family"):
+        if self.alpha_mode not in ("explicit", "golden_family"):
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
         if self.alpha_mode == "explicit" and self.alpha is None:
             raise ValueError("explicit alpha_mode requires alpha")
@@ -109,12 +109,7 @@ def generate_random_hamiltonian(params: RandomHamiltonianParams) -> EllipticHami
     """
     n = params.n
     rng = stream_rng(params.seed, 0)
-    if params.alpha_mode == "explicit":
-        alpha = tuple(params.alpha)
-    elif params.alpha_mode == "golden_family":
-        alpha = default_frequencies(n)
-    else:
-        alpha = tuple(rng.uniform(0.5, 1.5, size=n))
+    alpha = tuple(params.alpha) if params.alpha_mode == "explicit" else default_frequencies(n)
 
     degrees = list(range(3, params.degree_max + 1))
     if params.include_beta is not None:

@@ -9,18 +9,20 @@ share one sparse core and differ only in their variable count ``nvars``:
 * :class:`ActionPolynomial` has n variables, the formal actions I_1..I_n.
 
 Coefficients are duck-typed: float or complex in the default floating mode,
-Fraction or :class:`ExactComplex` in exact-rational mode.  Every operation is
-pure and returns a new polynomial.  :func:`paired_part` is the one reader of
-the action part of a chart polynomial.
+Fraction or :class:`ExactComplex` in exact-rational mode.  Both modes have one
+zero rule: a coefficient equal to zero is not stored.  Every operation is pure
+and returns a new polynomial.  :func:`paired_part` is the one reader of the
+action part of a chart polynomial.
 
 Graded layout.  A homogeneous piece of degree d in V variables is one array
 indexed by the rank of its exponent vectors among the C(d+V-1, V-1) vectors
 of degree d in lexicographic order (the dense homogeneous layout of Jorba,
-Exp. Math. 8, 1999).  The rank has a closed form; the index tables are built
-on first use, never at import, and kept for every later call in ``_TABLES``:
-the per-degree tables, and the pair maps (3 (s+1)^2 ints at pair degree s)
-and fibers (N_d slots per pair) of the chart change below.  The normal form
-engine (:mod:`hamlab.birkhoff`) keeps its chart on this layout.
+Exp. Math. 8, 1999).  The rank has one closed form, :func:`_rank`, which also
+ranks products without forming them; the index tables are built on first use,
+never at import, and kept for every later call in ``_TABLES``: the per-degree
+tables, and the pair maps (3 (s+1)^2 ints at pair degree s) and fibers (N_d
+slots per pair) of the chart change below.  The normal form engine
+(:mod:`hamlab.birkhoff`) keeps its chart on this layout.
 
 Chart change.  The map between real coordinates and the chart
 w_j = z_j - i z_{n+j} takes pieces and returns pieces: a float piece is a
@@ -47,22 +49,9 @@ import numpy as np
 from .errors import DimensionMismatch, NotActionRepresentable
 from .exactnum import ExactComplex, join_fields
 
-# Floating coefficients smaller than this are dropped to avoid denormals.
-# This is a storage guard, never a mathematical tolerance.
-FLOAT_PRUNE = 1e-300
-
 
 def _is_exact(c) -> bool:
     return isinstance(c, (int, Fraction, ExactComplex))
-
-
-def is_zero_coeff(c) -> bool:
-    """The zero rule of every polynomial: exact zero, or a float below FLOAT_PRUNE."""
-    if isinstance(c, ExactComplex):
-        return c.is_zero()
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return abs(c) < FLOAT_PRUNE
 
 
 def _float_coeff(c):
@@ -109,7 +98,7 @@ class _SparsePoly:
                     )
                 if any(e < 0 for e in k):
                     raise ValueError("negative exponent")
-                if not is_zero_coeff(c):
+                if c:  # the zero rule; c != 0 would lift 0 to an ExactComplex
                     clean[k] = c
         self.terms = clean
 
@@ -483,15 +472,20 @@ def _choose_up(r: np.ndarray, k: int) -> np.ndarray:
     return c
 
 
-def _rank(E: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each exponent vector (last axis) among all the
-    vectors of its own total degree."""
-    V = E.shape[-1]
-    suffix = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
-    rank = np.zeros(E.shape[:-1], dtype=np.intp)
-    for i in range(V - 1):
-        # vectors that agree before slot i and hold less there
-        rank += _choose_up(suffix[..., i], V - 1 - i) - _choose_up(suffix[..., i + 1], V - 1 - i)
+def _rank(*parts: np.ndarray) -> np.ndarray:
+    """Lexicographic rank, among the vectors of their one total degree D, of
+    the exponent vectors (last axis) of the broadcast sum of ``parts``.
+
+    In suffix sums s_k = e_k + ... + e_{V-1}, which add under sums, the rank is
+    C(D+V-1, V-1) - 1 - sum_{k>=1} C(s_k+V-1-k, V-k): V-1 lookups in tables
+    over s_k = 0..D, and the sum is never formed."""
+    S = [np.cumsum(p[..., ::-1], axis=-1)[..., ::-1] for p in parts]
+    V = S[0].shape[-1]
+    D = sum(int(s[..., 0].max(initial=0)) for s in S)
+    shape = np.broadcast_shapes(*(s.shape[:-1] for s in S))
+    rank = np.full(shape, comb(D + V - 1, V - 1) - 1, dtype=np.intp)
+    for k in range(1, V):
+        rank -= _choose_up(np.arange(-1, D), V - k)[sum(s[..., k] for s in S)]
     return rank
 
 
@@ -505,7 +499,7 @@ def _degree(V: int, d: int) -> _Degree:
         E = np.empty((comb(d + V - 1, V - 1), V), dtype=np.intp)
         E[below.up] = below.E[:, None, :] + step
     n = V // 2
-    return _Degree(E, _rank(E[:, None, :] + step), (E[:, :n] == E[:, n:]).all(axis=1))
+    return _Degree(E, _rank(E[:, None, :], step), (E[:, :n] == E[:, n:]).all(axis=1))
 
 
 # -- chart change -----------------------------------------------------------------
@@ -681,9 +675,9 @@ def _change_piece(p, n: int, d: int, real: bool):
 
 
 def _realify(pieces: dict, n: int) -> dict:
-    """The pieces (degree -> piece) realified.  A float piece comes back as a
-    real float array under the zero rule; an imaginary part above
-    1e-10 max(1, max |c|) over all the pieces raises NotActionRepresentable."""
+    """The pieces (degree -> piece) realified.  A float piece comes back as
+    its real parts; an imaginary part above 1e-10 max(1, max |c|) over all
+    the pieces raises NotActionRepresentable."""
     out = {d: _change_piece(p, n, d, real=True) for d, p in pieces.items()}
     floats = [q for q in out.values() if not isinstance(q, tuple)]
     if not floats:
@@ -693,7 +687,7 @@ def _realify(pieces: dict, n: int) -> dict:
     big = np.flatnonzero(np.abs(h.imag) > bound)
     if big.size:
         raise NotActionRepresentable(f"realification produced imaginary part {h.imag[big[0]]:.3e}")
-    return {d: np.where(np.abs(q.real) < FLOAT_PRUNE, 0.0, q.real) for d, q in out.items()}
+    return {d: q.real for d, q in out.items()}
 
 
 def _change_chart(f: Polynomial, exact: bool, real: bool) -> dict:

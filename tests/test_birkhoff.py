@@ -436,6 +436,38 @@ def test_golden_h_m_refuses_json():
 # -- the graded chart engine ---------------------------------------------------
 
 
+# the two rank formulas that _rank replaced, as the reference
+
+
+def choose_up(r, k):
+    """C(r + k, k), elementwise."""
+    return np.vectorize(lambda x: math.comb(int(x) + k, k), otypes=[np.intp])(r)
+
+
+def reference_rank(E):
+    """Rank of each exponent vector (last axis) among the vectors of its own
+    total degree, telescoping over the slots; the degrees may differ."""
+    V = E.shape[-1]
+    suffix = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
+    rank = np.zeros(E.shape[:-1], dtype=np.intp)
+    for i in range(V - 1):
+        # vectors that agree before slot i and hold less there
+        rank += choose_up(suffix[..., i], V - 1 - i) - choose_up(suffix[..., i + 1], V - 1 - i)
+    return rank
+
+
+def reference_product_ranks(V, a, b, rows=slice(None)):
+    """Rank in degree a + b of the product of every degree-a monomial in rows
+    with every degree-b monomial, flattened row-major, by suffix-sum lookups."""
+    Sa = np.cumsum(engine._degree(V, a).E[rows, ::-1], axis=1)[:, ::-1]
+    Sb = np.cumsum(engine._degree(V, b).E[:, ::-1], axis=1)[:, ::-1]
+    D = a + b
+    out = np.full((len(Sa), len(Sb)), math.comb(D + V - 1, V - 1) - 1, dtype=np.intp)
+    for k in range(1, V):
+        out -= choose_up(np.arange(-1, D), V - k)[Sa[:, None, k] + Sb[None, :, k]]
+    return out.ravel()
+
+
 @pytest.mark.parametrize("V", [2, 4, 6])
 def test_graded_layout_ranks_are_lexicographic(V):
     for d in range(6):
@@ -443,17 +475,41 @@ def test_graded_layout_ranks_are_lexicographic(V):
         want = sorted(k for k in itertools.product(range(d + 1), repeat=V) if sum(k) == d)
         assert [tuple(e) for e in tab.E.tolist()] == want
         assert np.array_equal(engine._rank(tab.E), np.arange(len(want)))
+        assert np.array_equal(reference_rank(tab.E), np.arange(len(want)))
         above = engine._degree(V, d + 1).E
         assert np.array_equal(above[tab.up], tab.E[:, None, :] + np.eye(V, dtype=int))
 
 
 @pytest.mark.parametrize("V", [2, 4, 6])
-def test_product_ranks_are_the_ranks_of_the_products(V):
-    for a, b in ((0, 3), (2, 3), (4, 1), (3, 3)):
+def test_product_ranks_are_the_ranks_of_the_products(V, monkeypatch):
+    monkeypatch.setattr(engine, "_PRODUCT_RANKS", {})
+    for a, b in ((0, 0), (0, 3), (2, 0), (2, 3), (4, 1), (3, 3)):
         Ea, Eb = engine._degree(V, a).E, engine._degree(V, b).E
-        for rows in (slice(None), slice(1, 3)):
-            want = engine._rank(Ea[rows, None, :] + Eb[None, :, :]).ravel()
-            assert np.array_equal(engine._product_ranks(V, a, b, rows), want)
+        for rows in (slice(None), slice(1, 3), slice(0, 0)):
+            want = reference_product_ranks(V, a, b, rows)
+            assert np.array_equal(reference_rank(Ea[rows, None, :] + Eb).ravel(), want)
+            assert np.array_equal(engine._rank(Ea[rows, None, :], Eb).ravel(), want)
+            assert np.array_equal(engine._rank(Ea[rows, None, :] + Eb).ravel(), want)
+        kept = engine._cached_product_ranks(V, a, b)
+        assert kept.dtype == np.int32 and np.array_equal(kept, reference_product_ranks(V, a, b))
+
+
+def test_float_zero_rule_is_equals_zero():
+    # a float coefficient is zero only when it equals zero: tiny and subnormal
+    # ones are true terms, -0.0 and exact zeros are not stored, NaN is kept
+    for c in (1e-305, 5e-324):
+        p = Polynomial(1, {(1, 1): c, (0, 0): 1.0})
+        assert p.terms == {(1, 1): c, (0, 0): 1.0}
+        assert realify_unnormalized(p).terms == {(2, 0): c, (0, 2): c, (0, 0): 1.0}
+    for c in (-0.0, 0.0, 0j, 0, Fraction(0), ExactComplex(0)):
+        assert Polynomial(1, {(1, 1): c, (0, 0): 1.0}).terms == {(0, 0): 1.0}
+    assert math.isnan(Polynomial(1, {(1, 1): math.nan}).terms[(1, 1)])
+    # the criterion-3 Hamiltonian at rho = 1e-40: its remainder keeps the
+    # terms below 1e-300 that a storage threshold there would drop
+    V = Polynomial(2, {(3, 0, 0, 0): 0.4, (1, 2, 0, 0): -0.3, (0, 0, 2, 2): 0.25, (2, 0, 1, 1): 0.2})
+    terms = birkhoff_normal_form(EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0).scaled(1e-40), m=4).remainder.terms
+    small = [c for c in terms.values() if abs(c) < 1e-300]
+    assert small and all(small)
 
 
 def exact_digest(res):
@@ -646,7 +702,7 @@ def reference_bracket(f, g, df, dg, n, scale=1):
         drop[[j, n + j]] = 1
         factor.append(a.tolist())
         # where a == 0 the clipped exponents are never used
-        target.append(engine._rank(np.maximum(S - drop, 0)).tolist())
+        target.append(reference_rank(np.maximum(S - drop, 0)).tolist())
     out = [None] * size
     for x, cf in enumerate(f[fi].tolist()):
         for y, cg in enumerate(g[gi].tolist()):

@@ -87,6 +87,8 @@ def test_generator_validation():
         RandomHamiltonianParams(n=2, degree_max=2)
     with pytest.raises(ValueError):
         RandomHamiltonianParams(n=2, alpha_mode="sideways")
+    with pytest.raises(ValueError, match="unknown alpha_mode 'random_unit_box'"):
+        RandomHamiltonianParams(n=2, alpha_mode="random_unit_box")
 
 
 def extract_quartic_action_part(V):
