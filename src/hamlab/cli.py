@@ -1,7 +1,10 @@
-"""Command line front end.
+"""Command line front end: a thin shell over the library.
 
-Exit codes: 0 success, 2 validation error (bad arguments or inputs), 3
-numerical failure (resonance, divergence, domain exit).  Failures emit a
+Every command takes --out and writes its report (JSON or CSV) to stdout
+without it.  Exit codes: 0 success; 2 for a validation error, that is
+hamlab.errors.DimensionMismatch or a ValueError, KeyError, TypeError or
+OSError (bad arguments or inputs); 3 for any other hamlab.errors.HamlabError
+or an ArithmeticError (resonance, divergence, domain exit).  Failures emit a
 machine-readable JSON object on stderr: {"error": <class>, "message": ...}.
 """
 
@@ -14,42 +17,14 @@ import sys
 import numpy as np
 
 from . import birkhoff, diophantine, dynamics, lab, sdm
-from .errors import (
-    CombinatorialBudgetExceeded,
-    DimensionMismatch,
-    FixedPointDivergence,
-    NotActionRepresentable,
-    OrderTooHigh,
-    OutOfDomain,
-    ResonanceEncountered,
-    ResonantFrequency,
-    ThresholdViolation,
-)
+from .errors import DimensionMismatch, HamlabError
 from .model import EllipticHamiltonian
 
-_NUMERICAL = (
-    ResonantFrequency,
-    ResonanceEncountered,
-    FixedPointDivergence,
-    ThresholdViolation,
-    OutOfDomain,
-    OrderTooHigh,
-    CombinatorialBudgetExceeded,
-    NotActionRepresentable,
-    ArithmeticError,
-)
 _VALIDATION = (ValueError, KeyError, TypeError, OSError, DimensionMismatch)
 
 
 def _parse_floats(text: str):
     return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _emit(obj, out: str | None):
-    if out:
-        lab.write_json(out, obj)
-    else:
-        sys.stdout.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def _cmd_bnf(args):
@@ -68,7 +43,7 @@ def _cmd_bnf(args):
         "D_work": res.D_work,
         "radius": res.radius,
     }
-    _emit(report, args.out)
+    lab.write_json(args.out or sys.stdout, report)
 
 
 def _cmd_bnf_curve(args):
@@ -92,7 +67,7 @@ def _cmd_dioph(args):
         tau_fit, resid = diophantine.fit_tau(alpha, args.K)
         report["tau_fit"] = tau_fit
         report["fit_residual"] = resid
-    _emit(report, args.out)
+    lab.write_json(args.out or sys.stdout, report)
     if args.envelope:
         rows = [
             {"k1_norm": s, "min_abs": v, "k": " ".join(map(str, k))}
@@ -114,7 +89,7 @@ def _cmd_sdm_check(args):
         if w is None
         else {"L": w.L, "subspace": w.subspace, "margin": w.margin},
     }
-    _emit(report, args.out)
+    lab.write_json(args.out or sys.stdout, report)
 
 
 def _cmd_sdm_enum(args):
@@ -122,14 +97,14 @@ def _cmd_sdm_enum(args):
     report = {"n": args.n, "k": args.k, "L": args.L, "count": len(subs)}
     if not args.count_only:  # generators are tuples of ints, written as JSON lists
         report["subspaces"] = [{"perp_basis": s.perp_basis} for s in subs]
-    _emit(report, args.out)
+    lab.write_json(args.out or sys.stdout, report)
 
 
 def _cmd_sdm_prevalence(args):
     rep = sdm.prevalence_estimate(
         args.n, args.tau, args.gamma, args.Lmax, args.samples, seed=args.seed
     )
-    _emit(lab.prevalence_report(rep), args.out)
+    lab.write_json(args.out or sys.stdout, lab.prevalence_report(rep))
 
 
 def _cmd_drift(args):
@@ -176,7 +151,7 @@ def _cmd_experiment(args):
         spec.output = args.out
     result = lab.run_experiment(spec)
     if not spec.output:
-        _emit(result.report, None)
+        lab.write_json(sys.stdout, result.report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,85 +161,67 @@ def build_parser() -> argparse.ArgumentParser:
         "checks, and long-time drift experiments for polynomial Hamiltonians.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # options shared by several subcommands, each defined once
+    out, ham, integ, seed = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", default=None)
+    ham.add_argument("--ham", required=True)
+    integ.add_argument("--T", type=float, default=1e3)
+    integ.add_argument("--dt", type=float, default=1e-2)
+    integ.add_argument("--method", default="implicit_midpoint")
+    seed.add_argument("--seed", type=int, default=0)
 
-    b = sub.add_parser("bnf", help="Birkhoff normal form of a Hamiltonian file")
-    b.add_argument("--ham", required=True)
+    def command(name, func, summary, *parents):
+        cmd = sub.add_parser(name, help=summary, parents=[*parents, out])
+        cmd.set_defaults(func=func)
+        return cmd
+
+    b = command("bnf", _cmd_bnf, "Birkhoff normal form of a Hamiltonian file", ham)
     b.add_argument("--m", type=int, required=True)
     b.add_argument("--D-work", type=int, default=None, dest="D_work")
     b.add_argument("--radius", type=float, default=None)
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=_cmd_bnf)
 
-    c = sub.add_parser("bnf-curve", help="remainder majorant vs normalization order")
-    c.add_argument("--ham", required=True)
+    c = command("bnf-curve", _cmd_bnf_curve, "remainder majorant vs normalization order", ham)
     c.add_argument("--m-max", type=int, required=True, dest="m_max")
     c.add_argument("--radius", type=float, default=None)
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=_cmd_bnf_curve)
 
-    d = sub.add_parser("dioph", help="Diophantine constant estimation")
+    d = command("dioph", _cmd_dioph, "Diophantine constant estimation")
     d.add_argument("--alpha", required=True, help="comma-separated frequencies")
     d.add_argument("--tau", type=float, default=1.0)
     d.add_argument("--K", type=int, default=100)
     d.add_argument("--fit", action="store_true")
     d.add_argument("--envelope", default=None, help="CSV path for the record table")
-    d.add_argument("--out", default=None)
-    d.set_defaults(func=_cmd_dioph)
 
-    q = sub.add_parser("sdm-check", help="quadratic SDM verdict for a beta matrix")
+    q = command("sdm-check", _cmd_sdm_check, "quadratic SDM verdict for a beta matrix")
     q.add_argument("--quadratic", required=True, help="JSON file with a beta matrix")
     q.add_argument("--gamma", type=float, required=True)
     q.add_argument("--tau", type=float, required=True)
     q.add_argument("--Lmax", type=int, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_sdm_check)
 
-    e = sub.add_parser("sdm-enum", help="enumerate rational subspaces G^L(n,k)")
+    e = command("sdm-enum", _cmd_sdm_enum, "enumerate rational subspaces G^L(n,k)")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--L", type=int, required=True)
     e.add_argument("--count-only", action="store_true", dest="count_only")
-    e.add_argument("--out", default=None)
-    e.set_defaults(func=_cmd_sdm_enum)
 
-    v = sub.add_parser("sdm-prevalence", help="Monte-Carlo SDM failure fraction")
+    v = command("sdm-prevalence", _cmd_sdm_prevalence, "Monte-Carlo SDM failure fraction", seed)
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--tau", type=float, required=True)
     v.add_argument("--gamma", type=float, default=0.1)
     v.add_argument("--Lmax", type=int, default=3)
     v.add_argument("--samples", type=int, default=1000)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=_cmd_sdm_prevalence)
 
-    r = sub.add_parser("drift", help="ensemble action-drift run")
-    r.add_argument("--ham", required=True)
+    r = command("drift", _cmd_drift, "ensemble action-drift run", ham, integ, seed)
     r.add_argument("--rho", type=float, required=True)
     r.add_argument("--N", type=int, default=16)
-    r.add_argument("--T", type=float, default=1e3)
-    r.add_argument("--dt", type=float, default=1e-2)
-    r.add_argument("--method", default="implicit_midpoint")
     r.add_argument("--sample-stride", type=int, default=10, dest="sample_stride")
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--out", default=None)
-    r.set_defaults(func=_cmd_drift)
 
-    s = sub.add_parser("escape-scan", help="escape-time table over a rho grid")
-    s.add_argument("--ham", required=True)
+    s = command("escape-scan", _cmd_escape_scan, "escape-time table over a rho grid", ham, integ, seed)
     s.add_argument("--rho", required=True, help="comma-separated decreasing grid")
     s.add_argument("--threshold-factor", type=float, default=2.0, dest="threshold_factor")
-    s.add_argument("--T", type=float, default=1e3)
-    s.add_argument("--dt", type=float, default=1e-2)
-    s.add_argument("--method", default="implicit_midpoint")
     s.add_argument("--N", type=int, default=8)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=_cmd_escape_scan)
 
-    x = sub.add_parser("experiment", help="run a full experiment spec")
+    x = command("experiment", _cmd_experiment, "run a full experiment spec")
     x.add_argument("--spec", required=True)
-    x.add_argument("--out", default=None)
-    x.set_defaults(func=_cmd_experiment)
     return p
 
 
@@ -276,9 +233,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         args.func(args)
-    except (*_NUMERICAL, *_VALIDATION) as exc:
+    except (HamlabError, ArithmeticError, *_VALIDATION) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3 if isinstance(exc, _NUMERICAL) else 2
+        return 2 if isinstance(exc, _VALIDATION) else 3
     return 0
 
 

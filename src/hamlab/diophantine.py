@@ -28,7 +28,10 @@ from .exactnum import real_float
 
 
 def _floats(alpha) -> np.ndarray:
-    return np.array([real_float(a) for a in alpha])
+    out = np.array([real_float(a) for a in alpha])
+    if not out.size:
+        raise ValueError("need at least one frequency")
+    return out
 
 
 def zero_tolerance(alpha, k1norm):

@@ -222,20 +222,28 @@ def _fmt(v):
     return str(v)
 
 
+def _opened(path_or_buf):
+    """A path is written through _replacing; an open stream as it is."""
+    if isinstance(path_or_buf, (str, os.PathLike)):
+        return _replacing(path_or_buf)
+    return contextlib.nullcontext(path_or_buf)
+
+
 def write_csv(path_or_buf, fieldnames, rows):
     """Deterministic CSV: fixed field order, '\\n' terminators, repr floats."""
-    own = isinstance(path_or_buf, (str, os.PathLike))
-    with _replacing(path_or_buf) if own else contextlib.nullcontext(path_or_buf) as fh:
+    with _opened(path_or_buf) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(fieldnames)
         for row in rows:
             w.writerow([_fmt(row.get(k)) for k in fieldnames])
 
 
-def write_json(path, obj):
-    with _replacing(path) as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def write_json(path_or_buf, obj):
+    """Sorted keys, indent 1, one trailing newline.  The text is built before
+    anything is opened, so a report that fails to serialize writes nothing."""
+    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    with _opened(path_or_buf) as fh:
+        fh.write(text)
 
 
 def gnuplot_script(data_csv: str, title: str) -> str:

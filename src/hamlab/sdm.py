@@ -237,6 +237,8 @@ def _up_to(n: int, L_max: int) -> tuple:
     order, the runs (L, idx, K) of one dimension, then the whole space.  A
     stable argsort on L of all dimensions, each in (L, key) order, gives the
     order (L, k, key), where a run is a slice of one dimension's arrays."""
+    if n < 1:
+        raise ValueError("dimension n must be >= 1")
     C = np.array(primitive_vectors(n, L_max), dtype=np.int64).reshape(-1, n)
     _check_budget(len(C), range(1, n))
     dims = [_distinct(n, k, C, lambda A: np.abs(A).max(axis=(1, 2))) for k in range(1, n)]

@@ -1,17 +1,23 @@
 """Command line interface: subcommands, artifacts, and exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from hamlab.cli import main
+from hamlab import cli
+from hamlab.cli import build_parser, main
+from hamlab.errors import DimensionMismatch, HamlabError
 from hamlab.model import EllipticHamiltonian
 from hamlab.poly import Polynomial
 
 GOLDEN_F = (1 + math.sqrt(5)) / 2
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -370,3 +376,82 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["bnf"]) == 2  # missing required flags
     assert main(["no-such-command"]) == 2
     assert main(["--help"]) == 0
+
+
+def test_empty_dimensions_exit_2_with_their_names(capsys):
+    code, out, err = run(["dioph", "--alpha", ",", "--K", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "need at least one frequency"}
+    code, out, err = run(["sdm-prevalence", "--n", "0", "--tau", "6.0"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "dimension n must be >= 1"}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [*_subclasses(HamlabError), HamlabError, ZeroDivisionError, OverflowError,
+     ValueError, KeyError, TypeError, OSError],
+    ids=lambda cls: cls.__name__,
+)
+def test_exit_code_follows_the_error_class(cls, capsys, monkeypatch):
+    # 2 for a validation error, 3 for any other hamlab or arithmetic error,
+    # whatever arguments the class's constructor takes
+    exc = cls.__new__(cls)
+    exc.args = ("boom",)
+
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_sdm_enum", failing)
+    code, out, err = run(["sdm-enum", "--n", "2", "--k", "1", "--L", "1"], capsys)
+    validation = (DimensionMismatch, ValueError, KeyError, TypeError, OSError)
+    assert code == (2 if issubclass(cls, validation) else 3)
+    assert out == ""
+    assert json.loads(err) == {"error": cls.__name__, "message": str(exc)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bnf", "--ham", "HAM", "--m", "2"],
+        ["dioph", "--alpha", f"1.0,{GOLDEN_F}", "--K", "30", "--fit"],
+        ["sdm-check", "--quadratic", "BETA", "--gamma", "0.1", "--tau", "3.0", "--Lmax", "2"],
+        ["sdm-enum", "--n", "2", "--k", "1", "--L", "2"],
+        ["sdm-prevalence", "--n", "2", "--tau", "6.0", "--Lmax", "2", "--samples", "150"],
+        ["bnf-curve", "--ham", "HAM", "--m-max", "3", "--radius", "0.5"],
+        ["drift", "--ham", "HAM", "--rho", "0.1", "--N", "2", "--T", "1.0", "--dt", "0.05"],
+        ["escape-scan", "--ham", "HAM", "--rho", "0.2,0.1", "--T", "1.0", "--dt", "0.05", "--N", "2"],
+        ["experiment", "--spec", "SPEC"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_and_out_write_the_same_bytes(argv, ham_file, capsys, tmp_path):
+    from hamlab.lab import ExperimentSpec
+
+    beta, spec = tmp_path / "beta.json", tmp_path / "spec.json"
+    beta.write_text(json.dumps({"beta": [[1.0, 0.2], [0.2, -2.0]]}))
+    ExperimentSpec(kind="bnf_roundtrip", hamiltonian=EllipticHamiltonian.load(ham_file), m_max=2).save(spec)
+    argv = [{"HAM": ham_file, "BETA": str(beta), "SPEC": str(spec)}.get(a, a) for a in argv]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out
+    target = tmp_path / "report"
+    code, out_with_file, _ = run([*argv, "--out", str(target)], capsys)
+    assert (code, out_with_file) == (0, "")
+    # an experiment writes <out>.json (and, with a table, .csv and .gp)
+    written = tmp_path / "report.json" if argv[0] == "experiment" else target
+    assert written.read_bytes() == out.encode()
+
+
+def test_readme_lists_every_subcommand():
+    text = README.read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("hamlab ")]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(sub.choices)
+    assert len(listed) == len(set(listed))

@@ -322,6 +322,19 @@ def test_non_real_frequencies_are_refused():
     assert estimate_gamma((ExactComplex(1), 2.5), 1.0, 5) == estimate_gamma((1.0, 2.5), 1.0, 5)
 
 
+@pytest.mark.parametrize("alpha", [(), [], np.zeros(0)], ids=["tuple", "list", "array"])
+def test_an_empty_frequency_vector_is_refused(alpha):
+    for probe in (
+        lambda: check_nonresonant(alpha, 5),
+        lambda: estimate_gamma(alpha, 1.0, 5),
+        lambda: envelope(alpha, 5),
+        lambda: fit_tau(alpha, 20),
+        lambda: zero_tolerance(alpha, 3),
+    ):
+        with pytest.raises(ValueError, match="need at least one frequency"):
+            probe()
+
+
 @pytest.mark.parametrize(
     "alpha, witness",
     [

@@ -250,6 +250,18 @@ def test_write_json_sorted(tmp_path):
     assert json.loads(body) == {"a": 2, "b": 1}
 
 
+def test_write_json_to_a_stream_writes_the_file_bytes(tmp_path):
+    obj = {"b": [1.5, None], "a": "x"}
+    p, buf = tmp_path / "r.json", io.StringIO()
+    write_json(p, obj)
+    write_json(buf, obj)
+    assert buf.getvalue().encode() == p.read_bytes()
+    # a report that fails to serialize leaves the stream as it was
+    with pytest.raises(TypeError):
+        write_json(buf, {"x": object()})
+    assert buf.getvalue().encode() == p.read_bytes()
+
+
 def test_artifact_rewrite_replaces_file_with_identical_bytes(tmp_path):
     obj = {"b": [1.5, None], "a": "x"}
     rows = [{"m": 2, "r": 0.25}, {"m": 3, "r": 1.0 / 3.0}]

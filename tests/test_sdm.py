@@ -639,6 +639,16 @@ def test_prevalence_validation():
         prevalence_estimate(2, 6.0, 2.0, 2, samples=100)
 
 
+def test_dimension_zero_is_refused():
+    for probe in (
+        lambda: prevalence_estimate(0, 6.0, 0.1, 2, samples=100),
+        lambda: subspaces_up_to(0, 2),
+        lambda: check_sdm_quadratic(np.zeros((0, 0)), 0.1, 6.0, 2),
+    ):
+        with pytest.raises(ValueError, match="dimension n must be >= 1"):
+            probe()
+
+
 def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
     """The random half of prevalence_estimate as a per-sample loop:
     sequential (n, n) draws, each passed to check_sdm_quadratic with the
