@@ -372,33 +372,29 @@ class _Normalizer:
         pieces = {d: self.K[d] for d in range(2 * m + 1, self.D_work + 1) if self.K[d] is not None}
         return Polynomial(self.n, _to_terms(_realify(pieces, self.n), self.n, real=True))
 
-    def remainder_majorant(self, m: int, radius: float):
-        """(computed majorant, geometric tail bound, tail ratio) at the radius.
+    def remainder_majorant(self, m: int, radius):
+        """(computed majorant, geometric tail bound, tail ratio) at the radius,
+        or a list of them, one per radius of a sequence.
 
         Computed in the chart: |w_j| <= 2r on the polydisc of radius r, so
         sum |c_k| (2r)^|k| majorizes the realified remainder there without the
-        cost of transforming every piece back to real coordinates.
+        cost of transforming every piece back to real coordinates.  The sums
+        sum |c_k| of each degree are taken once for all radii.
         """
-        per_degree = []
-        for deg in range(2 * m + 1, self.D_work + 1):
-            piece = self.K[deg]
-            if piece is None:
-                per_degree.append(0.0)
-            else:
-                per_degree.append(math.fsum(abs(c) for c in _values(piece) if c) * (2.0 * radius) ** deg)
-        total = math.fsum(per_degree)
-        tail, ratio = 0.0, 0.0
-        if len(per_degree) >= 2 and per_degree[-1] > 0.0:
-            prev = per_degree[-2]
-            if prev > 0.0:
-                ratio = per_degree[-1] / prev
-                tail = (
-                    per_degree[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-                )
-            else:
-                tail = math.inf
-                ratio = math.inf
-        return total, tail, ratio
+        sums = [
+            None if p is None
+            else math.fsum(map(abs, _values(p)) if self.exact else np.hypot(p.real, p.imag).tolist())
+            for p in self.K[2 * m + 1:]
+        ]
+        out = []
+        for r in (radius if np.ndim(radius) else [radius]):
+            per_degree = [0.0 if c is None else c * (2.0 * r) ** d for d, c in enumerate(sums, 2 * m + 1)]
+            # the geometric tail of the last two degrees; 0 when the last is 0
+            last, prev = per_degree[-1:-3:-1] if len(per_degree) >= 2 else (0.0, 0.0)
+            ratio = (last / prev if prev > 0.0 else math.inf) if last > 0.0 else 0.0
+            tail = (last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf) if last > 0.0 else 0.0
+            out.append((math.fsum(per_degree), tail, ratio))
+        return out if np.ndim(radius) else out[0]
 
 
 def _radius(H: EllipticHamiltonian, radius: float | None) -> float:
@@ -466,27 +462,30 @@ def birkhoff_normal_form(
 def remainder_curve(
     H: EllipticHamiltonian,
     m_max: int,
-    radius: float | None = None,
+    radius=None,
 ) -> list:
     """Remainder majorant (computed part + tail bound) for m = 2..m_max, in
-    float mode at D_work = 2 m_max + 4.
+    float mode at D_work = 2 m_max + 4; for a sequence of radii, one such
+    curve per radius, all from one pass.
 
     The degree-by-degree pass is shared: after normalizing through degree 2m
     the internal state coincides with a direct order-m normalization at the
-    same D_work, so one sweep yields the whole curve.
+    same D_work, so one sweep yields the whole curve.  The scaling z -> rho z
+    multiplies each chart, generator and remainder piece of degree d by
+    rho^(d-2) and leaves every divisor k.alpha as it is, so the curve of
+    H.scaled(rho) at radius r is rho^-2 times the curve of H at radius rho r.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    radius = _radius(H, radius)
+    radii = [_radius(H, r) for r in (radius if np.ndim(radius) else [radius])]
     norm = _Normalizer(H, 2 * m_max, 2 * m_max + 4, exact=False)
-    curve = []
+    curves = [[] for _ in radii]
     for d in range(3, 2 * m_max + 1):
         norm.normalize_degree(d)
         if d % 2 == 0 and d >= 4:
-            m = d // 2
-            total, tail, _ = norm.remainder_majorant(m, radius)
-            curve.append((m, total + tail))
-    return curve
+            for curve, (total, tail, _) in zip(curves, norm.remainder_majorant(d // 2, radii)):
+                curve.append((d // 2, total + tail))
+    return curves if np.ndim(radius) else curves[0]
 
 
 def _flow(vf: CompiledField, y: np.ndarray, time: float, steps: int = 48) -> np.ndarray:

@@ -306,16 +306,13 @@ def sample_initial_conditions(n: int, N: int, seed: int) -> np.ndarray:
     Uses the counter-based Philox generator keyed by (seed, trajectory index),
     so results are independent of batch partitioning.
     """
-    out = np.empty((N, 2 * n))
+    e, theta = np.empty((N, n + 1)), np.empty((N, n))
     for i in range(N):
         rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed) << np.uint64(20)) + np.uint64(i)))
-        e = rng.exponential(size=n + 1)
-        I = e[:n] / np.sum(e)  # uniform on the open simplex {sum I_i < 1}
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        r = np.sqrt(2.0 * I)
-        out[i, :n] = r * np.cos(theta)
-        out[i, n:] = r * np.sin(theta)
-    return out
+        e[i] = rng.exponential(size=n + 1)
+        theta[i] = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    r = np.sqrt(2.0 * (e[:, :n] / e.sum(axis=1, keepdims=True)))  # I uniform on the open simplex
+    return np.hstack([r * np.cos(theta), r * np.sin(theta)])
 
 
 def ensemble_drift(
@@ -368,10 +365,9 @@ def escape_time_scan(
     Emits local slopes d log T_esc / d log(1/rho) between consecutive rows.
     """
     rows = []
+    Z0 = sample_initial_conditions(H.n, N, seed)
     for rho in rho_list:
-        Hs = H.scaled(rho)
-        Z0 = sample_initial_conditions(H.n, N, seed)
-        recs = integrate_batch(Hs, Z0, cfg, T_max, 10, drift_threshold=drift_threshold_factor * rho)
+        recs = integrate_batch(H.scaled(rho), Z0, cfg, T_max, 10, drift_threshold=drift_threshold_factor * rho)
         esc = [r.escape_time for r in recs if r.escape_time is not None]
         max_drift = max(r.max_drift_l1 for r in recs)
         rows.append(

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .birkhoff import apply_transform, birkhoff_normal_form, remainder_curve
+from .birkhoff import _radius, apply_transform, birkhoff_normal_form, remainder_curve
 from .diophantine import estimate_gamma
 from .dynamics import IntegratorConfig, ensemble_drift, escape_time_scan
 from .exactnum import GOLDEN
@@ -287,9 +287,13 @@ class ExperimentResult:
 def run_remainder_scaling(spec: ExperimentSpec) -> ExperimentResult:
     """Normal-form remainder minima over a rho grid, with the exponential fit.
 
-    For each rho the Hamiltonian is rescaled, the remainder curve over m is
-    computed, and its minimum recorded; log(min/rho) is then fitted linearly
-    against (gamma_hat/rho)^(1/(tau+1)), where the expected slope is negative.
+    For each rho the remainder curve over m of H.scaled(rho) is computed and
+    its minimum recorded; log(min/rho) is then fitted linearly against
+    (gamma_hat/rho)^(1/(tau+1)), where the expected slope is negative.  Since
+    curve_{H.scaled(rho)}(r) = rho^-2 curve_H(rho r), one normalization of
+    H.scaled(rho0), rho0 the largest rho, gives every curve: at radius
+    (rho/rho0) r, times (rho0/rho)^2.  A rho at which H.scaled(rho).V has no
+    terms gets the zero curve.
     """
     H = spec.resolve_hamiltonian()
     integrable = not H.V.terms
@@ -298,12 +302,14 @@ def run_remainder_scaling(spec: ExperimentSpec) -> ExperimentResult:
     gamma_hat = float("nan")
     if not integrable:
         gamma_hat = estimate_gamma(H.alpha, spec.tau, spec.gamma_K).gamma_hat
+    live = [rho for rho in spec.rho_grid if H.scaled(rho).V.terms]
+    curves = {}
+    if live:
+        rho0, r = max(live), _radius(H, spec.radius)
+        at_rho0 = remainder_curve(H.scaled(rho0), spec.m_max, radius=[rho / rho0 * r for rho in live])
+        curves = {rho: [(m, v * (rho0 / rho) ** 2) for m, v in c] for rho, c in zip(live, at_rho0)}
     for rho in spec.rho_grid:
-        Hs = H.scaled(rho)
-        if integrable or not Hs.V.terms:
-            curve = [(m, 0.0) for m in range(2, spec.m_max + 1)]
-        else:
-            curve = remainder_curve(Hs, spec.m_max, radius=spec.radius)
+        curve = curves.get(rho, [(m, 0.0) for m in range(2, spec.m_max + 1)])
         m_opt, r_min = min(curve, key=lambda t: t[1])
         minima.append((rho, m_opt, r_min))
         for m, r in curve:

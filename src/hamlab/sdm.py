@@ -237,8 +237,7 @@ def _up_to(n: int, L_max: int) -> tuple:
     order, the runs (L, idx, K) of one dimension, then the whole space.  A
     stable argsort on L of all dimensions, each in (L, key) order, gives the
     order (L, k, key), where a run is a slice of one dimension's arrays."""
-    if n < 1:
-        raise ValueError("dimension n must be >= 1")
+    _check_sizes(n, L_max)
     C = np.array(primitive_vectors(n, L_max), dtype=np.int64).reshape(-1, n)
     _check_budget(len(C), range(1, n))
     dims = [_distinct(n, k, C, lambda A: np.abs(A).max(axis=(1, 2))) for k in range(1, n)]
@@ -261,6 +260,13 @@ def subspaces_up_to(n: int, L_max: int) -> list:
     (L, k, canonical key)."""
     C, runs = _up_to(n, L_max)
     return [sub for run in runs for sub in _values(C, *run)]
+
+
+def _check_sizes(n: int, L_max: int) -> None:
+    if n < 1:
+        raise ValueError("dimension n must be >= 1")
+    if L_max < 1:
+        raise ValueError("L_max must be >= 1")
 
 
 def _check_exponents(gamma_p: float, tau_p: float) -> None:
@@ -472,6 +478,7 @@ def prevalence_estimate(
     h = alpha.I + beta I.I, whose restricted Hessian is the doubled matrix
     2 E^T beta E; the thresholds below apply to that doubled restriction.
     """
+    _check_sizes(n, L_max)
     if samples < 100:
         raise ValueError("need at least 100 samples")
     _check_exponents(gamma_p, tau_p)

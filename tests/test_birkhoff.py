@@ -306,6 +306,38 @@ def test_remainder_curve_shape_and_consistency():
     assert vals[-1] < vals[0]
 
 
+def test_curve_over_radii_is_the_curve_at_each_radius():
+    # one pass for a sequence of radii gives, element by element and to the
+    # bit, what a call for each radius alone gives; None is the default radius
+    V = Polynomial(2, {(3, 0, 0, 0): 0.05, (0, 0, 2, 1): -0.04, (1, 1, 1, 1): 0.03})
+    H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
+    radii = [0.5, 0.125, 0.37, 1.3, None, 0.5]
+    assert remainder_curve(H, m_max=5, radius=radii) == [
+        remainder_curve(H, m_max=5, radius=r) for r in radii
+    ]
+    assert remainder_curve(H, m_max=3, radius=np.array([0.37, 2.0])) == [
+        remainder_curve(H, m_max=3, radius=0.37), remainder_curve(H, m_max=3, radius=2.0)
+    ]
+    assert remainder_curve(H, m_max=3, radius=()) == []
+    with pytest.raises(ValueError, match="radius must be positive"):
+        remainder_curve(H, m_max=3, radius=[0.5, 0.0])
+
+
+@pytest.mark.parametrize("rho, exact", [(0.5, True), (0.125, True), (0.3, False), (0.011, False)])
+def test_curve_of_scaled_hamiltonian_is_the_curve_at_the_scaled_radius(rho, exact):
+    # curve_{H.scaled(rho)}(r) = rho^-2 curve_H(rho r); a power of 2 scales
+    # every float of the pass exactly, so there the two sides agree to the bit
+    V = Polynomial(2, {(3, 0, 0, 0): 0.05, (0, 0, 2, 1): -0.04, (1, 1, 1, 1): 0.03})
+    H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
+    want = remainder_curve(H.scaled(rho), m_max=4, radius=0.8)
+    got = [(m, v / rho**2) for m, v in remainder_curve(H, m_max=4, radius=rho * 0.8)]
+    assert [m for m, _ in got] == [m for m, _ in want]
+    if exact:
+        assert got == want
+    else:
+        assert [v for _, v in got] == pytest.approx([v for _, v in want], rel=1e-13)
+
+
 @pytest.mark.parametrize("radius", [-0.5, 0.0, math.nan])
 @pytest.mark.parametrize("V", [Polynomial.zero(2), Polynomial(2, {(3, 0, 0, 0): 0.05, (0, 0, 2, 1): -0.04})])
 def test_non_positive_radius_is_refused(radius, V):

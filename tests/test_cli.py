@@ -387,6 +387,19 @@ def test_empty_dimensions_exit_2_with_their_names(capsys):
     assert json.loads(err) == {"error": "ValueError", "message": "dimension n must be >= 1"}
 
 
+def test_negative_dimension_and_L_max_below_one_exit_2_with_their_names(capsys, tmp_path):
+    beta = tmp_path / "beta.json"
+    beta.write_text(json.dumps([[1.0, 0.0], [0.0, -2.0]]))
+    for argv, message in (
+        (["sdm-prevalence", "--n", "2", "--tau", "6", "--Lmax", "0"], "L_max must be >= 1"),
+        (["sdm-prevalence", "--n", "-1", "--tau", "6"], "dimension n must be >= 1"),
+        (["sdm-check", "--quadratic", str(beta), "--gamma", "0.1", "--tau", "6", "--Lmax", "0"], "L_max must be >= 1"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

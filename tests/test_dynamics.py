@@ -448,6 +448,39 @@ def test_sampler_properties():
     assert Z1 == pytest.approx(Z0[:5])
 
 
+def per_row_initial_conditions(n, N, seed):
+    """sample_initial_conditions as a loop that draws and transforms one row
+    at a time."""
+    out = np.empty((N, 2 * n))
+    for i in range(N):
+        rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed) << np.uint64(20)) + np.uint64(i)))
+        e = rng.exponential(size=n + 1)
+        I = e[:n] / np.sum(e)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        r = np.sqrt(2.0 * I)
+        out[i, :n] = r * np.cos(theta)
+        out[i, n:] = r * np.sin(theta)
+    return out
+
+
+@pytest.mark.parametrize("n, N, seed", [(1, 5, 0), (2, 32, 0), (2, 7, 41), (3, 16, 9), (9, 4, 2), (16, 3, 5), (2, 0, 1)])
+def test_sampler_matches_a_per_row_reference(n, N, seed):
+    got, want = sample_initial_conditions(n, N, seed), per_row_initial_conditions(n, N, seed)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_escape_scan_draws_the_initial_conditions_once(monkeypatch):
+    import hamlab.dynamics as dynamics
+
+    calls = []
+    draw = dynamics.sample_initial_conditions
+    monkeypatch.setattr(dynamics, "sample_initial_conditions", lambda *a: calls.append(a) or draw(*a))
+    rows = escape_time_scan(harmonic(), [0.2, 0.1, 0.05], 2.0, T_max=1.0, cfg=IntegratorConfig(dt=5e-2), N=3)
+    assert len(rows) == 3
+    assert calls == [(2, 3, 0)]
+
+
 def test_ensemble_drift_summary():
     H = cubic_example()
     cfg = IntegratorConfig(dt=2e-2)

@@ -24,6 +24,7 @@ from hamlab.lab import (
     write_csv,
     write_json,
 )
+from hamlab.birkhoff import remainder_curve
 from hamlab.model import EllipticHamiltonian
 from hamlab.poly import Polynomial, complexify_unnormalized, paired_part
 
@@ -410,6 +411,70 @@ def test_run_remainder_scaling_small():
     assert len(rep["rows"]) == 3
     assert rep["fit"]["slope"] is not None
     assert csv_text(result.csv_fields, result.csv_rows).startswith("rho,m,remainder_majorant,is_min")
+
+
+def per_rho_curves(spec):
+    """The remainder_scaling curves by one normal form per rho: the route
+    that run_remainder_scaling replaced by one pass over the whole grid."""
+    H = spec.resolve_hamiltonian()
+    curves = []
+    for rho in spec.rho_grid:
+        Hs = H.scaled(rho)
+        if not Hs.V.terms:
+            curves.append([(m, 0.0) for m in range(2, spec.m_max + 1)])
+        else:
+            curves.append(remainder_curve(Hs, spec.m_max, radius=spec.radius))
+    return curves
+
+
+def grid_curves(result, m_max):
+    """The per-rho curves of a remainder_scaling result, read off its CSV rows."""
+    rows = [(r["m"], r["remainder_majorant"]) for r in result.csv_rows]
+    return [rows[i:i + m_max - 1] for i in range(0, len(rows), m_max - 1)]
+
+
+SCALING_HAMILTONIANS = [
+    small_cubic(),
+    generate_random_hamiltonian(RandomHamiltonianParams(n=2, degree_max=5, n_terms=8, seed=3)),
+]
+
+
+@pytest.mark.parametrize("H", SCALING_HAMILTONIANS)
+@pytest.mark.parametrize("radius", [1.0, None])
+@pytest.mark.parametrize(
+    "rho_grid, exact",
+    [((0.2, 0.1, 0.05, 0.025), True), ((0.025, 0.2, 0.05), True), ((0.3, 0.07, 0.011), False)],
+)
+def test_remainder_scaling_matches_one_normal_form_per_rho(H, radius, rho_grid, exact):
+    # rho/rho0 a power of 2 scales every float of the one pass exactly
+    spec = ExperimentSpec(
+        kind="remainder_scaling", hamiltonian=H, rho_grid=rho_grid, m_max=4, radius=radius, gamma_K=50
+    )
+    result = run_experiment(spec)
+    got, want = grid_curves(result, spec.m_max), per_rho_curves(spec)
+    assert [[m for m, _ in c] for c in got] == [[m for m, _ in c] for c in want]
+    if exact:
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            for (_, a), (_, b) in zip(g, w):
+                assert a == b or abs(a - b) <= 1e-12 * abs(b)
+    assert [r["m_opt"] for r in result.report["rows"]] == [
+        min(c, key=lambda t: t[1])[0] for c in want
+    ]
+
+
+def test_remainder_scaling_gives_the_zero_curve_where_the_scaled_V_vanishes():
+    # the least subnormal times 0.9 rounds to itself, times 0.1 to zero
+    H = EllipticHamiltonian((1.0, GOLDEN_F), Polynomial(2, {(3, 0, 0, 0): 5e-324}), s=4.0)
+    assert H.scaled(0.9).V.terms and not H.scaled(0.1).V.terms
+    spec = ExperimentSpec(
+        kind="remainder_scaling", hamiltonian=H, rho_grid=(0.1, 0.9), m_max=3, radius=1.0, gamma_K=50
+    )
+    result = run_experiment(spec)
+    assert grid_curves(result, spec.m_max) == per_rho_curves(spec)
+    assert grid_curves(result, spec.m_max)[0] == [(2, 0.0), (3, 0.0)]
+    assert not result.report["integrable"]
 
 
 def test_run_remainder_scaling_integrable_flag():

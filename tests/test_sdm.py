@@ -649,6 +649,22 @@ def test_dimension_zero_is_refused():
             probe()
 
 
+def test_negative_dimension_and_L_max_below_one_are_refused():
+    for probe, message in (
+        (lambda: prevalence_estimate(-1, 6.0, 0.1, 2, samples=100), "dimension n must be >= 1"),
+        (lambda: prevalence_estimate(2, 6.0, 0.1, 0, samples=100), "L_max must be >= 1"),
+        # before any other check
+        (lambda: prevalence_estimate(2, 1.5, 0.1, -1, samples=10), "L_max must be >= 1"),
+        (lambda: subspaces_up_to(-2, 2), "dimension n must be >= 1"),
+        (lambda: subspaces_up_to(2, 0), "L_max must be >= 1"),
+        (lambda: subspaces_up_to(1, 0), "L_max must be >= 1"),
+        (lambda: sdm._up_to(3, -1), "L_max must be >= 1"),
+        (lambda: check_sdm_quadratic(np.eye(2), 0.1, 6.0, 0), "L_max must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            probe()
+
+
 def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
     """The random half of prevalence_estimate as a per-sample loop:
     sequential (n, n) draws, each passed to check_sdm_quadratic with the
