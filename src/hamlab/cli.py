@@ -112,7 +112,7 @@ def _cmd_drift(args):
     cfg = dynamics.IntegratorConfig(method=args.method, dt=args.dt)
     ens = dynamics.ensemble_drift(
         H, args.rho, args.N, args.T, cfg, seed=args.seed,
-        sample_stride=args.sample_stride, keep_records=True,
+        sample_stride=args.sample_stride,
     )
     rows = []
     for tid, rec in enumerate(ens.records):

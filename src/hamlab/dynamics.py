@@ -6,16 +6,18 @@ matters here because cubic terms make the flows nonseparable.  The stage
 equations are solved by simplified Newton iteration with the Jacobian frozen
 at the linear part ``CompiledField.A`` (Hairer, Lubich and Wanner, Geometric
 Numerical Integration, Ch. VIII.6), started from the exact linear step.
-Trajectories are tracked through the formal actions and the energy; in one
-vectorized batch each row stops at its own first Newton increment below the
-tolerance, or fails on its own.
+In one vectorized batch each row stops its Newton solve at its own first
+increment below the tolerance, or fails on its own.  The sample loop keeps
+each row's sampled states and energies, and does only what stops a row: a
+failed solve, a domain exit or an energy abort.  Actions, drift and escape
+times are read off the kept states after the loop.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +75,8 @@ class DriftRecord:
     energies: np.ndarray
     max_drift_l1: float
     escape_time: float | None  # None means censored at T
-    status: str = "ok"
-    energy_spread: float = 0.0
+    status: str
+    energy_spread: float
 
 
 @dataclass
@@ -85,9 +87,11 @@ class EnsembleSummary:
     escape_count: int
     drifts: np.ndarray
     statuses: list
-    records: list = field(default_factory=list)
+    records: list
 
 
+# the bench's span wrappers and the step-count test find the implicit steps by
+# these two names, so integrate_batch calls them through the module globals
 def _fixed_point_midpoint(F, z, dt, tol, max_iters):
     """One batched implicit-midpoint step; returns (z_next, converged_mask)."""
     return _newton_step(F, z, dt, tol, max_iters, _MIDPOINT)
@@ -184,8 +188,7 @@ def integrate_batch(
     n = H.n
     if dim != 2 * n:
         raise OutOfDomain(f"points of dimension {dim}, expected {2 * n}")
-    norms0 = np.linalg.norm(Z0, axis=-1)
-    if np.any(norms0 >= H.s):
+    if not np.all(np.linalg.norm(Z0, axis=-1) < H.s):
         raise OutOfDomain("an initial condition lies outside the domain")
 
     H_poly = H.full_polynomial()
@@ -196,18 +199,15 @@ def integrate_batch(
 
     n_samples = n_steps // sample_stride + 1
     times = np.arange(n_samples) * (cfg.dt * sample_stride)
-    actions = np.full((N, n_samples, n), np.nan)
-    energies = np.full((N, n_samples), np.nan)
+    # row i reached samples 0 .. seen[i] - 1, the last of them the one at which
+    # it left the domain or aborted, if it did; a row runs while its status is OK
+    states = np.zeros((N, n_samples, dim))
+    energies = np.zeros((N, n_samples))
+    seen = np.ones(N, dtype=np.int64)
     status = np.full(N, OK, dtype=np.int64)
-    escape = np.full(N, np.nan)
-
     z = Z0.copy()
-    I0 = formal_actions(n, Z0)
-    E0 = energy(Z0)[:, 0]
-    actions[:, 0] = I0
-    energies[:, 0] = E0
-    max_drift = np.zeros(N)
-    active = np.ones(N, dtype=bool)
+    states[:, 0] = Z0
+    E0 = energies[:, 0] = energy(Z0)[:, 0]
 
     linear = H_poly.degree() <= 2
     if linear:
@@ -220,70 +220,62 @@ def integrate_batch(
         Ms = np.linalg.matrix_power(step, sample_stride)
 
         def advance(stride):  # called with stride == sample_stride only
-            z[active] = z[active] @ Ms.T
+            live = status == OK
+            z[live] = z[live] @ Ms.T
 
     else:
 
         def advance(stride):
             for _ in range(stride):
-                # with every row active the batch is z itself, not a gather
-                idx = slice(None) if active.all() else np.flatnonzero(active)
+                # with every row live the batch is z itself, not a gather
+                live = status == OK
+                idx = slice(None) if live.all() else np.flatnonzero(live)
                 zn, conv = stepper(F, z[idx], cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS)
                 if not conv.all():
                     idx = np.arange(N)[idx]
                     status[idx[~conv]] = FP_DIVERGED
-                    active[idx[~conv]] = False
                     idx, zn = idx[conv], zn[conv]
                 z[idx] = zn
 
-    for sample_idx in range(1, n_samples):
-        if not np.any(active):
+    for k in range(1, n_samples):
+        if not (status == OK).any():
             break
         advance(sample_stride)
-        t = sample_idx * sample_stride * cfg.dt
-        Ia = formal_actions(n, z)
-        Ea = energy(z)[:, 0]
-        drift = np.sum(np.abs(Ia - I0), axis=-1)
-        live = np.flatnonzero(active)
-        max_drift[live] = np.maximum(max_drift[live], drift[live])
-        if drift_threshold is not None:
-            esc = live[(drift[live] > drift_threshold) & np.isnan(escape[live])]
-            escape[esc] = t
-        out = live[np.linalg.norm(z[live], axis=-1) >= H.s]
-        status[out] = LEFT_DOMAIN
-        active[out] = False
-        live = np.flatnonzero(active)
-        eb = live[np.abs(Ea[live] - E0[live]) > _ENERGY_ABORT]
-        status[eb] = ENERGY_ABORT
-        active[eb] = False
-        rec = np.flatnonzero(active)
-        actions[rec, sample_idx] = Ia[rec]
-        energies[rec, sample_idx] = Ea[rec]
+        E = energy(z)[:, 0]
+        live = np.flatnonzero(status == OK)
+        states[live, k] = z[live]
+        energies[live, k] = E[live]
+        seen[live] += 1
+        out = np.linalg.norm(z[live], axis=-1) >= H.s
+        status[live[out]] = LEFT_DOMAIN
+        status[live[~out & (np.abs(E[live] - E0[live]) > _ENERGY_ABORT)]] = ENERGY_ABORT
     if not linear:
         # the steps after the last sample record nothing, but a divergence in
         # them still sets the row status
         advance(n_steps % sample_stride)
 
-    return _assemble_records(N, times, actions, energies, max_drift, escape, status)
-
-
-def _assemble_records(N, times, actions, energies, max_drift, escape, status):
-    records = []
-    for i in range(N):
-        good = ~np.isnan(energies[i])
-        e = energies[i][good]
-        records.append(
-            DriftRecord(
-                sample_times=times[good],
-                actions=actions[i][good],
-                energies=e,
-                max_drift_l1=float(max_drift[i]),
-                escape_time=None if np.isnan(escape[i]) else float(escape[i]),
-                status=_STATUS_NAMES[int(status[i])],
-                energy_spread=float(np.max(e) - np.min(e)) if e.size else 0.0,
-            )
+    # a row's drift counts every sample it reached (-inf marks the others),
+    # its record only those before a domain exit or an energy abort
+    actions = formal_actions(n, states)
+    drift = np.abs(actions - actions[:, :1]).sum(axis=-1)
+    drift[np.arange(n_samples) >= seen[:, None]] = -np.inf
+    max_drift = drift.max(axis=1)
+    over = drift > (np.inf if drift_threshold is None else drift_threshold)
+    over[:, 0] = False
+    escapes = over.argmax(axis=1).tolist()  # the first sample over, 0 for none
+    kept = seen - np.isin(status, (LEFT_DOMAIN, ENERGY_ABORT))
+    return [
+        DriftRecord(
+            sample_times=times[:m],
+            actions=actions[i, :m],
+            energies=energies[i, :m],
+            max_drift_l1=float(max_drift[i]),
+            escape_time=escapes[i] * sample_stride * cfg.dt if escapes[i] else None,
+            status=_STATUS_NAMES[int(status[i])],
+            energy_spread=float(energies[i, :m].max() - energies[i, :m].min()),
         )
-    return records
+        for i, m in enumerate(kept.tolist())
+    ]
 
 
 def integrate(
@@ -323,7 +315,6 @@ def ensemble_drift(
     cfg: IntegratorConfig,
     seed: int = 0,
     sample_stride: int = 10,
-    keep_records: bool = False,
 ) -> EnsembleSummary:
     """Drift statistics over an ensemble started on {|I(0)|_1 < 1} at scale rho.
 
@@ -344,7 +335,7 @@ def ensemble_drift(
         escape_count=sum(s != "ok" for s in statuses),
         drifts=drifts,
         statuses=statuses,
-        records=recs if keep_records else [],
+        records=recs,
     )
 
 
@@ -364,6 +355,10 @@ def escape_time_scan(
     censored at T_max.
     Emits local slopes d log T_esc / d log(1/rho) between consecutive rows.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if not drift_threshold_factor > 0:
+        raise ValueError(f"drift threshold factor must be > 0, got {drift_threshold_factor}")
     rows = []
     Z0 = sample_initial_conditions(H.n, N, seed)
     for rho in rho_list:

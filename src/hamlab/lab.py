@@ -288,8 +288,9 @@ def run_remainder_scaling(spec: ExperimentSpec) -> ExperimentResult:
     """Normal-form remainder minima over a rho grid, with the exponential fit.
 
     For each rho the remainder curve over m of H.scaled(rho) is computed and
-    its minimum recorded; log(min/rho) is then fitted linearly against
-    (gamma_hat/rho)^(1/(tau+1)), where the expected slope is negative.  Since
+    its minimum recorded.  When every minimum is finite and positive,
+    log(min/rho) is fitted linearly against (gamma_hat/rho)^(1/(tau+1)),
+    where the expected slope is negative; otherwise the fit is None.  Since
     curve_{H.scaled(rho)}(r) = rho^-2 curve_H(rho r), one normalization of
     H.scaled(rho0), rho0 the largest rho, gives every curve: at radius
     (rho/rho0) r, times (rho0/rho)^2.  A rho at which H.scaled(rho).V has no
@@ -317,7 +318,7 @@ def run_remainder_scaling(spec: ExperimentSpec) -> ExperimentResult:
                 {"rho": rho, "m": m, "remainder_majorant": r, "is_min": m == m_opt}
             )
     fit = {"slope": None, "intercept": None, "r2": None}
-    if not integrable and all(r > 0.0 for _, _, r in minima) and len(minima) >= 3:
+    if not integrable and all(0.0 < r < math.inf for _, _, r in minima) and len(minima) >= 3:
         x = np.array([(gamma_hat / rho) ** (1.0 / (spec.tau + 1.0)) for rho, _, _ in minima])
         y = np.array([math.log(r / rho) for rho, _, r in minima])
         slope, intercept = np.polyfit(x, y, 1)

@@ -302,6 +302,21 @@ def test_horizon_of_infinitely_many_steps_exits_2(command, ham_file, capsys):
     assert report["message"].startswith("need finitely many steps of dt in T")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--N", "0"], "N must be >= 1"),
+        (["--N", "-1"], "N must be >= 1"),
+        (["--threshold-factor", "-1"], "drift threshold factor must be > 0, got -1.0"),
+        (["--threshold-factor", "0"], "drift threshold factor must be > 0, got 0.0"),
+    ],
+)
+def test_bad_escape_scan_ensemble_or_threshold_exits_2(flags, message, ham_file, capsys):
+    code, out, err = run(["escape-scan", "--ham", ham_file, "--rho", "0.2,0.1", "--T", "1.0", *flags], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_escape_scan_table_is_the_drift_vs_rho_table(ham_file, capsys):
     from hamlab.lab import ExperimentSpec, run_drift_vs_rho, write_csv
 

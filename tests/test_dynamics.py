@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from hamlab.dynamics import (
+    _GAUSS4,
+    _MIDPOINT,
     CompiledField,
     DriftRecord,
     EnsembleSummary,
     IntegratorConfig,
+    _collocation,
     _fixed_point_gauss4,
     _fixed_point_midpoint,
     ensemble_drift,
@@ -21,7 +24,7 @@ from hamlab.dynamics import (
 from hamlab.errors import FixedPointDivergence, OutOfDomain
 from hamlab.lab import RandomHamiltonianParams, generate_random_hamiltonian
 from hamlab.model import EllipticHamiltonian, formal_actions
-from hamlab.poly import Polynomial
+from hamlab.poly import CompiledPoly, Polynomial
 
 GOLDEN_F = (1 + math.sqrt(5)) / 2
 
@@ -164,6 +167,10 @@ def test_domain_and_stability_guards():
         integrate(H, np.array([4.0, 0.0, 0.0, 0.0]), cfg, T=1.0)
     with pytest.raises(OutOfDomain):
         integrate_batch(H, np.zeros((2, 6)), cfg, T=1.0)
+    # a point that is not finite is not inside the domain either
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OutOfDomain, match="outside the domain"):
+            integrate_batch(H, np.array([[0.1, 0.0, 0.0, 0.1], [bad, 0.0, 0.0, 0.0]]), cfg, T=1.0)
     with pytest.raises(FixedPointDivergence):
         integrate(H, np.array([2.0, 0.0, 0.0, 0.0]), IntegratorConfig(dt=5.0), T=10.0)
 
@@ -481,12 +488,33 @@ def test_escape_scan_draws_the_initial_conditions_once(monkeypatch):
     assert calls == [(2, 3, 0)]
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_escape_scan_refuses_an_empty_ensemble_before_any_draw(N, monkeypatch):
+    import hamlab.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "sample_initial_conditions", None)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        escape_time_scan(harmonic(), [0.2, 0.1], 2.0, T_max=1.0, cfg=IntegratorConfig(dt=5e-2), N=N)
+
+
+@pytest.mark.parametrize("factor", [-1.0, 0.0, math.nan])
+def test_escape_scan_refuses_a_threshold_factor_not_above_zero(factor, monkeypatch):
+    # a factor <= 0 would make every row escape at its first sample
+    import hamlab.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "sample_initial_conditions", None)
+    with pytest.raises(ValueError, match="drift threshold factor must be > 0"):
+        escape_time_scan(cubic_example(), [0.2, 0.1], factor, T_max=1.0, cfg=IntegratorConfig(dt=5e-2), N=2)
+
+
 def test_ensemble_drift_summary():
     H = cubic_example()
     cfg = IntegratorConfig(dt=2e-2)
     summ = ensemble_drift(H, rho=0.1, N=8, T=20.0, cfg=cfg, seed=1)
     assert isinstance(summ, EnsembleSummary)
     assert summ.n_traj == 8
+    assert [r.max_drift_l1 for r in summ.records] == summ.drifts.tolist()
+    assert [r.status for r in summ.records] == summ.statuses
     assert summ.drifts.shape == (8,)
     assert summ.median_drift_l1 <= summ.max_drift_l1
     assert summ.escape_count == sum(s != "ok" for s in summ.statuses)
@@ -529,3 +557,159 @@ def test_drift_record_fields():
     assert rec.sample_times[0] == 0.0
     assert rec.actions.shape == (len(rec.sample_times), 2)
     assert len(rec.energies) == len(rec.sample_times)
+
+
+def reference_integrate_batch(H, Z0, cfg, T, sample_stride=1, drift_threshold=None):
+    """integrate_batch as a sample loop that reads the actions, drift and
+    escape of every row at every sample, fills a stopped row's later samples
+    with NaN, and finds each record again by its NaN energies."""
+    import hamlab.dynamics as dynamics
+
+    n_steps = math.floor(T / cfg.dt * (1 + 1e-9))
+    Z0 = np.atleast_2d(np.asarray(Z0, dtype=float))
+    N, n = Z0.shape[0], H.n
+    H_poly = H.full_polynomial()
+    F = CompiledField(H_poly)
+    energy = CompiledPoly([H_poly])
+    stepper = _fixed_point_midpoint if cfg.method == "implicit_midpoint" else _fixed_point_gauss4
+    n_samples = n_steps // sample_stride + 1
+    times = np.arange(n_samples) * (cfg.dt * sample_stride)
+    actions = np.full((N, n_samples, n), np.nan)
+    energies = np.full((N, n_samples), np.nan)
+    status = np.full(N, "ok", dtype=object)
+    escape = np.full(N, np.nan)
+    z = Z0.copy()
+    I0 = formal_actions(n, Z0)
+    E0 = energy(Z0)[:, 0]
+    actions[:, 0] = I0
+    energies[:, 0] = E0
+    max_drift = np.zeros(N)
+    active = np.ones(N, dtype=bool)
+    linear = H_poly.degree() <= 2
+    if linear:
+        a, b = _MIDPOINT if cfg.method == "implicit_midpoint" else _GAUSS4
+        _, start = _collocation(F.A, cfg.dt, a)
+        step = np.eye(2 * n) + cfg.dt * np.kron(b, np.eye(2 * n)) @ start
+        Ms = np.linalg.matrix_power(step, sample_stride)
+
+        def advance(stride):
+            z[active] = z[active] @ Ms.T
+
+    else:
+
+        def advance(stride):
+            for _ in range(stride):
+                idx = slice(None) if active.all() else np.flatnonzero(active)
+                zn, conv = stepper(F, z[idx], cfg.dt, dynamics._NEWTON_TOL, dynamics._NEWTON_MAX_ITERS)
+                if not conv.all():
+                    idx = np.arange(N)[idx]
+                    status[idx[~conv]] = "fixed_point_divergence"
+                    active[idx[~conv]] = False
+                    idx, zn = idx[conv], zn[conv]
+                z[idx] = zn
+
+    for sample_idx in range(1, n_samples):
+        if not np.any(active):
+            break
+        advance(sample_stride)
+        t = sample_idx * sample_stride * cfg.dt
+        Ia = formal_actions(n, z)
+        Ea = energy(z)[:, 0]
+        drift = np.sum(np.abs(Ia - I0), axis=-1)
+        live = np.flatnonzero(active)
+        max_drift[live] = np.maximum(max_drift[live], drift[live])
+        if drift_threshold is not None:
+            esc = live[(drift[live] > drift_threshold) & np.isnan(escape[live])]
+            escape[esc] = t
+        out = live[np.linalg.norm(z[live], axis=-1) >= H.s]
+        status[out] = "left_domain"
+        active[out] = False
+        live = np.flatnonzero(active)
+        eb = live[np.abs(Ea[live] - E0[live]) > dynamics._ENERGY_ABORT]
+        status[eb] = "energy_abort"
+        active[eb] = False
+        rec = np.flatnonzero(active)
+        actions[rec, sample_idx] = Ia[rec]
+        energies[rec, sample_idx] = Ea[rec]
+    if not linear:
+        advance(n_steps % sample_stride)
+    records = []
+    for i in range(N):
+        good = ~np.isnan(energies[i])
+        e = energies[i][good]
+        records.append(
+            DriftRecord(
+                sample_times=times[good],
+                actions=actions[i][good],
+                energies=e,
+                max_drift_l1=float(max_drift[i]),
+                escape_time=None if np.isnan(escape[i]) else float(escape[i]),
+                status=status[i],
+                energy_spread=float(np.max(e) - np.min(e)) if e.size else 0.0,
+            )
+        )
+    return records
+
+
+def record_bytes(rec):
+    arrays = (rec.sample_times, rec.actions, rec.energies)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays] + [
+        repr(v) for v in (rec.max_drift_l1, rec.escape_time, rec.status, rec.energy_spread)
+    ]
+
+
+def saddle(s):
+    """q^2/2 + p^2/2 + q^3: orbits beyond the saddle at q = -1/3 blow up."""
+    return EllipticHamiltonian((1.0,), Polynomial(1, {(3, 0): 1.0}), s=s)
+
+
+# case -> (H, Z0, dt, T, energy-abort bound of midpoint and of Gauss): the
+# quadratic (linear) path; a cubic ensemble that runs to T; the same with
+# bounds that stop some of its rows; saddle orbits that leave the domain; and
+# saddle orbits whose implicit solve fails first.  Each batch ends with some
+# of its rows in the status that names the case.
+LOOP_CASES = {
+    "linear": (harmonic(), sample_initial_conditions(2, 12, 3), 0.05, 7.3, (1.0, 1.0)),
+    "ok": (cubic_example(), 1.5 * sample_initial_conditions(2, 12, 3), 0.05, 7.3, (1.0, 1.0)),
+    "energy_abort": (cubic_example(), 1.5 * sample_initial_conditions(2, 12, 3), 0.05, 7.3, (7e-5, 1.5e-8)),
+    "left_domain": (saddle(3.5), np.linspace(-0.45, 0.45, 24).reshape(12, 2), 0.01, 4.07, (1.0, 1.0)),
+    "fixed_point_divergence": (saddle(1e6), np.linspace(-0.45, 0.45, 24).reshape(12, 2), 0.05, 5.07, (1e12, 1e12)),
+}
+
+
+@pytest.mark.parametrize("threshold", [None, 1e-6, 0.05, -1.0])
+@pytest.mark.parametrize("stride", [1, 3, 10])
+@pytest.mark.parametrize("method", ["implicit_midpoint", "gauss4"])
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_integrate_batch_matches_the_per_sample_reference(case, method, stride, threshold, monkeypatch):
+    import hamlab.dynamics as dynamics
+
+    H, Z0, dt, T, aborts = LOOP_CASES[case]
+    monkeypatch.setattr(dynamics, "_ENERGY_ABORT", aborts[method == "gauss4"])
+    cfg = IntegratorConfig(method=method, dt=dt)
+    with np.errstate(all="ignore"):
+        got = integrate_batch(H, Z0, cfg, T, stride, threshold)
+        want = reference_integrate_batch(H, Z0, cfg, T, stride, threshold)
+    assert [record_bytes(r) for r in got] == [record_bytes(r) for r in want]
+    assert case == "linear" or case in {r.status for r in got}
+
+
+def test_a_domain_exit_counts_in_the_drift_and_escape_but_not_in_the_record():
+    H, cfg = saddle(3.5), IntegratorConfig(dt=0.01)
+    z0 = np.array([[-0.4, 0.0]])
+    rec = integrate_batch(H, z0, cfg, 9.0)[0]
+    assert rec.status == "left_domain"
+    # the row left the domain at the sample after the last one it recorded
+    exit_sample = len(rec.sample_times)
+    F, z = CompiledField(H.full_polynomial()), z0.copy()
+    for _ in range(exit_sample):
+        z, _ = _fixed_point_midpoint(F, z, cfg.dt, 1e-13, 50)
+    assert np.linalg.norm(z) >= H.s
+    exit_drift = float(np.sum(np.abs(formal_actions(1, z) - formal_actions(1, z0))))
+    kept_drift = float(np.max(np.sum(np.abs(rec.actions - rec.actions[0]), axis=-1)))
+    assert rec.max_drift_l1 == exit_drift > kept_drift
+    assert rec.actions.shape == (exit_sample, 1) and rec.energies.shape == (exit_sample,)
+    # a threshold that only the exit sample passes escapes at that sample
+    esc = integrate_batch(H, z0, cfg, 9.0, drift_threshold=kept_drift)[0]
+    assert esc.escape_time == exit_sample * cfg.dt
+    assert record_bytes(esc)[:3] == record_bytes(rec)[:3]

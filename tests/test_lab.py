@@ -486,6 +486,28 @@ def test_run_remainder_scaling_integrable_flag():
     assert rep["fit"]["slope"] is None
 
 
+def test_remainder_scaling_does_not_fit_through_an_infinite_minimum():
+    # the criterion-3 perturbation with each coefficient scaled by a factor in
+    # [0.75, 1.25] drawn at seed 0; at rho = 0.3 its tail estimate fails and
+    # the curve is inf at every m
+    C3 = {(3, 0, 0, 0): 0.4, (1, 2, 0, 0): -0.3, (0, 0, 2, 2): 0.25, (2, 0, 1, 1): 0.2}
+    f = 1.0 + 0.25 * np.random.default_rng([0, 1]).uniform(-1.0, 1.0, size=len(C3))
+    V = Polynomial(2, {k: c * float(x) for (k, c), x in zip(C3.items(), f)})
+    spec = ExperimentSpec(
+        kind="remainder_scaling",
+        hamiltonian=EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0),
+        rho_grid=(0.3, 0.07, 0.011),
+        m_max=4,
+        radius=1.0,
+        tau=1.0,
+        gamma_K=200,
+    )
+    rep = run_experiment(spec).report
+    minima = [r["min_remainder"] for r in rep["rows"]]
+    assert minima[0] == math.inf and all(0.0 < r < math.inf for r in minima[1:])
+    assert rep["fit"] == {"slope": None, "intercept": None, "r2": None}
+
+
 def test_run_sdm_prevalence_small():
     spec = ExperimentSpec(
         kind="sdm_prevalence",
