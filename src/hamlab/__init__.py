@@ -46,11 +46,7 @@ from .lab import (
     run_experiment,
 )
 from .model import EllipticHamiltonian, formal_actions
-from .poly import (
-    ActionPolynomial,
-    Polynomial,
-    poisson_bracket,
-)
+from .poly import ActionPolynomial, Polynomial
 from .sdm import (
     BadSet,
     RationalSubspace,
@@ -110,7 +106,6 @@ __all__ = [
     "generate_random_hamiltonian",
     "integrate",
     "optimal_order",
-    "poisson_bracket",
     "prevalence_estimate",
     "remainder_curve",
     "run_experiment",

@@ -35,10 +35,10 @@ def _cmd_bnf(args):
     report = {
         "m": res.m,
         "h_m": res.h_m.to_json_dict(),
-        "smallest_divisor": res.smallest_divisor,
+        "smallest_divisor": lab._finite(res.smallest_divisor),
         "remainder_majorant": res.remainder.majorant_norm(res.radius),
-        "tail_bound": res.tail_bound,
-        "tail_ratio": res.tail_ratio,
+        "tail_bound": lab._finite(res.tail_bound),
+        "tail_ratio": lab._finite(res.tail_ratio),
         "transform_displacement": res.transform_displacement,
         "D_work": res.D_work,
         "radius": res.radius,

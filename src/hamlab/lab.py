@@ -238,10 +238,16 @@ def write_csv(path_or_buf, fieldnames, rows):
             w.writerow([_fmt(row.get(k)) for k in fieldnames])
 
 
+def _finite(x):
+    """x, or None for an inf or NaN, which strict JSON has no number for."""
+    return x if math.isfinite(x) else None
+
+
 def write_json(path_or_buf, obj):
-    """Sorted keys, indent 1, one trailing newline.  The text is built before
-    anything is opened, so a report that fails to serialize writes nothing."""
-    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    """Strict JSON (an inf or NaN raises ValueError), sorted keys, indent 1,
+    one trailing newline.  The text is built before anything is opened, so a
+    report that fails to serialize writes nothing."""
+    text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
     with _opened(path_or_buf) as fh:
         fh.write(text)
 
@@ -332,11 +338,11 @@ def run_remainder_scaling(spec: ExperimentSpec) -> ExperimentResult:
         }
     report = {
         "rows": [
-            {"rho": rho, "m_opt": m, "min_remainder": r} for rho, m, r in minima
+            {"rho": rho, "m_opt": m, "min_remainder": _finite(r)} for rho, m, r in minima
         ],
         "fit": fit,
         "integrable": integrable,
-        "gamma_hat": gamma_hat,
+        "gamma_hat": _finite(gamma_hat),
         "tau": spec.tau,
     }
     return ExperimentResult(
@@ -454,19 +460,21 @@ def run_bnf_roundtrip(spec: ExperimentSpec) -> ExperimentResult:
         "m": m,
         "roundtrip_error": rt_err,
         "conjugacy_error": conj_err,
-        "smallest_divisor": res.smallest_divisor,
-        "tail_bound": res.tail_bound,
+        "smallest_divisor": _finite(res.smallest_divisor),
+        "tail_bound": _finite(res.tail_bound),
         "transform_displacement": res.transform_displacement,
     }
     return ExperimentResult(kind="bnf_roundtrip", report=report)
 
 
 # each experiment kind: its runner and its report schema, the required
-# top-level fields and their types checked by validate_report; shipped
-# in-code so artifacts stay self-describing
+# top-level fields and their types checked by validate_report (_OR_NULL: a
+# float written as null where it is inf or NaN); shipped in-code so artifacts
+# stay self-describing
+_OR_NULL = (int, float, type(None))
 _KINDS = {
     "remainder_scaling": (run_remainder_scaling, {
-        "rows": list, "fit": dict, "integrable": bool, "gamma_hat": float, "tau": float,
+        "rows": list, "fit": dict, "integrable": bool, "gamma_hat": _OR_NULL, "tau": float,
     }),
     "drift_vs_rho": (run_drift_vs_rho, {"rows": list}),
     "sdm_prevalence": (run_sdm_prevalence, {
@@ -477,7 +485,7 @@ _KINDS = {
     "convex_vs_generic": (run_convex_vs_generic, {"rows": list, "rho": float}),
     "bnf_roundtrip": (run_bnf_roundtrip, {
         "m": int, "roundtrip_error": float, "conjugacy_error": float,
-        "smallest_divisor": float,
+        "smallest_divisor": _OR_NULL,
     }),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)

@@ -312,21 +312,6 @@ class Polynomial(_SparsePoly):
         return cls(n, terms)
 
 
-def poisson_bracket(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Canonical Poisson bracket with the convention {q_i, p_i} = +1:
-
-    {f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i).
-    """
-    f._check_dim(g)
-    n = f.n
-    out = Polynomial.zero(n)
-    for i in range(n):
-        fq, fp = f.partial(i), f.partial(n + i)
-        gq, gp = g.partial(i), g.partial(n + i)
-        out = out + fq * gp - fp * gq
-    return out
-
-
 class CompiledPoly:
     """Real polynomials of one kind compiled for batch evaluation.
 

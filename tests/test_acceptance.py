@@ -22,8 +22,9 @@ from hamlab.dynamics import IntegratorConfig, ensemble_drift, integrate_batch
 from hamlab.exactnum import GOLDEN, ExactComplex
 from hamlab.lab import ExperimentSpec, RandomHamiltonianParams, generate_random_hamiltonian, run_remainder_scaling, stream_rng
 from hamlab.model import EllipticHamiltonian
-from hamlab.poly import Polynomial, poisson_bracket
+from hamlab.poly import Polynomial
 from hamlab.sdm import bad_set_quadratic, enumerate_GL, prevalence_estimate, primitive_vectors, truncated_measure_bound
+from test_poly import poisson_bracket
 
 GOLDEN_F = (1 + math.sqrt(5)) / 2
 

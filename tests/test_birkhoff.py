@@ -34,9 +34,9 @@ from hamlab.model import EllipticHamiltonian, formal_actions
 from hamlab.poly import (
     Polynomial,
     complexify_unnormalized,
-    poisson_bracket,
     realify_unnormalized,
 )
+from test_poly import poisson_bracket
 
 GOLDEN_F = (1 + math.sqrt(5)) / 2
 

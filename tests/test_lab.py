@@ -486,14 +486,14 @@ def test_run_remainder_scaling_integrable_flag():
     assert rep["fit"]["slope"] is None
 
 
-def test_remainder_scaling_does_not_fit_through_an_infinite_minimum():
-    # the criterion-3 perturbation with each coefficient scaled by a factor in
-    # [0.75, 1.25] drawn at seed 0; at rho = 0.3 its tail estimate fails and
-    # the curve is inf at every m
+def infinite_minimum_spec():
+    """The criterion-3 perturbation with each coefficient scaled by a factor in
+    [0.75, 1.25] drawn at seed 0; at rho = 0.3 its tail estimate fails and the
+    curve is inf at every m."""
     C3 = {(3, 0, 0, 0): 0.4, (1, 2, 0, 0): -0.3, (0, 0, 2, 2): 0.25, (2, 0, 1, 1): 0.2}
     f = 1.0 + 0.25 * np.random.default_rng([0, 1]).uniform(-1.0, 1.0, size=len(C3))
     V = Polynomial(2, {k: c * float(x) for (k, c), x in zip(C3.items(), f)})
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         kind="remainder_scaling",
         hamiltonian=EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0),
         rho_grid=(0.3, 0.07, 0.011),
@@ -502,10 +502,42 @@ def test_remainder_scaling_does_not_fit_through_an_infinite_minimum():
         tau=1.0,
         gamma_K=200,
     )
-    rep = run_experiment(spec).report
+
+
+def test_remainder_scaling_does_not_fit_through_an_infinite_minimum():
+    rep = run_experiment(infinite_minimum_spec()).report
     minima = [r["min_remainder"] for r in rep["rows"]]
-    assert minima[0] == math.inf and all(0.0 < r < math.inf for r in minima[1:])
+    assert minima[0] is None and all(0.0 < r < math.inf for r in minima[1:])
     assert rep["fit"] == {"slope": None, "intercept": None, "r2": None}
+
+
+def refuse_constant(name):
+    raise ValueError(f"not a strict JSON number: {name}")
+
+
+def test_reports_are_strict_json(tmp_path):
+    # an integrable H has no gamma_hat and no divisor, and the rho = 0.3
+    # minimum above is inf: each is written as null, and write_json refuses an
+    # inf that slips through
+    H0 = EllipticHamiltonian((1.0, GOLDEN_F), Polynomial.zero(2), s=4.0)
+    specs = {
+        "integrable": ExperimentSpec(kind="remainder_scaling", hamiltonian=H0, m_max=3),
+        "infinite": infinite_minimum_spec(),
+        "roundtrip": ExperimentSpec(kind="bnf_roundtrip", hamiltonian=H0, m_max=2),
+    }
+    reports = {}
+    for name, spec in specs.items():
+        spec.output = str(tmp_path / name)
+        run_experiment(spec)
+        reports[name] = json.loads((tmp_path / f"{name}.json").read_text(), parse_constant=refuse_constant)
+    assert reports["integrable"]["gamma_hat"] is None
+    assert reports["infinite"]["rows"][0]["min_remainder"] is None
+    assert reports["roundtrip"]["smallest_divisor"] is None
+    buf = io.StringIO()
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(buf, {"x": [1.0, bad]})
+    assert buf.getvalue() == ""
 
 
 def test_run_sdm_prevalence_small():

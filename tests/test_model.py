@@ -53,7 +53,7 @@ def test_complexify_realify_round_trip():
 
 def test_complexify_is_symplectic_change():
     # the bracket factor is preserved: {zeta, zetabar} images of {q, p} = 1
-    from hamlab.poly import poisson_bracket
+    from test_poly import poisson_bracket
 
     q = Polynomial(1, {(1, 0): 1.0})
     p = Polynomial(1, {(0, 1): 1.0})

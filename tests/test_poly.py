@@ -17,7 +17,6 @@ from hamlab.poly import (
     Polynomial,
     complexify_unnormalized,
     paired_part,
-    poisson_bracket,
     realify_unnormalized,
 )
 
@@ -200,6 +199,23 @@ def test_json_round_trip_float_and_exact():
 
 
 # -- Poisson bracket algebra (exact, randomized) -------------------------------
+
+
+def poisson_bracket(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Reference canonical Poisson bracket, {q_i, p_i} = +1:
+
+    {f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i),
+
+    term by term on the sparse polynomials; the normal-form engine brackets
+    in the complex chart instead, and other test modules import this copy.
+    """
+    n = f.n
+    out = Polynomial.zero(n)
+    for i in range(n):
+        fq, fp = f.partial(i), f.partial(n + i)
+        gq, gp = g.partial(i), g.partial(n + i)
+        out = out + fq * gp - fp * gq
+    return out
 
 
 def test_bracket_canonical_pairs():
