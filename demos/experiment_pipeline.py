@@ -19,7 +19,6 @@ from hamlab.lab import ExperimentSpec, RandomHamiltonianParams, run_experiment
 def main():
     params = RandomHamiltonianParams(
         n=2,
-        alpha_mode="golden_family",
         degree_max=5,
         n_terms=4,
         coefficient_scale=0.3,

@@ -114,18 +114,20 @@ def _cmd_drift(args):
         H, args.rho, args.N, args.T, cfg, seed=args.seed,
         sample_stride=args.sample_stride,
     )
-    rows = []
-    for tid, rec in enumerate(ens.records):
-        I0 = rec.actions[0]
-        for t, I, E in zip(rec.sample_times, rec.actions, rec.energies):
-            row = {"trajectory_id": tid, "t": float(t)}
-            for i in range(H.n):
-                row[f"I_{i + 1}"] = float(I[i])
-            row["H"] = float(E)
-            row["drift_l1"] = float(np.sum(np.abs(I - I0)))
-            rows.append(row)
+
+    def rows():  # one at a time, as write_csv writes them
+        for tid, rec in enumerate(ens.records):
+            I0 = rec.actions[0]
+            for t, I, E in zip(rec.sample_times, rec.actions, rec.energies):
+                row = {"trajectory_id": tid, "t": float(t)}
+                for i in range(H.n):
+                    row[f"I_{i + 1}"] = float(I[i])
+                row["H"] = float(E)
+                row["drift_l1"] = float(np.sum(np.abs(I - I0)))
+                yield row
+
     fields = ["trajectory_id", "t"] + [f"I_{i + 1}" for i in range(H.n)] + ["H", "drift_l1"]
-    lab.write_csv(args.out or sys.stdout, fields, rows)
+    lab.write_csv(args.out or sys.stdout, fields, rows())
     sys.stderr.write(
         json.dumps(
             {"max_drift_l1": ens.max_drift_l1, "median_drift_l1": ens.median_drift_l1,

@@ -7,11 +7,12 @@ equations are solved by simplified Newton iteration with the Jacobian frozen
 at the linear part ``CompiledField.A`` (Hairer, Lubich and Wanner, Geometric
 Numerical Integration, Ch. VIII.6), started from the exact linear step plus,
 after a row's first step, the extrapolated nonlinear stage parts of its last
-two.  Each row of a batch stops its solve at its own first increment below
-the tolerance, or fails on its own.  The sample loop keeps each row's sampled
-states and energies, and does only what stops a row: a failed solve, a domain
-exit or an energy abort.  Actions, drift and escape times are read off the
-kept states after the loop.
+two.  A quadratic H takes the same step: its start is the exact step, so each
+solve ends after one sweep.  Each row of a batch stops its solve at its own
+first increment below the tolerance, or fails on its own.  One loop over the
+steps keeps each row's sampled states and energies, and does only what stops
+a row: a failed solve, a domain exit or an energy abort.  Actions, drift and
+escape times are read off the kept states after the loop.
 """
 
 from __future__ import annotations
@@ -155,12 +156,15 @@ def _collocation(A: np.ndarray, dt: float, a: np.ndarray) -> tuple:
 
 
 def _check_startup(H_poly: Polynomial, s: float, z0: np.ndarray, dt: float):
-    """Refuse dt so large that the fixed-point map is not a contraction."""
+    """Refuse dt so large that simplified Newton is not a contraction.  Its
+    frozen Jacobian ``F.A`` solves the quadratic part of H exactly, so only
+    the terms of degree >= 3 count: dt times a majorant of their Hessian on
+    the ball the run starts in must stay below 1."""
     r = min(s, 2.0 * float(np.max(np.linalg.norm(z0, axis=-1))) + 0.5)
     hess_bound = math.fsum(
         abs(c) * sum(k) * (sum(k) - 1) * r ** (sum(k) - 2)
         for k, c in H_poly.terms.items()
-        if sum(k) >= 2
+        if sum(k) >= 3
     )
     if dt * hess_bound >= 1.0:
         raise FixedPointDivergence(
@@ -202,7 +206,7 @@ def integrate_batch(
     F = CompiledField(H_poly)
     energy = CompiledPoly([H_poly])
     stepper = _fixed_point_midpoint if cfg.method == "implicit_midpoint" else _fixed_point_gauss4
-    a, b = _MIDPOINT if cfg.method == "implicit_midpoint" else _GAUSS4
+    _, b = _MIDPOINT if cfg.method == "implicit_midpoint" else _GAUSS4
 
     n_samples = n_steps // sample_stride + 1
     times = np.arange(n_samples) * (cfg.dt * sample_stride)
@@ -215,44 +219,28 @@ def integrate_batch(
     z = Z0.copy()
     states[:, 0] = Z0
     E0 = energies[:, 0] = energy(Z0)[:, 0]
+    # each row's solved nonlinear stage parts of its last two steps, zero
+    # before its first; the step starts from their linear extrapolation
+    last, prev = np.zeros((2, N, len(b) * dim))
 
-    linear = H_poly.degree() <= 2
-    if linear:
-        # quadratic Hamiltonian: the field is linear and the implicit step is
-        # the closed-form Newton start, so whole sample blocks are advanced by
-        # matrix powers
-        start = _collocation(F.A, cfg.dt, a)[1].T
-        step = np.eye(2 * n) + cfg.dt * np.kron(b, np.eye(2 * n)) @ start
-        Ms = np.linalg.matrix_power(step, sample_stride)
-
-        def advance(stride):  # called with stride == sample_stride only
-            live = status == OK
-            z[live] = z[live] @ Ms.T
-
-    else:
-        # each row's solved nonlinear stage parts of its last two steps, zero
-        # before its first; the step starts from their linear extrapolation
-        last, prev = np.zeros((2, N, len(b) * dim))
-
-        def advance(stride):
-            for _ in range(stride):
-                # with every row live the batch is z itself, not a gather
-                live = status == OK
-                idx = slice(None) if live.all() else np.flatnonzero(live)
-                guess = 2.0 * last[idx] - prev[idx]
-                zn, conv = stepper(F, z[idx], cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS, guess)
-                prev[idx] = last[idx]
-                last[idx] = guess
-                if not conv.all():
-                    idx = np.arange(N)[idx]
-                    status[idx[~conv]] = FP_DIVERGED
-                    idx, zn = idx[conv], zn[conv]
-                z[idx] = zn
-
-    for k in range(1, n_samples):
-        if not (status == OK).any():
+    for step in range(1, n_steps + 1):
+        live = status == OK
+        if not live.any():
             break
-        advance(sample_stride)
+        # with every row live the batch is z itself, not a gather
+        idx = slice(None) if live.all() else np.flatnonzero(live)
+        guess = 2.0 * last[idx] - prev[idx]
+        zn, conv = stepper(F, z[idx], cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS, guess)
+        prev[idx] = last[idx]
+        last[idx] = guess
+        if not conv.all():
+            idx = np.arange(N)[idx]
+            status[idx[~conv]] = FP_DIVERGED
+            idx, zn = idx[conv], zn[conv]
+        z[idx] = zn
+        if step % sample_stride:
+            continue
+        k = step // sample_stride
         E = energy(z)[:, 0]
         live = np.flatnonzero(status == OK)
         states[live, k] = z[live]
@@ -261,10 +249,6 @@ def integrate_batch(
         out = np.linalg.norm(z[live], axis=-1) >= H.s
         status[live[out]] = LEFT_DOMAIN
         status[live[~out & (np.abs(E[live] - E0[live]) > _ENERGY_ABORT)]] = ENERGY_ABORT
-    if not linear:
-        # the steps after the last sample record nothing, but a divergence in
-        # them still sets the row status
-        advance(n_steps % sample_stride)
 
     # a row's drift counts every sample it reached (-inf marks the others),
     # its record only those before a domain exit or an energy abort

@@ -24,13 +24,7 @@ from .dynamics import IntegratorConfig, ensemble_drift, escape_time_scan
 from .exactnum import GOLDEN
 from .model import EllipticHamiltonian, _replacing, formal_actions
 from .poly import ActionPolynomial, Polynomial, _degree
-from .sdm import (
-    PrevalenceReport,
-    _stacks,
-    _up_to,
-    check_sdm_quadratic,
-    prevalence_estimate,
-)
+from .sdm import PrevalenceReport, check_sdm_quadratic, prevalence_estimate
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator for (seed, stream); identical across platforms."""
@@ -45,8 +39,7 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class RandomHamiltonianParams:
     n: int
-    alpha_mode: str = "golden_family"  # explicit | golden_family
-    alpha: tuple | None = None
+    alpha: tuple | None = None  # None: default_frequencies(n)
     degree_max: int = 4
     coefficient_scale: float = 1.0
     n_terms: int = 6
@@ -63,10 +56,6 @@ class RandomHamiltonianParams:
             if beta.ndim != 2:
                 raise ValueError("include_beta must be a matrix")
             object.__setattr__(self, "include_beta", tuple(map(tuple, beta.tolist())))
-        if self.alpha_mode not in ("explicit", "golden_family"):
-            raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
-        if self.alpha_mode == "explicit" and self.alpha is None:
-            raise ValueError("explicit alpha_mode requires alpha")
         if self.degree_max < 3:
             raise ValueError("degree_max must be >= 3")
 
@@ -109,7 +98,7 @@ def generate_random_hamiltonian(params: RandomHamiltonianParams) -> EllipticHami
     """
     n = params.n
     rng = stream_rng(params.seed, 0)
-    alpha = tuple(params.alpha) if params.alpha_mode == "explicit" else default_frequencies(n)
+    alpha = default_frequencies(n) if params.alpha is None else params.alpha
 
     degrees = list(range(3, params.degree_max + 1))
     if params.include_beta is not None:
@@ -386,11 +375,10 @@ def run_convex_vs_generic(spec: ExperimentSpec) -> ExperimentResult:
     base = spec.hamiltonian
     rho = spec.rho_grid[0]
     cfg = IntegratorConfig(dt=spec.dt)
-    stacked = list(_stacks(_up_to(base.n, spec.L_max), 1))  # the bases, built once for three checks
     rows = []
     for label, beta in _beta_variants(base.n):
         H = generate_random_hamiltonian(replace(base, include_beta=beta))
-        verdict = check_sdm_quadratic(beta, spec.gamma_p, spec.tau_p, spec.L_max, _stacked=stacked)
+        verdict = check_sdm_quadratic(beta, spec.gamma_p, spec.tau_p, spec.L_max)
         ens = ensemble_drift(H, rho, spec.N, spec.T, cfg, seed=spec.seed)
         rows.append(
             {

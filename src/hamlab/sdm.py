@@ -314,16 +314,10 @@ def _margins(betas: np.ndarray, E: np.ndarray, L: np.ndarray, tau_p: float) -> n
     return np.abs(np.linalg.eigvalsh(restricted)).min(axis=-1) * _powers(L, 1.0, tau_p)
 
 
-def check_sdm_quadratic(
-    beta: np.ndarray, gamma_p: float, tau_p: float, L_max: int,
-    _stacked: list | None = None,
-) -> SdmVerdict:
+def check_sdm_quadratic(beta: np.ndarray, gamma_p: float, tau_p: float, L_max: int) -> SdmVerdict:
     """Quadratic SDM check: sigma_min of every rational restriction of beta
     must exceed gamma' L^{-tau'} (the criterion puts no condition on the
-    linear part alpha).
-
-    ``_stacked`` (private): the list of ``_stacks(_up_to(n, L_max), 1)``,
-    built once by a caller that checks many matrices."""
+    linear part alpha)."""
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 2 or beta.shape[0] != beta.shape[1]:
         raise ValueError("beta must be a square matrix")
@@ -331,7 +325,7 @@ def check_sdm_quadratic(
         raise ValueError("beta must be symmetric")
     _check_exponents(gamma_p, tau_p)
     cases = []  # the first least margin of each stack, so the first of all
-    for L, G, E in _stacks(_up_to(beta.shape[0], L_max), 1) if _stacked is None else _stacked:
+    for L, G, E in _stacks(_up_to(beta.shape[0], L_max), 1):
         margins = _margins(beta[None], E, L, tau_p)[:, 0]
         i = int(np.argmin(margins))
         cases.append((L[i], G[i], None, float(margins[i])))

@@ -358,17 +358,18 @@ def test_experiment_subcommand(capsys, tmp_path, ham_file):
     assert (tmp_path / "result.json").exists()
 
 
-def test_experiment_with_an_unknown_alpha_mode_exits_2(capsys, tmp_path):
+def test_experiment_with_an_unknown_hamiltonian_key_exits_2(capsys, tmp_path):
     spec = {
         "kind": "bnf_roundtrip",
-        "hamiltonian": {"type": "random", "data": {"n": 2, "alpha_mode": "random_unit_box"}},
+        "hamiltonian": {"type": "random", "data": {"n": 2, "alpha_mode": "explicit"}},
         "m_max": 2,
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     code, out, err = run(["experiment", "--spec", str(spec_path)], capsys)
     assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "ValueError", "message": "unknown alpha_mode 'random_unit_box'"}
+    err = json.loads(err)
+    assert err["error"] == "TypeError" and "unexpected keyword argument 'alpha_mode'" in err["message"]
 
 
 def test_missing_file_exits_2(capsys):

@@ -12,7 +12,6 @@ from hamlab.dynamics import (
     DriftRecord,
     EnsembleSummary,
     IntegratorConfig,
-    _collocation,
     _fixed_point_gauss4,
     _fixed_point_midpoint,
     ensemble_drift,
@@ -68,19 +67,49 @@ def test_harmonic_matches_exact_rotation():
     assert rec.energies[-1] == pytest.approx(0.125, abs=1e-13)
 
 
-@pytest.mark.parametrize("T", [5.0, 5.03])
-def test_linear_fast_path_agrees_with_generic_path(T):
-    # add a tiny cubic term to force the generic path and compare with the
-    # closed-form linear path on the same quadratic Hamiltonian
-    H = harmonic()
-    V = Polynomial(2, {(3, 0, 0, 0): 1e-14})
-    H_eps = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
-    z0 = np.array([[0.2, 0.1, -0.1, 0.3]])
-    cfg = IntegratorConfig(dt=1e-2)
-    fast = integrate_batch(H, z0, cfg, T=T, sample_stride=5)[0]
-    slow = integrate_batch(H_eps, z0, cfg, T=T, sample_stride=5)[0]
-    assert fast.actions[-1] == pytest.approx(slow.actions[-1], abs=1e-8)
-    assert fast.sample_times == pytest.approx(slow.sample_times)
+def count_field_calls_and_steps(monkeypatch):
+    """Counts of CompiledField calls and of implicit steps, by the names
+    integrate_batch calls them through."""
+    import hamlab.dynamics as dynamics
+
+    counts = {"evals": 0, "steps": 0}
+    call = CompiledField.__call__
+
+    def counted_call(self, z):
+        counts["evals"] += 1
+        return call(self, z)
+
+    monkeypatch.setattr(CompiledField, "__call__", counted_call)
+    for name in ("_fixed_point_midpoint", "_fixed_point_gauss4"):
+
+        def counted_step(*args, step=getattr(dynamics, name)):
+            counts["steps"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(dynamics, name, counted_step)
+    return counts
+
+
+@pytest.mark.parametrize("method", ["implicit_midpoint", "gauss4"])
+def test_a_quadratic_hamiltonian_takes_one_newton_sweep_per_step(method, monkeypatch):
+    # the Newton start is the exact step of the linear field, so the first
+    # sweep's increment is rounding and every solve stops there
+    counts = count_field_calls_and_steps(monkeypatch)
+    Z0 = sample_initial_conditions(2, 16, seed=0)
+    records = integrate_batch(harmonic(), Z0, IntegratorConfig(method=method, dt=1e-2), 100.0, 10)
+    assert counts["steps"] == 10_000 and counts["evals"] == counts["steps"]
+    assert all(r.status == "ok" for r in records)
+    assert max(r.max_drift_l1 for r in records) < 1e-13
+
+
+@pytest.mark.parametrize("dt", [0.2, 0.5, 2.0])
+@pytest.mark.parametrize("method", ["implicit_midpoint", "gauss4"])
+def test_a_quadratic_hamiltonian_is_not_refused_at_any_step(method, dt):
+    # the frozen Jacobian solves a linear field exactly, so no dt makes the
+    # simplified Newton map on it fail to contract
+    rec = integrate_batch(harmonic(), np.array([[0.2, 0.1, -0.1, 0.3]]), IntegratorConfig(method=method, dt=dt), 20.0)[0]
+    assert rec.status == "ok"
+    assert rec.max_drift_l1 < 1e-14
 
 
 @pytest.mark.parametrize("method,order", [("implicit_midpoint", 2), ("gauss4", 4)])
@@ -418,23 +447,7 @@ def test_criterion_8_ensemble_field_evaluations_per_step(monkeypatch):
     """Count guard: at most 4.5 field calls per implicit step on criterion 8's
     ensemble (rho = 0.05 over its T = 133), so a costlier solve shows without
     a wall clock."""
-    import hamlab.dynamics as dynamics
-
-    counts = {"evals": 0, "steps": 0}
-    call = CompiledField.__call__
-
-    def counted_call(self, z):
-        counts["evals"] += 1
-        return call(self, z)
-
-    monkeypatch.setattr(CompiledField, "__call__", counted_call)
-    for name in ("_fixed_point_midpoint", "_fixed_point_gauss4"):
-
-        def counted_step(*args, step=getattr(dynamics, name)):
-            counts["steps"] += 1
-            return step(*args)
-
-        monkeypatch.setattr(dynamics, name, counted_step)
+    counts = count_field_calls_and_steps(monkeypatch)
     params = RandomHamiltonianParams(
         n=2, include_beta=np.diag([1.0, -2.0]), degree_max=5, n_terms=4, coefficient_scale=0.3, seed=1
     )
@@ -595,7 +608,7 @@ def reference_integrate_batch(H, Z0, cfg, T, sample_stride=1, drift_threshold=No
     F = CompiledField(H_poly)
     energy = CompiledPoly([H_poly])
     stepper = _fixed_point_midpoint if cfg.method == "implicit_midpoint" else _fixed_point_gauss4
-    a, b = _MIDPOINT if cfg.method == "implicit_midpoint" else _GAUSS4
+    _, b = _MIDPOINT if cfg.method == "implicit_midpoint" else _GAUSS4
     n_samples = n_steps // sample_stride + 1
     times = np.arange(n_samples) * (cfg.dt * sample_stride)
     actions = np.full((N, n_samples, n), np.nan)
@@ -609,32 +622,22 @@ def reference_integrate_batch(H, Z0, cfg, T, sample_stride=1, drift_threshold=No
     energies[:, 0] = E0
     max_drift = np.zeros(N)
     active = np.ones(N, dtype=bool)
-    linear = H_poly.degree() <= 2
-    if linear:
-        start = _collocation(F.A, cfg.dt, a)[1].T
-        step = np.eye(2 * n) + cfg.dt * np.kron(b, np.eye(2 * n)) @ start
-        Ms = np.linalg.matrix_power(step, sample_stride)
+    # the solved nonlinear stage parts of each row's last two steps
+    last, prev = np.zeros((2, N, len(b) * 2 * n))
 
-        def advance(stride):
-            z[active] = z[active] @ Ms.T
-
-    else:
-        # the solved nonlinear stage parts of each row's last two steps
-        last, prev = np.zeros((2, N, len(b) * 2 * n))
-
-        def advance(stride):
-            for _ in range(stride):
-                idx = slice(None) if active.all() else np.flatnonzero(active)
-                guess = 2.0 * last[idx] - prev[idx]
-                zn, conv = stepper(F, z[idx], cfg.dt, dynamics._NEWTON_TOL, dynamics._NEWTON_MAX_ITERS, guess)
-                prev[idx] = last[idx]
-                last[idx] = guess
-                if not conv.all():
-                    idx = np.arange(N)[idx]
-                    status[idx[~conv]] = "fixed_point_divergence"
-                    active[idx[~conv]] = False
-                    idx, zn = idx[conv], zn[conv]
-                z[idx] = zn
+    def advance(stride):
+        for _ in range(stride):
+            idx = slice(None) if active.all() else np.flatnonzero(active)
+            guess = 2.0 * last[idx] - prev[idx]
+            zn, conv = stepper(F, z[idx], cfg.dt, dynamics._NEWTON_TOL, dynamics._NEWTON_MAX_ITERS, guess)
+            prev[idx] = last[idx]
+            last[idx] = guess
+            if not conv.all():
+                idx = np.arange(N)[idx]
+                status[idx[~conv]] = "fixed_point_divergence"
+                active[idx[~conv]] = False
+                idx, zn = idx[conv], zn[conv]
+            z[idx] = zn
 
     for sample_idx in range(1, n_samples):
         if not np.any(active):
@@ -659,8 +662,7 @@ def reference_integrate_batch(H, Z0, cfg, T, sample_stride=1, drift_threshold=No
         rec = np.flatnonzero(active)
         actions[rec, sample_idx] = Ia[rec]
         energies[rec, sample_idx] = Ea[rec]
-    if not linear:
-        advance(n_steps % sample_stride)
+    advance(n_steps % sample_stride)
     records = []
     for i in range(N):
         good = ~np.isnan(energies[i])

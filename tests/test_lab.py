@@ -83,13 +83,14 @@ def test_generator_zero_scale_gives_integrable():
 
 def test_generator_validation():
     with pytest.raises(ValueError):
-        RandomHamiltonianParams(n=2, alpha_mode="explicit")
-    with pytest.raises(ValueError):
         RandomHamiltonianParams(n=2, degree_max=2)
-    with pytest.raises(ValueError):
-        RandomHamiltonianParams(n=2, alpha_mode="sideways")
-    with pytest.raises(ValueError, match="unknown alpha_mode 'random_unit_box'"):
-        RandomHamiltonianParams(n=2, alpha_mode="random_unit_box")
+    with pytest.raises(TypeError, match="alpha_mode"):
+        RandomHamiltonianParams(n=2, alpha_mode="explicit")
+
+
+def test_generator_uses_a_given_alpha():
+    assert generate_random_hamiltonian(RandomHamiltonianParams(n=2, alpha=(1.0, 1.3))).alpha == (1.0, 1.3)
+    assert generate_random_hamiltonian(RandomHamiltonianParams(n=3)).alpha == default_frequencies(3)
 
 
 def extract_quartic_action_part(V):
@@ -170,15 +171,15 @@ def test_spec_round_trip_explicit(tmp_path):
             ExperimentSpec(
                 kind="drift_vs_rho",
                 hamiltonian=RandomHamiltonianParams(
-                    n=2, alpha_mode="explicit", alpha=(1.0, 1.3),
+                    n=2, alpha=(1.0, 1.3),
                     include_beta=np.array([[1.0, -0.5], [-0.5, 2.0]]), seed=3, degree_max=5,
                 ),
                 rho_grid=(0.1, 0.05),
                 N=4,
                 output="runs/drift",
             ),
-            607,
-            "5f3dd89039829520e46c5b1b406c6f4035fd425ef12ef805b749db8dd2517624",
+            578,
+            "ef1a0bfcbd73cd2b8e80bd4f62a599bd3081f2a744223a1e2f37c1ac3c5264cf",
         ),
         (
             ExperimentSpec(

@@ -667,8 +667,8 @@ def test_negative_dimension_and_L_max_below_one_are_refused():
 
 def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
     """The random half of prevalence_estimate as a per-sample loop:
-    sequential (n, n) draws, each passed to check_sdm_quadratic with the
-    stacks built once."""
+    sequential (n, n) draws, each passed to check_sdm_quadratic, which is
+    handed the stacks built once (a basis has the same bits in any stack)."""
     subs = subspaces_up_to(n, L_max)
     stacked = list(sdm._stacks(sdm._up_to(n, L_max), 1))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -682,11 +682,13 @@ def _reference_prevalence(n, tau_p, gamma_p, L_max, samples, seed):
         dmin = np.min(np.abs(lams[None, :] - xis[:, None]), axis=1)
         bad |= dmin <= 0.5 * gamma_p * float(sub.L) ** (-tau_p)
     drawn, bad_r = [], 0
-    for _ in range(samples):
-        Ar = rng.uniform(-1.0, 1.0, size=(n, n))
-        drawn.append(2.0 * (0.5 * (Ar + Ar.T)))
-        v = check_sdm_quadratic(drawn[-1], gamma_p, tau_p, L_max, _stacked=stacked)
-        bad_r += not v.passed
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sdm, "_up_to", lambda n, L_max: None)
+        m.setattr(sdm, "_stacks", lambda arrays, per_sub: stacked)
+        for _ in range(samples):
+            Ar = rng.uniform(-1.0, 1.0, size=(n, n))
+            drawn.append(2.0 * (0.5 * (Ar + Ar.T)))
+            bad_r += not check_sdm_quadratic(drawn[-1], gamma_p, tau_p, L_max).passed
     return float(np.mean(bad)), bad_r / samples, np.array(drawn)
 
 
