@@ -50,6 +50,7 @@ import numpy as np
 
 from . import diophantine
 from .errors import (
+    NotActionRepresentable,
     OrderTooHigh,
     OutOfDomain,
     ResonanceEncountered,
@@ -304,6 +305,7 @@ class _Normalizer:
             self.alpha = np.array(alpha)
         self.D_work = D_work
         self.smallest_divisor = math.inf
+        self.smallest_at = None  # (degree, k) of the smallest float divisor
         self.generators: list = []
 
         # complexify H one homogeneous piece at a time
@@ -358,7 +360,9 @@ class _Normalizer:
         bad = np.flatnonzero(size <= 1e-13 * np.abs(self.alpha).max())
         if bad.size:
             raise ResonanceEncountered(d, tuple(delta[bad[0]].tolist()), float(size[bad[0]]))
-        self.smallest_divisor = min(self.smallest_divisor, float(size.min()))
+        i = int(size.argmin())
+        if size[i] < self.smallest_divisor:
+            self.smallest_divisor, self.smallest_at = float(size[i]), (d, tuple(delta[i].tolist()))
         chi = np.zeros_like(piece)
         chi[idx] = piece[idx] / (1j * om)
         return chi
@@ -370,7 +374,17 @@ class _Normalizer:
 
     def remainder_polynomial(self, m: int) -> Polynomial:
         pieces = {d: self.K[d] for d in range(2 * m + 1, self.D_work + 1) if self.K[d] is not None}
-        return Polynomial(self.n, _to_terms(_realify(pieces, self.n), self.n, real=True))
+        return Polynomial(self.n, _to_terms(self.realify(pieces), self.n, real=True))
+
+    def realify(self, pieces: dict) -> dict:
+        """_realify; a failure names the smallest float divisor, since only
+        small divisors blow the rounding of a real H's chart up that far."""
+        try:
+            return _realify(pieces, self.n)
+        except NotActionRepresentable as err:
+            if self.smallest_at is None:
+                raise
+            raise ResonanceEncountered(*self.smallest_at, self.smallest_divisor) from err
 
     def remainder_majorant(self, m: int, radius):
         """(computed majorant, geometric tail bound, tail ratio) at the radius,
@@ -417,8 +431,8 @@ def birkhoff_normal_form(
     """Normalize H to order 2m; see the module docstring for the scheme.
 
     ``qfield`` has no effect: the field of every exact coefficient follows
-    from its value and the frequencies.  A float divisor just above the
-    resonance tolerance can make realification fail (NotActionRepresentable).
+    from its value and the frequencies.  Float divisors just above the resonance
+    floor that blow rounding up past realification raise ResonanceEncountered.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -438,7 +452,7 @@ def birkhoff_normal_form(
     for d, chi in norm.generators:
         pieces = {} if chi is None else {d: chi}
         generators_chart.append(Polynomial(H.n, _to_terms(pieces, H.n)))
-        real = _realify(pieces, H.n)
+        real = norm.realify(pieces)
         rp = Polynomial(H.n, _to_terms(real, H.n, real=True))
         generators_real.append(rp)
         if rp.terms:

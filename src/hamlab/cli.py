@@ -115,16 +115,11 @@ def _cmd_drift(args):
         sample_stride=args.sample_stride,
     )
 
-    def rows():  # one at a time, as write_csv writes them
+    def rows():  # a record at a time, each column computed in one array pass
         for tid, rec in enumerate(ens.records):
-            I0 = rec.actions[0]
-            for t, I, E in zip(rec.sample_times, rec.actions, rec.energies):
-                row = {"trajectory_id": tid, "t": float(t)}
-                for i in range(H.n):
-                    row[f"I_{i + 1}"] = float(I[i])
-                row["H"] = float(E)
-                row["drift_l1"] = float(np.sum(np.abs(I - I0)))
-                yield row
+            drift = np.abs(rec.actions - rec.actions[0]).sum(axis=1)
+            cols = np.column_stack([rec.sample_times, rec.actions, rec.energies, drift])
+            yield from ([tid, *row] for row in cols.tolist())
 
     fields = ["trajectory_id", "t"] + [f"I_{i + 1}" for i in range(H.n)] + ["H", "drift_l1"]
     lab.write_csv(args.out or sys.stdout, fields, rows())

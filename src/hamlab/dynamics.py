@@ -11,8 +11,9 @@ two.  A quadratic H takes the same step: its start is the exact step, so each
 solve ends after one sweep.  Each row of a batch stops its solve at its own
 first increment below the tolerance, or fails on its own.  One loop over the
 steps keeps each row's sampled states and energies, and does only what stops
-a row: a failed solve, a domain exit or an energy abort.  Actions, drift and
-escape times are read off the kept states after the loop.
+a row: a failed solve, a domain exit or an energy abort; while none has
+stopped, it steps the whole batch without a gather or copy.  Actions, drift
+and escape times are read off the kept states after the loop.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ def _newton_step(F, z, dt, tol, max_iters, tableau, guess=None):
     K, flat (rows, stages * dim), starts from the exact step of the linear
     field ``F.A`` plus ``guess``, a predicted nonlinear part, into which the
     solved one is written back.  Each sweep calls F once on all stages of the
-    rows still iterating, kept compact.  A row stops at its first increment
-    dt * dK below ``tol``, which leaves an error far below ``tol``, or after
-    ``max_iters + 2`` sweeps as unconverged.
+    rows still iterating, kept compact by one write-back into K and integer
+    takes when some stop.  A row stops at its first increment dt * dK below
+    ``tol`` (never at a NaN one), or after ``max_iters + 2`` sweeps as unconverged.
     """
     a, b = tableau
     built = _COLLOCATIONS.setdefault(F, {})
@@ -123,7 +124,6 @@ def _newton_step(F, z, dt, tol, max_iters, tableau, guess=None):
     N, d = z.shape
     lin, zr = z.dot(start_t), z.dot(tile)  # .dot: the product of @, with less overhead
     K = lin + (0.0 if guess is None else guess)
-    converged = np.zeros(N, dtype=bool)
     rows, Kr = np.arange(N), K
     for _ in range(max_iters + 2):
         if rows.size == 0:
@@ -131,12 +131,12 @@ def _newton_step(F, z, dt, tol, max_iters, tableau, guess=None):
         Y = (zr + dt * Kr.dot(stages)).reshape(rows.size, len(b), d)
         dK = (Kr - F(Y).reshape(rows.size, -1)).dot(inv_t)
         Kr = Kr - dK
-        done = abs(dt) * np.abs(dK).max(axis=1) < tol
-        if np.count_nonzero(done):
-            K[rows[done]] = Kr[done]
-            converged[rows[done]] = True
-            rows, zr, Kr = rows[~done], zr[~done], Kr[~done]
+        going = (~(abs(dt) * np.maximum.reduce(np.abs(dK), axis=1) < tol)).nonzero()[0]
+        if going.size < rows.size:
+            K[rows] = Kr
+            rows, zr, Kr = rows.take(going), zr.take(going, axis=0), Kr.take(going, axis=0)
     K[rows] = Kr
+    converged = np.bincount(rows, minlength=N) == 0  # rows still iterating failed
     if guess is not None:
         np.subtract(K, lin, out=guess)
     return z + dt * (b @ K.reshape(N, len(b), d)), converged
@@ -223,21 +223,26 @@ def integrate_batch(
     # before its first; the step starts from their linear extrapolation
     last, prev = np.zeros((2, N, len(b) * dim))
 
+    every = True  # no row has stopped: a step takes z, last and prev whole
     for step in range(1, n_steps + 1):
-        live = status == OK
-        if not live.any():
-            break
-        # with every row live the batch is z itself, not a gather
-        idx = slice(None) if live.all() else np.flatnonzero(live)
-        guess = 2.0 * last[idx] - prev[idx]
-        zn, conv = stepper(F, z[idx], cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS, guess)
-        prev[idx] = last[idx]
-        last[idx] = guess
+        if every:
+            prev, last, idx = last, 2.0 * last - prev, slice(None)
+            zn, conv = stepper(F, z, cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS, last)
+        else:
+            idx = np.flatnonzero(status == OK)
+            if not idx.size:
+                break
+            guess = 2.0 * last[idx] - prev[idx]
+            zn, conv = stepper(F, z[idx], cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS, guess)
+            prev[idx], last[idx] = last[idx], guess
         if not conv.all():
             idx = np.arange(N)[idx]
             status[idx[~conv]] = FP_DIVERGED
-            idx, zn = idx[conv], zn[conv]
-        z[idx] = zn
+            idx, zn, every = idx[conv], zn[conv], False
+        if every:
+            z = zn
+        else:
+            z[idx] = zn
         if step % sample_stride:
             continue
         k = step // sample_stride
@@ -249,6 +254,7 @@ def integrate_batch(
         out = np.linalg.norm(z[live], axis=-1) >= H.s
         status[live[out]] = LEFT_DOMAIN
         status[live[~out & (np.abs(E[live] - E0[live]) > _ENERGY_ABORT)]] = ENERGY_ABORT
+        every = not status.any()
 
     # a row's drift counts every sample it reached (-inf marks the others),
     # its record only those before a domain exit or an energy abort

@@ -219,12 +219,12 @@ def _opened(path_or_buf):
 
 
 def write_csv(path_or_buf, fieldnames, rows):
-    """Deterministic CSV: fixed field order, '\\n' terminators, repr floats."""
+    """Deterministic CSV: fixed field order, '\\n' terminators, repr floats; a
+    row is a dict by field name, or a list of ints and floats in field order."""
     with _opened(path_or_buf) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(fieldnames)
-        for row in rows:
-            w.writerow([_fmt(row.get(k)) for k in fieldnames])
+        w.writerows(row if isinstance(row, list) else [_fmt(row.get(k)) for k in fieldnames] for row in rows)
 
 
 def _finite(x):

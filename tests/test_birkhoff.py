@@ -25,6 +25,7 @@ from hamlab.birkhoff import (
 )
 from hamlab.diophantine import estimate_gamma
 from hamlab.errors import (
+    NotActionRepresentable,
     ResonanceEncountered,
     ResonantFrequency,
     ThresholdViolation,
@@ -271,6 +272,22 @@ def test_divisor_floor_raises_at_the_first_small_divisor():
     with pytest.raises(ResonanceEncountered, match=r"degree 3: k=\(-2, 1\), \|k.alpha\|=8.882e-16"):
         birkhoff_normal_form(H, m=2)
     assert birkhoff_normal_form(H, m=2, exact=True).smallest_divisor == 1e-15
+
+
+def test_a_near_resonant_divisor_that_spoils_realification_is_named():
+    # alpha = (1, 1 + 2e-11): |(2, -2).alpha| = 4e-11 passes the 1e-13 max
+    # |alpha| floor, and the generators it divides grow until the rounding
+    # left in the chart fails realification at m = 3 and m = 5.  Every term
+    # is even in (q2, p2), so the divisor met is (2, -2), not (1, -1).
+    V = Polynomial(2, {(3, 0, 0, 0): 0.1, (1, 0, 0, 2): 0.1})
+    H = EllipticHamiltonian((1.0, 1.0 + 2e-11), V)
+    for m in (3, 5):
+        with pytest.raises(ResonanceEncountered, match=r"degree 4: k=\(-2, 2\), \|k.alpha\|=4.000e-11") as err:
+            birkhoff_normal_form(H, m=m)
+        assert isinstance(err.value.__cause__, NotActionRepresentable)
+        assert (err.value.degree, err.value.k) == (4, (-2, 2))
+    # where realification holds, the result reports the same divisor
+    assert birkhoff_normal_form(H, m=2).smallest_divisor == err.value.value
 
 
 # -- optimal order -------------------------------------------------------------

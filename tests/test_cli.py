@@ -8,6 +8,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hamlab import cli
@@ -248,6 +249,80 @@ def test_drift_subcommand(ham_file, capsys):
     assert lines[0] == "trajectory_id,t,I_1,I_2,H,drift_l1"
     summary = json.loads(err)
     assert summary["max_drift_l1"] >= 0.0
+
+
+def per_row_drift_rows(records, n):
+    """The drift CSV rows as `hamlab drift` built them before it formatted a
+    record at a time: one dict and one np.sum per sampled row."""
+    for tid, rec in enumerate(records):
+        I0 = rec.actions[0]
+        for t, I, E in zip(rec.sample_times, rec.actions, rec.energies):
+            row = {"trajectory_id": tid, "t": float(t)}
+            for i in range(n):
+                row[f"I_{i + 1}"] = float(I[i])
+            row["H"] = float(E)
+            row["drift_l1"] = float(np.sum(np.abs(I - I0)))
+            yield row
+
+
+def _saddle_file(tmp_path):
+    # q^2/2 + p^2/2 + q^3: at rho = 0.4 most orbits pass the saddle and
+    # leave the domain, so the records differ in length
+    path = tmp_path / "saddle.json"
+    EllipticHamiltonian((1.0,), Polynomial(1, {(3, 0): 1.0}), s=3.5).save(path)
+    return str(path), ["--rho", "0.4", "--N", "12", "--T", "6.0", "--dt", "0.02"]
+
+
+def _nine_freedoms_file(tmp_path):
+    # nine actions, so each drift is a sum of more terms than numpy's
+    # pairwise summation adds one by one
+    alpha = tuple(math.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+    V = Polynomial(9, {(1,) + (0,) * (j - 1) + (2,) + (0,) * (17 - j): 0.1 for j in range(1, 9)})
+    path = tmp_path / "nine.json"
+    EllipticHamiltonian(alpha, V, s=4.0).save(path)
+    return str(path), ["--rho", "0.3", "--N", "3", "--T", "2.0", "--dt", "0.05"]
+
+
+@pytest.mark.parametrize("stride", ["1", "3"])
+@pytest.mark.parametrize("case", ["golden", "saddle", "nine"])
+def test_drift_csv_matches_the_per_row_formatter(case, stride, ham_file, capsys, tmp_path):
+    from hamlab.dynamics import IntegratorConfig, ensemble_drift
+    from hamlab.lab import write_csv
+
+    path, argv = {
+        "golden": lambda: (ham_file, ["--rho", "0.1", "--N", "4", "--T", "3.0", "--dt", "0.05"]),
+        "saddle": lambda: _saddle_file(tmp_path),
+        "nine": lambda: _nine_freedoms_file(tmp_path),
+    }[case]()
+    opts = dict(zip(argv[::2], argv[1::2]))
+    code, out, _ = run(
+        ["drift", "--ham", path, "--method", "gauss4", "--seed", "4", "--sample-stride", stride, *argv], capsys
+    )
+    assert code == 0
+    H = EllipticHamiltonian.load(path)
+    cfg = IntegratorConfig(method="gauss4", dt=float(opts["--dt"]))
+    rho, N, T = float(opts["--rho"]), int(opts["--N"]), float(opts["--T"])
+    ens = ensemble_drift(H, rho, N, T, cfg, seed=4, sample_stride=int(stride))
+    if case == "saddle":
+        assert {"ok", "left_domain"} <= set(ens.statuses)
+    fields = ["trajectory_id", "t"] + [f"I_{i + 1}" for i in range(H.n)] + ["H", "drift_l1"]
+    want = io.StringIO()
+    write_csv(want, fields, per_row_drift_rows(ens.records, H.n))
+    assert out == want.getvalue()
+    assert len(out.splitlines()) == 1 + sum(len(r.sample_times) for r in ens.records)
+
+
+def test_near_resonant_bnf_exits_with_the_resonance(capsys, tmp_path):
+    # |(2, -2).alpha| = 4e-11 passes the divisor floor, and the rounding it
+    # blows up spoils realification at m = 5; the error names that divisor
+    path = tmp_path / "near.json"
+    V = Polynomial(2, {(3, 0, 0, 0): 0.1, (1, 0, 0, 2): 0.1})
+    EllipticHamiltonian((1.0, 1.0 + 2e-11), V).save(path)
+    code, out, err = run(["bnf", "--ham", str(path), "--m", "5"], capsys)
+    assert code == 3 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "ResonanceEncountered"
+    assert error["message"] == "resonance at degree 4: k=(-2, 2), |k.alpha|=4.000e-11"
 
 
 def test_escape_scan_subcommand(ham_file, capsys):

@@ -423,6 +423,39 @@ def test_rows_stop_at_their_first_small_increment(stepper, a):
     assert rec.rows == [2] * first[0] + [1] * (first[1] - first[0])
 
 
+class NaNField(RecordingField):
+    """A recording field that returns NaN on the stage points of rows whose
+    first coordinate is above 5 (and, as any field, on NaN points)."""
+
+    def __call__(self, z):
+        out = super().__call__(z)
+        out[(z[..., 0] > 5.0).any(axis=-1)] = np.nan
+        return out
+
+
+@pytest.mark.parametrize(
+    "stepper, a", [(_fixed_point_midpoint, np.array([[0.5]])), (_fixed_point_gauss4, _GAUSS_A)]
+)
+def test_a_nan_increment_keeps_its_row_iterating(stepper, a):
+    F = random_quintic_field(0)
+    fast, slow = [0.05, -0.02, 0.03, 0.01], [0.9, -0.7, 0.8, 0.6]
+    first = [
+        1 + next(j for j, inc in enumerate(_newton_increments(F, np.array(z), 0.1, a, 20)) if inc < 1e-13)
+        for z in (fast, slow)
+    ]
+    Z = np.array([fast, [6.0, 0.1, -0.2, 0.3], slow])
+    rec = NaNField(F)
+    with np.errstate(invalid="ignore"):
+        got, conv = stepper(rec, Z, 0.1, 1e-13, 50)
+    # the NaN row runs every sweep and fails; the others leave the field
+    # call at their own first small increment, as without it
+    assert conv.tolist() == [True, False, True]
+    assert rec.rows == [3] * first[0] + [2] * (first[1] - first[0]) + [1] * (50 + 2 - first[1])
+    assert np.isnan(got[1]).all()
+    want, _ = stepper(F, Z[[0, 2]], 0.1, 1e-13, 50)
+    assert np.max(np.abs(got[[0, 2]] - want)) <= 1e-15
+
+
 @pytest.mark.parametrize("dt", [0.2, 0.1, -0.05])
 @pytest.mark.parametrize("scale", [0.6, 0.9, 1.2])
 def test_stopped_rows_match_a_long_newton_solve(scale, dt):
@@ -693,17 +726,29 @@ def saddle(s):
     return EllipticHamiltonian((1.0,), Polynomial(1, {(3, 0): 1.0}), s=s)
 
 
+def overflow_case():
+    """A row whose field overflows, so that its solve fails on step 1, in a
+    batch that otherwise runs to T: a quintic term small enough for the
+    startup bound, at a point whose fourth power is inf."""
+    H = EllipticHamiltonian((1.0, GOLDEN_F), Polynomial(2, {(5, 0, 0, 0): 1e-302}), s=1e101)
+    Z0 = 1.5 * sample_initial_conditions(2, 12, 3)
+    Z0[4] = (1e100, 0.0, 0.0, 0.0)
+    return H, Z0, 0.05, 7.3, (1.0, 1.0)
+
+
 # case -> (H, Z0, dt, T, energy-abort bound of midpoint and of Gauss): the
 # quadratic (linear) path; a cubic ensemble that runs to T; the same with
-# bounds that stop some of its rows; saddle orbits that leave the domain; and
-# saddle orbits whose implicit solve fails first.  Each batch ends with some
-# of its rows in the status that names the case.
+# bounds that stop some of its rows; saddle orbits that leave the domain;
+# saddle orbits whose implicit solve fails first; and a batch one of whose
+# rows fails on step 1.  Each batch ends with some of its rows in the status
+# that begins the name of the case.
 LOOP_CASES = {
     "linear": (harmonic(), sample_initial_conditions(2, 12, 3), 0.05, 7.3, (1.0, 1.0)),
     "ok": (cubic_example(), 1.5 * sample_initial_conditions(2, 12, 3), 0.05, 7.3, (1.0, 1.0)),
     "energy_abort": (cubic_example(), 1.5 * sample_initial_conditions(2, 12, 3), 0.05, 7.3, (7e-5, 1.5e-8)),
     "left_domain": (saddle(3.5), np.linspace(-0.45, 0.45, 24).reshape(12, 2), 0.01, 4.07, (1.0, 1.0)),
     "fixed_point_divergence": (saddle(1e6), np.linspace(-0.45, 0.45, 24).reshape(12, 2), 0.05, 5.07, (1e12, 1e12)),
+    "fixed_point_divergence_on_step_1": overflow_case(),
 }
 
 
@@ -721,7 +766,17 @@ def test_integrate_batch_matches_the_per_sample_reference(case, method, stride, 
         got = integrate_batch(H, Z0, cfg, T, stride, threshold)
         want = reference_integrate_batch(H, Z0, cfg, T, stride, threshold)
     assert [record_bytes(r) for r in got] == [record_bytes(r) for r in want]
-    assert case == "linear" or case in {r.status for r in got}
+    assert case == "linear" or case.removesuffix("_on_step_1") in {r.status for r in got}
+
+
+@pytest.mark.parametrize("method", ["implicit_midpoint", "gauss4"])
+def test_a_row_failing_on_step_1_leaves_the_others_running_to_T(method):
+    H, Z0, dt, T, _ = LOOP_CASES["fixed_point_divergence_on_step_1"]
+    with np.errstate(all="ignore"):
+        got = integrate_batch(H, Z0, IntegratorConfig(method=method, dt=dt), T)
+    want = [("ok", 147)] * 12
+    want[4] = ("fixed_point_divergence", 1)
+    assert [(r.status, len(r.sample_times)) for r in got] == want
 
 
 def test_a_domain_exit_counts_in_the_drift_and_escape_but_not_in_the_record():
