@@ -18,12 +18,11 @@ from .diophantine import (
     fit_tau,
 )
 from .dynamics import (
-    DriftRecord,
+    DriftRun,
     EnsembleSummary,
     IntegratorConfig,
     ensemble_drift,
     escape_time_scan,
-    integrate,
     sample_initial_conditions,
 )
 from .errors import (
@@ -66,7 +65,7 @@ __all__ = [
     "CombinatorialBudgetExceeded",
     "DimensionMismatch",
     "DiophantineEstimate",
-    "DriftRecord",
+    "DriftRun",
     "EllipticHamiltonian",
     "EnsembleSummary",
     "ExactComplex",
@@ -104,7 +103,6 @@ __all__ = [
     "fit_tau",
     "formal_actions",
     "generate_random_hamiltonian",
-    "integrate",
     "optimal_order",
     "prevalence_estimate",
     "remainder_curve",

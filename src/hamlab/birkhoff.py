@@ -96,8 +96,8 @@ class NormalFormResult:
 
 def optimal_order(rho: float, gamma: float, tau: float) -> int:
     """Optimal truncation order, of size (gamma/rho)^(1/(tau+1))."""
-    if rho <= 0 or gamma <= 0:
-        raise ValueError("rho and gamma must be positive")
+    if not (rho > 0 and gamma > 0):
+        raise ValueError(f"rho and gamma must be positive, got {rho} and {gamma}")
     if rho >= gamma:
         raise ThresholdViolation(f"rho={rho} must be below gamma={gamma}")
     return max(2, math.ceil((gamma / rho) ** (1.0 / (tau + 1.0))))

@@ -114,15 +114,13 @@ def _cmd_drift(args):
         H, args.rho, args.N, args.T, cfg, seed=args.seed,
         sample_stride=args.sample_stride,
     )
-
-    def rows():  # a record at a time, each column computed in one array pass
-        for tid, rec in enumerate(ens.records):
-            drift = np.abs(rec.actions - rec.actions[0]).sum(axis=1)
-            cols = np.column_stack([rec.sample_times, rec.actions, rec.energies, drift])
-            yield from ([tid, *row] for row in cols.tolist())
-
+    run = ens.run
+    in_record = np.arange(len(run.times)) < run.kept[:, None]
+    times = np.broadcast_to(run.times, in_record.shape)
+    cols = np.column_stack([a[in_record] for a in (times, run.actions, run.energies, run.drift)])
+    rows = zip(np.repeat(np.arange(len(run.kept)), run.kept).tolist(), cols.tolist())
     fields = ["trajectory_id", "t"] + [f"I_{i + 1}" for i in range(H.n)] + ["H", "drift_l1"]
-    lab.write_csv(args.out or sys.stdout, fields, rows())
+    lab.write_csv(args.out or sys.stdout, fields, ([tid, *row] for tid, row in rows))
     sys.stderr.write(
         json.dumps(
             {"max_drift_l1": ens.max_drift_l1, "median_drift_l1": ens.median_drift_l1,

@@ -13,7 +13,8 @@ first increment below the tolerance, or fails on its own.  One loop over the
 steps keeps each row's sampled states and energies, and does only what stops
 a row: a failed solve, a domain exit or an energy abort; while none has
 stopped, it steps the whole batch without a gather or copy.  Actions, drift
-and escape times are read off the kept states after the loop.
+and escape times are read off the kept states after the loop, into one
+``DriftRun`` of arrays over rows and samples.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class IntegratorConfig:
     dt: float = 1e-2
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.method not in ("implicit_midpoint", "gauss4"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -72,14 +73,19 @@ _STATUS_NAMES = {OK: "ok", LEFT_DOMAIN: "left_domain", ENERGY_ABORT: "energy_abo
 
 
 @dataclass
-class DriftRecord:
-    sample_times: np.ndarray
-    actions: np.ndarray  # (samples, n)
-    energies: np.ndarray
-    max_drift_l1: float
-    escape_time: float | None  # None means censored at T
-    status: str
-    energy_spread: float
+class DriftRun:
+    """An integrate_batch run of N rows over S samples.  Row i's record is its
+    first ``kept[i]`` samples; a domain exit or an energy abort is the sample
+    after them, outside the record but inside the drift."""
+
+    times: np.ndarray  # (S,)
+    actions: np.ndarray  # (N, S, n)
+    energies: np.ndarray  # (N, S)
+    drift: np.ndarray  # (N, S) l1 action drift, -inf past the samples a row reached
+    kept: np.ndarray  # (N,)
+    status: list  # (N,) names
+    max_drift_l1: np.ndarray  # (N,)
+    escape_time: np.ndarray  # (N,) NaN means censored at T
 
 
 @dataclass
@@ -90,7 +96,7 @@ class EnsembleSummary:
     escape_count: int
     drifts: np.ndarray
     statuses: list
-    records: list
+    run: DriftRun
 
 
 # the bench's span wrappers and the step-count test find the implicit steps by
@@ -179,8 +185,10 @@ def integrate_batch(
     T: float,
     sample_stride: int = 1,
     drift_threshold: float | None = None,
-):
-    """Integrate a batch of initial conditions; returns a list of DriftRecord.
+) -> DriftRun:
+    """Integrate a batch of initial conditions, sampled every ``sample_stride``
+    steps, into one DriftRun; a row escapes at its first sample after 0 whose
+    drift passes ``drift_threshold``.
 
     The run takes the most whole steps that fit in T, up to a relative 1e-9
     for the rounding of T / dt; a T shorter than one step is refused.
@@ -256,42 +264,22 @@ def integrate_batch(
         status[live[~out & (np.abs(E[live] - E0[live]) > _ENERGY_ABORT)]] = ENERGY_ABORT
         every = not status.any()
 
-    # a row's drift counts every sample it reached (-inf marks the others),
-    # its record only those before a domain exit or an energy abort
     actions = formal_actions(n, states)
     drift = np.abs(actions - actions[:, :1]).sum(axis=-1)
     drift[np.arange(n_samples) >= seen[:, None]] = -np.inf
-    max_drift = drift.max(axis=1)
     over = drift > (np.inf if drift_threshold is None else drift_threshold)
     over[:, 0] = False
-    escapes = over.argmax(axis=1).tolist()  # the first sample over, 0 for none
-    kept = seen - np.isin(status, (LEFT_DOMAIN, ENERGY_ABORT))
-    return [
-        DriftRecord(
-            sample_times=times[:m],
-            actions=actions[i, :m],
-            energies=energies[i, :m],
-            max_drift_l1=float(max_drift[i]),
-            escape_time=escapes[i] * sample_stride * cfg.dt if escapes[i] else None,
-            status=_STATUS_NAMES[int(status[i])],
-            energy_spread=float(energies[i, :m].max() - energies[i, :m].min()),
-        )
-        for i, m in enumerate(kept.tolist())
-    ]
-
-
-def integrate(
-    H: EllipticHamiltonian,
-    z0,
-    cfg: IntegratorConfig,
-    T: float,
-) -> DriftRecord:
-    """Integrate a single trajectory, sampled at every step; raises on
-    divergence of the implicit solve."""
-    rec = integrate_batch(H, np.asarray(z0, dtype=float)[None, :], cfg, T)[0]
-    if rec.status == "fixed_point_divergence":
-        raise FixedPointDivergence("implicit step failed to converge; reduce dt")
-    return rec
+    escapes = over.argmax(axis=1)  # the first sample over, 0 for none
+    return DriftRun(
+        times=times,
+        actions=actions,
+        energies=energies,
+        drift=drift,
+        kept=seen - np.isin(status, (LEFT_DOMAIN, ENERGY_ABORT)),
+        status=[_STATUS_NAMES[c] for c in status.tolist()],
+        max_drift_l1=drift.max(axis=1),
+        escape_time=np.where(escapes > 0, escapes * sample_stride * cfg.dt, np.nan),
+    )
 
 
 def sample_initial_conditions(n: int, N: int, seed: int) -> np.ndarray:
@@ -327,17 +315,15 @@ def ensemble_drift(
         raise ValueError("N must be >= 1")
     Hs = H.scaled(rho)
     Z0 = sample_initial_conditions(H.n, N, seed)
-    recs = integrate_batch(Hs, Z0, cfg, T, sample_stride)
-    drifts = np.array([r.max_drift_l1 for r in recs])
-    statuses = [r.status for r in recs]
+    run = integrate_batch(Hs, Z0, cfg, T, sample_stride)
     return EnsembleSummary(
         n_traj=N,
-        max_drift_l1=float(np.max(drifts)),
-        median_drift_l1=float(np.median(drifts)),
-        escape_count=sum(s != "ok" for s in statuses),
-        drifts=drifts,
-        statuses=statuses,
-        records=recs,
+        max_drift_l1=float(np.max(run.max_drift_l1)),
+        median_drift_l1=float(np.median(run.max_drift_l1)),
+        escape_count=sum(s != "ok" for s in run.status),
+        drifts=run.max_drift_l1,
+        statuses=run.status,
+        run=run,
     )
 
 
@@ -364,15 +350,14 @@ def escape_time_scan(
     rows = []
     Z0 = sample_initial_conditions(H.n, N, seed)
     for rho in rho_list:
-        recs = integrate_batch(H.scaled(rho), Z0, cfg, T_max, 10, drift_threshold=drift_threshold_factor * rho)
-        esc = [r.escape_time for r in recs if r.escape_time is not None]
-        max_drift = max(r.max_drift_l1 for r in recs)
+        run = integrate_batch(H.scaled(rho), Z0, cfg, T_max, 10, drift_threshold=drift_threshold_factor * rho)
+        esc = run.escape_time[~np.isnan(run.escape_time)]
         rows.append(
             {
                 "rho": float(rho),
-                "escape_time": min(esc) if esc else None,
-                "censored": not esc,
-                "max_drift_l1": float(max_drift),
+                "escape_time": float(esc.min()) if esc.size else None,
+                "censored": not esc.size,
+                "max_drift_l1": float(run.max_drift_l1.max()),
             }
         )
     for prev, cur in zip(rows, rows[1:]):

@@ -212,8 +212,8 @@ class _SparsePoly:
     def majorant_norm(self, r: float) -> float:
         """Sum of |coeff| * r^degree; an upper bound for the sup norm on the
         polydisc of radius r."""
-        if r <= 0:
-            raise ValueError("radius must be positive")
+        if not r > 0:
+            raise ValueError(f"radius must be positive, got {r}")
         return math.fsum(abs(c) * r ** sum(k) for k, c in self.terms.items())
 
     def __repr__(self):
@@ -266,8 +266,8 @@ class Polynomial(_SparsePoly):
 
     def scale(self, rho: float, power: int) -> "Polynomial":
         """The scaled Hamiltonian rho^power * H(rho z)."""
-        if rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {rho}")
         exact = all(_is_exact(c) for c in self.terms.values()) and isinstance(
             rho, (int, Fraction)
         )

@@ -337,8 +337,8 @@ def bad_set_quadratic(beta_k: np.ndarray, kappa: float) -> BadSet:
     """Union of [lambda_i - kappa, lambda_i + kappa] over eigenvalues of beta_k,
     merged; its measure never exceeds 2 k kappa, and outside it the shifted
     matrix beta_k - xi I has smallest singular value above kappa."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     beta_k = np.atleast_2d(np.asarray(beta_k, dtype=float))
     if not np.allclose(beta_k, beta_k.T, atol=1e-12):
         raise ValueError("beta_k must be symmetric")

@@ -303,6 +303,12 @@ def test_optimal_order_plug_in_values():
         optimal_order(0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("rho, gamma", [(math.nan, 1.0), (1e-4, math.nan), (-1e-4, 1.0), (1e-4, 0.0)])
+def test_optimal_order_refuses_a_scale_or_gamma_not_above_zero(rho, gamma):
+    with pytest.raises(ValueError, match="rho and gamma must be positive"):
+        optimal_order(rho, gamma, 1.0)
+
+
 def test_optimal_order_grows_as_rho_shrinks():
     orders = [optimal_order(10.0**-e, 1.0, 1.0) for e in range(2, 7)]
     assert orders == sorted(orders)

@@ -251,12 +251,13 @@ def test_drift_subcommand(ham_file, capsys):
     assert summary["max_drift_l1"] >= 0.0
 
 
-def per_row_drift_rows(records, n):
+def per_row_drift_rows(run, n):
     """The drift CSV rows as `hamlab drift` built them before it formatted a
-    record at a time: one dict and one np.sum per sampled row."""
-    for tid, rec in enumerate(records):
-        I0 = rec.actions[0]
-        for t, I, E in zip(rec.sample_times, rec.actions, rec.energies):
+    run in one pass: one dict and one np.sum per sampled row of each record."""
+    for tid, m in enumerate(run.kept):
+        actions = run.actions[tid, :m]
+        I0 = actions[0]
+        for t, I, E in zip(run.times[:m], actions, run.energies[tid, :m]):
             row = {"trajectory_id": tid, "t": float(t)}
             for i in range(n):
                 row[f"I_{i + 1}"] = float(I[i])
@@ -307,9 +308,24 @@ def test_drift_csv_matches_the_per_row_formatter(case, stride, ham_file, capsys,
         assert {"ok", "left_domain"} <= set(ens.statuses)
     fields = ["trajectory_id", "t"] + [f"I_{i + 1}" for i in range(H.n)] + ["H", "drift_l1"]
     want = io.StringIO()
-    write_csv(want, fields, per_row_drift_rows(ens.records, H.n))
+    write_csv(want, fields, per_row_drift_rows(ens.run, H.n))
     assert out == want.getvalue()
-    assert len(out.splitlines()) == 1 + sum(len(r.sample_times) for r in ens.records)
+    assert len(out.splitlines()) == 1 + ens.run.kept.sum()
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["drift", "--rho", "nan", "--T", "2.0"], "nan"),
+        (["drift", "--rho", "inf", "--T", "2.0"], "inf"),
+        (["escape-scan", "--rho", "0.1,nan", "--T", "2.0"], "nan"),
+    ],
+)
+def test_a_scale_that_is_not_finite_and_positive_exits_2(argv, value, ham_file, capsys):
+    code, out, err = run([argv[0], "--ham", ham_file, *argv[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": f"rho must be positive and finite, got {value}"}
 
 
 def test_near_resonant_bnf_exits_with_the_resonance(capsys, tmp_path):

@@ -77,3 +77,12 @@ def test_private_name_detector():
     source = "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\nx = _C\n"
     assert private_definitions(source) == ["_A", "_B", "_f", "_C"]
     assert {"_A", "_C"} <= read_names(source) and not {"_B", "_f"} & read_names(source)
+
+
+def test_every_exported_name_is_bound():
+    # a removed definition must leave __all__ too, or star imports break
+    assert [name for name in hamlab.__all__ if not hasattr(hamlab, name)] == []
+    assert len(set(hamlab.__all__)) == len(hamlab.__all__)
+    namespace = {}
+    exec("from hamlab import *", namespace)
+    assert set(hamlab.__all__) <= set(namespace)

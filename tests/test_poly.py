@@ -189,6 +189,20 @@ def test_scale_is_substitution():
     assert g.evaluate(z) == pytest.approx(rho**-2 * f.evaluate(rho * z))
 
 
+@pytest.mark.parametrize("rho", [0.0, -0.3, math.nan, math.inf, -math.inf])
+def test_scale_refuses_a_factor_that_is_not_finite_and_positive(rho):
+    f = Polynomial(2, {(3, 0, 0, 0): 0.5})
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        f.scale(rho, -2)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.8, math.nan])
+def test_majorant_norm_refuses_a_radius_not_above_zero(r):
+    f = Polynomial(2, {(3, 0, 0, 0): 0.5})
+    with pytest.raises(ValueError, match="radius must be positive"):
+        f.majorant_norm(r)
+
+
 def test_json_round_trip_float_and_exact():
     f = Polynomial(2, {(1, 0, 2, 0): 0.25, (0, 1, 0, 1): -1.5})
     g = Polynomial.from_json_dict(f.to_json_dict())

@@ -481,6 +481,12 @@ def test_bad_set_validation():
     assert isinstance(bad_set_quadratic(np.array([[1.0]]), 0.1), BadSet)
 
 
+@pytest.mark.parametrize("kappa", [0.0, -0.1, math.nan])
+def test_bad_set_refuses_a_kappa_not_above_zero(kappa):
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        bad_set_quadratic(np.eye(2), kappa)
+
+
 # -- polynomial check ----------------------------------------------------------
 
 
