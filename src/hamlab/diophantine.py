@@ -142,7 +142,7 @@ def estimate_gamma(alpha, tau: float, K: int) -> DiophantineEstimate:
     """gamma_hat = min over 0 < |k|_1 <= K of |k.alpha| * |k|_1^tau."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    if tau < 0:
+    if not tau >= 0:  # NaN fails too
         raise ValueError("tau must be >= 0")
     mins, argmins, hit = _resonance_sweep(alpha, K)
     if hit is not None:

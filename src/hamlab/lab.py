@@ -220,11 +220,16 @@ def _opened(path_or_buf):
 
 def write_csv(path_or_buf, fieldnames, rows):
     """Deterministic CSV: fixed field order, '\\n' terminators, repr floats; a
-    row is a dict by field name, or a list of ints and floats in field order."""
+    row is a dict by field name, or a list of ints and floats in field order,
+    written as their reprs (as csv.writer would: a number needs no quotes)."""
     with _opened(path_or_buf) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(fieldnames)
-        w.writerows(row if isinstance(row, list) else [_fmt(row.get(k)) for k in fieldnames] for row in rows)
+        for row in rows:
+            if isinstance(row, list):
+                fh.write(",".join(map(repr, row)) + "\n")
+            else:
+                w.writerow([_fmt(row.get(k)) for k in fieldnames])
 
 
 def _finite(x):

@@ -9,27 +9,32 @@ their gcd, first nonzero entry positive (the Plücker vector), identify the
 span; a zero vector marks a dependent tuple.  The canonical key, the
 primitive-integer RREF of the complement, comes from minors too: the pivot
 columns S are those of the first nonzero minor, and by Cramer's rule row i is
-det(A_S with column i replaced by column j) over the columns j, times the sign
-of det(A_S), over its gcd.
+det(A_S with column i replaced by column j) over the columns j, which is row i
+of adj(A_S) A, times the sign of det(A_S), over its gcd.
 
 Enumeration is one array pass over the generator tuples in lexicographic
-order, in bounded blocks, keeping per Plücker vector the first tuple of least
-L.  The checks work on its integer arrays, with one batched SVD per stack for
-the bases; only ``subspaces_up_to`` and ``enumerate_GL`` make values, in bulk.
-Minors are exact in int64: those of m vectors with entries at most L, and the
-partial sums of their cofactor expansion, are at most m! L^m.  The budget
-check admits only m <= 4 (the (3^(m+1) - 1)/2 candidates with entries in
-{-1, 0, 1} give too many tuples for m >= 5) and C(L + 1, m) <= the budget
-(the vectors (1, j, 0, ..., 0) are candidates), so m! L^m < 10^10.  Checks run
-on stacks of consecutive subspaces of one dimension, in list order, so the
-polynomial check stops at its first failing stack.
+order, in bounded blocks, each block's minors by one gather of their columns.
+Merges keep per Plücker vector the first tuple of least L by one sort on
+(P, L, position), its columns packed as mixed-radix digits into as few int64
+words as hold their ranges; one more such sort puts each dimension in
+(L, key) order.  The checks work on these integer arrays, with one batched SVD
+per stack for the bases; only ``subspaces_up_to`` and ``enumerate_GL`` make
+values, in bulk.  Minors are exact in int64: those of m vectors with entries
+at most L, and the partial sums of their cofactor expansion and of adj(A_S) A,
+are at most m! L^m.  The budget check admits only m <= 4 (the
+(3^(m+1) - 1)/2 candidates with entries in {-1, 0, 1} give too many tuples
+for m >= 5) and C(L + 1, m) <= the budget (the vectors (1, j, 0, ..., 0) are
+candidates), so m! L^m < 10^10.  Checks run on stacks of consecutive
+subspaces of one dimension, in list order, so the polynomial check stops at
+its first failing stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from functools import reduce
+from itertools import combinations, product, repeat
 from math import comb
 from typing import NamedTuple
 
@@ -95,15 +100,15 @@ def primitive_vectors(n: int, L: int) -> list:
     return [tuple(v) for v in half[np.gcd.reduce(half, axis=1) == 1].tolist()]
 
 
-def _det(A: np.ndarray) -> np.ndarray:
-    """Exact determinants of a (..., m, m) int64 stack, by cofactor expansion
-    along the first row."""
-    m = A.shape[-1]
-    if m == 1:
-        return A[..., 0, 0]
-    return sum(
-        (-1) ** j * A[..., 0, j] * _det(np.delete(A[..., 1:, :], j, axis=-1)) for j in range(m)
-    )
+def _det(M) -> np.ndarray:
+    """Exact determinants of a stack of m x m int64 matrices, given as m rows
+    of m entry arrays, by cofactor expansion along the first row: a minor lists
+    the same arrays, and m <= 3 takes the products of the closed forms."""
+    M = [list(row) for row in M]
+    if len(M) <= 1:
+        return M[0][0] if M else 1
+    terms = [M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]]) for j in range(len(M))]
+    return reduce(lambda acc, t: t - acc, terms[::-1])  # t_0 - (t_1 - (t_2 - ...))
 
 
 def _plucker(A: np.ndarray) -> np.ndarray:
@@ -111,14 +116,12 @@ def _plucker(A: np.ndarray) -> np.ndarray:
     tuples: the m-minors in lexicographic column order, over their gcd, with
     first nonzero entry positive.  A zero row marks a dependent tuple."""
     T, m, n = A.shape
-    cols = list(combinations(range(n), m))
-    P = np.zeros((T, max(len(cols), 1)), dtype=np.int64)  # m > n: no minors, dependent
-    for c, S in enumerate(cols):
-        P[:, c] = _det(A[:, :, list(S)])
-    P //= np.maximum(np.gcd.reduce(P, axis=1), 1)[:, None]
-    first = P[np.arange(T), np.argmax(P != 0, axis=1)]
-    P *= np.where(first < 0, -1, 1)[:, None]
-    return P
+    if m > n:  # no minors: every tuple is dependent
+        return np.zeros((T, 1), dtype=np.int64)
+    P = _det(np.moveaxis(A.T.take(list(combinations(range(n), m)), axis=0), 0, 2))  # minors^T (m, m, c, T)
+    first = reduce(lambda s, p: np.where(p != 0, p, s), P[::-1])  # the first nonzero minor
+    P //= np.maximum(reduce(np.gcd, P), 1) * np.where(first < 0, -1, 1)
+    return P.T
 
 
 def _rref_keys(A: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -126,20 +129,34 @@ def _rref_keys(A: np.ndarray, P: np.ndarray) -> np.ndarray:
     of a (T, m, n) stack with Plücker vectors P.
 
     The pivot columns S are those of the first nonzero minor.  By Cramer's
-    rule row i of the RREF is det(A_S with column i replaced by column j) /
-    det(A_S) over the columns j; times the sign of det(A_S) and over its gcd,
-    it is primitive with a positive leading (pivot) entry."""
+    rule row i of the RREF is row i of adj(A_S) A / det(A_S); times the sign
+    of det(A_S) and over its gcd, it is primitive, its pivot positive."""
     T, m, n = A.shape
     S = np.array(list(combinations(range(n), m)))[np.argmax(P != 0, axis=1)]
-    AS = np.take_along_axis(A, S[:, None, :], axis=2)
-    D = np.empty((T, m, n), dtype=np.int64)
-    for i in range(m):
-        B = AS.copy()
-        for j in range(n):
-            B[:, :, i] = A[:, :, j]
-            D[:, i, j] = _det(B)
-    D *= np.sign(_det(AS))[:, None, None]
-    return D // np.gcd.reduce(D, axis=2)[..., None]
+    M = [list(row) for row in np.take_along_axis(A.T, S.T[:, None, :], axis=0)]  # the rows of A_S^T
+    D = np.zeros((m, n, T), dtype=np.int64)  # adj(A_S) A
+    for i, r in product(range(m), repeat=2):  # adj(A_S)[i, r] is (-1)^(i+r) det(A_S^T less row i, column r)
+        D[i] += (-1) ** (i + r) * _det([row[:r] + row[r + 1:] for row in M[:i] + M[i + 1:]]) * A.T[:, r]
+    D *= np.sign(D[0][S[:, 0], np.arange(T)])  # D[i, S_i] is det(A_S)
+    D //= reduce(np.gcd, D.swapaxes(0, 1))[:, None]
+    return D.transpose(2, 0, 1)
+
+
+def _lexorder(cols) -> np.ndarray:
+    """The lexicographic order, equal rows in no set order, of the rows whose
+    digits are the integer arrays ``cols``: shifted to start at 0, a column is
+    a mixed-radix digit of the last int64 word while its range stays < 2^63."""
+    words, size = [], 2**63
+    for col in cols:
+        lo = col.min(initial=0)
+        r = int(col.max(initial=0) - lo) + 1
+        if size * r >= 2**63:
+            words, size = words + [0], 1
+        words[-1], size = words[-1] * r + (col - lo), size * r
+    order = np.argsort(words[-1])
+    for word in words[-2::-1]:
+        order = order[np.argsort(word[order], kind="stable")]
+    return order
 
 
 def _check_budget(ncands: int, ms) -> None:
@@ -149,52 +166,45 @@ def _check_budget(ncands: int, ms) -> None:
 
 
 def _index_chunks(N: int, m: int):
-    """The m-subsets of range(N) as (rows, m) int64 index arrays, in
-    lexicographic order, in blocks of whole first-index groups."""
+    """The m-subsets of range(N) as (m, T) int64 index arrays, one subset per
+    column, in lexicographic order, in blocks of whole first-index groups."""
     for lo, hi in blocks([comb(N - 1 - i, m - 1) for i in range(N - m + 1)]):
-        idx = np.arange(lo, hi, dtype=np.int64)[:, None]
+        idx = np.arange(lo, hi, dtype=np.int64)[None]
         for c in range(1, m):
-            # column c runs from the previous column + 1 to N - m + c
-            last = idx[:, -1]
+            # row c runs from the previous row + 1 to N - m + c
+            last = idx[-1]
             parent, offset = expand(N - m + c - last)
-            idx = np.column_stack([idx[parent], last[parent] + 1 + offset])
+            idx = np.vstack([idx[:, parent], last[parent] + 1 + offset])
         yield idx
 
 
 def _first_per_vector(idx, P, L):
-    """The first row of least L of each run of equal Plücker vectors, by a
-    stable sort on (P, L).  Rows merged earlier come from tuples earlier in
-    lexicographic order, so of equal (P, L) the first tuple is kept."""
-    order = np.lexsort([L, *P.T[::-1]])
-    Ps = P[order]
-    keep = order[np.r_[True, (Ps[1:] != Ps[:-1]).any(axis=1)]]
-    return idx[keep], P[keep], L[keep]
+    """Of the (m, T) tuples idx with (minors, T) Plücker vectors P, the first
+    of least L per nonzero vector, by one sort on (P, L, column): columns
+    merged earlier come from tuples earlier in lexicographic order."""
+    order = _lexorder([*P, L, np.arange(len(L))])
+    Ps = P.take(order, axis=1)
+    keep = order[np.r_[True, (Ps[:, 1:] != Ps[:, :-1]).any(axis=0)] & Ps.any(axis=0)]
+    return idx.take(keep, axis=1), P.take(keep, axis=1), L[keep]
 
 
-def _distinct(n: int, k: int, C: np.ndarray, L_of) -> tuple:
+def _distinct(n: int, k: int, C: np.ndarray, L_C: np.ndarray) -> tuple:
     """One subspace per Plücker vector, spanned by the tuple of rows of ``C``
-    of least ``L_of`` with that vector, the lexicographically first among
-    ties, in (L, key) order: the run (L, idx, K) of their L, generators (as
-    row indices of ``C``) and keys."""
+    of least L with that vector, the lexicographically first among ties, in
+    (L, key) order: the run (L, idx, K) of their L, generators (as row indices
+    of ``C``) and keys.  A tuple's L is the largest ``L_C`` of its rows."""
     m = n - k
-    idx = np.zeros((0, m), dtype=np.int64)
-    P = np.zeros((0, comb(n, m)), dtype=np.int64)
-    L = np.zeros(0, dtype=np.int64)
-    kept = 0  # rows at the last merge
+    parts, kept = [], 0  # the tuples kept at the last merge, then the chunks since
     for chunk in _index_chunks(len(C), m):
-        A = C[chunk]
-        Pc = _plucker(A)
-        ok = Pc.any(axis=1)
-        idx = np.concatenate([idx, chunk[ok]])
-        P = np.concatenate([P, Pc[ok]])
-        L = np.concatenate([L, L_of(A[ok])])
-        if len(idx) > 2 * kept:  # so each row takes part in O(log) merges
-            idx, P, L = _first_per_vector(idx, P, L)
-            kept = len(idx)
-    idx, P, L = _first_per_vector(idx, P, L)
-    K = _rref_keys(C[idx], P)
-    order = np.lexsort([*K.reshape(len(K), -1).T[::-1], L])
-    return L[order], idx[order], K[order]
+        if sum(len(L) for _, _, L in parts) > 2 * kept:  # so a tuple takes part in O(log) merges
+            parts = [_first_per_vector(*(np.concatenate(x, axis=-1) for x in zip(*parts)))]
+            kept = len(parts[0][2])
+        parts.append((chunk, _plucker(C.T.take(chunk, axis=1).T).T, reduce(np.maximum, L_C.take(chunk))))
+    idx, P, L = _first_per_vector(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
+    K = _rref_keys(C.T.take(idx, axis=1).T, P.T).transpose(1, 2, 0)  # (m, n, T), as it was built
+    order = _lexorder([L, *K.reshape(m * n, -1)])
+    K = np.ascontiguousarray(K.take(order, axis=2).transpose(2, 0, 1))
+    return L[order], idx.take(order, axis=1).T, K
 
 
 def _whole_space(n: int) -> RationalSubspace:
@@ -208,8 +218,12 @@ def _values(C: np.ndarray, L: np.ndarray, idx: np.ndarray, K: np.ndarray) -> lis
     (S, m), n = idx.shape, C.shape[1]
     if m == 0:
         return [_whole_space(n)]
-    rows, K = np.unique(np.ascontiguousarray(K).view(f"V{8 * n}").ravel(), return_inverse=True)
-    rows, cands = (list(map(tuple, X.tolist())) for X in (rows.view(np.int64).reshape(-1, n), C))
+    X = K.reshape(S * m, n)
+    order = _lexorder(X.T)
+    new = np.r_[True, reduce(np.logical_or, (np.diff(col[order]) != 0 for col in X.T))]  # row unlike the last
+    K = np.empty(S * m, dtype=np.int64)
+    K[order] = np.cumsum(new) - 1  # the distinct row of each key row
+    rows, cands = (list(map(tuple, Y.tolist())) for Y in (X.take(order[new], axis=0), C))
     gens = zip(*(map(cands.__getitem__, col) for col in idx.T.tolist()))
     keys = zip(*(map(rows.__getitem__, col) for col in K.reshape(S, m).T.tolist()))
     return list(map(RationalSubspace, repeat(n, S), repeat(n - m, S), L.tolist(), gens, keys))
@@ -229,7 +243,7 @@ def enumerate_GL(n: int, k: int, L: int) -> list:
         return [_whole_space(n)]
     C = np.array(primitive_vectors(n, L), dtype=np.int64)
     _check_budget(len(C), [n - k])
-    return _values(C, *_distinct(n, k, C, lambda A: np.full(len(A), L)))
+    return _values(C, *_distinct(n, k, C, np.full(len(C), L)))
 
 
 def _up_to(n: int, L_max: int) -> tuple:
@@ -240,7 +254,7 @@ def _up_to(n: int, L_max: int) -> tuple:
     _check_sizes(n, L_max)
     C = np.array(primitive_vectors(n, L_max), dtype=np.int64).reshape(-1, n)
     _check_budget(len(C), range(1, n))
-    dims = [_distinct(n, k, C, lambda A: np.abs(A).max(axis=(1, 2))) for k in range(1, n)]
+    dims = [_distinct(n, k, C, np.abs(C).max(axis=1)) for k in range(1, n)]
     sizes = np.array([len(L) for L, _, _ in dims], dtype=np.int64)
     order = np.argsort(np.concatenate([np.zeros(0, np.int64), *(L for L, _, _ in dims)]), kind="stable")
     dim = np.repeat(np.arange(n - 1), sizes)[order]
@@ -270,9 +284,9 @@ def _check_sizes(n: int, L_max: int) -> None:
 
 
 def _check_exponents(gamma_p: float, tau_p: float) -> None:
-    if tau_p < 2:
+    if not tau_p >= 2:  # NaN fails too
         raise ValueError("tau' must be >= 2")
-    if gamma_p > 1:
+    if not gamma_p <= 1:
         raise ValueError("gamma' must be <= 1")
 
 
@@ -387,6 +401,7 @@ def check_sdm_polynomial(
         raise ValueError("h must have degree >= 2")
     if grid_density < 2:
         raise ValueError("grid_density must be >= 2")
+    _check_exponents(gamma_p, tau_p)
     center = np.asarray(B[0], dtype=float)
     radius = float(B[1])
     n = h.n

@@ -239,6 +239,26 @@ def test_sdm_prevalence_invalid_exponents_exit_2(bad, capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dioph", "--alpha", "1,1.618", "--tau", "nan", "--K", "20"], "tau must be >= 0"),
+        (["sdm-prevalence", "--n", "2", "--Lmax", "2", "--tau", "nan"], "tau' must be >= 2"),
+        (["sdm-prevalence", "--n", "2", "--Lmax", "2", "--tau", "6", "--gamma", "nan"], "gamma' must be <= 1"),
+        (["sdm-check", "--gamma", "nan", "--tau", "6", "--Lmax", "2"], "gamma' must be <= 1"),
+        (["sdm-check", "--gamma", "0.1", "--tau", "nan", "--Lmax", "2"], "tau' must be >= 2"),
+    ],
+)
+def test_a_nan_exponent_exits_2_with_its_name(argv, message, capsys, tmp_path):
+    beta = tmp_path / "beta.json"
+    beta.write_text(json.dumps([[1.0, 0.0], [0.0, -2.0]]))
+    if argv[0] == "sdm-check":
+        argv = [*argv, "--quadratic", str(beta)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_drift_subcommand(ham_file, capsys):
     code, out, err = run(
         ["drift", "--ham", ham_file, "--rho", "0.1", "--N", "2", "--T", "2.0", "--dt", "0.05"],

@@ -116,6 +116,12 @@ def test_estimate_gamma_raises_on_resonance():
         estimate_gamma((1, 2), 1.0, 5)
 
 
+@pytest.mark.parametrize("tau", [-0.5, math.nan])
+def test_estimate_gamma_refuses_a_negative_or_nan_tau(tau):
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        estimate_gamma((1.0, GOLDEN), tau, 10)
+
+
 def test_envelope_is_strictly_decreasing_and_matches_shell_minima():
     alpha = (1.0, GOLDEN)
     records = envelope(alpha, 60)

@@ -244,6 +244,23 @@ def test_csv_is_deterministic_and_lossless(tmp_path):
     assert p.read_text() == text
 
 
+def test_number_list_rows_are_written_as_csv_writer_writes_them():
+    import csv
+
+    rows = [
+        [0, 0.1, -0.0, 1.0 / 3.0, 1e-300, -2.5e22],
+        [-7, math.nan, math.inf, -math.inf, 10**20, 5e-324],
+        [3, 1.0, 2.0, 0.0, -1, 123456789.125],
+    ]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow("abcdef")
+    writer.writerows(rows)
+    assert csv_text(tuple("abcdef"), rows) == want.getvalue()
+    # dict rows in the same file keep the csv.writer path
+    assert csv_text(("a", "b"), [[1, 0.5], {"a": "x,y", "b": None}]) == 'a,b\n1,0.5\n"x,y",\n'
+
+
 def test_write_json_sorted(tmp_path):
     p = tmp_path / "r.json"
     write_json(p, {"b": 1, "a": 2})

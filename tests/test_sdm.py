@@ -1,6 +1,7 @@
 """Rational subspace enumeration and quadratic/polynomial Morse-type checks."""
 
 import copy
+import hashlib
 import itertools
 import math
 import pickle
@@ -212,7 +213,7 @@ def test_subspaces_up_to_matches_fraction_reference(n, L):
     _assert_same_subspaces(subspaces_up_to(n, L), _reference_subspaces_up_to(n, L))
 
 
-@pytest.mark.parametrize("n,k,L", [(3, 1, 2), (3, 1, 3), (2, 1, 6), (4, 2, 1)])
+@pytest.mark.parametrize("n,k,L", [(3, 1, 2), (3, 1, 3), (2, 1, 6), (4, 2, 1), (5, 3, 1)])
 def test_enumerate_GL_matches_fraction_reference(n, k, L):
     got = enumerate_GL(n, k, L)
     _assert_same_subspaces(got, _reference_enumerate_GL(n, k, L))
@@ -315,6 +316,42 @@ def test_checks_build_no_subspace_values(monkeypatch):
     params = RandomHamiltonianParams(n=2, seed=3, n_terms=3, coefficient_scale=0.2)
     spec = ExperimentSpec(kind="convex_vs_generic", hamiltonian=params, rho_grid=(0.1,), N=3, T=1.0, dt=0.05, L_max=2)
     assert len(run_experiment(spec).report["rows"]) == 3
+
+
+def test_subspaces_up_to_at_scale_is_pinned():
+    """(4, 2) enumerates 3.3 million generator triples; its values are pinned
+    by a digest recorded before the pass was rewritten."""
+    subs = subspaces_up_to(4, 2)
+    text = repr([(s.k, s.L, s.perp_basis, s.canonical_key) for s in subs])
+    assert len(subs) == 279019
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2913efec416ad106117b6cd3d7d883dcc0506ddb18d89b58958bde6b50693ac1"
+    )
+
+
+def test_enumeration_sorts_without_lexsort(monkeypatch):
+    """Every sort of the pass is on packed int64 words, never a sort over one
+    column per minor or key entry."""
+    want = subspaces_up_to(3, 3), subspaces_up_to(4, 1), enumerate_GL(3, 1, 3)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the enumeration called np.lexsort")
+
+    monkeypatch.setattr(np, "lexsort", refused)
+    assert (subspaces_up_to(3, 3), subspaces_up_to(4, 1), enumerate_GL(3, 1, 3)) == want
+
+
+@pytest.mark.parametrize("bits", [3, 21, 40, 62])
+def test_lexorder_of_wide_rows_matches_lexsort(bits):
+    """Rows of five columns spanning 2^bits values each: past 12 bits they take
+    more than one int64 word, and at 62 bits one word per column."""
+    rng = np.random.default_rng(bits)
+    X = rng.integers(-(2 ** (bits - 1)), 2 ** (bits - 1), size=(3000, 5))
+    X[1000:2000] = X[:1000]  # equal rows
+    X[2000:, :3] = X[:1000, :3]  # rows that differ late
+    order = sdm._lexorder(X.T)
+    assert sorted(order.tolist()) == list(range(len(X)))
+    assert np.array_equal(X[order], X[np.lexsort(X.T[::-1])])
 
 
 def test_subspaces_up_to_builds_one_value_per_subspace(monkeypatch):
@@ -643,6 +680,24 @@ def test_prevalence_validation():
         prevalence_estimate(2, 1.5, 0.1, 2, samples=100)
     with pytest.raises(ValueError, match="gamma'"):
         prevalence_estimate(2, 6.0, 2.0, 2, samples=100)
+
+
+@pytest.mark.parametrize(
+    "gamma_p, tau_p, message",
+    [(math.nan, 6.0, "gamma' must be <= 1"), (2.0, 6.0, "gamma' must be <= 1"),
+     (0.1, math.nan, "tau' must be >= 2"), (0.1, 1.5, "tau' must be >= 2")],
+)
+def test_every_check_refuses_bad_exponents_by_name(gamma_p, tau_p, message):
+    """A NaN exponent fails every comparison, so it is refused like an out of
+    range one, by all three checks."""
+    h = ActionPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
+    for probe in (
+        lambda: check_sdm_quadratic(np.eye(2), gamma_p, tau_p, 2),
+        lambda: check_sdm_polynomial(h, (np.zeros(2), 0.5), gamma_p, tau_p, 1),
+        lambda: prevalence_estimate(2, tau_p, gamma_p, 2, samples=100),
+    ):
+        with pytest.raises(ValueError, match=message):
+            probe()
 
 
 def test_dimension_zero_is_refused():
