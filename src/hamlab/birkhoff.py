@@ -386,9 +386,9 @@ class _Normalizer:
                 raise
             raise ResonanceEncountered(*self.smallest_at, self.smallest_divisor) from err
 
-    def remainder_majorant(self, m: int, radius):
-        """(computed majorant, geometric tail bound, tail ratio) at the radius,
-        or a list of them, one per radius of a sequence.
+    def remainder_majorant(self, m: int, radii) -> list:
+        """(computed majorant, geometric tail bound, tail ratio), one per
+        radius of the sequence ``radii``.
 
         Computed in the chart: |w_j| <= 2r on the polydisc of radius r, so
         sum |c_k| (2r)^|k| majorizes the realified remainder there without the
@@ -401,14 +401,14 @@ class _Normalizer:
             for p in self.K[2 * m + 1:]
         ]
         out = []
-        for r in (radius if np.ndim(radius) else [radius]):
+        for r in radii:
             per_degree = [0.0 if c is None else c * (2.0 * r) ** d for d, c in enumerate(sums, 2 * m + 1)]
             # the geometric tail of the last two degrees; 0 when the last is 0
             last, prev = per_degree[-1:-3:-1] if len(per_degree) >= 2 else (0.0, 0.0)
             ratio = (last / prev if prev > 0.0 else math.inf) if last > 0.0 else 0.0
             tail = (last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf) if last > 0.0 else 0.0
             out.append((math.fsum(per_degree), tail, ratio))
-        return out if np.ndim(radius) else out[0]
+        return out
 
 
 def _radius(H: EllipticHamiltonian, radius: float | None) -> float:
@@ -444,7 +444,7 @@ def birkhoff_normal_form(
         norm.normalize_degree(d)
     h_m = norm.h_of_order(m)
     remainder = norm.remainder_polynomial(m)
-    _, tail, ratio = norm.remainder_majorant(m, radius)
+    [(_, tail, ratio)] = norm.remainder_majorant(m, [radius])
 
     generators_chart = []
     generators_real = []

@@ -11,10 +11,11 @@ two.  A quadratic H takes the same step: its start is the exact step, so each
 solve ends after one sweep.  Each row of a batch stops its solve at its own
 first increment below the tolerance, or fails on its own.  One loop over the
 steps keeps each row's sampled states and energies, and does only what stops
-a row: a failed solve, a domain exit or an energy abort; while none has
-stopped, it steps the whole batch without a gather or copy.  Actions, drift
-and escape times are read off the kept states after the loop, into one
-``DriftRun`` of arrays over rows and samples.
+a row: a failed solve, a domain exit or an energy abort.  Its state is the
+rows still running, and only those; a row leaves it by one selection when it
+stops, and the loop ends when none is left.  Actions, drift and escape times
+are read off the kept states after the loop, into one ``DriftRun`` of arrays
+over rows and samples.
 """
 
 from __future__ import annotations
@@ -203,6 +204,8 @@ def integrate_batch(
         raise ValueError(f"need T >= dt, got T={T} and dt={cfg.dt}")
     Z0 = np.atleast_2d(np.asarray(Z0, dtype=float))
     N, dim = Z0.shape
+    if N < 1:
+        raise ValueError("Z0 must hold at least one initial condition")
     n = H.n
     if dim != 2 * n:
         raise OutOfDomain(f"points of dimension {dim}, expected {2 * n}")
@@ -219,50 +222,43 @@ def integrate_batch(
     n_samples = n_steps // sample_stride + 1
     times = np.arange(n_samples) * (cfg.dt * sample_stride)
     # row i reached samples 0 .. seen[i] - 1, the last of them the one at which
-    # it left the domain or aborted, if it did; a row runs while its status is OK
+    # it left the domain or aborted, if it did
     states = np.zeros((N, n_samples, dim))
     energies = np.zeros((N, n_samples))
     seen = np.ones(N, dtype=np.int64)
     status = np.full(N, OK, dtype=np.int64)
-    z = Z0.copy()
     states[:, 0] = Z0
     E0 = energies[:, 0] = energy(Z0)[:, 0]
-    # each row's solved nonlinear stage parts of its last two steps, zero
-    # before its first; the step starts from their linear extrapolation
+    # the rows still running, in order, are the loop's state: their points z
+    # and the solved nonlinear stage parts of their last two steps, zero
+    # before the first; a step starts from the linear extrapolation of these
+    live, z = np.arange(N), Z0
     last, prev = np.zeros((2, N, len(b) * dim))
 
-    every = True  # no row has stopped: a step takes z, last and prev whole
     for step in range(1, n_steps + 1):
-        if every:
-            prev, last, idx = last, 2.0 * last - prev, slice(None)
-            zn, conv = stepper(F, z, cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS, last)
-        else:
-            idx = np.flatnonzero(status == OK)
-            if not idx.size:
-                break
-            guess = 2.0 * last[idx] - prev[idx]
-            zn, conv = stepper(F, z[idx], cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS, guess)
-            prev[idx], last[idx] = last[idx], guess
-        if not conv.all():
-            idx = np.arange(N)[idx]
-            status[idx[~conv]] = FP_DIVERGED
-            idx, zn, every = idx[conv], zn[conv], False
-        if every:
-            z = zn
-        else:
-            z[idx] = zn
+        if not live.size:
+            break
+        prev, last = last, 2.0 * last - prev
+        z, keep = stepper(F, z, cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS, last)
+        if not keep.all():
+            status[live[~keep]] = FP_DIVERGED
+            live, z, last, prev = live[keep], z[keep], last[keep], prev[keep]
         if step % sample_stride:
             continue
         k = step // sample_stride
-        E = energy(z)[:, 0]
-        live = np.flatnonzero(status == OK)
-        states[live, k] = z[live]
-        energies[live, k] = E[live]
+        states[live, k] = z
+        # a row's energy depends on the size of the batch it is evaluated in,
+        # so it is taken on the whole slice, whose stopped rows hold zeros
+        E = energy(states[:, k])[live, 0]
+        energies[live, k] = E
         seen[live] += 1
-        out = np.linalg.norm(z[live], axis=-1) >= H.s
+        out = np.linalg.norm(z, axis=-1) >= H.s
+        abort = ~out & (np.abs(E - E0[live]) > _ENERGY_ABORT)
         status[live[out]] = LEFT_DOMAIN
-        status[live[~out & (np.abs(E[live] - E0[live]) > _ENERGY_ABORT)]] = ENERGY_ABORT
-        every = not status.any()
+        status[live[abort]] = ENERGY_ABORT
+        keep = ~(out | abort)
+        if not keep.all():
+            live, z, last, prev = live[keep], z[keep], last[keep], prev[keep]
 
     actions = formal_actions(n, states)
     drift = np.abs(actions - actions[:, :1]).sum(axis=-1)

@@ -338,7 +338,8 @@ class CompiledPoly:
         table[1:] = pts
         for j in range(2, self._dmax + 1):
             table[j] *= table[j - 1]
-        monomials = np.multiply.reduce(table.reshape(-1, pts.shape[1]).take(self._idx, axis=0), axis=0)
+        flat = table.reshape(table.shape[0] * table.shape[1], pts.shape[1])
+        monomials = np.multiply.reduce(flat.take(self._idx, axis=0), axis=0)
         return (self.C.T @ monomials).T.reshape(z.shape[:-1] + (self.C.shape[1],))
 
 

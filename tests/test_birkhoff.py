@@ -466,6 +466,9 @@ def test_apply_transform_batches_points():
     Z[3] = [3.0, 0.0, 0.0, 0.0]
     with pytest.raises(OutOfDomain):
         apply_transform(res, Z)
+    # an empty batch maps to an empty batch
+    for direction in ("forward", "inverse"):
+        assert apply_transform(res, np.zeros((0, 4)), direction).shape == (0, 4)
 
 
 def test_result_metadata():
@@ -1094,6 +1097,6 @@ def test_chart_boundary_matches_the_dict_formulas(case, m, radius):
         assert same(gr.terms, realify_unnormalized(g, exact=exact).terms)
     # both scalars read off the pieces are the dict formulas, to the bit
     want = majorant_reference(chart, res.radius)
-    assert norm.remainder_majorant(m, res.radius) == want
+    assert norm.remainder_majorant(m, [res.radius]) == [want]
     assert (res.tail_bound, res.tail_ratio) == want[1:]
     assert res.transform_displacement == displacement_reference(res) > 0.0

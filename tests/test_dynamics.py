@@ -234,6 +234,11 @@ def test_horizon_is_the_most_whole_steps_within_T(T, dt, steps):
         assert run.times[-1] <= T * (1 + 1e-9)
 
 
+def test_empty_batch_is_refused_by_name():
+    with pytest.raises(ValueError, match="Z0 must hold at least one initial condition"):
+        integrate_batch(cubic_example(), np.zeros((0, 4)), IntegratorConfig(dt=0.01), 1.0)
+
+
 def test_horizon_shorter_than_one_step_is_refused():
     with pytest.raises(ValueError, match="need T >= dt"):
         integrate_batch(cubic_example(), np.array([[0.1, 0.0, 0.0, 0.1]]), IntegratorConfig(dt=0.01), 0.004)
@@ -814,9 +819,9 @@ def overflow_case():
 # case -> (H, Z0, dt, T, energy-abort bound of midpoint and of Gauss): the
 # quadratic (linear) path; a cubic ensemble that runs to T; the same with
 # bounds that stop some of its rows; saddle orbits that leave the domain;
-# saddle orbits whose implicit solve fails first; and a batch one of whose
-# rows fails on step 1.  Each batch ends with some of its rows in the status
-# that begins the name of the case.
+# saddle orbits whose implicit solve fails first; a batch one of whose rows
+# fails on step 1; and saddle orbits that all leave before T.  Each batch
+# ends with some of its rows in the status that begins the name of the case.
 LOOP_CASES = {
     "linear": (harmonic(), sample_initial_conditions(2, 12, 3), 0.05, 7.3, (1.0, 1.0)),
     "ok": (cubic_example(), 1.5 * sample_initial_conditions(2, 12, 3), 0.05, 7.3, (1.0, 1.0)),
@@ -824,6 +829,9 @@ LOOP_CASES = {
     "left_domain": (saddle(3.5), np.linspace(-0.45, 0.45, 24).reshape(12, 2), 0.01, 4.07, (1.0, 1.0)),
     "fixed_point_divergence": (saddle(1e6), np.linspace(-0.45, 0.45, 24).reshape(12, 2), 0.05, 5.07, (1e12, 1e12)),
     "fixed_point_divergence_on_step_1": overflow_case(),
+    "left_domain_on_every_row": (
+        saddle(3.5), np.array([[-0.45, 0.0], [-0.4, 0.05], [-0.36, 0.0], [-0.42, -0.1]]), 0.01, 9.0, (1.0, 1.0)
+    ),
 }
 
 
@@ -842,7 +850,7 @@ def test_integrate_batch_matches_the_per_sample_reference(case, method, stride, 
         got_rows = [record_bytes(row_record(got, i)) for i in range(len(Z0))]
         want = reference_integrate_batch(H, Z0, cfg, T, stride, threshold)
     assert got_rows == [record_bytes(r) for r in want]
-    assert case == "linear" or case.removesuffix("_on_step_1") in set(got.status)
+    assert case == "linear" or any(case.startswith(s) for s in got.status)
 
 
 @pytest.mark.parametrize("method", ["implicit_midpoint", "gauss4"])
@@ -853,6 +861,12 @@ def test_a_row_failing_on_step_1_leaves_the_others_running_to_T(method):
     want = [("ok", 147)] * 12
     want[4] = ("fixed_point_divergence", 1)
     assert list(zip(got.status, got.kept.tolist())) == want
+
+
+def test_the_loop_ends_once_every_row_has_left():
+    H, Z0, dt, T, _ = LOOP_CASES["left_domain_on_every_row"]
+    run = integrate_batch(H, Z0, IntegratorConfig(dt=dt), T)
+    assert list(zip(run.status, run.kept.tolist())) == [("left_domain", k) for k in (240, 409, 390, 210)]
 
 
 def test_a_domain_exit_counts_in_the_drift_and_escape_but_not_in_the_record():

@@ -140,7 +140,7 @@ def test_variable_major_evaluator_matches_cumprod_reference(n):
     assert not constant.E.any()
     cases = [CompiledPoly(polys), CompiledField(polys[0]), CompiledPoly([Polynomial.zero(n)]), constant]
     for compiled in cases:
-        for shape in [(), (7,), (2, 3), (5, 2, 4)]:
+        for shape in [(), (7,), (2, 3), (5, 2, 4), (0,), (3, 0)]:
             x = rng.uniform(-1.5, 1.5, size=shape + (2 * n,))
             for z in (x, x * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=x.shape))):
                 got, reference = compiled(z), cumprod_evaluator(compiled, z)
