@@ -42,7 +42,7 @@ ActionPolynomial only for the outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -91,7 +91,7 @@ class NormalFormResult:
     D_work: int
     radius: float
     s: float
-    tail_ratio: float = field(default=0.0)
+    tail_ratio: float
 
 
 def optimal_order(rho: float, gamma: float, tau: float) -> int:
@@ -502,10 +502,10 @@ def remainder_curve(
     return curves if np.ndim(radius) else curves[0]
 
 
-def _flow(vf: CompiledField, y: np.ndarray, time: float, steps: int = 48) -> np.ndarray:
-    """Time-``time`` Hamiltonian flow of a compiled field via fixed-step RK4."""
-    h = time / steps
-    for _ in range(steps):
+def _flow(vf: CompiledField, y: np.ndarray, time: float) -> np.ndarray:
+    """Time-``time`` Hamiltonian flow of a compiled field via 48 fixed RK4 steps."""
+    h = time / 48
+    for _ in range(48):
         k1 = vf(y)
         k2 = vf(y + 0.5 * h * k1)
         k3 = vf(y + 0.5 * h * k2)

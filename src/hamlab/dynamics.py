@@ -91,7 +91,6 @@ class DriftRun:
 
 @dataclass
 class EnsembleSummary:
-    n_traj: int
     max_drift_l1: float
     median_drift_l1: float
     escape_count: int
@@ -282,8 +281,10 @@ def sample_initial_conditions(n: int, N: int, seed: int) -> np.ndarray:
     """Draw N points with action vector uniform on {|I|_1 < 1}, angles uniform.
 
     Uses the counter-based Philox generator keyed by (seed, trajectory index),
-    so results are independent of batch partitioning.
+    so results are independent of batch partitioning; seed lies in [0, 2^32).
     """
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must be in [0, 2**32), got {seed}")
     e, theta = np.empty((N, n + 1)), np.empty((N, n))
     for i in range(N):
         rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed) << np.uint64(20)) + np.uint64(i)))
@@ -313,7 +314,6 @@ def ensemble_drift(
     Z0 = sample_initial_conditions(H.n, N, seed)
     run = integrate_batch(Hs, Z0, cfg, T, sample_stride)
     return EnsembleSummary(
-        n_traj=N,
         max_drift_l1=float(np.max(run.max_drift_l1)),
         median_drift_l1=float(np.median(run.max_drift_l1)),
         escape_count=sum(s != "ok" for s in run.status),

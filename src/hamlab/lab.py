@@ -27,7 +27,9 @@ from .poly import ActionPolynomial, Polynomial, _degree
 from .sdm import PrevalenceReport, check_sdm_quadratic, prevalence_estimate
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox generator for (seed, stream); identical across platforms."""
+    """Philox generator for (seed, stream), seed in [0, 2^32); identical across platforms."""
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must be in [0, 2**32), got {seed}")
     return np.random.Generator(
         np.random.Philox(key=(np.uint64(seed) << np.uint64(32)) + np.uint64(stream))
     )
@@ -43,14 +45,16 @@ class RandomHamiltonianParams:
     degree_max: int = 4
     coefficient_scale: float = 1.0
     n_terms: int = 6
-    include_beta: object = None  # None | "random" | symmetric matrix (a tuple of rows)
+    include_beta: object = None  # None | symmetric matrix (a tuple of rows)
     seed: int = 0
     s: float = 4.0
 
     def __post_init__(self):
         if self.alpha is not None:
             object.__setattr__(self, "alpha", tuple(self.alpha))
-        if self.include_beta is not None and not isinstance(self.include_beta, str):
+        if self.n < 1:
+            raise ValueError("dimension n must be >= 1")
+        if self.include_beta is not None:
             # a matrix as a tuple of rows, so that equal specs compare and hash alike
             beta = np.asarray(self.include_beta)
             if beta.ndim != 2:
@@ -116,13 +120,9 @@ def generate_random_hamiltonian(params: RandomHamiltonianParams) -> EllipticHami
     V = Polynomial(n, terms)
 
     if params.include_beta is not None:
-        if isinstance(params.include_beta, str) and params.include_beta == "random":
-            A = rng.uniform(-1.0, 1.0, size=(n, n))
-            beta = 0.5 * (A + A.T)
-        else:
-            beta = np.asarray(params.include_beta, dtype=float)
-            if not np.allclose(beta, beta.T, atol=1e-12):
-                raise ValueError("include_beta must be symmetric")
+        beta = np.asarray(params.include_beta, dtype=float)
+        if not np.allclose(beta, beta.T, atol=1e-12):
+            raise ValueError("include_beta must be symmetric")
         V = V + beta_action_polynomial(beta).expand()
     return EllipticHamiltonian(alpha, V, s=params.s)
 

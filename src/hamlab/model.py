@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import stat
 from fractions import Fraction
@@ -101,21 +102,23 @@ class EllipticHamiltonian:
     def alpha_floats(self) -> np.ndarray:
         return np.array([real_float(a) for a in self.alpha])
 
-    def quadratic_part(self, exact: bool = False) -> Polynomial:
+    def full_polynomial(self, exact: bool = False) -> Polynomial:
+        """alpha.I + V as one polynomial, the quadratic terms added first."""
         out = Polynomial.zero(self.n)
         for i, a in enumerate(self.alpha):
             ai = a if exact else real_float(a)
             out = out + Polynomial.action_variable(self.n, i, exact=exact) * ai
-        return out
-
-    def full_polynomial(self, exact: bool = False) -> Polynomial:
-        return self.quadratic_part(exact=exact) + (
-            self.V if exact else self.V.to_float()
-        )
+        return out + (self.V if exact else self.V.to_float())
 
     def scaled(self, rho: float) -> "EllipticHamiltonian":
-        """Apply the standard scaling z -> rho z, H -> rho^-2 H (alpha unchanged)."""
-        return EllipticHamiltonian(self.alpha, self.V.scale(rho, -2), self.s)
+        """Apply the standard scaling z -> rho z, H -> rho^-2 H (alpha unchanged): a
+        degree-d term of V picks up rho^(d-2), exact when V and rho are."""
+        if not 0 < rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {rho}")
+        exact = isinstance(rho, (int, Fraction)) and all(map(_is_exact, self.V.terms.values()))
+        r = Fraction(rho) if exact else float(rho)
+        V = Polynomial(self.n, {k: c * r ** (sum(k) - 2) for k, c in self.V.terms.items()})
+        return EllipticHamiltonian(self.alpha, V, self.s)
 
     # -- persistence ----------------------------------------------------------
 

@@ -264,23 +264,6 @@ class Polynomial(_SparsePoly):
 
     __rmul__ = __mul__
 
-    def scale(self, rho: float, power: int) -> "Polynomial":
-        """The scaled Hamiltonian rho^power * H(rho z)."""
-        if not 0 < rho < math.inf:
-            raise ValueError(f"rho must be positive and finite, got {rho}")
-        exact = all(_is_exact(c) for c in self.terms.values()) and isinstance(
-            rho, (int, Fraction)
-        )
-        out = {}
-        for k, c in self.terms.items():
-            e = sum(k) + power
-            if exact:
-                fac = Fraction(rho) ** e
-            else:
-                fac = float(rho) ** e
-            out[k] = c * fac
-        return Polynomial(self.n, out)
-
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -326,7 +309,7 @@ class CompiledPoly:
     def __init__(self, polys: list):
         keys = sorted(set().union(*(p.terms for p in polys)))
         self.E = np.array(keys, dtype=np.int64).reshape(len(keys), polys[0].nvars)
-        coeffs = [[float(p.terms.get(k, 0)) for p in polys] for k in keys]
+        coeffs = [[_float_coeff(p.terms.get(k, 0)) for p in polys] for k in keys]
         self.C = np.array(coeffs, dtype=float).reshape(len(keys), len(polys))
         self._dmax = int(self.E.max(initial=0))
         self._idx = self.E.T * self.E.shape[1] + np.arange(self.E.shape[1])[:, None]
@@ -360,10 +343,10 @@ class ActionPolynomial(_SparsePoly):
     __slots__ = ()
     _symbol = "I"
 
-    def expand(self, exact: bool = False) -> Polynomial:
+    def expand(self) -> Polynomial:
         """Re-expand in phase-space variables via I_i = (z_i^2 + z_{n+i}^2)/2."""
         n = self.n
-        actions = [Polynomial.action_variable(n, i, exact=exact) for i in range(n)]
+        actions = [Polynomial.action_variable(n, i) for i in range(n)]
         out = Polynomial.zero(n)
         for k, c in self.terms.items():
             term = Polynomial.constant(n, c)

@@ -407,6 +407,10 @@ def check_sdm_polynomial(
     n = h.n
     if center.shape != (n,):
         raise DimensionMismatch(f"ball center of shape {center.shape}, expected ({n},)")
+    if not np.isfinite(center).all():
+        raise ValueError(f"ball center must be finite, got {tuple(center.tolist())}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {radius}")
     r_box = float(np.max(np.abs(center))) + radius
     # one tower of partials, each level built from the one below, (i, j) and
     # (i, j, k) row-major: the grid evaluates the first two levels, and the
@@ -491,6 +495,8 @@ def prevalence_estimate(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     _check_exponents(gamma_p, tau_p)
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must be in [0, 2**32), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     A = rng.uniform(-1.0, 1.0, size=(n, n))
     beta0 = 0.5 * (A + A.T)

@@ -483,6 +483,33 @@ def test_experiment_with_an_unknown_hamiltonian_key_exits_2(capsys, tmp_path):
     assert err["error"] == "TypeError" and "unexpected keyword argument 'alpha_mode'" in err["message"]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_experiment_with_a_random_dimension_below_one_exits_2(n, capsys, tmp_path):
+    spec = {"kind": "remainder_scaling", "hamiltonian": {"type": "random", "data": {"n": n}}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run(["experiment", "--spec", str(spec_path)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "dimension n must be >= 1"}
+
+
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["drift", "--rho", "0.1", "--T", "0.1", "--N", "2"],
+        ["escape-scan", "--rho", "0.2,0.1", "--T", "0.1", "--N", "2"],
+        ["sdm-prevalence", "--n", "2", "--tau", "6", "--samples", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_seed_outside_32_bits_exits_2(argv, seed, ham_file, capsys):
+    ham = [] if argv[0] == "sdm-prevalence" else ["--ham", ham_file]
+    code, out, err = run([*argv, *ham, "--seed", seed], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": f"seed must be in [0, 2**32), got {seed}"}
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(["bnf", "--ham", "/nonexistent.json", "--m", "2"], capsys)
     assert code == 2

@@ -283,7 +283,7 @@ def test_divergence_inside_a_run(method, monkeypatch):
         assert after.status == ["fixed_point_divergence"]
         summ = ensemble_drift(H, rho=0.2, N=6, T=20.0, cfg=cfg, seed=0)
     diverged = summ.statuses.count("fixed_point_divergence")
-    assert 0 < diverged < summ.n_traj
+    assert 0 < diverged < len(summ.statuses)
     assert summ.escape_count == diverged
 
 
@@ -535,6 +535,20 @@ def test_sampler_properties():
     assert Z1 == pytest.approx(Z0[:5])
 
 
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**44])
+def test_sampler_refuses_a_seed_outside_32_bits(seed):
+    # seed << 20 wraps in 64 bits, so 2**44 would draw seed 0's points
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*32\), got {seed}"):
+        sample_initial_conditions(2, 4, seed)
+    with pytest.raises(ValueError, match="seed must be in"):
+        ensemble_drift(cubic_example(), rho=0.1, N=2, T=1.0, cfg=IntegratorConfig(), seed=seed)
+
+
+def test_sampler_takes_the_largest_32_bit_seed():
+    top = sample_initial_conditions(2, 4, 2**32 - 1)
+    assert top.shape == (4, 4) and not np.array_equal(top, sample_initial_conditions(2, 4, 0))
+
+
 def per_row_initial_conditions(n, N, seed):
     """sample_initial_conditions as a loop that draws and transforms one row
     at a time."""
@@ -592,7 +606,7 @@ def test_ensemble_drift_summary():
     cfg = IntegratorConfig(dt=2e-2)
     summ = ensemble_drift(H, rho=0.1, N=8, T=20.0, cfg=cfg, seed=1)
     assert isinstance(summ, EnsembleSummary)
-    assert summ.n_traj == 8
+    assert len(summ.statuses) == 8
     assert summ.run.max_drift_l1.tolist() == summ.drifts.tolist()
     assert summ.run.status == summ.statuses
     assert summ.drifts.shape == (8,)

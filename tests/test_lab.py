@@ -126,7 +126,7 @@ def test_beta_action_polynomial_values():
 
 
 def test_spec_round_trip_random(tmp_path):
-    params = RandomHamiltonianParams(n=2, seed=5, include_beta="random")
+    params = RandomHamiltonianParams(n=2, seed=5, include_beta=[[0.5, -0.25], [-0.25, 1.0]])
     spec = ExperimentSpec(kind="drift_vs_rho", hamiltonian=params, rho_grid=(0.1, 0.05), N=4)
     path = tmp_path / "spec.json"
     spec.save(path)
@@ -150,6 +150,28 @@ def test_spec_with_beta_matrix_compares_and_hashes_after_reload(tmp_path):
     assert generate_random_hamiltonian(again).V == generate_random_hamiltonian(a).V
     with pytest.raises(ValueError, match="include_beta must be a matrix"):
         RandomHamiltonianParams(n=2, include_beta=[1.0, 2.0])
+    with pytest.raises(ValueError, match="include_beta must be a matrix"):
+        RandomHamiltonianParams(n=2, include_beta="random")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_params_refuse_a_dimension_below_one(n):
+    with pytest.raises(ValueError, match="dimension n must be >= 1"):
+        RandomHamiltonianParams(n=n)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**33 + 5])
+def test_a_seed_outside_32_bits_is_refused(seed):
+    # seed << 32 wraps in 64 bits: 2**32 would give seed 0's Hamiltonian
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*32\), got {seed}"):
+        stream_rng(seed, 0)
+    with pytest.raises(ValueError, match="seed must be in"):
+        generate_random_hamiltonian(RandomHamiltonianParams(n=2, seed=seed))
+
+
+def test_the_largest_32_bit_seed_has_its_own_stream():
+    top = generate_random_hamiltonian(RandomHamiltonianParams(n=2, seed=2**32 - 1)).V
+    assert top != generate_random_hamiltonian(RandomHamiltonianParams(n=2, seed=0)).V
 
 
 def test_spec_round_trip_explicit(tmp_path):

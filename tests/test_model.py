@@ -93,6 +93,50 @@ def test_scaled_rescales_perturbation():
     assert Hs.alpha == H.alpha
 
 
+def _cubic_to_quintic_V(rng, exact=False):
+    terms = {}
+    for _ in range(6):
+        k = [0] * 4
+        for _ in range(int(rng.integers(3, 6))):
+            k[int(rng.integers(0, 4))] += 1
+        c = int(rng.integers(1, 7)) * (-1) ** int(rng.integers(0, 2))
+        terms[tuple(k)] = Fraction(c, 3) if exact else c / 3.0
+    return Polynomial(2, terms)
+
+
+def test_scaled_is_substitution():
+    # rho^-2 H(rho z): the quadratic part is unchanged and V of degree 3..5
+    # picks up rho^(d-2)
+    rng = np.random.default_rng(3)
+    H = EllipticHamiltonian((1.0, 2.0), _cubic_to_quintic_V(rng), s=4.0)
+    rho = 0.3
+    Hs = H.scaled(rho)
+    assert {sum(k) for k in H.V.terms} == {3, 4, 5}
+    f, g = H.full_polynomial(), Hs.full_polynomial()
+    for _ in range(5):
+        z = rng.uniform(-1, 1, size=4)
+        assert g.evaluate(z) == pytest.approx(rho**-2 * f.evaluate(rho * z))
+
+
+def test_scaled_factors_are_exact_only_for_an_exact_V_and_rho():
+    V = _cubic_to_quintic_V(np.random.default_rng(4), exact=True)
+    H = EllipticHamiltonian((Fraction(1), Fraction(3, 2)), V, s=4.0)
+    rho = Fraction(1, 3)
+    assert H.scaled(rho).V.terms == {k: c * rho ** (sum(k) - 2) for k, c in V.terms.items()}
+    assert all(isinstance(c, Fraction) for c in H.scaled(rho).V.terms.values())
+    for Hf, r in ((H, 0.25), (EllipticHamiltonian((1.0, 1.5), V.to_float(), s=4.0), rho)):
+        got = Hf.scaled(r).V.terms
+        assert all(type(c) is float for c in got.values())
+        assert got == {k: c * float(r) ** (sum(k) - 2) for k, c in Hf.V.terms.items()}
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.3, math.nan, math.inf, -math.inf])
+def test_scaled_refuses_a_factor_that_is_not_finite_and_positive(rho):
+    H = EllipticHamiltonian((1.0, 2.0), Polynomial(2, {(3, 0, 0, 0): 0.5, (0, 1, 2, 1): 0.25}))
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        H.scaled(rho)
+
+
 def test_vector_field_square_action():
     # the I_1^2 part of H alone pushes (1, 0) to (0, -1)
     Vq = Polynomial(1, {(4, 0): 0.25, (2, 2): 0.5, (0, 4): 0.25})  # I_1^2

@@ -180,22 +180,6 @@ def test_majorant_norm_bounds_sup_on_polydisc():
         assert abs(f.evaluate(z)) <= bound + 1e-12
 
 
-def test_scale_is_substitution():
-    rng = np.random.default_rng(3)
-    f = rand_poly(2, rng)
-    rho = 0.3
-    g = f.scale(rho, -2)
-    z = rng.uniform(-1, 1, size=4)
-    assert g.evaluate(z) == pytest.approx(rho**-2 * f.evaluate(rho * z))
-
-
-@pytest.mark.parametrize("rho", [0.0, -0.3, math.nan, math.inf, -math.inf])
-def test_scale_refuses_a_factor_that_is_not_finite_and_positive(rho):
-    f = Polynomial(2, {(3, 0, 0, 0): 0.5})
-    with pytest.raises(ValueError, match="rho must be positive and finite"):
-        f.scale(rho, -2)
-
-
 @pytest.mark.parametrize("r", [0.0, -0.8, math.nan])
 def test_majorant_norm_refuses_a_radius_not_above_zero(r):
     f = Polynomial(2, {(3, 0, 0, 0): 0.5})

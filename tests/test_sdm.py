@@ -637,7 +637,55 @@ def test_polynomial_check_validation():
         check_sdm_polynomial(h, (np.zeros(3), 0.5), 0.1, 3.0, 1)
 
 
+@pytest.mark.parametrize(
+    "B, message",
+    [
+        ((np.zeros(2), -0.1), "ball radius must be positive and finite, got -0.1"),
+        ((np.zeros(2), 0.0), "ball radius must be positive and finite, got 0.0"),
+        ((np.zeros(2), math.inf), "ball radius must be positive and finite, got inf"),
+        ((np.zeros(2), math.nan), "ball radius must be positive and finite, got nan"),
+        (((math.nan, 0.0), 0.5), r"ball center must be finite, got \(nan, 0.0\)"),
+        (((0.0, -math.inf), 0.5), r"ball center must be finite, got \(0.0, -inf\)"),
+    ],
+)
+def test_polynomial_check_refuses_a_bad_ball_by_name(B, message):
+    h = ActionPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
+    with pytest.raises(ValueError, match=message):
+        check_sdm_polynomial(h, B, 0.1, 3.0, 1)
+
+
+def test_exact_and_float_normal_forms_get_the_same_polynomial_verdict():
+    # the coefficients of an exact h_m are read as floats, so the golden-field
+    # normal form is checked like its float twin
+    from hamlab import GOLDEN, EllipticHamiltonian, ExactComplex, Polynomial, birkhoff_normal_form
+
+    alpha = (ExactComplex(1, field=GOLDEN), ExactComplex.omega(GOLDEN))
+    V = Polynomial(2, {(4, 0, 0, 0): Fraction(1, 4), (0, 0, 2, 2): Fraction(1, 3)})
+    H = EllipticHamiltonian(alpha, V, s=4.0)
+    exact = birkhoff_normal_form(H, 2, exact=True).h_m
+    assert any(isinstance(c, ExactComplex) for c in exact.terms.values())
+    verdicts = [
+        check_sdm_polynomial(h_m, ((0.05, 0.05), 0.04), 0.05, 6.0, 2)
+        for h_m in (exact, birkhoff_normal_form(H, 2).h_m)
+    ]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].status == "certified-pass"
+    assert verdicts[0].gamma_margin == pytest.approx(0.394, abs=1e-3)
+
+
+def test_compiled_coefficients_of_float_int_and_fraction_terms_are_unchanged():
+    terms = {(2, 0): Fraction(1, 3), (1, 1): 2, (0, 2): 0.1}
+    C = CompiledPoly([ActionPolynomial(2, terms)]).C
+    assert C[:, 0].tolist() == [float(terms[k]) for k in sorted(terms)]
+
+
 # -- measure and prevalence ----------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**64])
+def test_prevalence_refuses_a_seed_outside_32_bits(seed):
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*32\), got {seed}"):
+        prevalence_estimate(2, 6.0, 0.05, 1, samples=100, seed=seed)
 
 
 def test_truncated_measure_bound_values():
