@@ -14,8 +14,8 @@ free of rounding.
 
 One generator per homogeneous degree d = 3..2m is produced; each is applied to
 the full Hamiltonian as a truncated Lie series (degrees are tracked exactly,
-truncation at D_work).  Resonant monomials (k = l) are collected into the
-Birkhoff polynomial h_m in the formal actions.
+truncation at D_work).  The Birkhoff polynomial h_m in the formal actions is
+read off the resonant (paired, k = l) slots of the even pieces.
 
 Graded layout.  Inside the engine a chart polynomial is one piece per
 homogeneous degree on the graded layout of :mod:`hamlab.poly` (slots ranked
@@ -71,7 +71,6 @@ from .poly import (
     _to_pieces,
     _to_terms,
     _values,
-    paired_part,
 )
 
 # candidate monomial count above which a normalization is refused
@@ -368,9 +367,30 @@ class _Normalizer:
         return chi
 
     def h_of_order(self, m: int) -> ActionPolynomial:
-        """Collect resonant parts of degrees <= 2m into an action polynomial."""
-        even = _to_terms({deg: self.K[deg] for deg in range(2, 2 * m + 1, 2)}, self.n)
-        return paired_part(Polynomial(self.n, even), self.exact)
+        """The action polynomial read off the paired slots of the even pieces
+        of degree <= 2m.  In the chart w_j wbar_j = 2 I_j, so the slot w^k wbar^k
+        of coefficient c gives c (2I)^k.  A float slot gives its real part; a
+        non-real exact one raises NotActionRepresentable.  Exact coefficients
+        stay ExactComplex when any slot has an extension part, and are the
+        Fractions they equal otherwise."""
+        n, out = self.n, {}
+        pieces = {d: self.K[d] for d in range(2, 2 * m + 1, 2) if self.K[d] is not None}
+        ext = self.exact and any((p[0][:, 2:] != 0).any() for p in pieces.values())
+        for d, p in pieces.items():
+            tab, scale = _degree(2 * n, d), 2 ** (d // 2)
+            slots = np.flatnonzero(tab.paired)
+            keys = map(tuple, tab.E[slots, :n].tolist())
+            if not self.exact:
+                out.update(zip(keys, (p[slots] * scale).real.tolist()))
+                continue
+            X, den, field = p
+            for k, (ar, ai, br, bi) in zip(keys, X[slots].tolist()):
+                if ai or bi:
+                    c = ExactComplex(*(Fraction(x, den) for x in (ar, ai, br, bi)), field=field)
+                    raise NotActionRepresentable(f"non-real exact coefficient {c!r}")
+                c = ExactComplex(Fraction(ar * scale, den), 0, Fraction(br * scale, den), 0, field)
+                out[k] = c if ext else c.ar
+        return ActionPolynomial(n, out)
 
     def remainder_polynomial(self, m: int) -> Polynomial:
         pieces = {d: self.K[d] for d in range(2 * m + 1, self.D_work + 1) if self.K[d] is not None}
@@ -412,11 +432,12 @@ class _Normalizer:
 
 
 def _radius(H: EllipticHamiltonian, radius: float | None) -> float:
-    """The evaluation radius, 0.75 s by default; a radius <= 0 is refused."""
+    """The evaluation radius, 0.75 s by default; a radius that is not
+    positive and finite is refused."""
     if radius is None:
         return 0.75 * H.s
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     return radius
 
 

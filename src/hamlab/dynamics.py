@@ -13,9 +13,9 @@ first increment below the tolerance, or fails on its own.  One loop over the
 steps keeps each row's sampled states and energies, and does only what stops
 a row: a failed solve, a domain exit or an energy abort.  Its state is the
 rows still running, and only those; a row leaves it by one selection when it
-stops, and the loop ends when none is left.  Actions, drift and escape times
-are read off the kept states after the loop, into one ``DriftRun`` of arrays
-over rows and samples.
+stops, and the loop ends when none is left.  Actions and drift are read off
+the kept states after the loop, into one ``DriftRun`` of arrays over rows and
+samples; an escape scan reads its escape times off the drift.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class DriftRun:
     kept: np.ndarray  # (N,)
     status: list  # (N,) names
     max_drift_l1: np.ndarray  # (N,)
-    escape_time: np.ndarray  # (N,) NaN means censored at T
 
 
 @dataclass
@@ -184,11 +183,9 @@ def integrate_batch(
     cfg: IntegratorConfig,
     T: float,
     sample_stride: int = 1,
-    drift_threshold: float | None = None,
 ) -> DriftRun:
     """Integrate a batch of initial conditions, sampled every ``sample_stride``
-    steps, into one DriftRun; a row escapes at its first sample after 0 whose
-    drift passes ``drift_threshold``.
+    steps, into one DriftRun.
 
     The run takes the most whole steps that fit in T, up to a relative 1e-9
     for the rounding of T / dt; a T shorter than one step is refused.
@@ -262,9 +259,6 @@ def integrate_batch(
     actions = formal_actions(n, states)
     drift = np.abs(actions - actions[:, :1]).sum(axis=-1)
     drift[np.arange(n_samples) >= seen[:, None]] = -np.inf
-    over = drift > (np.inf if drift_threshold is None else drift_threshold)
-    over[:, 0] = False
-    escapes = over.argmax(axis=1)  # the first sample over, 0 for none
     return DriftRun(
         times=times,
         actions=actions,
@@ -273,7 +267,6 @@ def integrate_batch(
         kept=seen - np.isin(status, (LEFT_DOMAIN, ENERGY_ABORT)),
         status=[_STATUS_NAMES[c] for c in status.tolist()],
         max_drift_l1=drift.max(axis=1),
-        escape_time=np.where(escapes > 0, escapes * sample_stride * cfg.dt, np.nan),
     )
 
 
@@ -282,9 +275,12 @@ def sample_initial_conditions(n: int, N: int, seed: int) -> np.ndarray:
 
     Uses the counter-based Philox generator keyed by (seed, trajectory index),
     so results are independent of batch partitioning; seed lies in [0, 2^32).
+    Row i of seed s is keyed (s << 20) + i, so N is at most 2^20.
     """
     if not 0 <= seed < 2**32:
         raise ValueError(f"seed must be in [0, 2**32), got {seed}")
+    if N > 2**20:
+        raise ValueError(f"N must be at most 2**20, got {N}")
     e, theta = np.empty((N, n + 1)), np.empty((N, n))
     for i in range(N):
         rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed) << np.uint64(20)) + np.uint64(i)))
@@ -332,27 +328,35 @@ def escape_time_scan(
     N: int,
     seed: int = 0,
 ):
-    """Escape-or-censor table over a decreasing rho grid.
+    """Escape-or-censor table over a strictly decreasing grid of positive,
+    finite rho, refused before anything is integrated otherwise.
 
     Escape = first time any ensemble member's l1 action drift exceeds
-    drift_threshold_factor * rho (scaled variables), read every 10 steps;
-    censored at T_max.
+    drift_threshold_factor * rho (scaled variables), read every 10 steps off
+    the run's drift; censored at T_max.
     Emits local slopes d log T_esc / d log(1/rho) between consecutive rows.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not drift_threshold_factor > 0:
         raise ValueError(f"drift threshold factor must be > 0, got {drift_threshold_factor}")
+    rho_list = list(rho_list)
+    for rho in rho_list:
+        if not 0 < rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {rho}")
+    if not all(b < a for a, b in zip(rho_list, rho_list[1:])):
+        raise ValueError(f"the rho grid must be strictly decreasing, got {rho_list}")
     rows = []
     Z0 = sample_initial_conditions(H.n, N, seed)
     for rho in rho_list:
-        run = integrate_batch(H.scaled(rho), Z0, cfg, T_max, 10, drift_threshold=drift_threshold_factor * rho)
-        esc = run.escape_time[~np.isnan(run.escape_time)]
+        run = integrate_batch(H.scaled(rho), Z0, cfg, T_max, 10)
+        # the samples after 0 at which some row's drift passes the threshold
+        over = np.flatnonzero((run.drift[:, 1:] > drift_threshold_factor * rho).any(axis=0))
         rows.append(
             {
                 "rho": float(rho),
-                "escape_time": float(esc.min()) if esc.size else None,
-                "censored": not esc.size,
+                "escape_time": (int(over[0]) + 1) * 10 * cfg.dt if over.size else None,
+                "censored": not over.size,
                 "max_drift_l1": float(run.max_drift_l1.max()),
             }
         )

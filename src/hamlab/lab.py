@@ -154,8 +154,8 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         self.rho_grid = tuple(float(r) for r in self.rho_grid)
-        if self.radius is not None and not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     def resolve_hamiltonian(self) -> EllipticHamiltonian:
         if isinstance(self.hamiltonian, EllipticHamiltonian):

@@ -11,8 +11,7 @@ share one sparse core and differ only in their variable count ``nvars``:
 Coefficients are duck-typed: float or complex in the default floating mode,
 Fraction or :class:`ExactComplex` in exact-rational mode.  Both modes have one
 zero rule: a coefficient equal to zero is not stored.  Every operation is pure
-and returns a new polynomial.  :func:`paired_part` is the one reader of the
-action part of a chart polynomial.
+and returns a new polynomial.
 
 Graded layout.  A homogeneous piece of degree d in V variables is one array
 indexed by the rank of its exponent vectors among the C(d+V-1, V-1) vectors
@@ -365,41 +364,14 @@ class ActionPolynomial(_SparsePoly):
         return {"n": self.n, "terms": terms}
 
 
-def _real_exact(c, keep: bool = False, scale: int = 1):
-    """The real part of an exact coefficient times ``scale``, scaled part by
-    part: an ExactComplex when it has an extension part or ``keep`` is set,
-    else the Fraction it equals.  Raise if the coefficient is not real."""
+def _real_exact(c):
+    """An exact coefficient as a real one: an ExactComplex when it has an
+    extension part, else the Fraction it equals.  Raise if it is not real."""
     if not isinstance(c, ExactComplex):
-        return ExactComplex(c * scale) if keep else c * scale
+        return c
     if not c.imag_is_zero():
         raise NotActionRepresentable(f"non-real exact coefficient {c!r}")
-    r = ExactComplex(c.ar * scale, 0, c.br * scale, 0, c.field)
-    return r if keep or r.br else r.ar
-
-
-def paired_part(g: Polynomial, exact: bool) -> ActionPolynomial:
-    """The action polynomial read off the paired chart monomials of g.
-
-    In the unnormalized chart w_j wbar_j = 2 I_j, so a paired monomial
-    w^k wbar^k contributes c (2I)^k.  Unpaired monomials are skipped and float
-    coefficients give their real part; a non-real exact coefficient raises
-    NotActionRepresentable.  Exact coefficients stay ExactComplex when g holds
-    any element with an extension part, and are Fractions otherwise.
-    """
-    n = g.n
-    keep = exact and any(isinstance(c, ExactComplex) and (c.br or c.bi) for c in g.terms.values())
-    out = {}
-    for k, c in g.terms.items():
-        kw = k[:n]
-        if kw != k[n:]:
-            continue
-        factor = 2 ** sum(kw)
-        if exact:
-            cc = _real_exact(c if isinstance(c, ExactComplex) else Fraction(c), keep, factor)
-        else:
-            cc = (complex(c) * factor).real
-        out[kw] = out[kw] + cc if kw in out else cc
-    return ActionPolynomial(n, out)
+    return ExactComplex(c.ar, 0, c.br, 0, c.field) if c.br else c.ar
 
 
 # -- graded layout ---------------------------------------------------------------

@@ -37,7 +37,7 @@ from hamlab.poly import (
     complexify_unnormalized,
     realify_unnormalized,
 )
-from test_poly import poisson_bracket
+from test_poly import paired_part, poisson_bracket
 
 GOLDEN_F = (1 + math.sqrt(5)) / 2
 
@@ -361,13 +361,13 @@ def test_curve_of_scaled_hamiltonian_is_the_curve_at_the_scaled_radius(rho, exac
         assert [v for _, v in got] == pytest.approx([v for _, v in want], rel=1e-13)
 
 
-@pytest.mark.parametrize("radius", [-0.5, 0.0, math.nan])
+@pytest.mark.parametrize("radius", [-0.5, 0.0, math.nan, math.inf])
 @pytest.mark.parametrize("V", [Polynomial.zero(2), Polynomial(2, {(3, 0, 0, 0): 0.05, (0, 0, 2, 1): -0.04})])
 def test_non_positive_radius_is_refused(radius, V):
     H = EllipticHamiltonian((1.0, GOLDEN_F), V, s=4.0)
-    with pytest.raises(ValueError, match="radius must be positive"):
+    with pytest.raises(ValueError, match=f"radius must be positive and finite, got {radius}"):
         remainder_curve(H, m_max=3, radius=radius)
-    with pytest.raises(ValueError, match="radius must be positive"):
+    with pytest.raises(ValueError, match=f"radius must be positive and finite, got {radius}"):
         birkhoff_normal_form(H, m=2, radius=radius)
 
 
@@ -814,7 +814,7 @@ def reference_normal_form(H, m):
         # the homological equation cancels the non-resonant part exactly
         assert all(k[:n] == k[n:] for k in K if sum(k) == d)
         gens.append(ref_terms(chi, d, n))
-    h = poly.paired_part(Polynomial(n, {k: c for k, c in K.items() if sum(k) <= 2 * m}), True)
+    h = paired_part(Polynomial(n, {k: c for k, c in K.items() if sum(k) <= 2 * m}), True)
     rem = Polynomial(n, {k: c for k, c in K.items() if sum(k) > 2 * m})
     return h, gens, realify_unnormalized(rem, exact=True)
 
@@ -1100,3 +1100,57 @@ def test_chart_boundary_matches_the_dict_formulas(case, m, radius):
     assert norm.remainder_majorant(m, [res.radius]) == [want]
     assert (res.tail_bound, res.tail_ratio) == want[1:]
     assert res.transform_displacement == displacement_reference(res) > 0.0
+
+
+_HM_ALPHA = {
+    "float": [(1.0,), (1.0, GOLDEN_F), (1.0, GOLDEN_F, math.sqrt(2.0))],
+    "rational": [(Fraction(1),), (Fraction(1), Fraction(13, 8)), (Fraction(1), Fraction(13, 8), Fraction(37, 23))],
+    "golden": [
+        (ExactComplex.omega(GOLDEN),),
+        golden_alpha(),
+        (*golden_alpha(), ExactComplex(Fraction(7, 5), 0, Fraction(3, 11), field=GOLDEN)),
+    ],
+}
+
+
+def h_m_normalizer(kind, n, m):
+    """A normalizer taken through degree 2m, on H with the frequencies of
+    ``kind`` and a random rational cubic and quartic V (floats in float mode)."""
+    rng = np.random.default_rng(10 * n + m)
+    support = [k for k in itertools.product(range(5), repeat=2 * n) if sum(k) in (3, 4)]
+    V = {support[i]: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for i in rng.choice(len(support), 5)}
+    V, exact = Polynomial(n, V), kind != "float"
+    H = EllipticHamiltonian(_HM_ALPHA[kind][n - 1], V if exact else V.to_float(), s=4.0)
+    norm = engine._Normalizer(H, 2 * m, 2 * m + 4, exact)
+    for d in range(3, 2 * m + 1):
+        norm.normalize_degree(d)
+    return norm
+
+
+# an exact n = 3 normal form to degree 12 takes minutes, so only float goes there
+@pytest.mark.parametrize(
+    "kind, n, m",
+    [(k, n, m) for k in _HM_ALPHA for n in (1, 2, 3) for m in (2, 3, 4) if k == "float" or n + m < 7],
+)
+def test_h_m_read_off_the_pieces_matches_the_paired_part_of_the_chart_terms(kind, n, m):
+    norm = h_m_normalizer(kind, n, m)
+    even = poly._to_terms({d: norm.K[d] for d in range(2, 2 * m + 1, 2)}, n)
+    want = paired_part(Polynomial(n, even), norm.exact)
+    got = norm.h_of_order(m)
+    assert repr(got) == repr(want) and same(got.terms, want.terms)
+    types = {"float": float, "rational": Fraction, "golden": ExactComplex}
+    assert {type(c) for c in got.terms.values()} == {types[kind]} and got.degree() == m
+
+
+def test_a_non_real_exact_paired_slot_is_not_action_representable():
+    norm = h_m_normalizer("golden", 2, 2)
+    X, den, field = norm.K[4]
+    X = X.copy()
+    X[np.flatnonzero(engine._degree(4, 4).paired)[1], 1] = 3
+    norm.K[4] = (X, den, field)
+    even = poly._to_terms({d: norm.K[d] for d in (2, 4)}, 2)
+    with pytest.raises(NotActionRepresentable, match="non-real exact coefficient") as want:
+        paired_part(Polynomial(2, even), True)
+    with pytest.raises(NotActionRepresentable, match="non-real exact coefficient") as got:
+        norm.h_of_order(2)
+    assert str(got.value) == str(want.value)

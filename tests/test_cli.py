@@ -69,7 +69,15 @@ def test_non_positive_radius_exits_2(cmd, ham_file, capsys):
     code, out, err = run([cmd[0], "--ham", ham_file, *cmd[1:], "--radius", "-0.5"], capsys)
     assert code == 2
     assert out == ""
-    assert json.loads(err) == {"error": "ValueError", "message": "radius must be positive"}
+    assert json.loads(err) == {"error": "ValueError", "message": "radius must be positive and finite, got -0.5"}
+
+
+@pytest.mark.parametrize("cmd", [["bnf", "--m", "2"], ["bnf-curve", "--m-max", "3"]])
+def test_infinite_radius_exits_2(cmd, ham_file, capsys):
+    # bnf-curve printed an all-inf curve, and bnf failed only in its JSON writer
+    code, out, err = run([cmd[0], "--ham", ham_file, *cmd[1:], "--radius", "inf"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "radius must be positive and finite, got inf"}
 
 
 def test_dioph_subcommand(capsys, tmp_path):
@@ -426,6 +434,27 @@ def test_bad_escape_scan_ensemble_or_threshold_exits_2(flags, message, ham_file,
     code, out, err = run(["escape-scan", "--ham", ham_file, "--rho", "0.2,0.1", "--T", "1.0", *flags], capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        ("0.3,0.3", "the rho grid must be strictly decreasing, got [0.3, 0.3]"),
+        ("0.1,0.2", "the rho grid must be strictly decreasing, got [0.1, 0.2]"),
+    ],
+)
+def test_a_repeated_or_increasing_rho_grid_exits_2(rho, message, ham_file, capsys):
+    # a repeated rho divided by zero in the local slope and exited 3
+    argv = ["--rho", rho, "--threshold-factor", "1e-9", "--T", "2", "--dt", "0.02", "--N", "2"]
+    code, out, err = run(["escape-scan", "--ham", ham_file, *argv], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_more_initial_conditions_than_the_sampler_keys_exit_2(ham_file, capsys):
+    code, out, err = run(["drift", "--ham", ham_file, "--rho", "0.1", "--N", "1048577", "--T", "1.0"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "N must be at most 2**20, got 1048577"}
 
 
 def test_escape_scan_table_is_the_drift_vs_rho_table(ham_file, capsys):

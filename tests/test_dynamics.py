@@ -549,6 +549,17 @@ def test_sampler_takes_the_largest_32_bit_seed():
     assert top.shape == (4, 4) and not np.array_equal(top, sample_initial_conditions(2, 4, 0))
 
 
+def test_sampler_refuses_more_rows_than_its_keys_hold(monkeypatch):
+    # row 2**20 + j of seed s would be keyed as row j of seed s + 1
+    import hamlab.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics.np.random, "Philox", None)
+    with pytest.raises(ValueError, match=r"N must be at most 2\*\*20, got 1048577"):
+        sample_initial_conditions(2, 2**20 + 1, 0)
+    with pytest.raises(ValueError, match=r"N must be at most 2\*\*20"):
+        ensemble_drift(cubic_example(), rho=0.1, N=2**20 + 1, T=1.0, cfg=IntegratorConfig())
+
+
 def per_row_initial_conditions(n, N, seed):
     """sample_initial_conditions as a loop that draws and transforms one row
     at a time."""
@@ -601,6 +612,28 @@ def test_escape_scan_refuses_a_threshold_factor_not_above_zero(factor, monkeypat
         escape_time_scan(cubic_example(), [0.2, 0.1], factor, T_max=1.0, cfg=IntegratorConfig(dt=5e-2), N=2)
 
 
+@pytest.mark.parametrize(
+    "rhos, message",
+    [
+        ([0.3, 0.3], r"the rho grid must be strictly decreasing, got \[0.3, 0.3\]"),
+        ([0.1, 0.2], r"the rho grid must be strictly decreasing, got \[0.1, 0.2\]"),
+        ([0.1, math.nan], "rho must be positive and finite, got nan"),
+        ([math.inf, 0.1], "rho must be positive and finite, got inf"),
+        ([0.2, 0.0], "rho must be positive and finite, got 0.0"),
+        ([0.2, -0.1], "rho must be positive and finite, got -0.1"),
+    ],
+)
+def test_escape_scan_refuses_a_bad_grid_before_any_integration(rhos, message, monkeypatch):
+    # a repeated rho made the local slope divide by zero, and a bad rho late
+    # in the grid was refused only after the earlier ones had been integrated
+    import hamlab.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "sample_initial_conditions", None)
+    monkeypatch.setattr(dynamics, "integrate_batch", None)
+    with pytest.raises(ValueError, match=message):
+        escape_time_scan(cubic_example(), rhos, 1e-9, T_max=2.0, cfg=IntegratorConfig(dt=2e-2), N=2)
+
+
 def test_ensemble_drift_summary():
     H = cubic_example()
     cfg = IntegratorConfig(dt=2e-2)
@@ -647,16 +680,18 @@ def test_escape_scan_reports_escapes_with_tiny_threshold():
 def test_escape_scan_matches_the_per_sample_reference():
     # the scan's table, built row by row from reference runs on the same draw;
     # the grids hold censored rows, escaped rows whose first escapes differ
-    # from their last, and nonzero slopes
-    H, cfg, N, T = cubic_example(), IntegratorConfig(dt=0.02), 6, 20.0
-    rhos = [0.3, 0.2, 0.1, 0.05]
-    Z0 = sample_initial_conditions(H.n, N, 0)
-    seen = []
-    for factor in (0.1, 0.106):
+    # from their last, nonzero slopes, and saddle rows that leave the domain
+    # and pass the threshold only at their exit sample
+    cfg, T = IntegratorConfig(dt=0.02), 20.0
+    cubic, rhos = cubic_example(), [0.3, 0.2, 0.1, 0.05]
+    cases = [(cubic, rhos, 6, 0.1), (cubic, rhos, 6, 0.106), (saddle(3.5), [0.4, 0.3], 4, 20.0)]
+    seen, exits = [], 0
+    for H, rhos, N, factor in cases:
+        Z0 = sample_initial_conditions(H.n, N, 0)
         want = []
         for rho in rhos:
-            recs = reference_integrate_batch(H.scaled(rho), Z0, cfg, T, 10, factor * rho)
-            esc = [r.escape_time for r in recs if r.escape_time is not None]
+            recs, escapes = reference_integrate_batch(H.scaled(rho), Z0, cfg, T, 10, factor * rho)
+            esc = [e for e in escapes if e is not None]
             row = {"rho": rho, "escape_time": min(esc) if esc else None, "censored": not esc}
             row["max_drift_l1"] = max(r.max_drift_l1 for r in recs)
             row["local_slope"] = None
@@ -664,17 +699,25 @@ def test_escape_scan_matches_the_per_sample_reference():
                 ratio = math.log(row["escape_time"]) - math.log(want[-1]["escape_time"])
                 row["local_slope"] = ratio / (math.log(1.0 / rho) - math.log(1.0 / want[-1]["rho"]))
             want.append(row)
+            # the first escape is a row's exit sample, which its record leaves out
+            exits += any(
+                r.status == "left_domain"
+                and e == row["escape_time"] == len(r.sample_times) * 10 * cfg.dt
+                and np.abs(r.actions - r.actions[0]).sum(axis=-1).max() <= factor * rho
+                for r, e in zip(recs, escapes)
+            )
         got = escape_time_scan(H, rhos, factor, T, cfg, N)
         assert repr(got) == repr(want)
         seen += got
     assert {r["censored"] for r in seen} == {True, False}
     assert any(r["local_slope"] for r in seen)
+    assert exits == 2
 
 
 def test_drift_run_fields():
-    # a row that leaves the domain and escapes, and one that runs to T
+    # a row that leaves the domain, and one that runs to T
     H = saddle(3.5)
-    run = integrate_batch(H, np.array([[-0.4, 0.0], [0.1, 0.0]]), IntegratorConfig(dt=0.01), 9.0, 10, 1.0)
+    run = integrate_batch(H, np.array([[-0.4, 0.0], [0.1, 0.0]]), IntegratorConfig(dt=0.01), 9.0, 10)
     assert isinstance(run, DriftRun)
     S = 91
     assert run.times.shape == (S,) and run.times[0] == 0.0
@@ -688,9 +731,6 @@ def test_drift_run_fields():
     assert np.isfinite(run.drift[1]).all()
     assert run.max_drift_l1.tolist() == run.drift.max(axis=1).tolist()
     assert run.max_drift_l1[0] > 1.0 > run.max_drift_l1[1]
-    # the first sample whose drift passes 1.0; NaN for a row censored at T
-    first = np.flatnonzero(run.drift[0] > 1.0)[0]
-    assert run.escape_time[0] == first * 10 * 0.01 and np.isnan(run.escape_time[1])
 
 
 @dataclass
@@ -702,7 +742,6 @@ class Record:
     actions: np.ndarray
     energies: np.ndarray
     max_drift_l1: float
-    escape_time: float | None  # None means censored at T
     status: str
     energy_spread: float
 
@@ -710,7 +749,9 @@ class Record:
 def reference_integrate_batch(H, Z0, cfg, T, sample_stride=1, drift_threshold=None):
     """integrate_batch as a sample loop that reads the actions, drift and
     escape of every row at every sample, fills a stopped row's later samples
-    with NaN, and finds each record again by its NaN energies."""
+    with NaN, and finds each record again by its NaN energies: the records,
+    and each row's first sample time after 0 whose drift passes
+    ``drift_threshold`` (None for a row censored at T, and for no threshold)."""
     import hamlab.dynamics as dynamics
 
     n_steps = math.floor(T / cfg.dt * (1 + 1e-9))
@@ -775,7 +816,7 @@ def reference_integrate_batch(H, Z0, cfg, T, sample_stride=1, drift_threshold=No
         actions[rec, sample_idx] = Ia[rec]
         energies[rec, sample_idx] = Ea[rec]
     advance(n_steps % sample_stride)
-    records = []
+    records, escapes = [], [None if np.isnan(t) else float(t) for t in escape]
     for i in range(N):
         good = ~np.isnan(energies[i])
         e = energies[i][good]
@@ -785,31 +826,29 @@ def reference_integrate_batch(H, Z0, cfg, T, sample_stride=1, drift_threshold=No
                 actions=actions[i][good],
                 energies=e,
                 max_drift_l1=float(max_drift[i]),
-                escape_time=None if np.isnan(escape[i]) else float(escape[i]),
                 status=status[i],
                 energy_spread=float(np.max(e) - np.min(e)) if e.size else 0.0,
             )
         )
-    return records
+    return records, escapes
 
 
 def record_bytes(rec):
     arrays = (rec.sample_times, rec.actions, rec.energies)
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays] + [
-        repr(v) for v in (rec.max_drift_l1, rec.escape_time, rec.status, rec.energy_spread)
+        repr(v) for v in (rec.max_drift_l1, rec.status, rec.energy_spread)
     ]
 
 
 def row_record(run, i):
     """Row i of a DriftRun as a Record: its first kept[i] samples."""
-    m, esc = run.kept[i], float(run.escape_time[i])
+    m = run.kept[i]
     e = run.energies[i, :m]
     return Record(
         sample_times=run.times[:m],
         actions=run.actions[i, :m],
         energies=e,
         max_drift_l1=float(run.max_drift_l1[i]),
-        escape_time=None if math.isnan(esc) else esc,
         status=run.status[i],
         energy_spread=float(e.max() - e.min()) if e.size else 0.0,
     )
@@ -860,10 +899,14 @@ def test_integrate_batch_matches_the_per_sample_reference(case, method, stride, 
     monkeypatch.setattr(dynamics, "_ENERGY_ABORT", aborts[method == "gauss4"])
     cfg = IntegratorConfig(method=method, dt=dt)
     with np.errstate(all="ignore"):
-        got = integrate_batch(H, Z0, cfg, T, stride, threshold)
+        got = integrate_batch(H, Z0, cfg, T, stride)
         got_rows = [record_bytes(row_record(got, i)) for i in range(len(Z0))]
-        want = reference_integrate_batch(H, Z0, cfg, T, stride, threshold)
+        want, escapes = reference_integrate_batch(H, Z0, cfg, T, stride, threshold)
     assert got_rows == [record_bytes(r) for r in want]
+    # the drift holds each row's escape as escape_time_scan reads it: the
+    # first sample after 0 whose drift passes the threshold
+    over = got.drift[:, 1:] > (math.inf if threshold is None else threshold)
+    assert [(int(o.argmax()) + 1) * stride * dt if o.any() else None for o in over] == escapes
     assert case == "linear" or any(case.startswith(s) for s in got.status)
 
 
@@ -902,7 +945,5 @@ def test_a_domain_exit_counts_in_the_drift_and_escape_but_not_in_the_record():
     kept_drift = float(np.max(np.sum(np.abs(rec.actions - rec.actions[0]), axis=-1)))
     assert rec.max_drift_l1 == run.drift[0, exit_sample] == exit_drift > kept_drift
     assert rec.actions.shape == (exit_sample, 1) and rec.energies.shape == (exit_sample,)
-    # a threshold that only the exit sample passes escapes at that sample
-    esc = row_record(integrate_batch(H, z0, cfg, 9.0, drift_threshold=kept_drift), 0)
-    assert esc.escape_time == exit_sample * cfg.dt
-    assert record_bytes(esc)[:3] == record_bytes(rec)[:3]
+    # a threshold that only the exit sample passes is first passed there
+    assert np.flatnonzero(run.drift[0] > kept_drift).tolist() == [exit_sample]

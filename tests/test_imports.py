@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses what it imports, and every
-private name the package defines is read inside the package."""
+"""Source hygiene: every module of the package uses what it imports, every
+private name the package defines is read inside the package, and every public
+one outside the API is read outside the tests."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,30 @@ def test_private_names_are_read_inside_the_package():
     sources = {path.name: path.read_text() for path in MODULES}
     read = set().union(*map(read_names, sources.values()))
     unread = [(name, n) for name, src in sources.items() for n in private_definitions(src) if n not in read]
+    assert unread == []
+
+
+def public_definitions(source: str) -> list:
+    """The public functions and classes a module defines at its top level."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def test_public_helpers_outside_the_api_are_read_outside_the_tests():
+    # a public function or class that hamlab does not export, and that only
+    # tests call, is a test helper living in the library
+    root = Path(__file__).resolve().parents[1]
+    trees = [root / "src", root / "bench", root / "demos"]
+    read = set().union(*(read_names(p.read_text()) for tree in trees for p in sorted(tree.rglob("*.py"))))
+    unread = [
+        (path.name, name)
+        for path in MODULES
+        for name in public_definitions(path.read_text())
+        if name not in hamlab.__all__ and name not in read
+    ]
     assert unread == []
 
 

@@ -26,7 +26,8 @@ from hamlab.lab import (
 )
 from hamlab.birkhoff import remainder_curve
 from hamlab.model import EllipticHamiltonian
-from hamlab.poly import Polynomial, complexify_unnormalized, paired_part
+from hamlab.poly import Polynomial, complexify_unnormalized
+from test_poly import paired_part
 
 GOLDEN_F = (1 + math.sqrt(5)) / 2
 
@@ -228,10 +229,21 @@ def test_spec_file_bytes_are_pinned(spec, size, digest, tmp_path):
     assert path.read_bytes() == body
 
 
-@pytest.mark.parametrize("radius", [-0.5, 0.0])
+@pytest.mark.parametrize("radius", [-0.5, 0.0, math.inf, math.nan])
 def test_spec_rejects_non_positive_radius(radius):
-    with pytest.raises(ValueError, match="radius must be positive"):
+    # an infinite radius gave a remainder_scaling report of null minima and no fit
+    with pytest.raises(ValueError, match=f"radius must be positive and finite, got {radius}"):
         ExperimentSpec(kind="remainder_scaling", hamiltonian=RandomHamiltonianParams(n=2), radius=radius)
+
+
+@pytest.mark.parametrize("grid", [(0.1, 0.1), (0.05, 0.1)])
+def test_drift_vs_rho_refuses_a_grid_not_strictly_decreasing_before_integrating(grid, monkeypatch):
+    import hamlab.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "integrate_batch", None)
+    spec = ExperimentSpec(kind="drift_vs_rho", hamiltonian=RandomHamiltonianParams(n=2), rho_grid=grid, N=2, T=1.0)
+    with pytest.raises(ValueError, match="the rho grid must be strictly decreasing"):
+        run_experiment(spec)
 
 
 def test_spec_rejects_unknown_kind():

@@ -16,7 +16,6 @@ from hamlab.poly import (
     CompiledPoly,
     Polynomial,
     complexify_unnormalized,
-    paired_part,
     realify_unnormalized,
 )
 
@@ -214,6 +213,35 @@ def poisson_bracket(f: Polynomial, g: Polynomial) -> Polynomial:
         gq, gp = g.partial(i), g.partial(n + i)
         out = out + fq * gp - fp * gq
     return out
+
+
+def paired_part(g: Polynomial, exact: bool) -> ActionPolynomial:
+    """Reference action polynomial read off the paired chart monomials of g.
+
+    In the unnormalized chart w_j wbar_j = 2 I_j, so a paired monomial
+    w^k wbar^k contributes c (2I)^k.  Unpaired monomials are skipped and float
+    coefficients give their real part; a non-real exact coefficient raises
+    NotActionRepresentable.  Exact coefficients stay ExactComplex when g holds
+    any with an extension part, and are Fractions otherwise.  The normal-form
+    engine reads h_m off its chart pieces instead, and other test modules
+    import this copy.
+    """
+    n = g.n
+    keep = exact and any(isinstance(c, ExactComplex) and (c.br or c.bi) for c in g.terms.values())
+    out = {}
+    for k, c in g.terms.items():
+        if k[:n] != k[n:]:
+            continue
+        factor = 2 ** sum(k[:n])
+        if not exact:
+            out[k[:n]] = (complex(c) * factor).real
+            continue
+        c = c if isinstance(c, ExactComplex) else ExactComplex(c)
+        if not c.imag_is_zero():
+            raise NotActionRepresentable(f"non-real exact coefficient {c!r}")
+        r = ExactComplex(c.ar * factor, 0, c.br * factor, 0, c.field)
+        out[k[:n]] = r if keep or r.br else r.ar
+    return ActionPolynomial(n, out)
 
 
 def test_bracket_canonical_pairs():
