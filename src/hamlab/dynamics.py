@@ -64,15 +64,6 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-# row status codes
-OK = 0
-LEFT_DOMAIN = 1
-ENERGY_ABORT = 2
-FP_DIVERGED = 3
-
-_STATUS_NAMES = {OK: "ok", LEFT_DOMAIN: "left_domain", ENERGY_ABORT: "energy_abort", FP_DIVERGED: "fixed_point_divergence"}
-
-
 @dataclass
 class DriftRun:
     """An integrate_batch run of N rows over S samples.  Row i's record is its
@@ -84,7 +75,7 @@ class DriftRun:
     energies: np.ndarray  # (N, S)
     drift: np.ndarray  # (N, S) l1 action drift, -inf past the samples a row reached
     kept: np.ndarray  # (N,)
-    status: list  # (N,) names
+    status: list  # (N,) "ok", "left_domain", "energy_abort" or "fixed_point_divergence"
     max_drift_l1: np.ndarray  # (N,)
 
 
@@ -222,7 +213,7 @@ def integrate_batch(
     states = np.zeros((N, n_samples, dim))
     energies = np.zeros((N, n_samples))
     seen = np.ones(N, dtype=np.int64)
-    status = np.full(N, OK, dtype=np.int64)
+    status = np.full(N, "ok", dtype=object)
     states[:, 0] = Z0
     E0 = energies[:, 0] = energy(Z0)[:, 0]
     # the rows still running, in order, are the loop's state: their points z
@@ -237,7 +228,7 @@ def integrate_batch(
         prev, last = last, 2.0 * last - prev
         z, keep = stepper(F, z, cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS, last)
         if not keep.all():
-            status[live[~keep]] = FP_DIVERGED
+            status[live[~keep]] = "fixed_point_divergence"
             live, z, last, prev = live[keep], z[keep], last[keep], prev[keep]
         if step % sample_stride:
             continue
@@ -250,8 +241,8 @@ def integrate_batch(
         seen[live] += 1
         out = np.linalg.norm(z, axis=-1) >= H.s
         abort = ~out & (np.abs(E - E0[live]) > _ENERGY_ABORT)
-        status[live[out]] = LEFT_DOMAIN
-        status[live[abort]] = ENERGY_ABORT
+        status[live[out]] = "left_domain"
+        status[live[abort]] = "energy_abort"
         keep = ~(out | abort)
         if not keep.all():
             live, z, last, prev = live[keep], z[keep], last[keep], prev[keep]
@@ -264,8 +255,8 @@ def integrate_batch(
         actions=actions,
         energies=energies,
         drift=drift,
-        kept=seen - np.isin(status, (LEFT_DOMAIN, ENERGY_ABORT)),
-        status=[_STATUS_NAMES[c] for c in status.tolist()],
+        kept=seen - np.isin(status, ("left_domain", "energy_abort")),
+        status=status.tolist(),
         max_drift_l1=drift.max(axis=1),
     )
 
@@ -344,6 +335,8 @@ def escape_time_scan(
     for rho in rho_list:
         if not 0 < rho < math.inf:
             raise ValueError(f"rho must be positive and finite, got {rho}")
+    if not rho_list:
+        raise ValueError("the rho grid must not be empty")
     if not all(b < a for a, b in zip(rho_list, rho_list[1:])):
         raise ValueError(f"the rho grid must be strictly decreasing, got {rho_list}")
     rows = []
@@ -366,6 +359,5 @@ def escape_time_scan(
             num = math.log(cur["escape_time"]) - math.log(prev["escape_time"])
             den = math.log(1.0 / cur["rho"]) - math.log(1.0 / prev["rho"])
             cur["local_slope"] = num / den
-    if rows:
-        rows[0]["local_slope"] = None
+    rows[0]["local_slope"] = None
     return rows

@@ -59,6 +59,8 @@ class RandomHamiltonianParams:
             beta = np.asarray(self.include_beta)
             if beta.ndim != 2:
                 raise ValueError("include_beta must be a matrix")
+            if beta.shape != (self.n, self.n) or not np.allclose(beta, beta.T, atol=1e-12):
+                raise ValueError("include_beta must be a symmetric n x n matrix")
             object.__setattr__(self, "include_beta", tuple(map(tuple, beta.tolist())))
         if self.degree_max < 3:
             raise ValueError("degree_max must be >= 3")
@@ -120,10 +122,7 @@ def generate_random_hamiltonian(params: RandomHamiltonianParams) -> EllipticHami
     V = Polynomial(n, terms)
 
     if params.include_beta is not None:
-        beta = np.asarray(params.include_beta, dtype=float)
-        if not np.allclose(beta, beta.T, atol=1e-12):
-            raise ValueError("include_beta must be symmetric")
-        V = V + beta_action_polynomial(beta).expand()
+        V = V + beta_action_polynomial(params.include_beta).expand()
     return EllipticHamiltonian(alpha, V, s=params.s)
 
 
@@ -154,6 +153,8 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         self.rho_grid = tuple(float(r) for r in self.rho_grid)
+        if not self.rho_grid:
+            raise ValueError("the rho grid must not be empty")
         if self.radius is not None and not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
@@ -278,7 +279,6 @@ def validate_report(obj: dict, kind: str):
 
 @dataclass
 class ExperimentResult:
-    kind: str
     report: dict
     csv_fields: tuple = ()
     csv_rows: list = field(default_factory=list)
@@ -340,7 +340,6 @@ def run_remainder_scaling(spec: ExperimentSpec) -> ExperimentResult:
         "tau": spec.tau,
     }
     return ExperimentResult(
-        kind="remainder_scaling",
         report=report,
         csv_fields=("rho", "m", "remainder_majorant", "is_min"),
         csv_rows=rows,
@@ -358,7 +357,7 @@ def run_sdm_prevalence(spec: ExperimentSpec) -> ExperimentResult:
         n, spec.tau_p, spec.gamma_p, spec.L_max, spec.samples, spec.seed
     )
     report = {**prevalence_report(rep), "bound_finite": spec.tau_p > n * n + 1}
-    return ExperimentResult(kind="sdm_prevalence", report=report)
+    return ExperimentResult(report=report)
 
 
 def _beta_variants(n: int):
@@ -397,7 +396,6 @@ def run_convex_vs_generic(spec: ExperimentSpec) -> ExperimentResult:
         )
     report = {"rows": rows, "rho": rho}
     return ExperimentResult(
-        kind="convex_vs_generic",
         report=report,
         csv_fields=(
             "label", "sdm_passed", "gamma_margin",
@@ -425,7 +423,6 @@ def run_drift_vs_rho(spec: ExperimentSpec) -> ExperimentResult:
     )
     report = {"rows": rows}
     return ExperimentResult(
-        kind="drift_vs_rho",
         report=report,
         csv_fields=_ESCAPE_FIELDS,
         csv_rows=rows,
@@ -457,7 +454,7 @@ def run_bnf_roundtrip(spec: ExperimentSpec) -> ExperimentResult:
         "tail_bound": _finite(res.tail_bound),
         "transform_displacement": res.transform_displacement,
     }
-    return ExperimentResult(kind="bnf_roundtrip", report=report)
+    return ExperimentResult(report=report)
 
 
 # each experiment kind: its runner and its report schema, the required

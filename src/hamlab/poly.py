@@ -11,7 +11,8 @@ share one sparse core and differ only in their variable count ``nvars``:
 Coefficients are duck-typed: float or complex in the default floating mode,
 Fraction or :class:`ExactComplex` in exact-rational mode.  Both modes have one
 zero rule: a coefficient equal to zero is not stored.  Every operation is pure
-and returns a new polynomial.
+and returns a new polynomial.  Sums and differences take two polynomials of
+the same kind and n; a constant enters through :meth:`Polynomial.constant`.
 
 Graded layout.  A homogeneous piece of degree d in V variables is one array
 indexed by the rank of its exponent vectors among the C(d+V-1, V-1) vectors
@@ -142,23 +143,18 @@ class _SparsePoly:
 
     def __add__(self, other):
         if not isinstance(other, _SparsePoly):
-            other = self._new({(0,) * self.nvars: other})
+            return NotImplemented
         self._check_dim(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out[k] + c if k in out else c
         return self._new(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def partial(self, index: int):
         """Partial derivative with respect to variable ``index``."""
@@ -184,7 +180,8 @@ class _SparsePoly:
     # -- analysis -------------------------------------------------------------
 
     def evaluate(self, x):
-        """Evaluate at a point of length nvars, with compensated accumulation."""
+        """Evaluate at a point of length nvars; real float terms are summed with
+        compensation, other terms in order."""
         if len(x) != self.nvars:
             raise DimensionMismatch(f"point of length {len(x)}, expected {self.nvars}")
         vals = []
@@ -198,11 +195,6 @@ class _SparsePoly:
             return 0.0
         if all(isinstance(v, (int, float)) for v in vals):
             return math.fsum(vals)
-        if all(isinstance(v, (int, float, complex)) for v in vals):
-            return complex(
-                math.fsum(v.real if isinstance(v, complex) else v for v in vals),
-                math.fsum(v.imag if isinstance(v, complex) else 0.0 for v in vals),
-            )
         total = vals[0]
         for v in vals[1:]:
             total = total + v
@@ -462,18 +454,14 @@ def _pair_matrices(s: int) -> np.ndarray:
 
     Map 0 realifies: w^k wbar^(s-k) -> sum_t K_t(k, s-k) q^(s-t) p^t, with
     K_t(k, l) = sum_a (-1)^a C(k, a) C(l, t-a).  Map 1 complexifies:
-    q^a p^b -> (w + wbar)^a (w - wbar)^b, b = s - a.  Map 2 is |map 0|.
+    q^a p^b -> (w + wbar)^a (w - wbar)^b, b = s - a; it is map 0 read
+    backwards with a sign, M1[x, y] = (-1)^(s-y+x) M0[s-x, y].  Map 2 is |map 0|.
     """
     M = np.zeros((3, s + 1, s + 1), dtype=object)
     for x in range(s + 1):
         for y in range(s + 1):
-            M[0, s - x, y] = sum(
-                (-1) ** a * comb(y, a) * comb(s - y, x - a) for a in range(x + 1)
-            )
-            M[1, x, y] = sum(
-                (-1) ** (s - y + x + u) * comb(y, u) * comb(s - y, x - u)
-                for u in range(x + 1)
-            )
+            K = sum((-1) ** a * comb(y, a) * comb(s - y, x - a) for a in range(x + 1))
+            M[0, s - x, y], M[1, x, y] = K, (-1) ** (s - y + x) * K
     M[2] = abs(M[0])
     return M
 

@@ -14,6 +14,7 @@ import pytest
 from hamlab import cli
 from hamlab.cli import build_parser, main
 from hamlab.errors import DimensionMismatch, HamlabError
+from hamlab.lab import EXPERIMENT_KINDS
 from hamlab.model import EllipticHamiltonian
 from hamlab.poly import Polynomial
 
@@ -449,6 +450,68 @@ def test_a_repeated_or_increasing_rho_grid_exits_2(rho, message, ham_file, capsy
     code, out, err = run(["escape-scan", "--ham", ham_file, *argv], capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def _edited_spec_file(tmp_path, kind, edits, beta=None):
+    """A saved spec of ``kind`` with ``edits`` to its fields and ``beta`` as
+    its include_beta, written as JSON: the library refuses these values, so
+    no spec object can hold them."""
+    from hamlab.lab import ExperimentSpec, RandomHamiltonianParams
+
+    data = ExperimentSpec(kind=kind, hamiltonian=RandomHamiltonianParams(n=2), N=2, T=1.0).to_json_dict()
+    data.update(edits)
+    if beta is not None:
+        data["hamiltonian"]["data"]["include_beta"] = beta
+    path = tmp_path / f"{kind}.spec.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+_EMPTY_GRID = "the rho grid must not be empty"
+_BAD_BETA = "include_beta must be a symmetric n x n matrix"
+_BETAS = {
+    "not_symmetric": [[1.0, 2.0], [0.0, 1.0]],
+    "3x3": np.eye(3).tolist(),
+    "2x3": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, error, message",
+    [
+        pytest.param(["bnf", "HAM", "--m", "2", "--D-work", "90"], 3, "OrderTooHigh",
+                     "D_work=90 implies more than 2000000 candidate monomials", id="bnf_budget"),
+        pytest.param(["bnf", "HAM", "--m", "3", "--D-work", "6"], 2, "ValueError",
+                     "D_work must be at least 2m+1", id="bnf_D_work"),
+        pytest.param(["bnf", "HAM", "--m", "0"], 2, "ValueError", "m must be >= 1", id="bnf_m"),
+        pytest.param(["bnf-curve", "HAM", "--m-max", "1"], 2, "ValueError", "m_max must be >= 2", id="bnf_curve_m_max"),
+        pytest.param(["drift", "HAM", "--rho", "0.1", "--N", "0"], 2, "ValueError", "N must be >= 1", id="drift_N"),
+        pytest.param(["escape-scan", "HAM", "--rho", ","], 2, "ValueError", _EMPTY_GRID, id="escape_scan_empty_grid"),
+        *(
+            pytest.param(["experiment", (kind, {"rho_grid": []}, None)], 2, "ValueError", _EMPTY_GRID,
+                         id=f"{kind}_empty_grid")
+            for kind in EXPERIMENT_KINDS
+        ),
+        *(
+            pytest.param(["experiment", ("drift_vs_rho", {}, beta)], 2, "ValueError", _BAD_BETA, id=f"beta_{name}")
+            for name, beta in _BETAS.items()
+        ),
+    ],
+)
+def test_refusals_exit_with_one_json_error(argv, code, error, message, ham_file, capsys, tmp_path):
+    # no other test reaches these refusals; an empty grid escaped main as an
+    # IndexError on convex_vs_generic, and exited 0 on the other kinds
+    args = []
+    for a in argv:
+        if a == "HAM":
+            args += ["--ham", ham_file]
+        elif isinstance(a, tuple):
+            args += ["--spec", _edited_spec_file(tmp_path, *a)]
+        else:
+            args.append(a)
+    got, out, err = run(args, capsys)
+    assert (got, out) == (code, "")
+    assert json.loads(err) == {"error": error, "message": message}
 
 
 def test_more_initial_conditions_than_the_sampler_keys_exit_2(ham_file, capsys):

@@ -621,11 +621,13 @@ def test_escape_scan_refuses_a_threshold_factor_not_above_zero(factor, monkeypat
         ([math.inf, 0.1], "rho must be positive and finite, got inf"),
         ([0.2, 0.0], "rho must be positive and finite, got 0.0"),
         ([0.2, -0.1], "rho must be positive and finite, got -0.1"),
+        ([], "the rho grid must not be empty"),
     ],
 )
 def test_escape_scan_refuses_a_bad_grid_before_any_integration(rhos, message, monkeypatch):
-    # a repeated rho made the local slope divide by zero, and a bad rho late
-    # in the grid was refused only after the earlier ones had been integrated
+    # a repeated rho made the local slope divide by zero, a bad rho late in
+    # the grid was refused only after the earlier ones had been integrated,
+    # and an empty grid gave a table of no rows
     import hamlab.dynamics as dynamics
 
     monkeypatch.setattr(dynamics, "sample_initial_conditions", None)

@@ -246,6 +246,26 @@ def test_drift_vs_rho_refuses_a_grid_not_strictly_decreasing_before_integrating(
         run_experiment(spec)
 
 
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_spec_refuses_an_empty_rho_grid_for_every_kind(kind):
+    # convex_vs_generic died on an IndexError, remainder_scaling gave a null
+    # fit and drift_vs_rho no rows
+    with pytest.raises(ValueError, match="the rho grid must not be empty"):
+        ExperimentSpec(kind=kind, hamiltonian=RandomHamiltonianParams(n=2), rho_grid=())
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [[[1.0, 2.0], [0.0, 1.0]], np.eye(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+    ids=["not_symmetric", "3x3", "2x3"],
+)
+def test_random_params_refuse_include_beta_not_a_symmetric_n_by_n_matrix(beta):
+    # each was accepted and saved, then failed only when the spec ran, with
+    # three different messages
+    with pytest.raises(ValueError, match="include_beta must be a symmetric n x n matrix"):
+        RandomHamiltonianParams(n=2, include_beta=beta)
+
+
 def test_spec_rejects_unknown_kind():
     with pytest.raises(ValueError):
         ExperimentSpec(kind="nope", hamiltonian=RandomHamiltonianParams(n=2))

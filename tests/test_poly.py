@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hamlab.poly import (
     CompiledField,
     CompiledPoly,
     Polynomial,
+    _pair_matrices,
     complexify_unnormalized,
     realify_unnormalized,
 )
@@ -64,6 +66,35 @@ def test_arithmetic_against_direct_evaluation():
     assert (f * g).evaluate(z) == pytest.approx(f.evaluate(z) * g.evaluate(z))
     assert (f * 2.5).evaluate(z) == pytest.approx(2.5 * f.evaluate(z))
     assert (f * f).evaluate(z) == pytest.approx(f.evaluate(z) ** 2)
+
+
+@pytest.mark.parametrize("kind", ["phase", "action"])
+def test_sums_take_polynomials_and_no_scalar(kind):
+    if kind == "phase":
+        p, q = Polynomial(1, {(1, 0): 2.0, (0, 0): 1.0}), Polynomial(1, {(0, 1): 3.0})
+    else:
+        p, q = ActionPolynomial(2, {(1, 0): 2.0, (0, 0): 1.0}), ActionPolynomial(2, {(0, 1): 3.0})
+    for op in (lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: 1 - p, lambda: p + 0.5, lambda: Fraction(1) - p):
+        with pytest.raises(TypeError):
+            op()
+    assert (p + q).terms == {**p.terms, **q.terms}
+    assert (p - q).terms == {**p.terms, **{k: -c for k, c in q.terms.items()}}
+    assert (-p).terms == {k: -c for k, c in p.terms.items()}
+    if kind == "phase":
+        assert (2 * p).terms == (p * 2).terms == {(1, 0): 4.0, (0, 0): 2.0}
+        assert (p + Polynomial.constant(1, 1.0)).terms == {(1, 0): 2.0, (0, 0): 2.0}
+
+
+def test_complex_coefficients_evaluate_to_the_term_sum():
+    rng = np.random.default_rng(11)
+    keys = {tuple(int(e) for e in rng.integers(0, 4, size=4)) for _ in range(12)}
+    f = Polynomial(2, {k: complex(*rng.uniform(-1, 1, size=2)) for k in keys})
+    for _ in range(5):
+        z = rng.uniform(-1, 1, size=4)
+        want = sum(c * np.prod(z ** np.array(k)) for k, c in f.terms.items())
+        got = f.evaluate(z)
+        assert isinstance(got, complex)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
 def test_partial_derivative_matches_finite_difference():
@@ -525,3 +556,32 @@ def test_chart_change_matches_substitution(n, kind):
         for change in (realify_unnormalized, lambda p, exact: substitution_chart_change(p, exact, real=True)):
             with pytest.raises(NotActionRepresentable):
                 change(w, exact=exact)
+
+
+def reference_pair_matrices(s):
+    """The pair maps with map 1 as its own double sum: the coefficients of
+    q^a p^b -> (w + wbar)^a (w - wbar)^b, b = s - a, by exponent of w."""
+    M = np.zeros((3, s + 1, s + 1), dtype=object)
+    for x in range(s + 1):
+        for y in range(s + 1):
+            M[0, s - x, y] = sum((-1) ** a * comb(y, a) * comb(s - y, x - a) for a in range(x + 1))
+            M[1, x, y] = sum(
+                (-1) ** (s - y + x + u) * comb(y, u) * comb(s - y, x - u) for u in range(x + 1)
+            )
+    M[2] = abs(M[0])
+    return M
+
+
+@pytest.mark.parametrize("s", range(11))
+def test_pair_maps_match_the_double_sums(s):
+    got, want = _pair_matrices(s), reference_pair_matrices(s)
+    assert got.shape == want.shape and got.dtype == object
+    assert [(type(v), v) for v in got.ravel()] == [(type(v), v) for v in want.ravel()]
+    # map 1 is the chart change q^a p^b -> (w + wbar)^a (w - wbar)^b itself
+    w = Polynomial(1, {(1, 0): 1, (0, 1): 1}), Polynomial(1, {(1, 0): 1, (0, 1): -1})
+    for y in range(s + 1):
+        image = Polynomial.constant(1, 1)
+        for factor, e in zip(w, (y, s - y)):
+            for _ in range(e):
+                image = image * factor
+        assert [image.terms.get((x, s - x), 0) for x in range(s + 1)] == list(got[1, :, y])
