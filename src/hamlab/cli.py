@@ -24,7 +24,10 @@ _VALIDATION = (ValueError, KeyError, TypeError, OSError, DimensionMismatch)
 
 
 def _parse_floats(text: str):
-    return [float(x) for x in text.split(",") if x.strip()]
+    numbers = [x for x in text.split(",") if x.strip()]
+    if numbers and len(numbers) <= text.count(","):  # blank entries among numbers
+        raise ValueError(f"blank entry in the list {text!r}")
+    return [float(x) for x in numbers]
 
 
 def _cmd_bnf(args):
@@ -137,7 +140,7 @@ def _cmd_escape_scan(args):
         H, _parse_floats(args.rho), args.threshold_factor, args.T, cfg, args.N,
         seed=args.seed,
     )
-    lab.write_csv(args.out or sys.stdout, lab._ESCAPE_FIELDS, rows)
+    lab.write_csv(args.out or sys.stdout, dynamics._ESCAPE_FIELDS, rows)
 
 
 def _cmd_experiment(args):

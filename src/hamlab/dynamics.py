@@ -310,6 +310,10 @@ def ensemble_drift(
     )
 
 
+# the columns of an escape_time_scan table, also written by ``hamlab escape-scan``
+_ESCAPE_FIELDS = ("rho", "escape_time", "censored", "max_drift_l1", "local_slope")
+
+
 def escape_time_scan(
     H: EllipticHamiltonian,
     rho_list,
@@ -351,13 +355,12 @@ def escape_time_scan(
                 "escape_time": (int(over[0]) + 1) * 10 * cfg.dt if over.size else None,
                 "censored": not over.size,
                 "max_drift_l1": float(run.max_drift_l1.max()),
+                "local_slope": None,
             }
         )
     for prev, cur in zip(rows, rows[1:]):
-        cur["local_slope"] = None
         if prev["escape_time"] and cur["escape_time"]:
             num = math.log(cur["escape_time"]) - math.log(prev["escape_time"])
             den = math.log(1.0 / cur["rho"]) - math.log(1.0 / prev["rho"])
             cur["local_slope"] = num / den
-    rows[0]["local_slope"] = None
     return rows

@@ -20,7 +20,7 @@ import numpy as np
 
 from .birkhoff import _radius, apply_transform, birkhoff_normal_form, remainder_curve
 from .diophantine import estimate_gamma
-from .dynamics import IntegratorConfig, ensemble_drift, escape_time_scan
+from .dynamics import _ESCAPE_FIELDS, IntegratorConfig, ensemble_drift, escape_time_scan
 from .exactnum import GOLDEN
 from .model import EllipticHamiltonian, _replacing, formal_actions
 from .poly import ActionPolynomial, Polynomial, _degree
@@ -59,6 +59,8 @@ class RandomHamiltonianParams:
             beta = np.asarray(self.include_beta)
             if beta.ndim != 2:
                 raise ValueError("include_beta must be a matrix")
+            if beta.dtype.kind not in "iuf":
+                raise ValueError(f"include_beta must hold real numbers, got dtype {beta.dtype}")
             if beta.shape != (self.n, self.n) or not np.allclose(beta, beta.T, atol=1e-12):
                 raise ValueError("include_beta must be a symmetric n x n matrix")
             object.__setattr__(self, "include_beta", tuple(map(tuple, beta.tolist())))
@@ -403,10 +405,6 @@ def run_convex_vs_generic(spec: ExperimentSpec) -> ExperimentResult:
         ),
         csv_rows=rows,
     )
-
-
-# the columns of an escape_time_scan table, also written by ``hamlab escape-scan``
-_ESCAPE_FIELDS = ("rho", "escape_time", "censored", "max_drift_l1", "local_slope")
 
 
 def run_drift_vs_rho(spec: ExperimentSpec) -> ExperimentResult:

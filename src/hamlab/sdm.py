@@ -25,8 +25,8 @@ are at most m! L^m.  The budget check admits only m <= 4 (the
 (3^(m+1) - 1)/2 candidates with entries in {-1, 0, 1} give too many tuples
 for m >= 5) and C(L + 1, m) <= the budget (the vectors (1, j, 0, ..., 0) are
 candidates), so m! L^m < 10^10.  Checks run on stacks of consecutive
-subspaces of one dimension, in list order, so the polynomial check stops at
-its first failing stack.
+subspaces of one L and one dimension, in list order, so each stack has one
+threshold and the polynomial check stops at its first failing stack.
 """
 
 from __future__ import annotations
@@ -211,10 +211,10 @@ def _whole_space(n: int) -> RationalSubspace:
     return RationalSubspace(n=n, k=n, L=1, perp_basis=(), canonical_key=("full", n))
 
 
-def _values(C: np.ndarray, L: np.ndarray, idx: np.ndarray, K: np.ndarray) -> list:
-    """The values of a run, one constructor call each on fields zipped from its
-    columns.  Generators are the candidate tuples, and keys share their row
-    tuples (at (4, 2), 818,436 key rows hold 3,892 distinct ones)."""
+def _values(C: np.ndarray, L: int, idx: np.ndarray, K: np.ndarray) -> list:
+    """The values of a run of one L, one constructor call each on fields
+    zipped from its columns.  Generators are the candidate tuples, and keys
+    share their row tuples (at (4, 2), 818,436 key rows hold 3,892 distinct ones)."""
     (S, m), n = idx.shape, C.shape[1]
     if m == 0:
         return [_whole_space(n)]
@@ -226,7 +226,7 @@ def _values(C: np.ndarray, L: np.ndarray, idx: np.ndarray, K: np.ndarray) -> lis
     rows, cands = (list(map(tuple, Y.tolist())) for Y in (X.take(order[new], axis=0), C))
     gens = zip(*(map(cands.__getitem__, col) for col in idx.T.tolist()))
     keys = zip(*(map(rows.__getitem__, col) for col in K.reshape(S, m).T.tolist()))
-    return list(map(RationalSubspace, repeat(n, S), repeat(n - m, S), L.tolist(), gens, keys))
+    return list(map(RationalSubspace, repeat(n, S), repeat(n - m, S), repeat(L, S), gens, keys))
 
 
 def enumerate_GL(n: int, k: int, L: int) -> list:
@@ -243,25 +243,21 @@ def enumerate_GL(n: int, k: int, L: int) -> list:
         return [_whole_space(n)]
     C = np.array(primitive_vectors(n, L), dtype=np.int64)
     _check_budget(len(C), [n - k])
-    return _values(C, *_distinct(n, k, C, np.full(len(C), L)))
+    return _values(C, L, *_distinct(n, k, C, np.full(len(C), L))[1:])
 
 
 def _up_to(n: int, L_max: int) -> tuple:
     """``subspaces_up_to(n, L_max)`` in arrays: the candidates C and, in list
-    order, the runs (L, idx, K) of one dimension, then the whole space.  A
-    stable argsort on L of all dimensions, each in (L, key) order, gives the
-    order (L, k, key), where a run is a slice of one dimension's arrays."""
+    order (L, k, key), the runs (L, idx, K) of one L and one dimension, then the
+    whole space.  Each dimension is in (L, key) order, so a run is a slice."""
     _check_sizes(n, L_max)
     C = np.array(primitive_vectors(n, L_max), dtype=np.int64).reshape(-1, n)
     _check_budget(len(C), range(1, n))
     dims = [_distinct(n, k, C, np.abs(C).max(axis=1)) for k in range(1, n)]
-    sizes = np.array([len(L) for L, _, _ in dims], dtype=np.int64)
-    order = np.argsort(np.concatenate([np.zeros(0, np.int64), *(L for L, _, _ in dims)]), kind="stable")
-    dim = np.repeat(np.arange(n - 1), sizes)[order]
-    row = order - (np.cumsum(sizes) - sizes)[dim]  # the row within its dimension
-    cuts = np.flatnonzero(np.diff(dim, prepend=-1, append=-1)).tolist()  # [] if no rows
-    runs = [tuple(X[row[a]:row[a] + b - a] for X in dims[dim[a]]) for a, b in zip(cuts, cuts[1:])]
-    return C, runs + [(np.ones(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64), None)]
+    cuts = [np.searchsorted(L_k, np.arange(1, L_max + 2)).tolist() for L_k, _, _ in dims]
+    runs = [(L, idx[c[L - 1]:c[L]], K[c[L - 1]:c[L]])
+            for L in range(1, L_max + 1) for (_, idx, K), c in zip(dims, cuts)]
+    return C, runs + [(1, np.zeros((1, 0), dtype=np.int64), None)]
 
 
 def subspaces_up_to(n: int, L_max: int) -> list:
@@ -299,33 +295,28 @@ def _bases(G: np.ndarray) -> np.ndarray:
 
 def _stacks(arrays: tuple, per_sub: int):
     """The runs of ``_up_to`` in blocks, each subspace counted as per_sub rows:
-    the L, generators G and stacked (S, k, n) bases of a block's subspaces,
-    whose batched products and eigvalsh give the bits of one call each."""
+    the int L, whose powers are Python float powers (numpy's vectorized power
+    need not round them the same way), and the generators G and stacked
+    (S, k, n) bases of a block's subspaces, whose batched products and
+    eigvalsh give the bits of one call each."""
     C, runs = arrays
     for L, idx, _ in runs:
-        for lo, hi in blocks(np.full(len(L), per_sub)):
+        for lo, hi in blocks(np.full(len(idx), per_sub)):
             G = C[idx[lo:hi]]
-            yield L[lo:hi], G, _bases(G)
+            yield L, G, _bases(G)
 
 
-def _powers(L: np.ndarray, scale: float, p: float) -> np.ndarray:
-    """scale * L^p of every L, as a column, by one Python float power per
-    value up to max(L) (numpy's vectorized power need not round them the
-    same way)."""
-    return np.array([scale * float(l) ** p for l in range(1, int(L.max()) + 1)])[L - 1, None]
-
-
-def _worst(L, G: np.ndarray, point, margin: float) -> WorstCase:
+def _worst(L: int, G: np.ndarray, point, margin: float) -> WorstCase:
     """The WorstCase of the subspace with least L and generators G."""
-    return WorstCase(int(L), tuple(map(tuple, G.tolist())) or ("full", G.shape[1]), point, margin)
+    return WorstCase(L, tuple(map(tuple, G.tolist())) or ("full", G.shape[1]), point, margin)
 
 
-def _margins(betas: np.ndarray, E: np.ndarray, L: np.ndarray, tau_p: float) -> np.ndarray:
+def _margins(betas: np.ndarray, E: np.ndarray, L: int, tau_p: float) -> np.ndarray:
     """sigma_min(E^T beta E) L^tau' of every matrix of a (samples, n, n) stack
-    on every subspace of one stack, with (S, k, n) bases E and least L, as an
-    (S, samples) array."""
+    on every subspace of one stack, with (S, k, n) bases E and the stack's
+    least L, as an (S, samples) array."""
     restricted = E[:, None] @ betas @ np.swapaxes(E, 1, 2)[:, None]
-    return np.abs(np.linalg.eigvalsh(restricted)).min(axis=-1) * _powers(L, 1.0, tau_p)
+    return np.abs(np.linalg.eigvalsh(restricted)).min(axis=-1) * float(L) ** tau_p
 
 
 def check_sdm_quadratic(beta: np.ndarray, gamma_p: float, tau_p: float, L_max: int) -> SdmVerdict:
@@ -342,7 +333,7 @@ def check_sdm_quadratic(beta: np.ndarray, gamma_p: float, tau_p: float, L_max: i
     for L, G, E in _stacks(_up_to(beta.shape[0], L_max), 1):
         margins = _margins(beta[None], E, L, tau_p)[:, 0]
         i = int(np.argmin(margins))
-        cases.append((L[i], G[i], None, float(margins[i])))
+        cases.append((L, G[i], None, float(margins[i])))
     worst = _worst(*cases[int(np.argmin([c[3] for c in cases]))])
     return SdmVerdict(passed=worst.margin >= gamma_p, gamma_margin=worst.margin, worst_case=worst)
 
@@ -425,7 +416,7 @@ def check_sdm_polynomial(
 
     def case(L, G, e, margin):
         i, p = divmod(int(e), len(pts))
-        return _worst(L[i], G[i], tuple(pts[p]), float(margin[e]))
+        return _worst(L, G[i], tuple(pts[p]), float(margin[e]))
 
     best_margin, worst = math.inf, None
     for L, G, E in _stacks(_up_to(n, L_max), len(pts)):
@@ -437,8 +428,8 @@ def check_sdm_polynomial(
         g = np.sqrt((np.swapaxes(r, -1, -2) @ r)[..., 0, 0])
         restricted = E[:, None] @ hessians @ np.swapaxes(E, 1, 2)[:, None]
         sig = np.min(np.abs(np.linalg.eigvalsh(restricted)), axis=-1)
-        thr = _powers(L, gamma_p, -tau_p)
-        margin = (np.maximum(g, sig) * _powers(L, 1.0, tau_p)).ravel()
+        thr = gamma_p * float(L) ** -tau_p
+        margin = (np.maximum(g, sig) * float(L) ** tau_p).ravel()
         # a sample is an exact violation witness, or its cell is certified by
         # the Lipschitz slack, or it leaves the verdict open; entries are taken
         # in (subspace, point) order
@@ -515,7 +506,7 @@ def prevalence_estimate(
     for L, _, E in _stacks(_up_to(n, L_max), samples):
         lams = np.linalg.eigvalsh(E @ beta0 @ np.swapaxes(E, 1, 2))
         dmin = np.min(np.abs(lams[:, None, :] - xis[None, :, None]), axis=2)
-        bad |= (dmin <= 0.5 * _powers(L, gamma_p, -tau_p)).any(axis=0)
+        bad |= (dmin <= 0.5 * (gamma_p * float(L) ** -tau_p)).any(axis=0)
         best = np.minimum(best, np.min(_margins(betar, E, L, tau_p), axis=0))
     bad_r = int(np.count_nonzero(best < gamma_p)) / samples
     bound = truncated_measure_bound(n, tau_p, gamma_p, L_max) / (hi - lo)

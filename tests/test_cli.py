@@ -496,6 +496,16 @@ _BETAS = {
             pytest.param(["experiment", ("drift_vs_rho", {}, beta)], 2, "ValueError", _BAD_BETA, id=f"beta_{name}")
             for name, beta in _BETAS.items()
         ),
+        # blank entries among numbers were dropped, and the rest ran
+        pytest.param(["escape-scan", "HAM", "--rho", "0.2,,0.1"], 2, "ValueError",
+                     "blank entry in the list '0.2,,0.1'", id="escape_scan_blank_rho"),
+        pytest.param(["dioph", "--alpha", "1,,1.618", "--K", "10"], 2, "ValueError",
+                     "blank entry in the list '1,,1.618'", id="dioph_blank_alpha"),
+        # numpy refused these in its own words
+        pytest.param(["experiment", ("drift_vs_rho", {}, [["a", "b"], ["c", "d"]])], 2, "ValueError",
+                     "include_beta must hold real numbers, got dtype <U1", id="beta_strings"),
+        pytest.param(["experiment", ("drift_vs_rho", {}, [[1.0, None], [None, 1.0]])], 2, "ValueError",
+                     "include_beta must hold real numbers, got dtype object", id="beta_nones"),
     ],
 )
 def test_refusals_exit_with_one_json_error(argv, code, error, message, ham_file, capsys, tmp_path):

@@ -266,6 +266,19 @@ def test_random_params_refuse_include_beta_not_a_symmetric_n_by_n_matrix(beta):
         RandomHamiltonianParams(n=2, include_beta=beta)
 
 
+@pytest.mark.parametrize(
+    "beta, dtype",
+    [([["a", "b"], ["c", "d"]], "<U1"), ([[1.0, None], [None, 1.0]], "object")],
+    ids=["strings", "nones"],
+)
+def test_random_params_refuse_include_beta_not_of_numbers(beta, dtype):
+    # numpy refused these in its own words, a DTypePromotionError and a
+    # TypeError on NoneType - NoneType
+    with pytest.raises(ValueError) as info:
+        RandomHamiltonianParams(n=2, include_beta=beta)
+    assert str(info.value) == f"include_beta must hold real numbers, got dtype {dtype}"
+
+
 def test_spec_rejects_unknown_kind():
     with pytest.raises(ValueError):
         ExperimentSpec(kind="nope", hamiltonian=RandomHamiltonianParams(n=2))

@@ -276,16 +276,37 @@ def test_enumeration_builds_no_basis(monkeypatch):
 
 @pytest.mark.parametrize("n,L,per_sub", [(2, 6, 1), (3, 3, 1), (3, 2, 50), (4, 1, 7)])
 def test_stacks_hold_the_bases_of_their_subspaces(n, L, per_sub):
-    """The stacks walk the subspaces of subspaces_up_to in list order, one
-    dimension per stack, with their L, generators and bases."""
+    """The stacks walk the subspaces of subspaces_up_to in list order, one L
+    and one dimension per stack, with that L as an int, their generators and
+    bases."""
     subs = iter(subspaces_up_to(n, L))
-    for Ls, G, E in sdm._stacks(sdm._up_to(n, L), per_sub):
-        assert len(Ls) == len(G) == len(E) >= 1 and E.shape[1:] == (n - G.shape[1], n)
-        for L_sub, G_sub, E_sub in zip(Ls.tolist(), G, E):
+    for L_stack, G, E in sdm._stacks(sdm._up_to(n, L), per_sub):
+        assert type(L_stack) is int
+        assert len(G) == len(E) >= 1 and E.shape[1:] == (n - G.shape[1], n)
+        for G_sub, E_sub in zip(G, E):
             sub = next(subs)
-            assert (sub.L, sub.perp_basis, sub.k) == (L_sub, tuple(map(tuple, G_sub.tolist())), n - G.shape[1])
+            assert (sub.L, sub.perp_basis, sub.k) == (L_stack, tuple(map(tuple, G_sub.tolist())), n - G.shape[1])
             assert E_sub.tobytes() == sub.e_basis.tobytes()
     assert next(subs, None) is None
+
+
+def _reference_powers(L, scale, p):
+    """scale * L^p of every L, as a column, by one Python float power per
+    value up to max(L): the table the checks used when a stack held many L."""
+    return np.array([scale * float(l) ** p for l in range(1, int(L.max()) + 1)])[L - 1, None]
+
+
+@pytest.mark.parametrize("gamma_p,tau_p", [(0.05, 6.0), (0.1, 3.0), (1.0, 2.0), (1e-3, 7.3), (0.37, 2.5)])
+def test_scalar_thresholds_equal_the_power_table(gamma_p, tau_p):
+    """A stack's threshold and margin factor, one Python float power each,
+    have the bits of the per-entry table for L = 1..8."""
+    L = np.arange(1, 9)
+    thr, factor = _reference_powers(L, gamma_p, -tau_p)[:, 0], _reference_powers(L, 1.0, tau_p)[:, 0]
+    for l in L.tolist():
+        assert np.float64(gamma_p * float(l) ** -tau_p).tobytes() == thr[l - 1].tobytes()
+        assert np.float64(float(l) ** tau_p).tobytes() == factor[l - 1].tobytes()
+        # the margins of the identity, whose restrictions have sigma_min 1
+        assert sdm._margins(np.eye(3)[None], np.eye(3)[None], l, tau_p).tobytes() == factor[l - 1].tobytes()
 
 
 @pytest.mark.parametrize("n,L", [(2, 4), (3, 2), (3, 3)])
