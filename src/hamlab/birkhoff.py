@@ -30,13 +30,13 @@ matrix product pairing d/dw with d/dwbar, and a bincount scatter-add into the
 target degree, done in blocks of rows so no temporary outgrows a fixed size.
 An exact piece is a triple (X, den, field): the Python int numerators (ar, ai,
 br, bi) of its coefficients in Q(i)(w) = field, one row per slot, over one int
-denominator; products fold in w^2 = p w + q, and each step divides out the
-gcd.  Exact pieces are only about a quarter full, so the exact bracket pairs
-only nonzero slots.  Pieces in, pieces out: H enters the chart one piece at a
-time through the piece map of :mod:`hamlab.poly`, the remainder and the
-generators leave it the same way, and the remainder majorant and the transform
-displacement are read off the pieces.  Pieces become Polynomial /
-ActionPolynomial only for the outputs.
+denominator; products go through ``exactnum._qmul``, the one product rule of
+Q(i)(w), and each step divides out the gcd.  Exact pieces are only about a
+quarter full, so the exact bracket pairs only nonzero slots.  Pieces in,
+pieces out: H enters the chart one piece at a time through the piece map of
+:mod:`hamlab.poly`, the remainder and the generators leave it the same way,
+and the remainder majorant and the transform displacement are read off the
+pieces.  Pieces become Polynomial / ActionPolynomial only for the outputs.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import (
     ResonantFrequency,
     ThresholdViolation,
 )
-from .exactnum import RATIONAL, ExactComplex, QuadField, join_fields
+from .exactnum import RATIONAL, ExactComplex, QuadField, _qmul, _ring, join_fields
 from .model import EllipticHamiltonian
 from .poly import (
     ActionPolynomial,
@@ -149,28 +149,6 @@ def _clean(p):
     return (X // g, den // g, ext) if g > 1 else p
 
 
-def _ring(ext: QuadField) -> tuple:
-    """(L, L p, L q) as ints, L the least common denominator of p and q in
-    w^2 = p w + q."""
-    L = math.lcm(ext.p.denominator, ext.q.denominator)
-    return (L, *(x.numerator * (L // x.denominator) for x in (ext.p, ext.q)))
-
-
-def _qmul(X: np.ndarray, Y: np.ndarray, ext: QuadField) -> np.ndarray:
-    """Row-wise products of the numerators (ar, ai, br, bi) in X and Y, times
-    L of _ring, so that w^2 = p w + q keeps them integers."""
-    L, P, Q = _ring(ext)
-    ar, ai, br, bi = X.T
-    cr, ci, dr, di = Y.T
-    # (a + b w)(c + d w) = (ac + q bd) + (ad + bc + p bd) w, all parts complex
-    bdr, bdi = br * dr - bi * di, br * di + bi * dr
-    sr = L * (ar * cr - ai * ci) + Q * bdr
-    si = L * (ar * ci + ai * cr) + Q * bdi
-    wr = L * (ar * dr - ai * di + br * cr - bi * ci) + P * bdr
-    wi = L * (ar * di + ai * dr + br * ci + bi * cr) + P * bdi
-    return np.stack([sr, si, wr, wi], axis=1)
-
-
 def _bracket(f, g, df: int, dg: int, n: int, j: int = 1):
     """{f, g} / j, the chart bracket of pieces of degrees df and dg: a piece
     of degree df + dg - 2."""
@@ -212,7 +190,7 @@ def _bracket(f, g, df: int, dg: int, n: int, j: int = 1):
     e = np.eye(V, dtype=np.intp)
     S = Ef[x] + Eg[y] - e[k] - e[n + k]
     out = np.zeros((size, 4), dtype=object)
-    np.add.at(out, _rank(S), _qmul(X[fi[x]], Y[gi[y]], ext) * factor[x, y, k][:, None])
+    np.add.at(out, _rank(S), np.stack(_qmul(X[fi[x]].T, Y[gi[y]].T, ext), 1) * factor[x, y, k][:, None])
     # times 2i: (ar, ai, br, bi) -> (-2 ai, 2 ar, -2 bi, 2 br)
     return out[:, [1, 0, 3, 2]] * [-2, 2, -2, 2], dx * dy * _ring(ext)[0] * j, ext
 
@@ -348,11 +326,11 @@ class _Normalizer:
             D, w = self.alpha_den, self.field.omega
             sizes = [abs(x / D + y / D * w) for x, y in zip(a, b)]
             self.smallest_divisor = min(self.smallest_divisor, *sizes)
-            minus_i_conj = np.stack([0 * a, -L * a - P * b, 0 * a, L * b], axis=1)
             M = math.lcm(*norm.tolist())
             X, den, _ = piece
             chi = np.zeros_like(X)
-            chi[idx] = _qmul(X[idx], minus_i_conj, self.field) * (D * (M // norm))[:, None]
+            Z = _qmul(X[idx].T, (0, -L * a - P * b, 0, L * b), self.field)
+            chi[idx] = np.stack(Z, axis=1) * (D * (M // norm))[:, None]
             return _clean((chi, den * L * M, self.field))
         om = (delta * self.alpha).sum(axis=1)
         size = np.abs(om)

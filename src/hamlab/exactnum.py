@@ -14,7 +14,8 @@ equal elements hash alike, an element of Q like the Fraction it equals.
 
 ExactComplex is the coefficient type at the API boundary.  The normal-form
 engine and the chart change compute on integer numerators over one
-denominator instead, and build ExactComplex values only for what they return.
+denominator (_integers), and ExactComplex multiplies by the engine's integer
+product rule (_qmul); they build ExactComplex values only for what they return.
 """
 
 from __future__ import annotations
@@ -31,6 +32,18 @@ class QuadField:
     p: Fraction
     q: Fraction
     omega: float
+
+    def __post_init__(self):
+        # else exact products fail (float p, q) or disagree with float values
+        rational = all(isinstance(x, (int, Fraction)) for x in (self.p, self.q))
+        d, w = Fraction(self.p) ** 2 + 4 * Fraction(self.q), self.omega
+        square = d >= 0 and all(math.isqrt(x) ** 2 == x for x in (d.numerator, d.denominator))
+        root = abs(w * w - self.p * w - self.q) <= 1e-9 * (w * w + abs(self.p * w) + abs(self.q))
+        if not (rational and root and (self.trivial or d > 0 and not square)):
+            raise ValueError(
+                "a QuadField needs int or Fraction p and q, and p = q = omega = 0 or x^2 = p x + q"
+                " irreducible over Q (p^2 + 4q > 0 and not a rational square) with omega a root"
+            )
 
     @property
     def trivial(self) -> bool:
@@ -53,6 +66,8 @@ class ExactComplex:
         self.br = Fraction(br)
         self.bi = Fraction(bi)
         self.field = field if self.br or self.bi else RATIONAL
+        if (self.br or self.bi) and field.trivial:
+            raise ValueError("a nonzero extension part (br, bi) needs a quadratic field, not RATIONAL")
 
     # -- construction helpers -------------------------------------------------
 
@@ -88,45 +103,20 @@ class ExactComplex:
         if o is None:
             return NotImplemented
         f = join_fields(self.field, o.field)
-        # complex products of the (a, b) parts
-        a1r, a1i, b1r, b1i = self.ar, self.ai, self.br, self.bi
-        a2r, a2i, b2r, b2i = o.ar, o.ai, o.br, o.bi
-        # a1*a2
-        aar = a1r * a2r - a1i * a2i
-        aai = a1r * a2i + a1i * a2r
-        # b1*b2
-        bbr = b1r * b2r - b1i * b2i
-        bbi = b1r * b2i + b1i * b2r
-        # a1*b2 + b1*a2
-        abr = a1r * b2r - a1i * b2i + b1r * a2r - b1i * a2i
-        abi = a1r * b2i + a1i * b2r + b1r * a2i + b1i * a2r
-        return ExactComplex(
-            aar + f.q * bbr,
-            aai + f.q * bbi,
-            abr + f.p * bbr,
-            abi + f.p * bbi,
-            f,
-        )
+        (x, y), den = _integers([self, o])
+        den = den * den * _ring(f)[0]
+        return ExactComplex(*(Fraction(v, den) for v in _qmul(x, y, f)), field=f)
 
     __rmul__ = __mul__
-
-    def _conj_omega(self) -> "ExactComplex":
-        # w -> p - w, the Galois conjugate of the quadratic generator
-        f = self.field
-        return ExactComplex(
-            self.ar + f.p * self.br,
-            self.ai + f.p * self.bi,
-            -self.br,
-            -self.bi,
-            f,
-        )
 
     def __truediv__(self, other):
         o = _lift(other)
         if o is None:
             return NotImplemented
         # reduce to a complex-rational denominator via the Galois conjugate
-        oc = o._conj_omega()
+        # w -> p - w of the quadratic generator
+        f = o.field
+        oc = ExactComplex(o.ar + f.p * o.br, o.ai + f.p * o.bi, -o.br, -o.bi, f)
         num = self * oc
         den = o * oc  # br == bi == 0 by construction
         dr, di = den.ar, den.ai
@@ -207,6 +197,37 @@ def _lift(x):
     if isinstance(x, (int, Fraction)):
         return ExactComplex(x)
     return None
+
+
+def _ring(field: QuadField) -> tuple:
+    """(L, L p, L q) as ints, L the least common denominator of p and q in
+    w^2 = p w + q."""
+    L = math.lcm(field.p.denominator, field.q.denominator)
+    return (L, *(x.numerator * (L // x.denominator) for x in (field.p, field.q)))
+
+
+def _integers(cs) -> tuple:
+    """The parts (ar, ai, br, bi) of each ExactComplex in cs as ints over one
+    common denominator: (rows, den)."""
+    parts = [(c.ar, c.ai, c.br, c.bi) for c in cs]
+    den = math.lcm(*(x.denominator for p in parts for x in p))
+    return [[x.numerator * (den // x.denominator) for x in p] for p in parts], den
+
+
+def _qmul(x, y, field: QuadField) -> tuple:
+    """The parts (ar, ai, br, bi) of the product of parts x and y, times L of
+    _ring so integer parts stay integers; a part is a number or a row array."""
+    L, P, Q = _ring(field)
+    ar, ai, br, bi = x
+    cr, ci, dr, di = y
+    # (a + b w)(c + d w) = (ac + q bd) + (ad + bc + p bd) w, all parts complex
+    bdr, bdi = br * dr - bi * di, br * di + bi * dr
+    return (
+        L * (ar * cr - ai * ci) + Q * bdr,
+        L * (ar * ci + ai * cr) + Q * bdi,
+        L * (ar * dr - ai * di + br * cr - bi * ci) + P * bdr,
+        L * (ar * di + ai * dr + br * ci + bi * cr) + P * bdi,
+    )
 
 
 def join_fields(f: QuadField, g: QuadField) -> QuadField:

@@ -47,7 +47,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NotActionRepresentable
-from .exactnum import ExactComplex, join_fields
+from .exactnum import ExactComplex, _integers, join_fields
 
 
 def _is_exact(c) -> bool:
@@ -276,9 +276,11 @@ class Polynomial(_SparsePoly):
         terms = {}
         for t in data["terms"]:
             k = tuple(int(e) for e in t["k"])
-            re, im = t["re"], t.get("im", 0.0)
+            re, im = t["re"], t.get("im", "0" if isinstance(t["re"], str) else 0.0)
+            if isinstance(re, str) != isinstance(im, str):
+                raise ValueError(f"term {list(k)}: re and im must both be 'p/q' strings or both numbers")
             if isinstance(re, str):
-                fre, fim = Fraction(re), Fraction(im if isinstance(im, str) else 0)
+                fre, fim = Fraction(re), Fraction(im)
                 c = fre if fim == 0 else ExactComplex(fre, fim)
             else:
                 c = float(re) if float(im) == 0.0 else complex(re, im)
@@ -514,10 +516,8 @@ def _numerators(cs, slots, size: int) -> tuple:
     common denominator, in the rows ``slots`` of a (size, 4) object array of
     zeros: (array, denominator, the field they share)."""
     cs = [c if isinstance(c, ExactComplex) else ExactComplex(c) for c in cs]
-    parts = [(c.ar, c.ai, c.br, c.bi) for c in cs]
-    den = math.lcm(*(x.denominator for p in parts for x in p))
     X = np.zeros((size, 4), dtype=object)
-    X[slots] = [[x.numerator * (den // x.denominator) for x in p] for p in parts]
+    X[slots], den = _integers(cs)
     return X, den, functools.reduce(join_fields, (c.field for c in cs))
 
 

@@ -524,6 +524,19 @@ def test_refusals_exit_with_one_json_error(argv, code, error, message, ham_file,
     assert json.loads(err) == {"error": error, "message": message}
 
 
+def test_a_json_term_of_mixed_forms_exits_2(ham_file, capsys):
+    # an exact re with a float im loaded as the real part alone
+    data = json.loads(open(ham_file).read())
+    data["V"]["terms"][0].update(re="1/10", im=0.25)
+    with open(ham_file, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run(["bnf", "--ham", ham_file, "--m", "2"], capsys)
+    assert (code, out) == (2, "")
+    k = data["V"]["terms"][0]["k"]
+    message = f"term {k}: re and im must both be 'p/q' strings or both numbers"
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_more_initial_conditions_than_the_sampler_keys_exit_2(ham_file, capsys):
     code, out, err = run(["drift", "--ham", ham_file, "--rho", "0.1", "--N", "1048577", "--T", "1.0"], capsys)
     assert (code, out) == (2, "")

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex
+from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex, QuadField, join_fields
 from hamlab.poly import Polynomial
 
 fracs = st.builds(
@@ -25,6 +26,9 @@ def golden_numbers(draw_parts):
 
 
 golden_elems = st.tuples(fracs, fracs, fracs, fracs).map(golden_numbers)
+
+# w^2 = w/2 + 3/4, so L = 4 in the integer product rule: w = (1 + sqrt 13) / 4
+HALF = QuadField(Fraction(1, 2), Fraction(3, 4), (1 + math.sqrt(13)) / 4)
 
 
 def test_rational_basics():
@@ -145,3 +149,78 @@ def test_results_do_not_depend_on_operand_order():
         assert type(totals[0]) is ExactComplex
         assert totals[0].field == (RATIONAL if totals[0].br == 0 else GOLDEN)
     assert totals[0].field == GOLDEN
+
+
+def reference_product(x, y):
+    """x * y for ExactComplex x and y by the 16 Fraction products that
+    ExactComplex.__mul__ once spelled out, folded by w^2 = p w + q."""
+    f = join_fields(x.field, y.field)
+    a1r, a1i, b1r, b1i = x.ar, x.ai, x.br, x.bi
+    a2r, a2i, b2r, b2i = y.ar, y.ai, y.br, y.bi
+    aar, aai = a1r * a2r - a1i * a2i, a1r * a2i + a1i * a2r
+    bbr, bbi = b1r * b2r - b1i * b2i, b1r * b2i + b1i * b2r
+    abr = a1r * b2r - a1i * b2i + b1r * a2r - b1i * a2i
+    abi = a1r * b2i + a1i * b2r + b1r * a2i + b1i * a2r
+    return ExactComplex(aar + f.q * bbr, aai + f.q * bbi, abr + f.p * bbr, abi + f.p * bbi, f)
+
+
+# a part is zero often enough that rational elements of an extension, pure
+# extension parts and exact zeros all occur
+parts = st.one_of(st.just(Fraction(0)), fracs)
+
+
+@st.composite
+def elements(draw, field):
+    ar, ai, br, bi = (draw(parts) for _ in range(4))
+    return ExactComplex(ar, ai, *(() if field.trivial else (br, bi)), field=field)
+
+
+@pytest.mark.parametrize("field", [GOLDEN, SQRT2, RATIONAL, HALF], ids=["golden", "sqrt2", "rational", "half"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_matches_the_sixteen_product_formula(field, data):
+    x = data.draw(elements(field))
+    for y in (data.draw(elements(field)), data.draw(elements(RATIONAL)), x):
+        want = reference_product(x, y)
+        assert same(x * y, want) and same(y * x, want)
+    # int and Fraction operands on either side
+    for c in (data.draw(st.integers(-9, 9)), data.draw(fracs)):
+        want = reference_product(x, ExactComplex(c))
+        assert same(x * c, want) and same(c * x, want)
+
+
+@pytest.mark.parametrize(
+    "p, q, omega",
+    [
+        (1, 1, 1.5),  # not a root: (w * w) and w**2 read 2.5 and 2.25 as floats
+        (0, 4, 2.0),  # reducible: w - 2 is a nonzero element that reads 0j
+        (0, 2, 2 ** 0.5 + 1e-6),  # a root only to 1e-6
+        (0, -1, 0.0),  # no real root
+        (-2, -1, -1.0),  # a double root
+        (0, 0, 1.0),  # Q itself with a nonzero omega
+        (0.5, 0.75, (1 + math.sqrt(13)) / 4),  # float p and q, which the integer rule cannot read
+    ],
+)
+def test_a_field_that_is_not_a_real_quadratic_field_is_refused(p, q, omega):
+    with pytest.raises(ValueError, match="irreducible over Q"):
+        QuadField(p, q, omega)
+
+
+def test_real_quadratic_fields_are_accepted():
+    for f in (GOLDEN, SQRT2, RATIONAL, HALF):
+        assert QuadField(f.p, f.q, f.omega) == f
+    # the other root, and int p and q
+    assert QuadField(Fraction(1), Fraction(1), (1 - math.sqrt(5)) / 2).omega < 0
+    assert QuadField(0, 2, -math.sqrt(2)).q == 2
+
+
+def test_an_extension_part_without_a_quadratic_field_is_refused():
+    # ExactComplex(0, 0, 1) was nonzero, read 0j and squared to zero
+    refused = "needs a quadratic field, not RATIONAL"
+    for parts in ((0, 0, 1), (1, 2, 0, Fraction(1, 3))):
+        with pytest.raises(ValueError, match=refused):
+            ExactComplex(*parts)
+    with pytest.raises(ValueError, match=refused):
+        ExactComplex.omega(RATIONAL)
+    # a zero extension part is an element of Q(i) in any field
+    assert ExactComplex(1, 2, 0, 0).field == ExactComplex(1, 2, 0, 0, field=GOLDEN).field == RATIONAL

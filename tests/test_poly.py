@@ -226,6 +226,31 @@ def test_json_round_trip_float_and_exact():
     assert e2.terms == e.terms
 
 
+def test_json_round_trip_complex_coefficients():
+    f = Polynomial(2, {(1, 0, 2, 0): 0.25 - 1.5j, (0, 1, 0, 1): 2j, (0, 0, 0, 3): -0.5})
+    g = Polynomial.from_json_dict(f.to_json_dict())
+    assert g.terms == f.terms
+    assert {k: type(c) for k, c in g.terms.items()} == {k: type(c) for k, c in f.terms.items()}
+    e = Polynomial(1, {(3, 1): ExactComplex(Fraction(2, 7), Fraction(-1, 3)), (0, 2): ExactComplex(0, 5)})
+    assert e.to_json_dict()["terms"][0] == {"k": [0, 2], "re": "0/1", "im": "5/1"}
+    e2 = Polynomial.from_json_dict(e.to_json_dict())
+    assert e2.terms == e.terms and all(type(c) is ExactComplex for c in e2.terms.values())
+
+
+@pytest.mark.parametrize("term", [{"re": "1/2", "im": 0.25}, {"re": 0.5, "im": "1/4"}, {"re": "1/2", "im": 0.0}])
+def test_json_term_of_mixed_forms_is_refused(term):
+    # the first loaded as 1/2, dropping the imaginary part, and the second
+    # failed as a float conversion of "1/4"
+    with pytest.raises(ValueError, match=r"term \[1, 1\]: re and im must both be 'p/q' strings or both numbers"):
+        Polynomial.from_json_dict({"n": 1, "terms": [{"k": [1, 1], **term}]})
+
+
+def test_json_term_without_im_is_real_in_both_forms():
+    p = Polynomial.from_json_dict({"n": 1, "terms": [{"k": [2, 0], "re": "-3/4"}, {"k": [0, 2], "re": 0.5}]})
+    assert p.terms == {(2, 0): Fraction(-3, 4), (0, 2): 0.5}
+    assert (type(p.terms[2, 0]), type(p.terms[0, 2])) == (Fraction, float)
+
+
 # -- Poisson bracket algebra (exact, randomized) -------------------------------
 
 
