@@ -491,6 +491,8 @@ def remainder_curve(
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     radii = [_radius(H, r) for r in (radius if np.ndim(radius) else [radius])]
+    if not radii:
+        raise ValueError("the sequence of radii must not be empty")
     norm = _Normalizer(H, 2 * m_max, 2 * m_max + 4, exact=False)
     curves = [[] for _ in radii]
     for d in range(3, 2 * m_max + 1):

@@ -8,8 +8,10 @@ at the linear part ``CompiledField.A`` (Hairer, Lubich and Wanner, Geometric
 Numerical Integration, Ch. VIII.6), started from the exact linear step plus,
 after a row's first step, the extrapolated nonlinear stage parts of its last
 two.  A quadratic H takes the same step: its start is the exact step, so each
-solve ends after one sweep.  Each row of a batch stops its solve at its own
-first increment below the tolerance, or fails on its own.  One loop over the
+solve ends after one sweep.  The run builds the step's matrices once, from
+dt, the tableau and ``F.A``, and hands them to every step.  Each row of a
+batch stops its solve at its own first increment below the tolerance, or
+fails on its own; the step reports the rows that failed.  One loop over the
 steps keeps each row's sampled states and energies, and does only what stops
 a row: a failed solve, a domain exit or an energy abort.  Its state is the
 rows still running, and only those; a row leaves it by one selection when it
@@ -21,7 +23,6 @@ samples; an escape scan reads its escape times off the drift.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,6 @@ _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITERS = 50
 # a row whose energy moves more than this from its start is stopped
 _ENERGY_ABORT = 1.0
-# _collocation(F.A, dt, a) by F, then by (dt, a): fixed for a run, so built
-# once per run; an entry goes with its field
-_COLLOCATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -91,32 +89,31 @@ class EnsembleSummary:
 
 # the bench's span wrappers and the step-count test find the implicit steps by
 # these two names, so integrate_batch calls them through the module globals
-def _fixed_point_midpoint(F, z, dt, tol, max_iters, guess=None):
-    """One batched implicit-midpoint step; returns (z_next, converged_mask)."""
-    return _newton_step(F, z, dt, tol, max_iters, _MIDPOINT, guess)
+def _fixed_point_midpoint(F, z, colloc, tol, max_iters, guess=None):
+    """One batched implicit-midpoint step by ``colloc``, the matrices the run
+    builds once from _MIDPOINT; returns (z_next, indices of the rows that failed)."""
+    return _newton_step(F, z, colloc, tol, max_iters, _MIDPOINT[1], guess)
 
 
-def _fixed_point_gauss4(F, z, dt, tol, max_iters, guess=None):
-    """One batched two-stage Gauss step; returns (z_next, converged_mask)."""
-    return _newton_step(F, z, dt, tol, max_iters, _GAUSS4, guess)
+def _fixed_point_gauss4(F, z, colloc, tol, max_iters, guess=None):
+    """One batched two-stage Gauss step by ``colloc``, the matrices the run
+    builds once from _GAUSS4; returns (z_next, indices of the rows that failed)."""
+    return _newton_step(F, z, colloc, tol, max_iters, _GAUSS4[1], guess)
 
 
-def _newton_step(F, z, dt, tol, max_iters, tableau, guess=None):
-    """Solve the stage equations K = F(z + dt a K) by simplified Newton.
+def _newton_step(F, z, colloc, tol, max_iters, b, guess=None):
+    """Solve the stage equations K = F(z + dt a K) by simplified Newton, with
+    the run's ``colloc = _collocation(F.A, dt, a)`` and the weights ``b``.
 
     K, flat (rows, stages * dim), starts from the exact step of the linear
     field ``F.A`` plus ``guess``, a predicted nonlinear part, into which the
     solved one is written back.  Each sweep calls F once on all stages of the
     rows still iterating, kept compact by one write-back into K and integer
     takes when some stop.  A row stops at its first increment dt * dK below
-    ``tol`` (never at a NaN one), or after ``max_iters + 2`` sweeps as unconverged.
+    ``tol`` (never at a NaN one), or fails after ``max_iters + 2`` sweeps; the
+    indices of the rows that failed come back with the next points.
     """
-    a, b = tableau
-    built = _COLLOCATIONS.setdefault(F, {})
-    key = (dt, a.tobytes())
-    if key not in built:
-        built[key] = _collocation(F.A, dt, a)
-    inv_t, start_t, tile, stages = built[key]
+    dt, inv_t, start_t, tile, stages = colloc
     N, d = z.shape
     lin, zr = z.dot(start_t), z.dot(tile)  # .dot: the product of @, with less overhead
     K = lin + (0.0 if guess is None else guess)
@@ -132,23 +129,22 @@ def _newton_step(F, z, dt, tol, max_iters, tableau, guess=None):
             K[rows] = Kr
             rows, zr, Kr = rows.take(going), zr.take(going, axis=0), Kr.take(going, axis=0)
     K[rows] = Kr
-    converged = np.bincount(rows, minlength=N) == 0  # rows still iterating failed
     if guess is not None:
         np.subtract(K, lin, out=guess)
-    return z + dt * (b @ K.reshape(N, len(b), d)), converged
+    return z + dt * (b @ K.reshape(N, len(b), d)), rows
 
 
 def _collocation(A: np.ndarray, dt: float, a: np.ndarray) -> tuple:
-    """Matrices of a collocation step of the field A z, transposed to act on
-    rows of flat stage vectors: ``(inv, start, tile, stages)``.  ``inv`` is the
-    simplified Newton inverse (I - dt a (x) A)^-1, the Jacobian frozen at
-    ``A``; ``z @ start`` are the stacked stage slopes of the exact step of the
-    linear field; ``z @ tile`` is z on every stage; and ``K @ stages`` is a K,
-    the stage points' offsets over dt.
+    """dt and the matrices of a collocation step of the field A z, transposed
+    to act on rows of flat stage vectors: ``(dt, inv, start, tile, stages)``.
+    ``inv`` is the simplified Newton inverse (I - dt a (x) A)^-1, the Jacobian
+    frozen at ``A``; ``z @ start`` are the stacked stage slopes of the exact
+    step of the linear field; ``z @ tile`` is z on every stage; and
+    ``K @ stages`` is a K, the stage points' offsets over dt.
     """
     sd, eye = len(a) * A.shape[0], np.eye(A.shape[0])
     inv = np.linalg.inv(np.eye(sd) - dt * np.kron(a, A))
-    return inv.T, (inv @ np.tile(A, (len(a), 1))).T, np.tile(eye, len(a)), np.kron(a, eye).T
+    return dt, inv.T, (inv @ np.tile(A, (len(a), 1))).T, np.tile(eye, len(a)), np.kron(a, eye).T
 
 
 def _check_startup(H_poly: Polynomial, s: float, z0: np.ndarray, dt: float):
@@ -203,8 +199,9 @@ def integrate_batch(
     _check_startup(H_poly, H.s, Z0, cfg.dt)
     F = CompiledField(H_poly)
     energy = CompiledPoly([H_poly])
-    stepper = _fixed_point_midpoint if cfg.method == "implicit_midpoint" else _fixed_point_gauss4
-    _, b = _MIDPOINT if cfg.method == "implicit_midpoint" else _GAUSS4
+    gauss = cfg.method == "gauss4"
+    stepper, (a, b) = (_fixed_point_gauss4, _GAUSS4) if gauss else (_fixed_point_midpoint, _MIDPOINT)
+    colloc = _collocation(F.A, cfg.dt, a)
 
     n_samples = n_steps // sample_stride + 1
     times = np.arange(n_samples) * (cfg.dt * sample_stride)
@@ -226,10 +223,10 @@ def integrate_batch(
         if not live.size:
             break
         prev, last = last, 2.0 * last - prev
-        z, keep = stepper(F, z, cfg.dt, _NEWTON_TOL, _NEWTON_MAX_ITERS, last)
-        if not keep.all():
-            status[live[~keep]] = "fixed_point_divergence"
-            live, z, last, prev = live[keep], z[keep], last[keep], prev[keep]
+        z, failed = stepper(F, z, colloc, _NEWTON_TOL, _NEWTON_MAX_ITERS, last)
+        if failed.size:
+            status[live[failed]] = "fixed_point_divergence"
+            live, z, last, prev = (np.delete(x, failed, axis=0) for x in (live, z, last, prev))
         if step % sample_stride:
             continue
         k = step // sample_stride
@@ -243,9 +240,9 @@ def integrate_batch(
         abort = ~out & (np.abs(E - E0[live]) > _ENERGY_ABORT)
         status[live[out]] = "left_domain"
         status[live[abort]] = "energy_abort"
-        keep = ~(out | abort)
-        if not keep.all():
-            live, z, last, prev = live[keep], z[keep], last[keep], prev[keep]
+        stopped = (out | abort).nonzero()[0]
+        if stopped.size:
+            live, z, last, prev = (np.delete(x, stopped, axis=0) for x in (live, z, last, prev))
 
     actions = formal_actions(n, states)
     drift = np.abs(actions - actions[:, :1]).sum(axis=-1)

@@ -179,14 +179,15 @@ class ExactComplex:
         return f"ExactComplex({self.ar}, {self.ai}, {self.br}, {self.bi})"
 
 
-def real_float(a) -> float:
-    """The float value of a frequency component, a plain number or an
-    ExactComplex; a nonzero imaginary part or a non-finite value is refused."""
-    z = a.to_complex() if isinstance(a, ExactComplex) else complex(a)
-    if z.imag != 0.0:
-        raise ValueError("frequency components must be real")
+def real_float(a, what: str = "frequency components") -> float:
+    """The float value of ``what``, a plain number or an ExactComplex; a nonzero
+    imaginary part (of an ExactComplex, exactly) or a non-finite value is refused."""
+    exact = isinstance(a, ExactComplex)
+    z = a.to_complex() if exact else complex(a)
+    if (a.ai or a.bi) if exact else z.imag != 0.0:
+        raise ValueError(f"{what} must be real")
     if not math.isfinite(z.real):
-        raise ValueError("frequency components must be finite")
+        raise ValueError(f"{what} must be finite")
     return z.real
 
 

@@ -54,6 +54,10 @@ class RandomHamiltonianParams:
             object.__setattr__(self, "alpha", tuple(self.alpha))
         if self.n < 1:
             raise ValueError("dimension n must be >= 1")
+        if not 0 <= self.coefficient_scale < math.inf:
+            raise ValueError(f"coefficient_scale must be finite and >= 0, got {self.coefficient_scale}")
+        if self.n_terms < 0:
+            raise ValueError(f"n_terms must be >= 0, got {self.n_terms}")
         if self.include_beta is not None:
             # a matrix as a tuple of rows, so that equal specs compare and hash alike
             beta = np.asarray(self.include_beta)

@@ -1,8 +1,9 @@
 """Hamiltonians near an elliptic fixed point: H(z) = alpha.I(z) + V(z).
 
 The frequency vector alpha has pairwise distinct components (the quadratic
-part is assumed pre-diagonalized), V collects the degree >= 3 terms, and the
-domain is the ball of radius s > 3.  The perturbation size rho is defined
+part is assumed pre-diagonalized), V collects the degree >= 3 terms, whose
+coefficients are finite real numbers, and the domain is the ball of finite
+radius s > 3.  The perturbation size rho is defined
 operationally as the majorant norm of V at radius s.
 """
 
@@ -87,8 +88,10 @@ class EllipticHamiltonian:
             raise ValueError("components of alpha must be pairwise distinct")
         if V.terms and V.min_degree() <= 2:
             raise ValueError("V must contain only terms of degree >= 3")
-        if not s > 3:
-            raise ValueError("domain radius s must exceed 3")
+        for c in V.terms.values():
+            real_float(c, "coefficients of V")
+        if not 3 < s < math.inf:
+            raise ValueError("domain radius s must be finite and exceed 3")
         self.n = n
         self.alpha = alpha
         self.V = V

@@ -190,7 +190,7 @@ def test_criterion_7_integrator_suite():
     ok = run.max_drift_l1[0] <= 1e-10
 
     # (b) reversibility of the midpoint step on a nonseparable Hamiltonian
-    from hamlab.dynamics import CompiledField, _fixed_point_midpoint
+    from hamlab.dynamics import _MIDPOINT, CompiledField, _collocation, _fixed_point_midpoint
 
     Hc = EllipticHamiltonian(
         (1.0, GOLDEN_F), Polynomial(2, {(3, 0, 0, 0): 0.05, (1, 0, 0, 2): -0.04}), s=4.0
@@ -198,23 +198,25 @@ def test_criterion_7_integrator_suite():
     F = CompiledField(Hc.full_polynomial())
     z0 = np.array([0.3, 0.2, -0.1, 0.25])
     z = z0[None, :].copy()
+    forward, backward = (_collocation(F.A, dt, _MIDPOINT[0]) for dt in (5e-3, -5e-3))
     for _ in range(200):
-        z, _ = _fixed_point_midpoint(F, z, 5e-3, 1e-15, 100)
+        z, _ = _fixed_point_midpoint(F, z, forward, 1e-15, 100)
     for _ in range(200):
-        z, _ = _fixed_point_midpoint(F, z, -5e-3, 1e-15, 100)
+        z, _ = _fixed_point_midpoint(F, z, backward, 1e-15, 100)
     ok &= float(np.max(np.abs(z[0] - z0))) <= 1e-8
 
     # (c) dt-refinement error ratios: 4 for midpoint, 16 for the Gauss method
-    from hamlab.dynamics import _fixed_point_gauss4
+    from hamlab.dynamics import _GAUSS4, _fixed_point_gauss4
 
     H1 = EllipticHamiltonian((1.3,), Polynomial.zero(1), s=4.0)
     F1 = CompiledField(H1.full_polynomial())
-    for stepper, target in ((_fixed_point_midpoint, 4.0), (_fixed_point_gauss4, 16.0)):
+    for stepper, (a, _), target in ((_fixed_point_midpoint, _MIDPOINT, 4.0), (_fixed_point_gauss4, _GAUSS4, 16.0)):
         errs = []
         for dt in (0.1, 0.05):
             z = np.array([[1.0, 0.0]])
+            colloc = _collocation(F1.A, dt, a)
             for _ in range(int(round(1.0 / dt))):
-                z, _ = stepper(F1, z, dt, 1e-15, 100)
+                z, _ = stepper(F1, z, colloc, 1e-15, 100)
             exact = np.array([math.cos(1.3), -math.sin(1.3)])
             errs.append(float(np.linalg.norm(z[0] - exact)))
         ratio = errs[0] / errs[1]

@@ -341,9 +341,16 @@ def test_curve_over_radii_is_the_curve_at_each_radius():
     assert remainder_curve(H, m_max=3, radius=np.array([0.37, 2.0])) == [
         remainder_curve(H, m_max=3, radius=0.37), remainder_curve(H, m_max=3, radius=2.0)
     ]
-    assert remainder_curve(H, m_max=3, radius=()) == []
     with pytest.raises(ValueError, match="radius must be positive"):
         remainder_curve(H, m_max=3, radius=[0.5, 0.0])
+
+
+@pytest.mark.parametrize("radii", [[], (), np.array([])], ids=["list", "tuple", "array"])
+def test_an_empty_sequence_of_radii_is_refused(radii):
+    # it normalized H and returned [], as no empty rho grid is let through
+    H = EllipticHamiltonian((1.0, GOLDEN_F), Polynomial(2, {(3, 0, 0, 0): 0.05}), s=4.0)
+    with pytest.raises(ValueError, match="^the sequence of radii must not be empty$"):
+        remainder_curve(H, m_max=3, radius=radii)
 
 
 @pytest.mark.parametrize("rho, exact", [(0.5, True), (0.125, True), (0.3, False), (0.011, False)])

@@ -537,6 +537,56 @@ def test_a_json_term_of_mixed_forms_exits_2(ham_file, capsys):
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+_NAN_V = ("V", {"re": math.nan}, "coefficients of V must be finite")
+_COMPLEX_V = ("V", {"re": 0.1, "im": 0.2}, "coefficients of V must be real")
+_INFINITE_S = ("s", math.inf, "domain radius s must be finite and exceed 3")
+
+
+@pytest.mark.parametrize(
+    "field, value, message", [_NAN_V, _COMPLEX_V, _INFINITE_S], ids=["nan_V", "complex_V", "inf_s"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bnf", "--m", "2"],
+        ["bnf-curve", "--m-max", "3"],
+        ["drift", "--rho", "0.1", "--N", "2", "--T", "1.0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_hamiltonian_file_with_a_non_finite_or_complex_value_exits_2(argv, field, value, message, ham_file, capsys):
+    # bnf-curve and drift exited 0 with nan or inf rows, bnf failed on json's
+    # NaN or on a resonance; json writes and reads NaN and Infinity literals
+    data = json.loads(open(ham_file).read())
+    if field == "V":
+        data["V"]["terms"][0].update(value)
+    else:
+        data[field] = value
+    with open(ham_file, "w") as fh:
+        json.dump(data, fh)
+    code, out, err = run([*argv, "--ham", ham_file], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"coefficient_scale": math.nan}, "coefficient_scale must be finite and >= 0, got nan"),
+        ({"coefficient_scale": math.inf}, "coefficient_scale must be finite and >= 0, got inf"),
+        ({"coefficient_scale": -1.0}, "coefficient_scale must be finite and >= 0, got -1.0"),
+        ({"n_terms": -2}, "n_terms must be >= 0, got -2"),
+    ],
+)
+def test_experiment_with_a_bad_random_scale_or_term_count_exits_2(data, message, capsys, tmp_path):
+    spec = {"kind": "remainder_scaling", "hamiltonian": {"type": "random", "data": {"n": 2, **data}}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run(["experiment", "--spec", str(spec_path)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_more_initial_conditions_than_the_sampler_keys_exit_2(ham_file, capsys):
     code, out, err = run(["drift", "--ham", ham_file, "--rho", "0.1", "--N", "1048577", "--T", "1.0"], capsys)
     assert (code, out) == (2, "")

@@ -13,6 +13,7 @@ from hamlab.dynamics import (
     DriftRun,
     EnsembleSummary,
     IntegratorConfig,
+    _collocation,
     _fixed_point_gauss4,
     _fixed_point_midpoint,
     ensemble_drift,
@@ -26,6 +27,11 @@ from hamlab.model import EllipticHamiltonian, formal_actions
 from hamlab.poly import CompiledPoly, Polynomial
 
 GOLDEN_F = (1 + math.sqrt(5)) / 2
+
+
+def prepared(F, dt, stepper):
+    """The matrices a run builds once for ``stepper`` at step dt."""
+    return _collocation(F.A, dt, (_MIDPOINT if stepper is _fixed_point_midpoint else _GAUSS4)[0])
 
 
 def harmonic(alpha=(1.0, GOLDEN_F)):
@@ -134,8 +140,9 @@ def test_convergence_order(method, order):
 
         F = CompiledField(H.full_polynomial())
         stepper = _fixed_point_midpoint if method == "implicit_midpoint" else _fixed_point_gauss4
+        colloc = prepared(F, dt, stepper)
         for _ in range(steps):
-            z, _conv = stepper(F, z, dt, 1e-15, 100)
+            z, _failed = stepper(F, z, colloc, 1e-15, 100)
         exact = np.array([math.cos(1.3 * T), -math.sin(1.3 * T)])
         errs.append(np.linalg.norm(z[0] - exact))
     ratio = errs[0] / errs[1]
@@ -156,10 +163,11 @@ def test_nonlinear_energy_conservation_and_reversibility():
 
     F = CompiledField(H.full_polynomial())
     z = z0[None, :].copy()
+    forward, backward = (prepared(F, dt, _fixed_point_midpoint) for dt in (5e-3, -5e-3))
     for _ in range(100):
-        z, _ = _fixed_point_midpoint(F, z, 5e-3, 1e-15, 100)
+        z, _ = _fixed_point_midpoint(F, z, forward, 1e-15, 100)
     for _ in range(100):
-        z, _ = _fixed_point_midpoint(F, z, -5e-3, 1e-15, 100)
+        z, _ = _fixed_point_midpoint(F, z, backward, 1e-15, 100)
     assert z[0] == pytest.approx(z0, abs=1e-10)
 
 
@@ -176,7 +184,7 @@ def test_symplecticity_via_finite_differences():
         e = np.zeros(4)
         e[j] = h
         stencil.extend([z0 + e, z0 - e])
-    out, _ = _fixed_point_midpoint(F, np.array(stencil), dt, 1e-15, 100)
+    out, _ = _fixed_point_midpoint(F, np.array(stencil), prepared(F, dt, _fixed_point_midpoint), 1e-15, 100)
     J = np.zeros((4, 4))
     for j in range(4):
         J[:, j] = (out[1 + 2 * j] - out[2 + 2 * j]) / (2 * h)
@@ -341,9 +349,9 @@ def test_newton_steps_match_fixed_point_reference(seed, dt):
         (_fixed_point_midpoint, _reference_midpoint),
         (_fixed_point_gauss4, _reference_gauss4),
     ):
-        z_new, conv_new = stepper(F, Z, dt, 1e-13, 50)
+        z_new, failed = stepper(F, Z, prepared(F, dt, stepper), 1e-13, 50)
         z_ref, conv_ref = reference(F, Z, dt, 1e-13, 50)
-        assert conv_new.tolist() == conv_ref.tolist()
+        assert failed.tolist() == np.flatnonzero(~conv_ref).tolist()
         assert np.max(np.abs(z_new - z_ref)) <= 1e-13
 
 
@@ -353,18 +361,20 @@ def test_a_predicted_start_does_not_move_the_root(seed, dt):
     F = random_quintic_field(seed)
     Z = sample_initial_conditions(2, 16, seed=seed) * 0.6
     for stepper, stages in ((_fixed_point_midpoint, 1), (_fixed_point_gauss4, 2)):
-        plain, conv = stepper(F, Z, dt, 1e-13, 50)
+        colloc = prepared(F, dt, stepper)
+        plain, failed = stepper(F, Z, colloc, 1e-13, 50)
         # a zero guess is the linear start; it comes back as the solved part
         solved = np.zeros((len(Z), 4 * stages))
-        zero, conv_zero = stepper(F, Z, dt, 1e-13, 50, solved)
-        assert zero.tobytes() == plain.tobytes() and conv_zero.tolist() == conv.tolist()
-        assert np.all(np.abs(solved[conv]).max(axis=1) > 0)
+        zero, failed_zero = stepper(F, Z, colloc, 1e-13, 50, solved)
+        assert zero.tobytes() == plain.tobytes() and failed_zero.tolist() == failed.tolist()
+        assert np.all(np.abs(np.delete(solved, failed, axis=0)).max(axis=1) > 0)
         # the solved part of one step predicts the next, from where it ended
         plain_rec, guess_rec = RecordingField(F), RecordingField(F)
-        want, conv_want = stepper(plain_rec, plain, dt, 1e-13, 50)
-        got, conv_got = stepper(guess_rec, plain, dt, 1e-13, 50, solved)
-        assert conv_got.tolist() == conv_want.tolist()
-        assert np.max(np.abs(got[conv_want] - want[conv_want]), initial=0.0) <= 1e-13
+        want, failed_want = stepper(plain_rec, plain, colloc, 1e-13, 50)
+        got, failed_got = stepper(guess_rec, plain, colloc, 1e-13, 50, solved)
+        assert failed_got.tolist() == failed_want.tolist()
+        ok = np.delete(np.arange(len(Z)), failed_want)
+        assert np.max(np.abs(got[ok] - want[ok]), initial=0.0) <= 1e-13
         assert len(guess_rec.rows) <= len(plain_rec.rows)
 
 
@@ -385,9 +395,10 @@ def test_rows_stop_iterating_on_their_own(stepper):
     fast = np.array([[0.05, -0.02, 0.03, 0.01]])
     slow = np.array([[1.1, -0.8, 0.9, 0.7]])
     alone_F, both_F = RecordingField(F), RecordingField(F)
-    alone, _ = stepper(alone_F, fast, 0.1, 1e-13, 50)
-    both, conv = stepper(both_F, np.vstack([fast, slow]), 0.1, 1e-13, 50)
-    assert conv.all()
+    colloc = prepared(F, 0.1, stepper)
+    alone, _ = stepper(alone_F, fast, colloc, 1e-13, 50)
+    both, failed = stepper(both_F, np.vstack([fast, slow]), colloc, 1e-13, 50)
+    assert failed.size == 0
     # all stages in one call per sweep; simplified Newton needs a few sweeps
     # here, where the plain fixed-point iteration needs about a dozen
     sweeps = len(alone_F.rows)
@@ -422,15 +433,16 @@ def test_rows_stop_at_their_first_small_increment(stepper, a):
     # increments of both rows stay at least a factor 2 away from tol
     Z = np.array([[0.05, -0.02, 0.03, 0.01], [0.9, -0.7, 0.8, 0.6]])
     first = []
+    colloc = _collocation(F.A, 0.1, a)
     for z in Z:
         incs = _newton_increments(F, z, 0.1, a, 20)
         first.append(1 + next(j for j, inc in enumerate(incs) if inc < 1e-13))
         rec = RecordingField(F)
-        _, conv = stepper(rec, z[None, :], 0.1, 1e-13, 50)
-        assert conv.all() and len(rec.rows) == first[-1]
+        _, failed = stepper(rec, z[None, :], colloc, 1e-13, 50)
+        assert failed.size == 0 and len(rec.rows) == first[-1]
     assert first[0] < first[1]
     rec = RecordingField(F)
-    stepper(rec, Z, 0.1, 1e-13, 50)
+    stepper(rec, Z, colloc, 1e-13, 50)
     assert rec.rows == [2] * first[0] + [1] * (first[1] - first[0])
 
 
@@ -456,14 +468,15 @@ def test_a_nan_increment_keeps_its_row_iterating(stepper, a):
     ]
     Z = np.array([fast, [6.0, 0.1, -0.2, 0.3], slow])
     rec = NaNField(F)
+    colloc = _collocation(F.A, 0.1, a)
     with np.errstate(invalid="ignore"):
-        got, conv = stepper(rec, Z, 0.1, 1e-13, 50)
+        got, failed = stepper(rec, Z, colloc, 1e-13, 50)
     # the NaN row runs every sweep and fails; the others leave the field
     # call at their own first small increment, as without it
-    assert conv.tolist() == [True, False, True]
+    assert failed.tolist() == [1]
     assert rec.rows == [3] * first[0] + [2] * (first[1] - first[0]) + [1] * (50 + 2 - first[1])
     assert np.isnan(got[1]).all()
-    want, _ = stepper(F, Z[[0, 2]], 0.1, 1e-13, 50)
+    want, _ = stepper(F, Z[[0, 2]], colloc, 1e-13, 50)
     assert np.max(np.abs(got[[0, 2]] - want)) <= 1e-15
 
 
@@ -478,12 +491,14 @@ def test_stopped_rows_match_a_long_newton_solve(scale, dt):
         F = random_quintic_field(seed)
         Z = sample_initial_conditions(2, 16, seed=seed) * scale
         for stepper in (_fixed_point_midpoint, _fixed_point_gauss4):
+            colloc = prepared(F, dt, stepper)
             with np.errstate(all="ignore"):
-                z_new, conv = stepper(F, Z, dt, 1e-13, 50)
-                z_long, never = stepper(F, Z, dt, 0.0, 198)
-            assert not never.any()
-            assert np.max(np.abs(z_new[conv] - z_long[conv]), initial=0.0) <= 1e-13
-            converged += conv.sum()
+                z_new, failed = stepper(F, Z, colloc, 1e-13, 50)
+                z_long, never = stepper(F, Z, colloc, 0.0, 198)
+            assert never.tolist() == list(range(len(Z)))
+            ok = np.delete(np.arange(len(Z)), failed)
+            assert np.max(np.abs(z_new[ok] - z_long[ok]), initial=0.0) <= 1e-13
+            converged += ok.size
     assert converged > 0
 
 
@@ -764,6 +779,7 @@ def reference_integrate_batch(H, Z0, cfg, T, sample_stride=1, drift_threshold=No
     energy = CompiledPoly([H_poly])
     stepper = _fixed_point_midpoint if cfg.method == "implicit_midpoint" else _fixed_point_gauss4
     _, b = _MIDPOINT if cfg.method == "implicit_midpoint" else _GAUSS4
+    colloc = prepared(F, cfg.dt, stepper)
     n_samples = n_steps // sample_stride + 1
     times = np.arange(n_samples) * (cfg.dt * sample_stride)
     actions = np.full((N, n_samples, n), np.nan)
@@ -784,14 +800,14 @@ def reference_integrate_batch(H, Z0, cfg, T, sample_stride=1, drift_threshold=No
         for _ in range(stride):
             idx = slice(None) if active.all() else np.flatnonzero(active)
             guess = 2.0 * last[idx] - prev[idx]
-            zn, conv = stepper(F, z[idx], cfg.dt, dynamics._NEWTON_TOL, dynamics._NEWTON_MAX_ITERS, guess)
+            zn, failed = stepper(F, z[idx], colloc, dynamics._NEWTON_TOL, dynamics._NEWTON_MAX_ITERS, guess)
             prev[idx] = last[idx]
             last[idx] = guess
-            if not conv.all():
+            if failed.size:
                 idx = np.arange(N)[idx]
-                status[idx[~conv]] = "fixed_point_divergence"
-                active[idx[~conv]] = False
-                idx, zn = idx[conv], zn[conv]
+                status[idx[failed]] = "fixed_point_divergence"
+                active[idx[failed]] = False
+                idx, zn = np.delete(idx, failed), np.delete(zn, failed, axis=0)
             z[idx] = zn
 
     for sample_idx in range(1, n_samples):
@@ -937,10 +953,11 @@ def test_a_domain_exit_counts_in_the_drift_and_escape_but_not_in_the_record():
     # the row left the domain at the sample after the last one it recorded
     exit_sample = len(rec.sample_times)
     F, z = CompiledField(H.full_polynomial()), z0.copy()
+    colloc = prepared(F, cfg.dt, _fixed_point_midpoint)
     last = prev = np.zeros((1, 2))
     for _ in range(exit_sample):
         guess = 2.0 * last - prev
-        z, _ = _fixed_point_midpoint(F, z, cfg.dt, 1e-13, 50, guess)
+        z, _ = _fixed_point_midpoint(F, z, colloc, 1e-13, 50, guess)
         prev, last = last, guess
     assert np.linalg.norm(z) >= H.s
     exit_drift = float(np.sum(np.abs(formal_actions(1, z) - formal_actions(1, z0))))

@@ -75,10 +75,9 @@ def test_generator_determinism_and_shape():
     assert other.V != H1.V
 
 
-def test_generator_zero_scale_gives_integrable():
-    H = generate_random_hamiltonian(
-        RandomHamiltonianParams(n=2, coefficient_scale=0.0)
-    )
+@pytest.mark.parametrize("zero", [{"coefficient_scale": 0.0}, {"n_terms": 0}], ids=["scale", "terms"])
+def test_generator_zero_scale_gives_integrable(zero):
+    H = generate_random_hamiltonian(RandomHamiltonianParams(n=2, **zero))
     assert H.V.is_zero()
 
 
@@ -87,6 +86,21 @@ def test_generator_validation():
         RandomHamiltonianParams(n=2, degree_max=2)
     with pytest.raises(TypeError, match="alpha_mode"):
         RandomHamiltonianParams(n=2, alpha_mode="explicit")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("coefficient_scale", math.nan, "coefficient_scale must be finite and >= 0, got nan"),
+        ("coefficient_scale", math.inf, "coefficient_scale must be finite and >= 0, got inf"),
+        ("coefficient_scale", -1.0, "coefficient_scale must be finite and >= 0, got -1.0"),
+        ("n_terms", -2, "n_terms must be >= 0, got -2"),
+    ],
+)
+def test_generator_refuses_a_bad_scale_or_term_count(field, value, message):
+    # these gave V = 0, and inf escaped as numpy's OverflowError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RandomHamiltonianParams(n=2, **{field: value})
 
 
 def test_generator_uses_a_given_alpha():

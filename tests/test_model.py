@@ -77,6 +77,38 @@ def test_constructor_validation():
         EllipticHamiltonian((1.0, ExactComplex(2, 1)), V)
 
 
+@pytest.mark.parametrize(
+    "c, rule",
+    [
+        (math.nan, "finite"),
+        (math.inf, "finite"),
+        (-math.inf, "finite"),
+        (0.1 + 0.2j, "real"),
+        (ExactComplex(Fraction(1, 10), Fraction(1, 5)), "real"),
+        # exactly nonreal, though its imaginary part rounds to 0.0
+        (ExactComplex(0, Fraction(1, 10**400)), "real"),
+        (ExactComplex(0, 0, 0, 1, GOLDEN), "real"),
+    ],
+)
+def test_a_coefficient_of_V_that_is_not_a_finite_real_number_is_refused(c, rule):
+    V = Polynomial(2, {(3, 0, 0, 0): 0.1, (1, 0, 0, 2): c})
+    with pytest.raises(ValueError, match=f"^coefficients of V must be {rule}$"):
+        EllipticHamiltonian((1.0, 2.0), V)
+
+
+def test_real_coefficients_of_V_are_accepted_in_every_form():
+    cs = [0.1, np.float64(-0.2), 3, Fraction(1, 7), ExactComplex(1, 0, 2, 0, GOLDEN), 0.5 + 0j]
+    ks = [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3), (2, 1, 0, 0), (1, 2, 0, 0)]
+    V = Polynomial(2, dict(zip(ks, cs)))
+    assert EllipticHamiltonian((1.0, 2.0), V).V is V
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan, 3.0, -math.inf])
+def test_a_domain_radius_that_is_not_finite_and_above_3_is_refused(s):
+    with pytest.raises(ValueError, match="^domain radius s must be finite and exceed 3$"):
+        EllipticHamiltonian((1.0, 2.0), Polynomial(2, {(3, 0, 0, 0): 0.1}), s=s)
+
+
 def test_rho_is_majorant_of_perturbation():
     V = Polynomial(2, {(3, 0, 0, 0): 0.5, (0, 0, 4, 0): -0.25})
     H = EllipticHamiltonian((1.0, 2.0), V, s=4.0)
