@@ -61,7 +61,7 @@ from .exactnum import RATIONAL, ExactComplex, QuadField, _qmul, _ring, join_fiel
 from .model import EllipticHamiltonian
 from .poly import (
     ActionPolynomial,
-    CompiledField,
+    CompiledPoly,
     Polynomial,
     _change_piece,
     _degree,
@@ -503,24 +503,15 @@ def remainder_curve(
     return curves if np.ndim(radius) else curves[0]
 
 
-def _flow(vf: CompiledField, y: np.ndarray, time: float) -> np.ndarray:
-    """Time-``time`` Hamiltonian flow of a compiled field via 48 fixed RK4 steps."""
-    h = time / 48
-    for _ in range(48):
-        k1 = vf(y)
-        k2 = vf(y + 0.5 * h * k1)
-        k3 = vf(y + 0.5 * h * k2)
-        k4 = vf(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
 def apply_transform(res: NormalFormResult, z, direction: str = "forward") -> np.ndarray:
     """Evaluate the normalizing transform (or its inverse) at points (..., 2n).
 
     forward is the composition Phi_3 o Phi_4 o ... o Phi_{2m} (each Phi_d the
     time-1 flow of the generator of degree d), the map sending normal-form
     coordinates to original ones so that H(forward(z)) matches the normal form.
+    Each z_i o forward is the Lie series exp(L_chi_2m) ... exp(L_chi_3) z_i of
+    the chart generators in float (inverse: the -chi_d in reverse order), cut
+    at degree D_work, so inverse o forward is the identity only up to it.
     """
     z = np.asarray(z, dtype=float)
     norm = float(np.max(np.linalg.norm(z, axis=-1), initial=0.0))
@@ -528,12 +519,16 @@ def apply_transform(res: NormalFormResult, z, direction: str = "forward") -> np.
         raise OutOfDomain(f"||z|| = {norm:.3f} exceeds s/2 = {res.s / 2}")
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
-    fields = [CompiledField(g.to_float()) for g in res.generators_real if g.terms]
-    if direction == "forward":
-        fields, time = fields[::-1], 1.0
-    else:
-        time = -1.0
-    y = z.copy()
-    for vf in fields:
-        y = _flow(vf, y, time)
-    return y
+    n = res.h_m.n
+    chis = [(d, _to_pieces(g.to_float(), False)[d]) for d, g in enumerate(res.generators, 3) if g.terms]
+    if direction == "inverse":
+        chis = [(d, -chi) for d, chi in chis[::-1]]
+    coords = []
+    for e in _degree(2 * n, 1).E.T:
+        K = [None] * (res.D_work + 1)
+        K[1] = _change_piece(e + 0j, n, 1, real=False)
+        for d, chi in chis:
+            _lie_series(K, chi, d, n)
+        real = _realify({d: p for d, p in enumerate(K) if p is not None}, n)
+        coords.append(Polynomial(n, _to_terms(real, n, real=True)))
+    return CompiledPoly(coords)(z)

@@ -183,7 +183,10 @@ def real_float(a, what: str = "frequency components") -> float:
     """The float value of ``what``, a plain number or an ExactComplex; a nonzero
     imaginary part (of an ExactComplex, exactly) or a non-finite value is refused."""
     exact = isinstance(a, ExactComplex)
-    z = a.to_complex() if exact else complex(a)
+    try:
+        z = a.to_complex() if exact else complex(a)
+    except OverflowError:  # an exact value beyond the float range
+        z = complex(math.inf)
     if (a.ai or a.bi) if exact else z.imag != 0.0:
         raise ValueError(f"{what} must be real")
     if not math.isfinite(z.real):

@@ -432,8 +432,9 @@ def run_drift_vs_rho(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def run_bnf_roundtrip(spec: ExperimentSpec) -> ExperimentResult:
-    """Normalize, then measure forward/inverse closure and the conjugacy
-    residual H(Phi(z)) vs h_m(I(z)) + remainder(z) at sampled points."""
+    """Normalize, then measure the conjugacy residual H(Phi(z)) vs h_m(I(z)) +
+    remainder(z) at sampled points and the closure Phi^-1(Phi(z)) - z, which is
+    the truncation of the pair at D_work, not an integrator's reversal error."""
     H = spec.resolve_hamiltonian()
     m = min(4, spec.m_max)
     res = birkhoff_normal_form(H, m)

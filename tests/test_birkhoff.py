@@ -31,8 +31,10 @@ from hamlab.errors import (
     ThresholdViolation,
 )
 from hamlab.exactnum import GOLDEN, RATIONAL, SQRT2, ExactComplex, QuadField
+from hamlab.lab import RandomHamiltonianParams, generate_random_hamiltonian, stream_rng
 from hamlab.model import EllipticHamiltonian, formal_actions
 from hamlab.poly import (
+    CompiledField,
     Polynomial,
     complexify_unnormalized,
     realify_unnormalized,
@@ -476,6 +478,79 @@ def test_apply_transform_batches_points():
     # an empty batch maps to an empty batch
     for direction in ("forward", "inverse"):
         assert apply_transform(res, np.zeros((0, 4)), direction).shape == (0, 4)
+
+
+def rk4_transform(res, Z, direction, steps=768):
+    """The transform as the composition of the time-1 flows of the real
+    generators, each integrated by ``steps`` fixed RK4 steps: an oracle for
+    apply_transform that shares none of its Lie series."""
+    fields = [CompiledField(g.to_float()) for g in res.generators_real if g.terms]
+    if direction == "forward":
+        fields, h = fields[::-1], 1.0 / steps
+    else:
+        h = -1.0 / steps
+    y = np.array(Z, dtype=float)
+    for vf in fields:
+        for _ in range(steps):
+            k1 = vf(y)
+            k2 = vf(y + 0.5 * h * k1)
+            k3 = vf(y + 0.5 * h * k2)
+            k4 = vf(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def criterion_8_hamiltonian():
+    params = RandomHamiltonianParams(
+        n=2, include_beta=np.diag([1.0, -2.0]), degree_max=5, n_terms=4, coefficient_scale=0.3, seed=1
+    )
+    return generate_random_hamiltonian(params)
+
+
+def roundtrip_points(H):
+    """The 20 points of the bnf_roundtrip experiment at seed 0."""
+    Z = stream_rng(0, 1).uniform(-1.0, 1.0, size=(20, 2 * H.n))
+    return Z * np.minimum(1.0, 0.25 * H.s / np.linalg.norm(Z, axis=1))[:, None]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("rho", [0.1, 0.05])
+def test_transform_matches_a_fine_rk4_flow_of_the_generators(rho, m):
+    H = criterion_8_hamiltonian().scaled(rho)
+    res = birkhoff_normal_form(H, m)
+    Z = roundtrip_points(H)
+    for direction in ("forward", "inverse"):
+        gap = np.max(np.abs(apply_transform(res, Z, direction) - rk4_transform(res, Z, direction)))
+        assert gap <= 1e-12, direction
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("alpha", [(Fraction(1), Fraction(GOLDEN_F)), golden_alpha()], ids=["Q", "golden"])
+def test_an_exact_result_gives_the_map_of_the_float_result(alpha, m):
+    V = criterion_8_hamiltonian().V
+    H = EllipticHamiltonian(alpha, Polynomial(2, {k: Fraction(c) for k, c in V.terms.items()}), s=4.0)
+    H = H.scaled(Fraction(1, 10))
+    exact, floats = birkhoff_normal_form(H, m, exact=True), birkhoff_normal_form(H, m)
+    Z = roundtrip_points(H)
+    for direction in ("forward", "inverse"):
+        gap = np.max(np.abs(apply_transform(exact, Z, direction) - apply_transform(floats, Z, direction)))
+        assert gap <= 1e-15, direction
+
+
+def test_the_round_trip_is_the_truncation_at_D_work():
+    # forward and inverse are each truncated at degree D_work = 12, so
+    # inverse(forward(z)) - z is of high degree: it falls steeply with rho,
+    # down to rounding
+    H0 = criterion_8_hamiltonian()
+    gaps = []
+    for rho in (0.3, 0.2, 0.15, 0.05):
+        res = birkhoff_normal_form(H0.scaled(rho), m=4)
+        Z = roundtrip_points(H0)
+        back = apply_transform(res, apply_transform(res, Z, "forward"), "inverse")
+        gaps.append(float(np.max(np.abs(back - Z))))
+    assert gaps == sorted(gaps, reverse=True) and len(set(gaps)) == len(gaps)
+    assert gaps[0] / gaps[2] >= 2.0**10
+    assert gaps[1] >= 1e-12 and gaps[3] <= 1e-14
 
 
 def test_result_metadata():

@@ -540,10 +540,15 @@ def test_a_json_term_of_mixed_forms_exits_2(ham_file, capsys):
 _NAN_V = ("V", {"re": math.nan}, "coefficients of V must be finite")
 _COMPLEX_V = ("V", {"re": 0.1, "im": 0.2}, "coefficients of V must be real")
 _INFINITE_S = ("s", math.inf, "domain radius s must be finite and exceed 3")
+# exact values beyond the float range, written out as digits
+_HUGE_V = ("V", {"re": str(10**400), "im": "0"}, "coefficients of V must be finite")
+_HUGE_ALPHA = ("alpha", [1.0, str(10**400)], "frequency components must be finite")
 
 
 @pytest.mark.parametrize(
-    "field, value, message", [_NAN_V, _COMPLEX_V, _INFINITE_S], ids=["nan_V", "complex_V", "inf_s"]
+    "field, value, message",
+    [_NAN_V, _COMPLEX_V, _INFINITE_S, _HUGE_V, _HUGE_ALPHA],
+    ids=["nan_V", "complex_V", "inf_s", "huge_exact_V", "huge_exact_alpha"],
 )
 @pytest.mark.parametrize(
     "argv",

@@ -1,5 +1,6 @@
 """Experiment harness: generators, specs, artifacts, and small end-to-end runs."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import stat
 import numpy as np
 import pytest
 
+from hamlab import lab
 from hamlab.lab import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
@@ -24,7 +26,7 @@ from hamlab.lab import (
     write_csv,
     write_json,
 )
-from hamlab.birkhoff import remainder_curve
+from hamlab.birkhoff import birkhoff_normal_form, remainder_curve
 from hamlab.model import EllipticHamiltonian
 from hamlab.poly import Polynomial, complexify_unnormalized
 from test_poly import paired_part
@@ -690,6 +692,18 @@ def test_run_bnf_roundtrip_small():
     assert rep["m"] == 2
     assert rep["roundtrip_error"] < 1e-6
     assert rep["smallest_divisor"] > 0.0
+
+
+def test_conjugacy_error_catches_a_generator_of_the_wrong_sign(monkeypatch):
+    spec = ExperimentSpec(kind="bnf_roundtrip", hamiltonian=small_cubic(), m_max=2)
+    true = run_experiment(spec).report["conjugacy_error"]
+
+    def flipped(H, m):
+        res = birkhoff_normal_form(H, m)
+        return dataclasses.replace(res, generators=[-res.generators[0], *res.generators[1:]])
+
+    monkeypatch.setattr(lab, "birkhoff_normal_form", flipped)
+    assert run_experiment(spec).report["conjugacy_error"] >= 100 * true
 
 
 def test_run_convex_vs_generic_small():
